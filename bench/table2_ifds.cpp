@@ -18,10 +18,10 @@
 //   * trivial flow functions (engine-bound): isolates the pure overhead
 //     of the generic engine over the bare worklist algorithm.
 //
-// A plan/memo ablation section then re-runs the declarative solver in
-// the four {CompilePlans, EnableMemo} configurations and reports ns per
-// rule firing (firings are identical across regimes, so this normalizes
-// out workload size); the JSON records carry regime "plan_memo".
+// A plan/memo ablation section then re-runs the declarative solver
+// (compiled plans) with EnableMemo off and on and reports ns per rule
+// firing (firings are identical across regimes, so this normalizes out
+// workload size); the JSON records carry regime "plan_memo".
 //
 // A VM-engine ablation section follows (regime "vm_engine",
 // BENCH_vm.json): IFDS registers its flow functions as native C++
@@ -211,16 +211,15 @@ void runScaling(const std::vector<unsigned> &Threads, int TransferWork,
   std::printf("\n");
 }
 
-/// The four plan/memo configurations, legacy first.
-struct AblationRegime {
+/// The plan/memo configurations: compiled plans without and with the
+/// extern memo cache.
+struct PlanMemoRegime {
   const char *Name;
-  bool Plans, Memo;
+  bool Memo;
 };
-constexpr AblationRegime PlanMemoRegimes[] = {
-    {"legacy", false, false},
-    {"plans", true, false},
-    {"memo", false, true},
-    {"plans+memo", true, true},
+constexpr PlanMemoRegime PlanMemoRegimes[] = {
+    {"plans", false},
+    {"plans+memo", true},
 };
 
 /// Plan/memo ablation on the declarative solver (sequential engine).
@@ -230,10 +229,10 @@ void runPlanMemoAblation(int TransferWork, long Reps, JsonReport *Json) {
   std::printf("Plan/memo ablation (sequential declarative solver; ns per "
               "rule firing):\n");
   std::printf("%-10s", "Program");
-  for (const AblationRegime &Reg : PlanMemoRegimes)
+  for (const PlanMemoRegime &Reg : PlanMemoRegimes)
     std::printf(" %12s", Reg.Name);
   std::printf("\n");
-  std::printf("%.*s\n", 62,
+  std::printf("%.*s\n", 36,
               "------------------------------------------------------------"
               "--------------------");
 
@@ -246,9 +245,8 @@ void runPlanMemoAblation(int TransferWork, long Reps, JsonReport *Json) {
     IfdsResult Reference = runIfdsImperative(Prob);
 
     std::printf("%-10s", Preset.Name.c_str());
-    for (const AblationRegime &Reg : PlanMemoRegimes) {
+    for (const PlanMemoRegime &Reg : PlanMemoRegimes) {
       SolverOptions Opts;
-      Opts.CompilePlans = Reg.Plans;
       Opts.EnableMemo = Reg.Memo;
       IfdsResult R;
       double Time = median(Reps, [&] {
@@ -269,7 +267,6 @@ void runPlanMemoAblation(int TransferWork, long Reps, JsonReport *Json) {
             .str("regime", "plan_memo")
             .str("config", Reg.Name)
             .str("program", Preset.Name)
-            .boolean("plans", Reg.Plans)
             .boolean("memo", Reg.Memo)
             .integer("threads", 0)
             .num("seconds", Time)
@@ -397,7 +394,11 @@ VmRunOutcome runVmEngineConfig(const IcfgProgram &G, bool UseVm,
 }
 
 /// The four engine configurations, interpreter first (the baseline).
-constexpr AblationRegime VmEngineRegimes[] = {
+struct VmEngineRegime {
+  const char *Name;
+  bool UseVm, Memo;
+};
+constexpr VmEngineRegime VmEngineRegimes[] = {
     {"interp", false, false},
     {"interp+memo", false, true},
     {"vm", true, false},
@@ -409,7 +410,7 @@ void runVmEngineAblation(long Reps, JsonReport *Json) {
   std::printf("VM-engine ablation (FLIX-source gen/kill reachability, "
               "sequential solver; ns per rule firing):\n");
   std::printf("%-10s", "Program");
-  for (const AblationRegime &Reg : VmEngineRegimes)
+  for (const VmEngineRegime &Reg : VmEngineRegimes)
     std::printf(" %12s", Reg.Name);
   std::printf("   vm-spdup\n");
   std::printf("%.*s\n", 73,
@@ -427,16 +428,15 @@ void runVmEngineAblation(long Reps, JsonReport *Json) {
     std::printf("%-10s", Preset.Name.c_str());
     VmRunOutcome Baseline;
     double InterpNs = 0, VmNs = 0;
-    for (const AblationRegime &Reg : VmEngineRegimes) {
-      // Reg.Plans doubles as the UseVm flag here (same struct shape).
-      bool UseVm = Reg.Plans, Memo = Reg.Memo;
+    for (const VmEngineRegime &Reg : VmEngineRegimes) {
+      bool UseVm = Reg.UseVm, Memo = Reg.Memo;
       VmRunOutcome R;
       double Time = median(Reps, [&] {
         R = runVmEngineConfig(G, UseVm, Memo);
         return R.Seconds;
       });
       bool Ok = R.Ok;
-      if (Reg.Plans == false && Reg.Memo == false)
+      if (!UseVm && !Memo)
         Baseline = R;
       else if (Ok && R.Model != Baseline.Model) {
         Ok = false;

@@ -13,8 +13,8 @@
 // Expected shape: IDE is a small constant factor slower than IFDS — the
 // rules are the same shape, each carrying one extra lattice column.
 //
-// A plan/memo ablation section then re-runs the IDE solver in the four
-// {CompilePlans, EnableMemo} configurations. IDE composes and joins
+// A plan/memo ablation section then re-runs the IDE solver (compiled
+// plans) with EnableMemo off and on. IDE composes and joins
 // micro-functions through externs on every firing, so the memo cache
 // sees heavy traffic here; ns per rule firing normalizes out workload
 // size. `--json <file>` writes one record per solver run; ablation
@@ -93,13 +93,11 @@ void runComparison(JsonReport *Json) {
 void runPlanMemoAblation(JsonReport *Json) {
   struct AblationRegime {
     const char *Name;
-    bool Plans, Memo;
+    bool Memo;
   };
   constexpr AblationRegime Regimes[] = {
-      {"legacy", false, false},
-      {"plans", true, false},
-      {"memo", false, true},
-      {"plans+memo", true, true},
+      {"plans", false},
+      {"plans+memo", true},
   };
 
   std::printf("Plan/memo ablation (IDE solver, sequential; ns per rule "
@@ -120,7 +118,6 @@ void runPlanMemoAblation(JsonReport *Json) {
     std::printf("%-10s", Preset.Name.c_str());
     for (const AblationRegime &Reg : Regimes) {
       SolverOptions Opts;
-      Opts.CompilePlans = Reg.Plans;
       Opts.EnableMemo = Reg.Memo;
       IdeResult R = runIdeFlix(Prob, Opts);
       bool Ok = R.Ok && Reference.Ok && R.Values == Reference.Values &&
@@ -137,7 +134,6 @@ void runPlanMemoAblation(JsonReport *Json) {
             .str("regime", "plan_memo")
             .str("config", Reg.Name)
             .str("program", Preset.Name)
-            .boolean("plans", Reg.Plans)
             .boolean("memo", Reg.Memo)
             .integer("threads", 0)
             .num("seconds", R.Seconds)

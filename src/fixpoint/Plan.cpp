@@ -26,7 +26,8 @@ Operand operandOf(const Term &T) {
   return O;
 }
 
-/// The frozen driver-first order (eval::buildOrder) as body indices.
+/// The frozen driver-first order as body indices: the driver element (when
+/// Driver >= 0) first, the rest in written body order.
 SmallVector<uint32_t, 8> defaultOrder(const Rule &R, int Driver) {
   SmallVector<uint32_t, 8> O;
   if (Driver >= 0)
@@ -296,20 +297,19 @@ namespace {
 
 /// Compiles one (rule, driver) plan along \p OrderIdx (body indices; the
 /// driver element first when Driver >= 0). \p PreBound marks variables
-/// bound before the body starts (the rederive family's head-key
-/// variables). \p DriverIsDelta selects a StepKind::Driver opening step
-/// (delta rounds) vs a normal access path for the fronted atom (rederive).
+/// bound before the body starts (the pre-bound family). \p DriverIsDelta
+/// selects a StepKind::Driver opening step (delta rounds) vs a normal
+/// access path for the fronted atom (the pre-bound family).
 ///
-/// Boundness is simulated exactly as the legacy recursive walk (and the
-/// static index analyses) evolve it: positive atoms bind all their
-/// variable terms including the lattice column, binder patterns bind,
-/// negated atoms and filters bind nothing. Along a fixed order that
-/// simulation is exact, so every runtime Bound[] check of the legacy walk
-/// becomes a compile-time ColOp/LatOp choice. Any order in which filters,
-/// binders and negations run only after their arguments are bound
-/// compiles to an equivalent plan: ⊔-confluence (§3.7) makes the fixpoint
-/// independent of join order, which is what the plan-equivalence harness
-/// (PlanDifferentialTest) checks end to end.
+/// Boundness evolves along the order as follows: positive atoms bind all
+/// their variable terms including the lattice column, binder patterns
+/// bind, negated atoms and filters bind nothing. Along a fixed order that
+/// simulation is exact, so every boundness question a row match could
+/// ask becomes a compile-time ColOp/LatOp choice. Any order in which
+/// filters, binders and negations run only after their arguments are
+/// bound compiles to an equivalent plan: ⊔-confluence (§3.7) makes the
+/// fixpoint independent of join order, which is what the plan-equivalence
+/// harness (PlanDifferentialTest) checks end to end.
 RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
                      int Driver, const std::vector<bool> &PreBound,
                      bool DriverIsDelta, bool UseIndexes,
@@ -319,6 +319,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
   Pl.Driver = Driver;
   Pl.NumVars = R.NumVars;
   Pl.Valid = true;
+  Pl.PreBound = PreBound;
 
   std::vector<bool> BoundVar = PreBound;
   BoundVar.resize(R.NumVars, false);
@@ -383,7 +384,8 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
     unsigned KA = D.keyArity();
 
     if (A.Negated) {
-      // Ground by placement; binds nothing (lockstep with the analyses).
+      // Ground by placement (or by pre-binding, when fronted); binds
+      // nothing.
       Step S;
       S.Kind = StepKind::Negation;
       S.Pred = A.Pred;
@@ -399,7 +401,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
 
     // Full column tests with sequential in-atom boundness: the first
     // occurrence of a variable binds, later occurrences (in this atom)
-    // check — exactly the legacy matchAtomRow behavior.
+    // check.
     {
       std::vector<bool> InAtom = BoundVar;
       for (unsigned I = 0; I < KA; ++I) {
@@ -420,7 +422,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
         S.Cols.push_back(Ct);
       }
       if (!D.isRelational()) {
-        // The lattice column sees the key columns' binds (legacy order).
+        // The lattice column sees the key columns' binds.
         const Term &Lt = A.Terms[KA];
         if (!Lt.isVar()) {
           S.LOp = LatOp::CheckConstLeq;
@@ -438,8 +440,8 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
     if (Pos == 0 && Driver >= 0 && DriverIsDelta) {
       S.Kind = StepKind::Driver;
     } else {
-      // Access-path mask from pre-atom boundness — identical to the
-      // legacy evalAtom mask and the static index analyses.
+      // Access-path mask from pre-atom boundness; wantedIndexes() reports
+      // exactly these masks to the static index analyses.
       uint64_t Mask = 0;
       for (unsigned I = 0; I < KA; ++I) {
         const Term &Tm = A.Terms[I];
@@ -491,14 +493,18 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
   return Pl;
 }
 
-/// One (rule, driver, family) replan decision: recompiles \p Pl with the
-/// chosen order when its current cost exceeds Threshold × the best
-/// candidate's. Refreshes the stored estimates either way, so the next
-/// check compares against this snapshot.
+/// One plan's replan decision: recompiles \p Pl (of rule \p R, keeping
+/// its driver and pre-bound set) with the chosen order when its current
+/// cost exceeds Threshold × the best candidate's. Refreshes the stored
+/// estimates either way, so the next check compares against this
+/// snapshot.
 bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
-               const Rule &R, uint32_t RuleIdx, int Driver,
-               bool DriverIsDelta, const std::vector<bool> &PreBound,
-               const StatsVec &Stats, double Threshold) {
+               const Rule &R, bool DriverIsDelta, const StatsVec &Stats,
+               double Threshold) {
+  int Driver = Pl.Driver;
+  // compilePlan only reads PreBound before the assignment below replaces
+  // Pl, so referencing the plan's own set is safe.
+  const std::vector<bool> &PreBound = Pl.PreBound;
   SmallVector<uint32_t, 8> Best = chooseOrder(
       P, R, Driver, DriverIsDelta, Stats, UseIndexes, PreBound);
   std::span<const uint32_t> BestView(Best.data(), Best.size());
@@ -520,7 +526,7 @@ bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
     Pl.EstRows = CurE.Fanout;
     return false;
   }
-  Pl = compilePlan(P, R, RuleIdx, Driver, PreBound, DriverIsDelta,
+  Pl = compilePlan(P, R, Pl.RuleIdx, Driver, PreBound, DriverIsDelta,
                    UseIndexes, BestView);
   Pl.EstCost = BestE.Cost;
   Pl.EstRows = BestE.Fanout;
@@ -529,23 +535,20 @@ bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
 
 } // namespace
 
-PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Prepared,
+PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Rules,
                          bool UseIndexes)
-    : Prog(&P), Rules(&Prepared), UseIndexes(UseIndexes) {
-  Normal.resize(Prepared.size());
-  HeadBound.resize(Prepared.size());
-  HeadVarsByRule.resize(Prepared.size());
-  for (uint32_t RI = 0; RI < Prepared.size(); ++RI) {
-    const Rule &R = Prepared[RI];
+    : Prog(&P), Rules(&Rules), UseIndexes(UseIndexes) {
+  Normal.resize(Rules.size());
+  PreBound.resize(Rules.size());
+  for (uint32_t RI = 0; RI < Rules.size(); ++RI) {
+    const Rule &R = Rules[RI];
     Normal[RI].resize(R.Body.size() + 1);
-    HeadBound[RI].resize(R.Body.size() + 1);
+    PreBound[RI].resize(R.Body.size() + 1);
 
-    // The rederive family's pre-bound set: variables the head key tuple
-    // grounds. For relational heads the key includes the last column
-    // (unless it is function-computed, which cannot be inverted).
-    std::vector<bool> NoBound;
-    std::vector<bool> &HeadVars = HeadVarsByRule[RI];
-    HeadVars.assign(R.NumVars, false);
+    // Re-derive pre-bound set: the variables the head key tuple grounds.
+    // For relational heads the key includes the last column (unless it
+    // is function-computed, which cannot be inverted).
+    std::vector<bool> HeadVars(R.NumVars, false);
     for (const Term &T : R.Head.KeyTerms)
       if (T.isVar())
         HeadVars[T.Variable] = true;
@@ -555,22 +558,32 @@ PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Prepared,
 
     for (int Driver = -1; Driver < static_cast<int>(R.Body.size());
          ++Driver) {
-      if (Driver >= 0) {
-        const auto *A = std::get_if<BodyAtom>(&R.Body[Driver]);
-        if (!A || A->Negated)
-          continue; // only positive atoms drive
-      }
-      RulePlan &N = Normal[RI][static_cast<size_t>(Driver + 1)];
-      RulePlan &HB = HeadBound[RI][static_cast<size_t>(Driver + 1)];
+      const BodyAtom *A =
+          Driver < 0 ? nullptr : std::get_if<BodyAtom>(&R.Body[Driver]);
+      if (Driver >= 0 && !A)
+        continue; // filters and binders never drive
       SmallVector<uint32_t, 8> Def = defaultOrder(R, Driver);
       std::span<const uint32_t> DefView(Def.data(), Def.size());
-      N = compilePlan(P, R, RI, Driver, NoBound,
-                      /*DriverIsDelta=*/Driver >= 0, UseIndexes, DefView);
-      HB = compilePlan(P, R, RI, Driver, HeadVars,
-                       /*DriverIsDelta=*/false, UseIndexes, DefView);
-      TotalSteps += N.Steps.size() + HB.Steps.size();
+      RulePlan &PB = PreBound[RI][static_cast<size_t>(Driver + 1)];
+      if (A && A->Negated) {
+        // Negation-driven: the fronted `!P(key)` has its key pre-bound.
+        std::vector<bool> KeyVars(R.NumVars, false);
+        for (unsigned I = 0, KA = P.predicate(A->Pred).keyArity(); I < KA;
+             ++I)
+          if (A->Terms[I].isVar())
+            KeyVars[A->Terms[I].Variable] = true;
+        PB = compilePlan(P, R, RI, Driver, KeyVars, /*DriverIsDelta=*/false,
+                         UseIndexes, DefView);
+        continue;
+      }
+      RulePlan &N = Normal[RI][static_cast<size_t>(Driver + 1)];
+      N = compilePlan(P, R, RI, Driver, {}, /*DriverIsDelta=*/Driver >= 0,
+                      UseIndexes, DefView);
+      PB = compilePlan(P, R, RI, Driver, HeadVars, /*DriverIsDelta=*/false,
+                       UseIndexes, DefView);
     }
   }
+  recountDerived();
 }
 
 PlanLibrary::ReplanResult
@@ -587,21 +600,19 @@ PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold) {
   Res.RowsDivergence = static_cast<uint64_t>(Div);
   LastStats = Stats;
 
-  static const std::vector<bool> NoBound;
   for (uint32_t RI = 0; RI < Rules->size(); ++RI) {
     const Rule &R = (*Rules)[RI];
-    for (int Driver = -1; Driver < static_cast<int>(R.Body.size());
-         ++Driver) {
-      RulePlan &N = Normal[RI][static_cast<size_t>(Driver + 1)];
-      if (!N.Valid)
-        continue;
-      RulePlan &HB = HeadBound[RI][static_cast<size_t>(Driver + 1)];
-      bool Changed =
-          replanOne(*Prog, UseIndexes, N, R, RI, Driver,
-                    /*DriverIsDelta=*/Driver >= 0, NoBound, Stats, Threshold);
-      Changed |= replanOne(*Prog, UseIndexes, HB, R, RI, Driver,
-                           /*DriverIsDelta=*/false, HeadVarsByRule[RI],
-                           Stats, Threshold);
+    for (size_t D = 0; D < Normal[RI].size(); ++D) {
+      RulePlan &N = Normal[RI][D];
+      RulePlan &PB = PreBound[RI][D];
+      bool Changed = false;
+      if (N.Valid)
+        Changed |= replanOne(*Prog, UseIndexes, N, R,
+                             /*DriverIsDelta=*/N.Driver >= 0, Stats,
+                             Threshold);
+      if (PB.Valid)
+        Changed |= replanOne(*Prog, UseIndexes, PB, R,
+                             /*DriverIsDelta=*/false, Stats, Threshold);
       Res.Replanned += Changed;
     }
   }
@@ -616,25 +627,26 @@ void PlanLibrary::recountDerived() {
   for (uint32_t RI = 0; RI < Normal.size(); ++RI) {
     const Rule &R = (*Rules)[RI];
     for (size_t D = 0; D < Normal[RI].size(); ++D) {
-      const RulePlan &N = Normal[RI][D];
-      if (!N.Valid)
-        continue;
-      const RulePlan &HB = HeadBound[RI][D];
-      TotalSteps += N.Steps.size() + HB.Steps.size();
       SmallVector<uint32_t, 8> Def =
           defaultOrder(R, static_cast<int>(D) - 1);
       std::span<const uint32_t> DefView(Def.data(), Def.size());
-      if (!sameOrder({N.BodyOrder.data(), N.BodyOrder.size()}, DefView) ||
-          !sameOrder({HB.BodyOrder.data(), HB.BodyOrder.size()}, DefView))
-        ++CostBased;
+      bool Reordered = false;
+      for (const RulePlan *Pl : {&Normal[RI][D], &PreBound[RI][D]}) {
+        if (!Pl->Valid)
+          continue;
+        TotalSteps += Pl->Steps.size();
+        Reordered |=
+            !sameOrder({Pl->BodyOrder.data(), Pl->BodyOrder.size()}, DefView);
+      }
+      CostBased += Reordered;
     }
   }
 }
 
 void PlanLibrary::wantedIndexes(
     std::vector<std::vector<uint64_t>> &MasksByPred) const {
-  auto Collect = [&](const std::vector<std::vector<RulePlan>> &Family) {
-    for (const std::vector<RulePlan> &PerRule : Family)
+  for (const auto *Family : {&Normal, &PreBound})
+    for (const std::vector<RulePlan> &PerRule : *Family)
       for (const RulePlan &Pl : PerRule) {
         if (!Pl.Valid)
           continue;
@@ -642,9 +654,6 @@ void PlanLibrary::wantedIndexes(
           if (S.Kind == StepKind::Probe)
             MasksByPred[S.Pred].push_back(S.Mask);
       }
-  };
-  Collect(Normal);
-  Collect(HeadBound);
   for (std::vector<uint64_t> &Masks : MasksByPred) {
     std::sort(Masks.begin(), Masks.end());
     Masks.erase(std::unique(Masks.begin(), Masks.end()), Masks.end());

@@ -6,22 +6,21 @@
 ///
 /// \file
 /// Ahead-of-time compilation of rule bodies into flat, array-based join
-/// plans, plus a memo cache for pure external functions. Together they
-/// attack the two §4.5 hot spots that remain after hash-consing: the
-/// per-row interpretive dispatch of the recursive
-/// evalElems/evalAtom/matchAtomRow walk, and repeated re-evaluation of
-/// pure transfer/filter functions.
+/// plans, plus a memo cache for pure external functions. Compiled plans
+/// are the only way any engine evaluates a rule body; together with the
+/// memo cache they attack the two §4.5 hot spots that remain after
+/// hash-consing: per-row interpretive dispatch over the body, and
+/// repeated re-evaluation of pure transfer/filter functions.
 ///
-/// A RulePlan is compiled once per (prepared rule, driver position) after
-/// body reordering. Each Step pre-resolves everything the recursive walk
-/// recomputed per row: the access path (primary lookup, indexed probe with
-/// its bound-column mask, or full scan), per-column operations (constant
-/// test, bound-variable test, or first-occurrence bind), the lattice-
-/// column operation (ground ⊑ test, bind, or ⊓-rebind), and filter guards
-/// fused onto the step after which their arguments are bound. Boundness is
-/// *static* along an evaluation order — the same simulation the parallel
-/// solver's index analysis runs — so every per-row branch of the legacy
-/// walk becomes a precomputed opcode.
+/// A RulePlan is compiled once per (rule, driver position). Each Step
+/// pre-resolves everything a body walk would otherwise recompute per row:
+/// the access path (primary lookup, indexed probe with its bound-column
+/// mask, or full scan), per-column operations (constant test,
+/// bound-variable test, or first-occurrence bind), the lattice-column
+/// operation (ground ⊑ test, bind, or ⊓-rebind), and filter guards fused
+/// onto the step after which their arguments are bound. Boundness is
+/// *static* along an evaluation order, so every per-row boundness branch
+/// becomes a precomputed opcode.
 ///
 /// PlanExecutor runs a plan with an explicit cursor stack instead of
 /// recursion. It is templated over a small engine policy so the sequential
@@ -42,17 +41,35 @@
 #ifndef FLIX_FIXPOINT_PLAN_H
 #define FLIX_FIXPOINT_PLAN_H
 
-#include "fixpoint/EvalUtil.h"
 #include "fixpoint/Program.h"
 #include "fixpoint/Table.h"
+#include "support/SmallVector.h"
 
 #include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace flix::plan {
+
+/// Undo log for the variable bindings of one plan step's current match.
+struct BindTrail {
+  SmallVector<std::pair<VarId, std::pair<bool, Value>>, 4> Saved;
+
+  void save(VarId V, bool WasBound, Value Old) {
+    Saved.push_back({V, {WasBound, Old}});
+  }
+  void undo(std::vector<Value> &Env, std::vector<uint8_t> &Bound) {
+    for (size_t I = Saved.size(); I-- > 0;) {
+      Env[Saved[I].first] = Saved[I].second.second;
+      Bound[Saved[I].first] = Saved[I].second.first;
+    }
+    Saved.clear();
+  }
+};
 
 /// Per-key-column operation of one step, decided at compile time from the
 /// static boundness of the column's term.
@@ -102,9 +119,9 @@ enum class StepKind : uint8_t {
   /// processed in order and every negated predicate lives strictly below
   /// the rules that negate it, so its table is final (all net inserts
   /// and retracts applied) before any Negation step of this update reads
-  /// it. This is why neither a "pre-batch view" nor a negated-driver
-  /// plan family exists: insertion deltas for `not P` are driven through
-  /// Solver::evalNegationDriven on the legacy recursive path instead.
+  /// it. This is why no "pre-batch view" exists: insertion deltas for
+  /// `not P` are pre-bound plans that front the negated atom (see
+  /// PlanLibrary::preBoundPlan), read against the same current tables.
   Negation,
   Binder,   ///< `pat <- f(args)`: iterate the returned set
   Filter,   ///< leading filter with no preceding step to fuse onto
@@ -152,12 +169,12 @@ struct HeadPlan {
   Operand LastOp{};
 };
 
-/// One compiled (rule, driver) evaluation: the flat step array replacing
-/// the recursive body walk, plus the head recipe.
+/// One compiled (rule, driver) evaluation: the flat step array plus the
+/// head recipe.
 struct RulePlan {
   uint32_t RuleIdx = 0;
   int32_t Driver = -1;
-  bool Valid = false; ///< false for driver slots that are not positive atoms
+  bool Valid = false; ///< false for driver slots its family has no plan for
   uint32_t NumVars = 0;
   SmallVector<Step, 8> Steps;
   HeadPlan Head;
@@ -165,6 +182,9 @@ struct RulePlan {
   /// indices (the driver element first when Driver >= 0). The frozen
   /// driver-first order at construction; replanFromStats may replace it.
   SmallVector<uint32_t, 8> BodyOrder;
+  /// Variables the caller binds before the first step runs (indexed by
+  /// VarId; empty for the delta-driven family).
+  std::vector<bool> PreBound;
   /// Cost-model estimates recorded at the last (re)plan: total step cost
   /// and expected full-match rows. Fed back into SolveStats as
   /// EstimatedVsActualRows drift at the next adaptive check.
@@ -234,25 +254,32 @@ SmallVector<uint32_t, 8> chooseOrder(const Program &P, const Rule &R,
                                      const StatsVec &Stats, bool UseIndexes,
                                      const std::vector<bool> &PreBound);
 
-/// Compiles and owns the plans of one prepared rule set. Two families:
+/// Compiles and owns the plans of one rule set. Two families, each keyed
+/// by (rule, driver) with Driver == -1 for "no fronted element":
 ///
-///   * plan(RuleIdx, Driver): the normal delta-driven family. Driver == -1
-///     is plain first-to-last evaluation (round 0 / naive); Driver >= 0
-///     makes that body atom a StepKind::Driver step fed by the engine.
-///   * headBoundPlan(RuleIdx, Driver): the incremental engine's rederive
-///     family, compiled with every head-key variable pre-bound; Driver
-///     >= 0 moves that atom first but opens with a normal access path
-///     (lookup/probe/scan), not a Driver step.
+///   * plan(RuleIdx, Driver): the delta-driven family. Driver == -1 is
+///     plain first-to-last evaluation (round 0 / naive); Driver >= 0
+///     makes that positive body atom a StepKind::Driver step fed by the
+///     engine.
+///   * preBoundPlan(RuleIdx, Driver): the incremental engine's derivative
+///     rules, which start from one known tuple instead of a delta row.
+///     The fronted atom moves first but opens with a normal access path
+///     (lookup/probe/scan/negation), not a Driver step, and the plan is
+///     compiled with a pre-bound variable set fixed by the fronted atom:
+///       - Driver == -1 or a positive atom: every head-key variable
+///         (Solver::rederive, the DRed re-derive step);
+///       - a negated atom: that atom's key variables
+///         (Solver::evalNegationDriven, the insertion delta of `not P`).
 ///
-/// The compiler runs the same boundness simulation as the parallel
-/// solver's computeWantedIndexes / the incremental solver's
-/// prepareWorkerIndexes (negated atoms bind nothing, positive atoms bind
-/// every variable term including the lattice column, binder patterns bind,
-/// filters bind nothing), so the probe masks of the compiled steps are
-/// exactly the masks those analyses pre-build.
+/// Both families share compilation, cost-based re-planning and the index
+/// analysis below. The compiler's boundness simulation (negated atoms
+/// bind nothing, positive atoms bind every variable term including the
+/// lattice column, binder patterns bind, filters bind nothing) is exact
+/// along a fixed order, so the probe masks of the compiled steps are
+/// exactly the masks wantedIndexes() reports.
 class PlanLibrary {
 public:
-  PlanLibrary(const Program &P, const std::vector<Rule> &Prepared,
+  PlanLibrary(const Program &P, const std::vector<Rule> &Rules,
               bool UseIndexes);
 
   const RulePlan &plan(uint32_t RuleIdx, int Driver) const {
@@ -260,9 +287,9 @@ public:
     assert(Pl.Valid && "no plan for this driver position");
     return Pl;
   }
-  const RulePlan &headBoundPlan(uint32_t RuleIdx, int Driver) const {
-    const RulePlan &Pl = HeadBound[RuleIdx][static_cast<size_t>(Driver + 1)];
-    assert(Pl.Valid && "no head-bound plan for this driver position");
+  const RulePlan &preBoundPlan(uint32_t RuleIdx, int Driver) const {
+    const RulePlan &Pl = PreBound[RuleIdx][static_cast<size_t>(Driver + 1)];
+    assert(Pl.Valid && "no pre-bound plan for this driver position");
     return Pl;
   }
 
@@ -278,13 +305,13 @@ public:
     uint64_t RowsDivergence = 0;
   };
 
-  /// Re-evaluates every (rule, driver) pair of both families against
-  /// \p Stats: a pair is recompiled with the cost model's chosen order
-  /// when its current order's estimated cost exceeds \p Threshold × the
-  /// best candidate's (so Threshold 1.0 adopts any strict improvement —
-  /// the initial cost-based choose — and larger thresholds add hysteresis
-  /// for the adaptive between-round checks). Single-threaded callers only:
-  /// plans are replaced in place at round boundaries, never during an eval
+  /// Re-evaluates every plan of both families against \p Stats: a plan
+  /// is recompiled with the cost model's chosen order when its current
+  /// order's estimated cost exceeds \p Threshold × the best candidate's
+  /// (so Threshold 1.0 adopts any strict improvement — the initial
+  /// cost-based choose — and larger thresholds add hysteresis for the
+  /// adaptive between-round checks). Single-threaded callers only: plans
+  /// are replaced in place at round boundaries, never during an eval
   /// phase.
   ReplanResult replanFromStats(const StatsVec &Stats, double Threshold);
 
@@ -307,10 +334,10 @@ private:
   const Program *Prog = nullptr;
   const std::vector<Rule> *Rules = nullptr;
   bool UseIndexes = true;
+  /// Per rule, per driver slot (Driver + 1); invalid where no plan of the
+  /// family exists for that slot.
   std::vector<std::vector<RulePlan>> Normal;
-  std::vector<std::vector<RulePlan>> HeadBound;
-  /// Per-rule pre-bound variable sets of the rederive family.
-  std::vector<std::vector<bool>> HeadVarsByRule;
+  std::vector<std::vector<RulePlan>> PreBound;
   /// Statistics snapshot of the last replanFromStats call (divergence
   /// baseline).
   StatsVec LastStats;
@@ -514,7 +541,7 @@ private:
     bool Done = false;        ///< one-shot steps (Filter, Negation)
     bool UseFullCols = false; ///< probe fell back to a full scan
     bool HasPremise = false;
-    eval::BindTrail Trail;
+    BindTrail Trail;
   };
 
   void prepare(const RulePlan &Pl) {

@@ -6,14 +6,12 @@
 
 #include "fixpoint/Solver.h"
 
-#include "fixpoint/EvalUtil.h"
 #include "fixpoint/Plan.h"
 
 #include <algorithm>
 #include <cassert>
 
 using namespace flix;
-using flix::eval::BindTrail;
 
 /// The sequential Solver's policy for the shared plan executor: in-place
 /// joins with immediate delta updates, bucket snapshots (recursive
@@ -53,11 +51,10 @@ struct Solver::PlanEngine {
     if (JR.Changed) {
       ++S.Stats.FactsDerived;
       S.NextDelta[Pl.Head.Pred].insert(JR.RowId);
-      const Rule &R = S.Prepared[Pl.RuleIdx];
       if (S.Opts.TrackProvenance)
-        S.recordProvenance(R, Pl.Head.Pred, JR.RowId);
+        S.recordProvenance(Pl.RuleIdx, Pl.Head.Pred, JR.RowId);
       if (S.Opts.TrackSupport)
-        S.recordSupport(R, Pl.Head.Pred, JR.RowId);
+        S.recordSupport(S.P.rules()[Pl.RuleIdx], Pl.Head.Pred, JR.RowId);
     }
   }
   const std::vector<uint32_t> *driverRows(uint32_t &Begin, uint32_t &End) {
@@ -65,6 +62,10 @@ struct Solver::PlanEngine {
     End = static_cast<uint32_t>(S.CurDriverRows->size());
     return S.CurDriverRows;
   }
+
+  /// Kept for the solver's lifetime so cursor storage is reused across
+  /// runs; the sequential engine never nests plan runs.
+  plan::PlanExecutor<PlanEngine> Exec{*this};
 };
 
 Solver::Solver(const Program &P, SolverOptions Opts)
@@ -77,12 +78,8 @@ Solver::Solver(const Program &P, SolverOptions Opts)
     const Lattice &L = D.isRelational() ? *RelLattice : *D.Lat;
     Tables.push_back(std::make_unique<Table>(D.keyArity(), L, F));
   }
-  Prepared.reserve(P.rules().size());
-  for (const Rule &R : P.rules())
-    Prepared.push_back(Opts.ReorderBody ? reorderRule(R) : R);
-  if (Opts.CompilePlans)
-    Plans = std::make_unique<plan::PlanLibrary>(P, Prepared,
-                                                Opts.UseIndexes);
+  Plans = std::make_unique<plan::PlanLibrary>(P, P.rules(), Opts.UseIndexes);
+  Engine = std::make_unique<PlanEngine>(*this);
   if (Opts.EnableMemo)
     Memo = std::make_unique<plan::ExternMemo>();
   Delta.resize(P.predicates().size());
@@ -94,8 +91,8 @@ Solver::Solver(const Program &P, SolverOptions Opts)
     NegDependents.resize(P.predicates().size());
   }
   RulesByHead.resize(P.predicates().size());
-  for (uint32_t RI = 0; RI < Prepared.size(); ++RI)
-    RulesByHead[Prepared[RI].Head.Pred].push_back(RI);
+  for (uint32_t RI = 0; RI < P.rules().size(); ++RI)
+    RulesByHead[P.rules()[RI].Head.Pred].push_back(RI);
   for (auto [Pred, Mask] : P.indexHints())
     if (Opts.UseIndexes)
       Tables[Pred]->prepareIndex(Mask);
@@ -125,84 +122,6 @@ Value Solver::callExtern(FnId Fn, std::span<const Value> Args) {
 }
 
 //===----------------------------------------------------------------------===//
-// Body reordering (ablation of the paper's left-to-right strategy, §4.5)
-//===----------------------------------------------------------------------===//
-
-Rule Solver::reorderRule(const Rule &R) const { return reorderRuleGreedy(R); }
-
-Rule flix::reorderRuleGreedy(const Rule &R) {
-  Rule Out = R;
-  std::vector<bool> BoundVar(R.NumVars, false);
-  std::vector<bool> Used(R.Body.size(), false);
-  std::vector<BodyElem> NewBody;
-
-  auto isTermBound = [&](const Term &T) {
-    return !T.isVar() || BoundVar[T.Variable];
-  };
-  auto argsBound = [&](std::span<const Term> Args) {
-    for (const Term &T : Args)
-      if (!isTermBound(T))
-        return false;
-    return true;
-  };
-
-  while (NewBody.size() < R.Body.size()) {
-    int Best = -1;
-    double BestScore = -1;
-    for (size_t I = 0; I < R.Body.size(); ++I) {
-      if (Used[I])
-        continue;
-      const BodyElem &E = R.Body[I];
-      double Score;
-      if (const auto *Fl = std::get_if<BodyFilter>(&E)) {
-        if (!argsBound(std::span<const Term>(Fl->Args.data(),
-                                             Fl->Args.size())))
-          continue;
-        Score = 10; // run filters as early as possible
-      } else if (const auto *B = std::get_if<BodyBinder>(&E)) {
-        if (!argsBound(std::span<const Term>(B->Args.data(),
-                                             B->Args.size())))
-          continue;
-        Score = 5;
-      } else {
-        const auto &A = std::get<BodyAtom>(E);
-        if (A.Negated) {
-          if (!argsBound(std::span<const Term>(A.Terms.data(),
-                                               A.Terms.size())))
-            continue;
-          Score = 9;
-        } else {
-          unsigned NumBound = 0;
-          for (const Term &T : A.Terms)
-            NumBound += isTermBound(T);
-          Score = static_cast<double>(NumBound) / A.Terms.size();
-        }
-      }
-      if (Score > BestScore) {
-        BestScore = Score;
-        Best = static_cast<int>(I);
-      }
-    }
-    assert(Best >= 0 && "reordering stuck; rule should have failed "
-                        "validation");
-    Used[Best] = true;
-    const BodyElem &E = R.Body[Best];
-    if (const auto *A = std::get_if<BodyAtom>(&E)) {
-      if (!A->Negated)
-        for (const Term &T : A->Terms)
-          if (T.isVar())
-            BoundVar[T.Variable] = true;
-    } else if (const auto *B = std::get_if<BodyBinder>(&E)) {
-      for (VarId V : B->Pattern)
-        BoundVar[V] = true;
-    }
-    NewBody.push_back(E);
-  }
-  Out.Body = std::move(NewBody);
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
 // Rule evaluation
 //===----------------------------------------------------------------------===//
 
@@ -219,280 +138,26 @@ bool Solver::checkDeadline() {
   return Aborted;
 }
 
-void Solver::evalRule(const Rule &R, int Driver,
-                      const std::vector<uint32_t> &DriverRows) {
-  Env.assign(R.NumVars, Value());
-  Bound.assign(R.NumVars, 0);
+void Solver::runPlan(const plan::RulePlan &Pl) { Engine->Exec.run(Pl); }
 
+void Solver::evalRule(uint32_t RI, int Driver,
+                      const std::vector<uint32_t> &DriverRows) {
+  const plan::RulePlan &Pl = Plans->plan(RI, Driver);
+  Env.assign(Pl.NumVars, Value());
+  Bound.assign(Pl.NumVars, 0);
   CurDriverRows = Driver >= 0 ? &DriverRows : nullptr;
-  if (Plans) {
-    PlanEngine Eng(*this);
-    plan::PlanExecutor<PlanEngine> Ex(Eng);
-    Ex.run(Plans->plan(CurRuleIndex, Driver));
-  } else {
-    SmallVector<const BodyElem *, 8> Order;
-    eval::buildOrder(R, Driver, Order);
-    evalElems(R,
-              std::span<const BodyElem *const>(Order.data(), Order.size()),
-              0);
-  }
+  runPlan(Pl);
   CurDriverRows = nullptr;
 }
 
-void Solver::evalElems(const Rule &R,
-                       std::span<const BodyElem *const> Order, size_t Pos) {
-  if (Aborted)
-    return;
-  if (Pos == Order.size()) {
-    deriveHead(R);
-    return;
-  }
-  const BodyElem &E = *Order[Pos];
-
-  auto termValue = [&](const Term &T) -> Value {
-    if (!T.isVar())
-      return T.Constant;
-    assert(Bound[T.Variable] && "unbound variable; validation missed it");
-    return Env[T.Variable];
-  };
-
-  if (const auto *Fl = std::get_if<BodyFilter>(&E)) {
-    SmallVector<Value, 4> Args;
-    for (const Term &T : Fl->Args)
-      Args.push_back(termValue(T));
-    Value Res = callExtern(
-        Fl->Fn, std::span<const Value>(Args.data(), Args.size()));
-    assert(Res.isBool() && "filter function must return Bool");
-    if (Res.asBool())
-      evalElems(R, Order, Pos + 1);
-    return;
-  }
-
-  if (const auto *B = std::get_if<BodyBinder>(&E)) {
-    SmallVector<Value, 4> Args;
-    for (const Term &T : B->Args)
-      Args.push_back(termValue(T));
-    Value Res = callExtern(
-        B->Fn, std::span<const Value>(Args.data(), Args.size()));
-    assert(Res.isSet() && "binder function must return a Set");
-    for (Value Elem : F.setElems(Res)) {
-      if (checkDeadline())
-        return;
-      BindTrail Trail;
-      bool Ok = true;
-      auto bindOne = [&](VarId V, Value Val) {
-        if (Bound[V]) {
-          Ok = Env[V] == Val;
-          return;
-        }
-        Trail.save(V, false, Env[V]);
-        Env[V] = Val;
-        Bound[V] = 1;
-      };
-      if (B->Pattern.size() == 1) {
-        bindOne(B->Pattern[0], Elem);
-      } else {
-        if (!Elem.isTuple() ||
-            F.tupleElems(Elem).size() != B->Pattern.size()) {
-          Ok = false;
-        } else {
-          std::span<const Value> Elems = F.tupleElems(Elem);
-          for (size_t I = 0; I < B->Pattern.size() && Ok; ++I)
-            bindOne(B->Pattern[I], Elems[I]);
-        }
-      }
-      if (Ok)
-        evalElems(R, Order, Pos + 1);
-      Trail.undo(Env, Bound);
-    }
-    return;
-  }
-
-  evalAtom(R, std::get<BodyAtom>(E), Order, Pos);
-}
-
-void Solver::evalAtom(const Rule &R, const BodyAtom &A,
-                      std::span<const BodyElem *const> Order, size_t Pos) {
-  const PredicateDecl &D = P.predicate(A.Pred);
-  Table &T = *Tables[A.Pred];
-  unsigned KA = D.keyArity();
-
-  auto termValue = [&](const Term &Tm) -> Value {
-    if (!Tm.isVar())
-      return Tm.Constant;
-    assert(Bound[Tm.Variable] && "unbound variable in ground context");
-    return Env[Tm.Variable];
-  };
-
-  if (A.Negated) {
-    SmallVector<Value, 4> Key;
-    for (unsigned I = 0; I < KA; ++I)
-      Key.push_back(termValue(A.Terms[I]));
-    Value KeyT = F.tuple(std::span<const Value>(Key.data(), Key.size()));
-    if (!T.lookup(KeyT))
-      evalElems(R, Order, Pos + 1);
-    return;
-  }
-
-  // Delta-driven atom: scan the incremental relation ΔP (§3.7).
-  if (Pos == 0 && CurDriverRows) {
-    for (uint32_t Id : *CurDriverRows) {
-      if (checkDeadline())
-        return;
-      matchAtomRow(R, A, Id, Order, Pos);
-    }
-    return;
-  }
-
-  // Compute the bound-column pattern to pick an access path.
-  uint64_t Mask = 0;
-  SmallVector<Value, 4> Proj;
-  for (unsigned I = 0; I < KA; ++I) {
-    const Term &Tm = A.Terms[I];
-    if (!Tm.isVar()) {
-      Mask |= uint64_t(1) << I;
-      Proj.push_back(Tm.Constant);
-    } else if (Bound[Tm.Variable]) {
-      Mask |= uint64_t(1) << I;
-      Proj.push_back(Env[Tm.Variable]);
-    }
-  }
-  uint64_t Full = KA == 0 ? 0 : (uint64_t(1) << KA) - 1;
-
-  if (Mask == Full) {
-    // All key columns bound: single primary lookup.
-    Value KeyT = F.tuple(std::span<const Value>(Proj.data(), Proj.size()));
-    uint32_t Id = T.lookupRow(KeyT);
-    if (Id != Table::NoRow)
-      matchAtomRow(R, A, Id, Order, Pos);
-    return;
-  }
-
-  if (Mask != 0 && Opts.UseIndexes) {
-    Value ProjT = F.tuple(std::span<const Value>(Proj.data(), Proj.size()));
-    // Copy the bucket: recursive derivations may join new rows into this
-    // table and grow the bucket we would otherwise be iterating.
-    const std::vector<uint32_t> &Bucket = T.probe(Mask, ProjT);
-    SmallVector<uint32_t, 16> Ids(Bucket.begin(), Bucket.end());
-    for (uint32_t Id : Ids) {
-      if (checkDeadline())
-        return;
-      matchAtomRow(R, A, Id, Order, Pos);
-    }
-    return;
-  }
-
-  // Full scan. Note: iterate by index, not iterator — recursive calls can
-  // grow the table (in-place immediate update), which may reallocate.
-  for (uint32_t Id = 0, E = static_cast<uint32_t>(T.size()); Id != E; ++Id) {
-    if (checkDeadline())
-      return;
-    matchAtomRow(R, A, Id, Order, Pos);
-  }
-}
-
-void Solver::matchAtomRow(const Rule &R, const BodyAtom &A, uint32_t RowId,
-                          std::span<const BodyElem *const> Order,
-                          size_t Pos) {
-  const PredicateDecl &D = P.predicate(A.Pred);
-  Table &T = *Tables[A.Pred];
-  unsigned KA = D.keyArity();
-
-  // Tombstoned rows (reset to ⊥ by the incremental over-delete) are
-  // logically absent; they are still reachable through indexes and full
-  // scans, so every row-match path must skip them.
-  if (T.isTombstone(RowId))
-    return;
-
-  BindTrail Trail;
-  bool Ok = true;
-  {
-    std::span<const Value> KeyElems = T.rowKey(RowId);
-    for (unsigned I = 0; I < KA && Ok; ++I) {
-      const Term &Tm = A.Terms[I];
-      if (!Tm.isVar()) {
-        Ok = Tm.Constant == KeyElems[I];
-        continue;
-      }
-      if (Bound[Tm.Variable]) {
-        Ok = Env[Tm.Variable] == KeyElems[I];
-        continue;
-      }
-      Trail.save(Tm.Variable, false, Env[Tm.Variable]);
-      Env[Tm.Variable] = KeyElems[I];
-      Bound[Tm.Variable] = 1;
-    }
-  }
-
-  if (Ok && !D.isRelational()) {
-    const Term &Lt = A.Terms[KA];
-    Value RowVal = T.row(RowId).Lat;
-    if (!Lt.isVar()) {
-      // Ground lattice term: true iff c ⊑ cell value (§3.2 truth).
-      Ok = D.Lat->leq(Lt.Constant, RowVal);
-    } else if (!Bound[Lt.Variable]) {
-      Trail.save(Lt.Variable, false, Env[Lt.Variable]);
-      Env[Lt.Variable] = RowVal;
-      Bound[Lt.Variable] = 1;
-    } else {
-      // The variable already carries a lattice element from an earlier
-      // atom; the strongest consistent instantiation is the greatest
-      // lower bound (the paper's "Least Upper and Greatest Lower Bounds"
-      // example: R(x) :- A(x), B(x) derives R(Odd ⊓ Even) = R(⊥)).
-      Value G = D.Lat->glb(Env[Lt.Variable], RowVal);
-      Trail.save(Lt.Variable, true, Env[Lt.Variable]);
-      Env[Lt.Variable] = G;
-    }
-  }
-
-  if (Ok)
-    evalElems(R, Order, Pos + 1);
-  Trail.undo(Env, Bound);
-}
-
-void Solver::deriveHead(const Rule &R) {
-  const HeadAtom &H = R.Head;
-  const PredicateDecl &D = P.predicate(H.Pred);
-  Table &T = *Tables[H.Pred];
-
-  auto termValue = [&](const Term &Tm) -> Value {
-    if (!Tm.isVar())
-      return Tm.Constant;
-    assert(Bound[Tm.Variable] && "unbound head variable");
-    return Env[Tm.Variable];
-  };
-
-  SmallVector<Value, 4> Key;
-  for (const Term &Tm : H.KeyTerms)
-    Key.push_back(termValue(Tm));
-
-  Value LatVal;
-  if (H.LastFn) {
-    SmallVector<Value, 4> Args;
-    for (const Term &Tm : H.FnArgs)
-      Args.push_back(termValue(Tm));
-    LatVal = callExtern(
-        *H.LastFn, std::span<const Value>(Args.data(), Args.size()));
-  } else {
-    LatVal = termValue(H.LastTerm);
-  }
-
-  if (D.isRelational()) {
-    Key.push_back(LatVal);
-    LatVal = F.boolean(true);
-  }
-
-  ++Stats.RuleFirings;
-  Value KeyT = F.tuple(std::span<const Value>(Key.data(), Key.size()));
-  Table::JoinResult JR = T.join(KeyT, LatVal);
-  if (JR.Changed) {
-    ++Stats.FactsDerived;
-    NextDelta[H.Pred].insert(JR.RowId);
-    if (Opts.TrackProvenance)
-      recordProvenance(R, H.Pred, JR.RowId);
-    if (Opts.TrackSupport)
-      recordSupport(R, H.Pred, JR.RowId);
-  }
+bool Solver::preBindTerm(const Term &Tm, Value V) {
+  if (!Tm.isVar())
+    return Tm.Constant == V;
+  if (Bound[Tm.Variable])
+    return Env[Tm.Variable] == V;
+  Env[Tm.Variable] = V;
+  Bound[Tm.Variable] = 1;
+  return true;
 }
 
 void Solver::recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId) {
@@ -574,30 +239,17 @@ void Solver::rederive(PredId Pred, Value KeyTuple) {
   std::span<const Value> KeyElems = F.tupleElems(KeyTuple);
   const PredicateDecl &D = P.predicate(Pred);
   for (uint32_t RI : RulesByHead[Pred]) {
-    const Rule &R = Prepared[RI];
-    CurRuleIndex = RI;
+    const Rule &R = P.rules()[RI];
     Env.assign(R.NumVars, Value());
     Bound.assign(R.NumVars, 0);
     bool Ok = true;
-    auto bindKey = [&](const Term &Tm, Value V) {
-      if (!Tm.isVar()) {
-        Ok &= Tm.Constant == V;
-        return;
-      }
-      if (Bound[Tm.Variable]) {
-        Ok &= Env[Tm.Variable] == V;
-        return;
-      }
-      Env[Tm.Variable] = V;
-      Bound[Tm.Variable] = 1;
-    };
     for (size_t I = 0; I < R.Head.KeyTerms.size() && Ok; ++I)
-      bindKey(R.Head.KeyTerms[I], KeyElems[I]);
+      Ok = preBindTerm(R.Head.KeyTerms[I], KeyElems[I]);
     // For relational heads the key tuple includes the last column; a
     // function-valued last column can't be inverted, so it stays free and
     // the rule may re-derive sibling cells too (idempotent, harmless).
     if (Ok && D.isRelational() && !R.Head.LastFn)
-      bindKey(R.Head.LastTerm, KeyElems.back());
+      Ok = preBindTerm(R.Head.LastTerm, KeyElems.back());
     if (!Ok)
       continue;
     // Evaluate the most-bound positive atom first (the head-key bindings
@@ -624,27 +276,15 @@ void Solver::rederive(PredId Pred, Value KeyTuple) {
         BestSize = Size;
       }
     }
-    CurDriverRows = nullptr;
-    if (Plans) {
-      // The head-bound plan family is compiled with exactly the variables
-      // bindKey just bound; the fronted atom opens with a normal access
-      // path (lookup/probe/scan), not a driver step.
-      PlanEngine Eng(*this);
-      plan::PlanExecutor<PlanEngine> Ex(Eng);
-      Ex.run(Plans->headBoundPlan(RI, BestAtom));
-    } else {
-      SmallVector<const BodyElem *, 8> Order;
-      eval::buildOrder(R, BestAtom, Order);
-      evalElems(
-          R, std::span<const BodyElem *const>(Order.data(), Order.size()),
-          0);
-    }
+    // The pre-bound plan for a positive (or no) fronted atom is compiled
+    // with exactly the head variables just bound.
+    runPlan(Plans->preBoundPlan(RI, BestAtom));
   }
 }
 
 void Solver::evalNegationDriven(uint32_t RI, PredId NegPred,
                                 Value KeyTuple) {
-  const Rule &R = Prepared[RI];
+  const Rule &R = P.rules()[RI];
   std::span<const Value> Key = F.tupleElems(KeyTuple);
   unsigned KA = P.predicate(NegPred).keyArity();
   // A rule may negate NegPred in several atoms; each is a distinct driver
@@ -654,44 +294,26 @@ void Solver::evalNegationDriven(uint32_t RI, PredId NegPred,
     const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
     if (!A || !A->Negated || A->Pred != NegPred)
       continue;
-    CurRuleIndex = RI;
     Env.assign(R.NumVars, Value());
     Bound.assign(R.NumVars, 0);
     bool Ok = true;
-    for (unsigned I = 0; I < KA && Ok; ++I) {
-      const Term &Tm = A->Terms[I];
-      if (!Tm.isVar()) {
-        Ok = Tm.Constant == Key[I];
-        continue;
-      }
-      if (Bound[Tm.Variable]) {
-        Ok = Env[Tm.Variable] == Key[I];
-        continue;
-      }
-      Env[Tm.Variable] = Key[I];
-      Bound[Tm.Variable] = 1;
-    }
-    if (!Ok)
-      continue;
-    // Legacy recursive walk with the negated atom fronted: the plan
-    // library has no negated-driver family (see fixpoint/Plan.h), and
-    // this path runs once per retired key, off the per-row hot loop.
-    CurDriverRows = nullptr;
-    SmallVector<const BodyElem *, 8> Order;
-    eval::buildOrder(R, static_cast<int>(BI), Order);
-    evalElems(R,
-              std::span<const BodyElem *const>(Order.data(), Order.size()),
-              0);
+    for (unsigned I = 0; I < KA && Ok; ++I)
+      Ok = preBindTerm(A->Terms[I], Key[I]);
+    // The pre-bound plan for a negated fronted atom is compiled with
+    // exactly that atom's key variables bound.
+    if (Ok)
+      runPlan(Plans->preBoundPlan(RI, static_cast<int>(BI)));
   }
 }
 
-void Solver::recordProvenance(const Rule &R, PredId HeadPred,
+void Solver::recordProvenance(uint32_t RI, PredId HeadPred,
                               uint32_t RowId) {
   std::vector<Derivation> &Rows = Provenance[HeadPred];
   if (Rows.size() <= RowId)
     Rows.resize(RowId + 1);
+  const Rule &R = P.rules()[RI];
   Derivation D;
-  D.RuleIndex = CurRuleIndex;
+  D.RuleIndex = RI;
   for (const BodyElem &E : R.Body) {
     const auto *A = std::get_if<BodyAtom>(&E);
     if (!A || A->Negated)
@@ -755,7 +377,7 @@ size_t Solver::memoryFootprint() const {
 }
 
 bool Solver::replanPlans(double Threshold, bool CountEvents) {
-  if (!Plans || !Opts.CostBasedPlans)
+  if (!Opts.CostBasedPlans)
     return false;
   plan::StatsVec St;
   plan::gatherStats({Tables.data(), Tables.size()}, St);
@@ -792,8 +414,7 @@ SolveStats Solver::solve() {
                                       Start)
             .count();
     Stats.MemoryBytes = memoryFootprint();
-    if (Plans)
-      Stats.PlanSteps = Plans->totalSteps();
+    Stats.PlanSteps = Plans->totalSteps();
     if (Memo) {
       Stats.MemoHits = Memo->hits();
       Stats.MemoMisses = Memo->misses();
@@ -839,8 +460,7 @@ SolveStats Solver::solve() {
         for (uint32_t RI : RuleIds) {
           if (Aborted)
             break;
-          CurRuleIndex = RI;
-          evalRule(Prepared[RI], -1, {});
+          evalRule(RI, -1, {});
         }
         ++Stats.Iterations;
         if (Opts.MaxIterations && Stats.Iterations >= Opts.MaxIterations) {
@@ -863,8 +483,7 @@ SolveStats Solver::solve() {
     for (uint32_t RI : RuleIds) {
       if (Aborted)
         break;
-      CurRuleIndex = RI;
-      evalRule(Prepared[RI], -1, {});
+      evalRule(RI, -1, {});
     }
     ++Stats.Iterations;
 
@@ -890,15 +509,14 @@ SolveStats Solver::solve() {
       if (Opts.ReplanThreshold > 0)
         replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
       for (uint32_t RI : RuleIds) {
-        const Rule &R = Prepared[RI];
-        CurRuleIndex = RI;
+        const Rule &R = P.rules()[RI];
         for (size_t BI = 0; BI < R.Body.size() && !Aborted; ++BI) {
           const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
           if (!A || A->Negated)
             continue;
           if (Delta[A->Pred].empty())
             continue;
-          evalRule(R, static_cast<int>(BI), Delta[A->Pred]);
+          evalRule(RI, static_cast<int>(BI), Delta[A->Pred]);
         }
       }
       ++Stats.Iterations;

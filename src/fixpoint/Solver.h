@@ -16,9 +16,12 @@
 ///     re-evaluated once per body atom with that atom instantiated from
 ///     ΔP and the rest from the full tables.
 ///
-/// Both strategies evaluate rule bodies left-to-right with automatic hash
-/// indexes on the bound-column patterns (§4.5); an optional greedy
-/// reordering of body atoms is available as an ablation.
+/// Both strategies evaluate rule bodies through compiled join plans
+/// (fixpoint/Plan.h) with automatic hash indexes on the bound-column
+/// patterns (§4.5). Join orders start as the written left-to-right order
+/// (the driver atom first) and are then chosen by a statistics-driven
+/// cost model; SolverOptions::CostBasedPlans = false freezes the written
+/// order as an ablation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +42,7 @@ namespace flix {
 namespace plan {
 class PlanLibrary;
 class ExternMemo;
+struct RulePlan;
 } // namespace plan
 
 /// Evaluation strategy (see file comment).
@@ -50,9 +54,6 @@ struct SolverOptions {
   /// Use lazily created secondary hash indexes for partially bound atoms;
   /// when false, every partially bound atom falls back to a full scan.
   bool UseIndexes = true;
-  /// Greedily reorder body elements to maximize bound columns (ablation
-  /// for the paper's left-to-right evaluation, §4.5).
-  bool ReorderBody = false;
   /// Abort with Status::Timeout after this many seconds (0 = unlimited).
   double TimeLimitSeconds = 0;
   /// Abort after this many delta iterations (0 = unlimited).
@@ -69,15 +70,9 @@ struct SolverOptions {
   /// off by default.
   bool TrackSupport = false;
   /// Worker threads for the ParallelSolver (src/parallel). 0 selects the
-  /// sequential legacy path (this class); the sequential Solver itself
+  /// sequential path (this class); the sequential Solver itself
   /// ignores the field. Callers that accept SolverOptions dispatch on it.
   unsigned NumThreads = 0;
-  /// Serialize every external-function call behind one mutex in the
-  /// parallel solver. Required when the externals are not thread-safe —
-  /// e.g. the AST interpreter backing compiled FLIX source; native
-  /// analyses whose externals only touch the (lock-sharded) ValueFactory
-  /// leave this off.
-  bool SerializeExternals = false;
   /// Intra-rule join parallelism (parallel solver only): when one atom's
   /// index bucket or full scan has more than this many remaining rows,
   /// the worker splits the tail into sub-tasks pushed onto its
@@ -93,11 +88,6 @@ struct SolverOptions {
   /// SolveStats::IndexFallbacks; with this flag set they also trip an
   /// assert in debug builds. Meaningful only with UseIndexes.
   bool StrictIndexCoverage = false;
-  /// Compile each (rule, driver) into a flat join plan executed by a
-  /// non-recursive loop (src/fixpoint/Plan.h) instead of the recursive
-  /// evalElems/evalAtom walk. Same minimal model either way; off is the
-  /// legacy-recursion ablation.
-  bool CompilePlans = true;
   /// Memoize external-function calls on their hash-consed argument
   /// handles. Sound because the paper requires transfer/filter functions
   /// to be pure (§2.3); turn off to ablate, or if an extern violates the
@@ -120,8 +110,7 @@ struct SolverOptions {
   /// (plan::chooseOrder) once facts are loaded, instead of freezing the
   /// driver-first order at compile time. Identical minimal model either
   /// way (⊔-confluence, checked by PlanDifferentialTest); off is the
-  /// frozen-greedy ablation (flixc --no-cost-plans). Only meaningful with
-  /// CompilePlans.
+  /// frozen written-order ablation (flixc --no-cost-plans).
   bool CostBasedPlans = true;
   /// Adaptive re-planning (CostBasedPlans only): between semi-naive
   /// rounds, re-plan any (rule, driver) whose current order's estimated
@@ -174,9 +163,9 @@ struct SolveStats {
   /// cache — everything the solver keeps alive.
   size_t MemoryBytes = 0;
 
-  // Plan/memo counters (SolverOptions::CompilePlans / EnableMemo).
-  uint64_t PlanSteps = 0;  ///< compiled plan steps over all (rule, driver)
-                           ///< plans (0 when plans are disabled)
+  // Plan/memo counters (compiled plans / SolverOptions::EnableMemo).
+  uint64_t PlanSteps = 0;  ///< compiled plan steps over all plans of
+                           ///< both plan families
   // Cost-based planner counters (SolverOptions::CostBasedPlans).
   uint64_t CostBasedPlans = 0; ///< (rule, driver) pairs whose current
                                ///< order differs from the frozen
@@ -190,13 +179,9 @@ struct SolveStats {
   /// estimated against. Large values with ReplanEvents == 0 mean the
   /// hysteresis threshold absorbed the drift.
   uint64_t EstimatedVsActualRows = 0;
-  /// Incremental-engine escape hatches taken so far: update() batches
-  /// that fell back to a from-scratch solve. Always the sum of the two
-  /// reason counters below; kept as the headline total operators already
-  /// watch (flixc --stats / --json, the daemon's `stats` reply). Always 0
-  /// for a plain one-shot Solver run. Cumulative over the
-  /// IncrementalSolver's lifetime.
-  uint64_t FallbackSolves = 0;
+  // Incremental-engine escape hatches, by reason: update() batches that
+  // fell back to a from-scratch solve. Always 0 for a plain one-shot
+  // Solver run; cumulative over the IncrementalSolver's lifetime.
   /// Fallbacks taken because a staged fact reached a negated predicate.
   /// This escape hatch was retired — negation-touching batches now run
   /// stratum-local DRed incrementally — so the counter is an operator-
@@ -242,13 +227,6 @@ struct SolveStats {
 
   bool ok() const { return St == Status::Fixpoint; }
 };
-
-/// Greedily reorders a rule's body to maximize bound columns at each
-/// step (ablation for the paper's left-to-right evaluation, §4.5).
-/// Shared by the sequential Solver and the parallel solver
-/// (src/parallel/ParallelSolver.h), both of which apply it when
-/// SolverOptions::ReorderBody is set.
-Rule reorderRuleGreedy(const Rule &R);
 
 /// Solves one Program. The solver owns the predicate tables; query them
 /// through the accessors after solve() returns.
@@ -303,26 +281,24 @@ public:
 
 private:
   friend class IncrementalSolver;
-  struct Frame;
   struct PlanEngine;
 
   void loadFacts();
-  void evalRule(const Rule &R, int Driver,
+  /// Evaluates rule \p RI's delta-driven plan for \p Driver (-1: plain
+  /// evaluation; otherwise that body atom scans \p DriverRows).
+  void evalRule(uint32_t RI, int Driver,
                 const std::vector<uint32_t> &DriverRows);
-  void evalElems(const Rule &R,
-                 std::span<const BodyElem *const> Order, size_t Pos);
-  void matchAtomRow(const Rule &R, const BodyAtom &A, uint32_t RowId,
-                    std::span<const BodyElem *const> Order, size_t Pos);
-  void evalAtom(const Rule &R, const BodyAtom &A,
-                std::span<const BodyElem *const> Order, size_t Pos);
-  void deriveHead(const Rule &R);
+  /// Runs one compiled plan over the current Env/Bound.
+  void runPlan(const plan::RulePlan &Pl);
+  /// Binds one term of a pre-bound plan's known tuple against \p V: a
+  /// constant must equal it and an already bound variable must agree
+  /// with it (false on a mismatch); a fresh variable is bound to it.
+  bool preBindTerm(const Term &Tm, Value V);
   bool checkDeadline();
   /// External-function dispatch: through the memo cache when EnableMemo,
-  /// else straight to the implementation. Both the legacy recursive walk
-  /// and the plan executor call externs through here.
+  /// else straight to the implementation.
   Value callExtern(FnId Fn, std::span<const Value> Args);
-  Rule reorderRule(const Rule &R) const;
-  void recordProvenance(const Rule &R, PredId HeadPred, uint32_t RowId);
+  void recordProvenance(uint32_t RI, PredId HeadPred, uint32_t RowId);
   void recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId);
   /// Head-bound re-derivation (the incremental engine's "Re-derive"): for
   /// every rule whose head predicate is \p Pred, pre-binds the head key
@@ -336,9 +312,8 @@ private:
   /// pre-binds that atom's key terms against \p KeyTuple — a key whose
   /// row just left \p NegPred's table, making the ground negation true —
   /// and evaluates the rest of the body over the current database with
-  /// the negated atom fronted as the driver. Always takes the legacy
-  /// recursive path (the plan library compiles no negated-driver family);
-  /// derivations land in NextDelta as usual. Sound because the engine
+  /// the negated atom fronted (PlanLibrary::preBoundPlan); derivations
+  /// land in NextDelta as usual. Sound because the engine
   /// calls this only after NegPred's stratum has settled, when its table
   /// is final for the update.
   void evalNegationDriven(uint32_t RI, PredId NegPred, Value KeyTuple);
@@ -353,7 +328,7 @@ private:
   /// improvement (the initial post-loadFacts choice); larger values are
   /// the adaptive between-round hysteresis. \p CountEvents selects
   /// whether replans land in SolveStats::ReplanEvents (adaptive checks
-  /// only). No-op unless plans are compiled and CostBasedPlans is set.
+  /// only). No-op unless CostBasedPlans is set.
   /// Called only at single-threaded points (solve start, round
   /// boundaries) — also by the incremental engine between delta rounds.
   /// Returns true if any plan changed (the incremental engine then
@@ -365,18 +340,17 @@ private:
   ValueFactory &F;
   std::unique_ptr<BoolLattice> RelLattice;
   std::vector<std::unique_ptr<Table>> Tables;
-  std::vector<Rule> Prepared; ///< rules, possibly reordered
 
-  /// Compiled join plans (when CompilePlans) and the extern memo cache
-  /// (when EnableMemo); see src/fixpoint/Plan.h.
+  /// Compiled join plans of P.rules() and the extern memo cache (when
+  /// EnableMemo); see src/fixpoint/Plan.h.
   std::unique_ptr<plan::PlanLibrary> Plans;
+  std::unique_ptr<PlanEngine> Engine; ///< runs Plans (runPlan)
   std::unique_ptr<plan::ExternMemo> Memo;
 
   // Per-rule-evaluation state.
   std::vector<Value> Env;
   std::vector<uint8_t> Bound;
   const std::vector<uint32_t> *CurDriverRows = nullptr;
-  uint32_t CurRuleIndex = 0; ///< index into Prepared, for provenance
 
   /// Provenance (when tracked): per predicate, per row id, the last
   /// increasing derivation.
@@ -403,7 +377,7 @@ private:
   /// P.facts() — the incremental engine's materialized fact store.
   const std::vector<Fact> *FactsOverride = nullptr;
 
-  /// Rule indexes (into Prepared) grouped by head predicate, for
+  /// Rule indexes (into P.rules()) grouped by head predicate, for
   /// rederive().
   std::vector<std::vector<uint32_t>> RulesByHead;
 

@@ -54,9 +54,8 @@ StratifyResult flix::stratify(const Program &P) {
     const Rule &R = P.rules()[RI];
     uint32_t Str = St.PredStratum[R.Head.Pred];
     St.RulesByStratum[Str].push_back(RI);
-    // Negation edges, deduped per (rule, predicate). Body order is
-    // irrelevant here — consumers locate the actual atoms in the
-    // (possibly reordered) prepared rule themselves.
+    // Negation edges, deduped per (rule, predicate). Consumers locate
+    // the actual negated atoms in the rule themselves.
     for (const BodyElem &E : R.Body) {
       const auto *A = std::get_if<BodyAtom>(&E);
       if (!A || !A->Negated)

@@ -6,17 +6,14 @@
 
 #include "incremental/IncrementalSolver.h"
 
-#include "fixpoint/EvalUtil.h"
 #include "fixpoint/Plan.h"
 #include "parallel/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <set>
 
 using namespace flix;
-using flix::eval::BindTrail;
 
 //===----------------------------------------------------------------------===//
 // Parallel round machinery
@@ -30,10 +27,11 @@ struct IncrementalSolver::Task {
   const std::vector<uint32_t> *Rows;
 };
 
-/// Per-worker evaluation state for parallel delta rounds. Mirrors the
-/// sequential Solver's rule evaluation with two differences: tables are
-/// read through const paths only (probeExisting, never probe), and
-/// instead of joining derivations in place the worker buffers them —
+/// Per-worker evaluation state for parallel delta rounds: the incremental
+/// engine policy of the shared plan executor (fixpoint/Plan.h). It
+/// differs from the sequential Solver's in two ways: tables are read
+/// through const paths only (probeExisting, never probe), and instead of
+/// joining derivations in place the worker buffers them —
 /// together with the row ids of the matched positive premises, captured
 /// on a match stack — for the coordinator to join (and record support /
 /// provenance for) single-threaded after the phase barrier. That keeps
@@ -82,9 +80,6 @@ struct IncrementalSolver::WorkerCtx {
     }
     auto Compute = [&]() -> Value {
       VmCalls += ViaVm;
-      if (!IS.Opts.SerializeExternals)
-        return (*Impl)(Args);
-      std::lock_guard<std::mutex> G(IS.ExternMu);
       return (*Impl)(Args);
     };
     // Route through the inner solver's memo so incremental rounds share
@@ -152,7 +147,7 @@ struct IncrementalSolver::WorkerCtx {
   void captureNegKeys(Deriv &Dv) {
     if (!IS.RuleHasNeg[CurRuleIdx])
       return;
-    const Rule &R = Sol->Prepared[CurRuleIdx];
+    const Rule &R = IS.P.rules()[CurRuleIdx];
     for (const BodyElem &E : R.Body) {
       const auto *A = std::get_if<BodyAtom>(&E);
       if (!A || !A->Negated)
@@ -178,280 +173,18 @@ struct IncrementalSolver::WorkerCtx {
   /// Persistent plan executor (cursor storage reused across tasks).
   plan::PlanExecutor<WorkerCtx> Exec{*this};
 
-  void runTask(const Task &T);
-  void evalElems(const Rule &R, std::span<const BodyElem *const> Order,
-                 size_t Pos);
-  void evalAtom(const Rule &R, const BodyAtom &A,
-                std::span<const BodyElem *const> Order, size_t Pos);
-  void matchAtomRow(const Rule &R, const BodyAtom &A, uint32_t RowId,
-                    std::span<const BodyElem *const> Order, size_t Pos);
-  void deriveHead(const Rule &R);
-};
-
-void IncrementalSolver::WorkerCtx::runTask(const Task &T) {
-  Sol = IS.S.get();
-  const Rule &R = Sol->Prepared[T.RuleIdx];
-  Env.assign(R.NumVars, Value());
-  Bound.assign(R.NumVars, 0);
-  PremStack.clear();
-
-  Cur = &T;
-  CurRuleIdx = T.RuleIdx;
-  if (Sol->Plans) {
-    Exec.run(Sol->Plans->plan(T.RuleIdx, T.Driver));
+  void runTask(const Task &T) {
+    Sol = IS.S.get();
+    const plan::RulePlan &Pl = Sol->Plans->plan(T.RuleIdx, T.Driver);
+    Env.assign(Pl.NumVars, Value());
+    Bound.assign(Pl.NumVars, 0);
+    PremStack.clear();
+    Cur = &T;
+    CurRuleIdx = T.RuleIdx;
+    Exec.run(Pl);
     Cur = nullptr;
-    return;
   }
-
-  SmallVector<const BodyElem *, 8> Order;
-  eval::buildOrder(R, T.Driver, Order);
-  evalElems(R, std::span<const BodyElem *const>(Order.data(), Order.size()),
-            0);
-  Cur = nullptr;
-}
-
-void IncrementalSolver::WorkerCtx::evalElems(
-    const Rule &R, std::span<const BodyElem *const> Order, size_t Pos) {
-  if (Pos == Order.size()) {
-    deriveHead(R);
-    return;
-  }
-  const BodyElem &E = *Order[Pos];
-
-  auto termValue = [&](const Term &T) -> Value {
-    if (!T.isVar())
-      return T.Constant;
-    assert(Bound[T.Variable] && "unbound variable; validation missed it");
-    return Env[T.Variable];
-  };
-
-  if (const auto *Fl = std::get_if<BodyFilter>(&E)) {
-    SmallVector<Value, 4> Args;
-    for (const Term &T : Fl->Args)
-      Args.push_back(termValue(T));
-    Value Res =
-        callExtern(Fl->Fn, std::span<const Value>(Args.data(), Args.size()));
-    assert(Res.isBool() && "filter function must return Bool");
-    if (Res.asBool())
-      evalElems(R, Order, Pos + 1);
-    return;
-  }
-
-  if (const auto *B = std::get_if<BodyBinder>(&E)) {
-    SmallVector<Value, 4> Args;
-    for (const Term &T : B->Args)
-      Args.push_back(termValue(T));
-    Value Res =
-        callExtern(B->Fn, std::span<const Value>(Args.data(), Args.size()));
-    assert(Res.isSet() && "binder function must return a Set");
-    for (Value Elem : IS.F.setElems(Res)) {
-      BindTrail Trail;
-      bool Ok = true;
-      auto bindOne = [&](VarId V, Value Val) {
-        if (Bound[V]) {
-          Ok = Env[V] == Val;
-          return;
-        }
-        Trail.save(V, false, Env[V]);
-        Env[V] = Val;
-        Bound[V] = 1;
-      };
-      if (B->Pattern.size() == 1) {
-        bindOne(B->Pattern[0], Elem);
-      } else {
-        if (!Elem.isTuple() ||
-            IS.F.tupleElems(Elem).size() != B->Pattern.size()) {
-          Ok = false;
-        } else {
-          std::span<const Value> Elems = IS.F.tupleElems(Elem);
-          for (size_t I = 0; I < B->Pattern.size() && Ok; ++I)
-            bindOne(B->Pattern[I], Elems[I]);
-        }
-      }
-      if (Ok)
-        evalElems(R, Order, Pos + 1);
-      Trail.undo(Env, Bound);
-    }
-    return;
-  }
-
-  evalAtom(R, std::get<BodyAtom>(E), Order, Pos);
-}
-
-void IncrementalSolver::WorkerCtx::evalAtom(
-    const Rule &R, const BodyAtom &A, std::span<const BodyElem *const> Order,
-    size_t Pos) {
-  const PredicateDecl &D = IS.P.predicate(A.Pred);
-  const Table &T = *Sol->Tables[A.Pred];
-  unsigned KA = D.keyArity();
-
-  auto termValue = [&](const Term &Tm) -> Value {
-    if (!Tm.isVar())
-      return Tm.Constant;
-    assert(Bound[Tm.Variable] && "unbound variable in ground context");
-    return Env[Tm.Variable];
-  };
-
-  if (A.Negated) {
-    SmallVector<Value, 4> Key;
-    for (unsigned I = 0; I < KA; ++I)
-      Key.push_back(termValue(A.Terms[I]));
-    Value KeyT = IS.F.tuple(std::span<const Value>(Key.data(), Key.size()));
-    if (!T.lookup(KeyT))
-      evalElems(R, Order, Pos + 1);
-    return;
-  }
-
-  // Driver atom: iterate this task's chunk of the delta rows.
-  if (Pos == 0 && Cur && Cur->Driver >= 0) {
-    const std::vector<uint32_t> &Rows = *Cur->Rows;
-    for (uint32_t I = Cur->Begin; I != Cur->End; ++I)
-      matchAtomRow(R, A, Rows[I], Order, Pos);
-    return;
-  }
-
-  uint64_t Mask = 0;
-  SmallVector<Value, 4> Proj;
-  for (unsigned I = 0; I < KA; ++I) {
-    const Term &Tm = A.Terms[I];
-    if (!Tm.isVar()) {
-      Mask |= uint64_t(1) << I;
-      Proj.push_back(Tm.Constant);
-    } else if (Bound[Tm.Variable]) {
-      Mask |= uint64_t(1) << I;
-      Proj.push_back(Env[Tm.Variable]);
-    }
-  }
-  uint64_t Full = KA == 0 ? 0 : (uint64_t(1) << KA) - 1;
-
-  if (Mask == Full) {
-    Value KeyT = IS.F.tuple(std::span<const Value>(Proj.data(), Proj.size()));
-    uint32_t Id = T.lookupRow(KeyT);
-    if (Id != Table::NoRow)
-      matchAtomRow(R, A, Id, Order, Pos);
-    return;
-  }
-
-  if (Mask != 0 && IS.Opts.UseIndexes) {
-    Value ProjT = IS.F.tuple(std::span<const Value>(Proj.data(), Proj.size()));
-    // Tables are immutable during an eval phase, so the bucket cannot
-    // grow under us; no copy needed (unlike the sequential solver).
-    if (const std::vector<uint32_t> *Bucket = T.probeExisting(Mask, ProjT)) {
-      for (uint32_t Id : *Bucket)
-        matchAtomRow(R, A, Id, Order, Pos);
-      return;
-    }
-    ++IndexFallbacks;
-    assert(!IS.Opts.StrictIndexCoverage &&
-           "probeExisting miss: (pred, mask) not pre-built by "
-           "prepareWorkerIndexes");
-  }
-
-  for (uint32_t Id = 0, E = static_cast<uint32_t>(T.size()); Id != E; ++Id)
-    matchAtomRow(R, A, Id, Order, Pos);
-}
-
-void IncrementalSolver::WorkerCtx::matchAtomRow(
-    const Rule &R, const BodyAtom &A, uint32_t RowId,
-    std::span<const BodyElem *const> Order, size_t Pos) {
-  const PredicateDecl &D = IS.P.predicate(A.Pred);
-  const Table &T = *Sol->Tables[A.Pred];
-  unsigned KA = D.keyArity();
-
-  // Tombstoned rows are logically absent (see Solver::matchAtomRow).
-  if (T.isTombstone(RowId))
-    return;
-
-  BindTrail Trail;
-  bool Ok = true;
-  {
-    std::span<const Value> KeyElems = T.rowKey(RowId);
-    for (unsigned I = 0; I < KA && Ok; ++I) {
-      const Term &Tm = A.Terms[I];
-      if (!Tm.isVar()) {
-        Ok = Tm.Constant == KeyElems[I];
-        continue;
-      }
-      if (Bound[Tm.Variable]) {
-        Ok = Env[Tm.Variable] == KeyElems[I];
-        continue;
-      }
-      Trail.save(Tm.Variable, false, Env[Tm.Variable]);
-      Env[Tm.Variable] = KeyElems[I];
-      Bound[Tm.Variable] = 1;
-    }
-  }
-
-  if (Ok && !D.isRelational()) {
-    const Term &Lt = A.Terms[KA];
-    Value RowVal = T.row(RowId).Lat;
-    if (!Lt.isVar()) {
-      Ok = D.Lat->leq(Lt.Constant, RowVal);
-    } else if (!Bound[Lt.Variable]) {
-      Trail.save(Lt.Variable, false, Env[Lt.Variable]);
-      Env[Lt.Variable] = RowVal;
-      Bound[Lt.Variable] = 1;
-    } else {
-      Value G = D.Lat->glb(Env[Lt.Variable], RowVal);
-      Trail.save(Lt.Variable, true, Env[Lt.Variable]);
-      Env[Lt.Variable] = G;
-    }
-  }
-
-  if (Ok) {
-    PremStack.push_back({A.Pred, RowId});
-    evalElems(R, Order, Pos + 1);
-    PremStack.pop_back();
-  }
-  Trail.undo(Env, Bound);
-}
-
-void IncrementalSolver::WorkerCtx::deriveHead(const Rule &R) {
-  const HeadAtom &H = R.Head;
-  const PredicateDecl &D = IS.P.predicate(H.Pred);
-
-  auto termValue = [&](const Term &Tm) -> Value {
-    if (!Tm.isVar())
-      return Tm.Constant;
-    assert(Bound[Tm.Variable] && "unbound head variable");
-    return Env[Tm.Variable];
-  };
-
-  SmallVector<Value, 4> Key;
-  for (const Term &Tm : H.KeyTerms)
-    Key.push_back(termValue(Tm));
-
-  Value LatVal;
-  if (H.LastFn) {
-    SmallVector<Value, 4> Args;
-    for (const Term &Tm : H.FnArgs)
-      Args.push_back(termValue(Tm));
-    LatVal = callExtern(*H.LastFn,
-                        std::span<const Value>(Args.data(), Args.size()));
-  } else {
-    LatVal = termValue(H.LastTerm);
-  }
-
-  if (D.isRelational()) {
-    Key.push_back(LatVal);
-    LatVal = IS.F.boolean(true);
-  }
-
-  ++RuleFirings;
-  // ⊥ derivations can never change a cell; drop them before the merge.
-  if (!D.isRelational() && LatVal == D.Lat->bot())
-    return;
-  Value KeyT = IS.F.tuple(std::span<const Value>(Key.data(), Key.size()));
-  Deriv Dv;
-  Dv.Pred = H.Pred;
-  Dv.Key = KeyT;
-  Dv.Lat = LatVal;
-  Dv.RuleIdx = CurRuleIdx;
-  for (CellRef C : PremStack)
-    Dv.Premises.push_back(C);
-  captureNegKeys(Dv);
-  Buffer.push_back(std::move(Dv));
-}
+};
 
 //===----------------------------------------------------------------------===//
 // Construction and staging
@@ -478,8 +211,6 @@ IncrementalSolver::IncrementalSolver(const Program &P, SolverOptions Opts)
       Vals.push_back(Fa.LatValue);
   }
 
-  // Body reordering never adds or removes atoms, so rule indexes into
-  // P.rules() and the inner solver's Prepared agree on this flag.
   RuleHasNeg.assign(P.rules().size(), 0);
   for (uint32_t RI = 0; RI < P.rules().size(); ++RI)
     for (const BodyElem &E : P.rules()[RI].Body)
@@ -697,65 +428,16 @@ void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
 }
 
 // Pre-builds every (pred, mask) secondary index the workers' delta-driven
-// evaluation orders can probe, so read-only probeExisting never misses.
-// With compiled plans the masks come straight off the plans' Probe steps
-// (both families), which stays correct under any body order the
-// cost-based planner picks — including after a mid-update re-plan. The
-// legacy boundness simulation below covers only the plan-free path
-// (rederive runs sequentially and may build indexes lazily through
-// Table::probe).
+// plans can probe, so read-only probeExisting never misses. The masks
+// come straight off the plans' Probe steps (both families), which stays
+// correct under any body order the cost-based planner picks — including
+// after a mid-update re-plan.
 void IncrementalSolver::prepareWorkerIndexes() {
-  if (S->Plans) {
-    std::vector<std::vector<uint64_t>> MasksByPred(S->Tables.size());
-    S->Plans->wantedIndexes(MasksByPred);
-    for (PredId Pred = 0; Pred < MasksByPred.size(); ++Pred)
-      for (uint64_t Mask : MasksByPred[Pred])
-        S->Tables[Pred]->prepareIndex(Mask);
-    return;
-  }
-  std::set<std::pair<PredId, uint64_t>> Wanted;
-  for (const Rule &R : S->Prepared) {
-    SmallVector<int, 8> Drivers;
-    for (size_t I = 0; I < R.Body.size(); ++I)
-      if (const auto *A = std::get_if<BodyAtom>(&R.Body[I]);
-          A && !A->Negated)
-        Drivers.push_back(static_cast<int>(I));
-
-    for (int Driver : Drivers) {
-      std::vector<uint8_t> BoundVar(R.NumVars, 0);
-      SmallVector<const BodyElem *, 8> Order;
-      eval::buildOrder(R, Driver, Order);
-
-      for (size_t Pos = 0; Pos < Order.size(); ++Pos) {
-        const BodyElem &E = *Order[Pos];
-        if (const auto *A = std::get_if<BodyAtom>(&E)) {
-          if (A->Negated)
-            continue; // negated atoms use the primary map
-          unsigned KA = P.predicate(A->Pred).keyArity();
-          if (Pos != 0) {
-            uint64_t Mask = 0;
-            for (unsigned I = 0; I < KA; ++I) {
-              const Term &Tm = A->Terms[I];
-              if (!Tm.isVar() || BoundVar[Tm.Variable])
-                Mask |= uint64_t(1) << I;
-            }
-            uint64_t Full = KA == 0 ? 0 : (uint64_t(1) << KA) - 1;
-            if (Mask != 0 && Mask != Full)
-              Wanted.insert({A->Pred, Mask});
-          }
-          for (const Term &Tm : A->Terms)
-            if (Tm.isVar())
-              BoundVar[Tm.Variable] = 1;
-        } else if (const auto *B = std::get_if<BodyBinder>(&E)) {
-          for (VarId V : B->Pattern)
-            BoundVar[V] = 1;
-        }
-        // Filters bind nothing.
-      }
-    }
-  }
-  for (auto [Pred, Mask] : Wanted)
-    S->Tables[Pred]->prepareIndex(Mask);
+  std::vector<std::vector<uint64_t>> MasksByPred(S->Tables.size());
+  S->Plans->wantedIndexes(MasksByPred);
+  for (PredId Pred = 0; Pred < MasksByPred.size(); ++Pred)
+    for (uint64_t Mask : MasksByPred[Pred])
+      S->Tables[Pred]->prepareIndex(Mask);
 }
 
 void IncrementalSolver::ensureParallel() {
@@ -778,7 +460,7 @@ void IncrementalSolver::runParallelRound(
   unsigned NumWorkers = Pool->numWorkers();
   Tasks.clear();
   for (uint32_t RI : RuleIds) {
-    const Rule &R = Sol.Prepared[RI];
+    const Rule &R = P.rules()[RI];
     for (size_t BI = 0; BI < R.Body.size(); ++BI) {
       const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
       if (!A || A->Negated)
@@ -1086,15 +768,14 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
         continue;
       }
       for (uint32_t RI : RuleIds) {
-        const Rule &R = Sol.Prepared[RI];
-        Sol.CurRuleIndex = RI;
+        const Rule &R = P.rules()[RI];
         for (size_t BI = 0; BI < R.Body.size(); ++BI) {
           const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
           if (!A || A->Negated)
             continue;
           if (Sol.Delta[A->Pred].empty())
             continue;
-          Sol.evalRule(R, static_cast<int>(BI), Sol.Delta[A->Pred]);
+          Sol.evalRule(RI, static_cast<int>(BI), Sol.Delta[A->Pred]);
         }
       }
     }
@@ -1213,7 +894,6 @@ UpdateStats IncrementalSolver::update(Deadline DL) {
     incrementalUpdate(U, DL);
   }
   Degraded = !U.ok();
-  U.FallbackSolves = CumNegationFallbacks + CumDegradedRecoveries;
   U.NegationFallbacks = CumNegationFallbacks;
   U.DegradedRecoveries = CumDegradedRecoveries;
 
@@ -1223,10 +903,8 @@ UpdateStats IncrementalSolver::update(Deadline DL) {
   // Full footprint including provenance, the support index and the memo
   // cache — the components the old tables-only sum under-reported.
   U.MemoryBytes = S->memoryFootprint();
-  if (S->Plans) {
-    U.PlanSteps = S->Plans->totalSteps();
-    U.CostBasedPlans = S->Plans->costBasedPlans();
-  }
+  U.PlanSteps = S->Plans->totalSteps();
+  U.CostBasedPlans = S->Plans->costBasedPlans();
   if (S->Memo) {
     // Cumulative over the inner solver's lifetime (the cache is shared
     // across updates), not per-update deltas.

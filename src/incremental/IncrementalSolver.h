@@ -44,7 +44,6 @@
 #include "fixpoint/Solver.h"
 
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -153,15 +152,12 @@ public:
   UpdateStats update(Deadline DL);
 
   /// Cumulative number of update() batches that fell back to a
-  /// from-scratch solve, split by reason. Mirrored into the
-  /// FallbackSolves / NegationFallbacks / DegradedRecoveries fields of
-  /// every returned UpdateStats; exposed directly for operators polling
-  /// a live solver. negationFallbacks() is a retired escape hatch and
-  /// must stay 0 (tests assert it); degradedRecoveries() counts rebuilds
-  /// after an aborted (deadline / iteration-limit) update.
-  uint64_t fallbackSolves() const {
-    return CumNegationFallbacks + CumDegradedRecoveries;
-  }
+  /// from-scratch solve, by reason. Mirrored into the NegationFallbacks /
+  /// DegradedRecoveries fields of every returned UpdateStats; exposed
+  /// directly for operators polling a live solver. negationFallbacks() is
+  /// a retired escape hatch and must stay 0 (tests assert it);
+  /// degradedRecoveries() counts rebuilds after an aborted (deadline /
+  /// iteration-limit) update.
   uint64_t negationFallbacks() const { return CumNegationFallbacks; }
   uint64_t degradedRecoveries() const { return CumDegradedRecoveries; }
 
@@ -271,13 +267,12 @@ private:
   std::unique_ptr<ThreadPool> Pool;
   std::vector<std::unique_ptr<WorkerCtx>> Workers;
   std::vector<Task> Tasks;
-  std::mutex ExternMu;
   bool ParallelReady = false;
   /// Pool steal counter at the start of the current update(), for the
   /// per-update ParallelSteals delta.
   uint64_t StealsBase = 0;
   /// Lifetime counts of full-solve fallbacks taken by update(), by
-  /// reason (see fallbackSolves()); they live here because fullSolve()
+  /// reason (see negationFallbacks()); they live here because fullSolve()
   /// replaces the inner solver and would lose counters kept in its
   /// stats. CumNegationFallbacks is a retired path and must stay 0.
   uint64_t CumNegationFallbacks = 0;

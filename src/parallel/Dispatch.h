@@ -28,7 +28,7 @@
 namespace flix {
 
 /// Solves \p P with the engine selected by \p Opts.NumThreads (0 = the
-/// sequential legacy Solver, >0 = the work-stealing ParallelSolver) and
+/// sequential Solver, >0 = the work-stealing ParallelSolver) and
 /// passes the solved instance plus its stats to \p Consume. \p Consume
 /// must accept both solver types (e.g. a generic lambda) and return the
 /// same type for both.

@@ -6,7 +6,6 @@
 
 #include "parallel/ParallelSolver.h"
 
-#include "fixpoint/EvalUtil.h"
 #include "fixpoint/Plan.h"
 #include "support/Hashing.h"
 #include "support/SmallVector.h"
@@ -22,9 +21,6 @@ using namespace flix;
 //===----------------------------------------------------------------------===//
 // Worker-local evaluation context
 //===----------------------------------------------------------------------===//
-
-using flix::eval::BindTrail;
-using flix::eval::buildOrder;
 
 namespace {
 
@@ -53,23 +49,21 @@ constexpr size_t SpawnSlotMask = (size_t(1) << SpawnWorkerShift) - 1;
 
 } // namespace
 
-/// Per-worker evaluation state. Mirrors the sequential Solver's rule
-/// evaluation (Solver.cpp) exactly, with three differences: tables are
-/// read through const access paths only (the snapshot is immutable during
-/// an eval phase), derived heads are buffered into per-shard vectors
-/// instead of joined in place, and the abort check consults a shared
-/// atomic flag so one worker's timeout stops all of them.
+/// Per-worker evaluation state: the parallel engine policy of the shared
+/// plan executor (fixpoint/Plan.h). It differs from the sequential
+/// Solver's in three ways: tables are read through const access paths
+/// only (the snapshot is immutable during an eval phase), derived heads
+/// are buffered into per-shard vectors instead of joined in place, and
+/// the abort check consults a shared atomic flag so one worker's timeout
+/// stops all of them.
 struct ParallelSolver::WorkerCtx {
   /// A captured continuation of one in-flight rule evaluation: re-run the
-  /// scan at position Pos over row range [Begin, End) — ids from *Rows
+  /// scan at plan step Pos over row range [Begin, End) — ids from *Rows
   /// (an index bucket, immutable during the phase) or, when Rows is null,
   /// raw table ids — under the bound-env prefix (Env, Bound) that was
-  /// live when the owning worker decided to split. Pos is a plan-step
-  /// index when compiled plans are active, otherwise an Order position;
-  /// the interpretation is uniform within a run because CompilePlans is
-  /// fixed for the solve. The plan / evaluation Order is not stored: it
-  /// is a pure function of (RuleIdx, Driver), so the executor re-fetches
-  /// or rebuilds it exactly as runTask does.
+  /// live when the owning worker decided to split. The plan is not
+  /// stored: it is a pure function of (RuleIdx, Driver) within a phase,
+  /// so the executor re-fetches it exactly as runTask does.
   struct SubTask {
     uint32_t RuleIdx;
     int32_t Driver;
@@ -144,7 +138,7 @@ struct ParallelSolver::WorkerCtx {
   std::vector<uint8_t> Bound;
   const Task *Cur = nullptr;
   /// Rule/driver of the evaluation in flight (set by both runTask and
-  /// runSpawned), from which spawned continuations rebuild their Order.
+  /// runSpawned), from which spawned continuations re-fetch their plan.
   uint32_t CurRuleIdx = 0;
   int32_t CurDriver = -1;
 
@@ -196,15 +190,8 @@ struct ParallelSolver::WorkerCtx {
     }
     auto Compute = [&]() -> Value {
       VmCalls += ViaVm;
-      if (S.Opts.SerializeExternals) {
-        std::lock_guard<std::mutex> Lock(S.ExternMu);
-        return (*Impl)(Args);
-      }
       return (*Impl)(Args);
     };
-    // The memo shard lock never wraps the compute (Plan.h), so memoized
-    // calls still honor SerializeExternals on the miss path without
-    // nesting ExternMu inside a shard mutex.
     if (S.Memo)
       return S.Memo->call(Fn, Args, Compute);
     return Compute();
@@ -239,8 +226,7 @@ struct ParallelSolver::WorkerCtx {
     return nullptr;
   }
 
-  /// Intra-rule spilling: identical policy to the legacy walk, with the
-  /// plan-step index in SubTask::Pos.
+  /// Intra-rule spilling, with the plan-step index in SubTask::Pos.
   uint32_t maybeSpill(const plan::RulePlan &, uint32_t StepIdx,
                       const std::vector<uint32_t> *Rows, uint32_t Begin,
                       uint32_t End) {
@@ -252,8 +238,8 @@ struct ParallelSolver::WorkerCtx {
 
   void onDerived(const plan::RulePlan &Pl, Value KeyT, Value LatVal) {
     ++RuleFirings;
-    // Same ⊥-drop as the legacy deriveHead: x ⊔ ⊥ = x can never change a
-    // cell, so don't ship it through the merge.
+    // x ⊔ ⊥ = x can never change a cell, so don't ship ⊥ derivations
+    // through the merge (the sequential Table::join drops them too).
     if (!Pl.Head.Relational &&
         LatVal == S.P.predicate(Pl.Head.Pred).Lat->bot())
       return;
@@ -275,83 +261,36 @@ struct ParallelSolver::WorkerCtx {
   void runSpawned(const SubTask &T);
   uint32_t trySpill(size_t Pos, const std::vector<uint32_t> *Rows,
                     uint32_t Begin, uint32_t End);
-  void evalElems(const Rule &R, std::span<const BodyElem *const> Order,
-                 size_t Pos);
-  void evalAtom(const Rule &R, const BodyAtom &A,
-                std::span<const BodyElem *const> Order, size_t Pos);
-  void matchAtomRow(const Rule &R, const BodyAtom &A, uint32_t RowId,
-                    std::span<const BodyElem *const> Order, size_t Pos);
-  void deriveHead(const Rule &R);
   void compactShard(size_t Sh);
   void joinPred(PredId Pred);
 };
 
 void ParallelSolver::WorkerCtx::runTask(const Task &T) {
-  const Rule &R = S.Prepared[T.RuleIdx];
-  Env.assign(R.NumVars, Value());
-  Bound.assign(R.NumVars, 0);
+  const plan::RulePlan &Pl = S.Plans->plan(T.RuleIdx, T.Driver);
+  Env.assign(Pl.NumVars, Value());
+  Bound.assign(Pl.NumVars, 0);
 
   Cur = &T;
   CurRuleIdx = T.RuleIdx;
   CurDriver = T.Driver;
-  if (S.Plans) {
-    Exec.run(S.Plans->plan(T.RuleIdx, T.Driver));
-    Cur = nullptr;
-    return;
-  }
-
-  SmallVector<const BodyElem *, 8> Order;
-  buildOrder(R, T.Driver, Order);
-  evalElems(R, std::span<const BodyElem *const>(Order.data(), Order.size()),
-            0);
+  Exec.run(Pl);
   Cur = nullptr;
 }
 
 // Executes a spawned continuation: restore the captured env prefix and
-// resume the split scan at its Order position. Runs on whichever worker
-// took or stole the payload.
+// resume the split scan at its plan step. Runs on whichever worker took
+// or stole the payload. Cur stays null; plan resumption never re-enters
+// the Driver step.
 void ParallelSolver::WorkerCtx::runSpawned(const SubTask &T) {
-  const Rule &R = S.Prepared[T.RuleIdx];
   Env = T.Env;
   Bound = T.Bound;
-
-  if (S.Plans) {
-    // Cur stays null; plan resumption never re-enters the Driver step.
-    CurRuleIdx = T.RuleIdx;
-    CurDriver = T.Driver;
-    Exec.runFrom(S.Plans->plan(T.RuleIdx, T.Driver), T.Pos, T.Rows, T.Begin,
-                 T.End);
-    return;
-  }
-
-  SmallVector<const BodyElem *, 8> Order;
-  buildOrder(R, T.Driver, Order);
-  std::span<const BodyElem *const> OrderView(Order.data(), Order.size());
-  const auto &A = std::get<BodyAtom>(*Order[T.Pos]);
-
-  // Cur stays null: the driver branch of evalAtom is unreachable from
-  // here (continuations resume at matchAtomRow, so every deeper evalAtom
-  // sees Pos > T.Pos >= 0 or a null Cur).
   CurRuleIdx = T.RuleIdx;
   CurDriver = T.Driver;
-  if (T.Rows) {
-    for (uint32_t I = trySpill(T.Pos, T.Rows, T.Begin, T.End); I != T.End;
-         ++I) {
-      if (checkAbort())
-        return;
-      matchAtomRow(R, A, (*T.Rows)[I], OrderView, T.Pos);
-    }
-  } else {
-    for (uint32_t Id = trySpill(T.Pos, nullptr, T.Begin, T.End); Id != T.End;
-         ++Id) {
-      if (checkAbort())
-        return;
-      matchAtomRow(R, A, Id, OrderView, T.Pos);
-    }
-  }
+  Exec.runFrom(S.Plans->plan(T.RuleIdx, T.Driver), T.Pos, T.Rows, T.Begin,
+               T.End);
 }
 
-// Splits the scan [Begin, End) at Order position \p Pos into spawned
+// Splits the scan [Begin, End) at plan step \p Pos into spawned
 // sub-tasks of SpillThreshold rows each, keeping the tail inline.
 // Returns the start of the inline remainder (== Begin when the range is
 // below the threshold, spilling is disabled, or the arena is full).
@@ -387,263 +326,6 @@ uint32_t ParallelSolver::WorkerCtx::trySpill(size_t Pos,
   }
   MaxFanout = std::max(MaxFanout, Fanout);
   return B;
-}
-
-void ParallelSolver::WorkerCtx::evalElems(
-    const Rule &R, std::span<const BodyElem *const> Order, size_t Pos) {
-  if (S.AbortFlag.load(std::memory_order_relaxed))
-    return;
-  if (Pos == Order.size()) {
-    deriveHead(R);
-    return;
-  }
-  const BodyElem &E = *Order[Pos];
-
-  auto termValue = [&](const Term &T) -> Value {
-    if (!T.isVar())
-      return T.Constant;
-    assert(Bound[T.Variable] && "unbound variable; validation missed it");
-    return Env[T.Variable];
-  };
-
-  if (const auto *Fl = std::get_if<BodyFilter>(&E)) {
-    SmallVector<Value, 4> Args;
-    for (const Term &T : Fl->Args)
-      Args.push_back(termValue(T));
-    Value Res =
-        callExtern(Fl->Fn, std::span<const Value>(Args.data(), Args.size()));
-    assert(Res.isBool() && "filter function must return Bool");
-    if (Res.asBool())
-      evalElems(R, Order, Pos + 1);
-    return;
-  }
-
-  if (const auto *B = std::get_if<BodyBinder>(&E)) {
-    SmallVector<Value, 4> Args;
-    for (const Term &T : B->Args)
-      Args.push_back(termValue(T));
-    Value Res =
-        callExtern(B->Fn, std::span<const Value>(Args.data(), Args.size()));
-    assert(Res.isSet() && "binder function must return a Set");
-    for (Value Elem : S.F.setElems(Res)) {
-      if (checkAbort())
-        return;
-      BindTrail Trail;
-      bool Ok = true;
-      auto bindOne = [&](VarId V, Value Val) {
-        if (Bound[V]) {
-          Ok = Env[V] == Val;
-          return;
-        }
-        Trail.save(V, false, Env[V]);
-        Env[V] = Val;
-        Bound[V] = 1;
-      };
-      if (B->Pattern.size() == 1) {
-        bindOne(B->Pattern[0], Elem);
-      } else {
-        if (!Elem.isTuple() ||
-            S.F.tupleElems(Elem).size() != B->Pattern.size()) {
-          Ok = false;
-        } else {
-          std::span<const Value> Elems = S.F.tupleElems(Elem);
-          for (size_t I = 0; I < B->Pattern.size() && Ok; ++I)
-            bindOne(B->Pattern[I], Elems[I]);
-        }
-      }
-      if (Ok)
-        evalElems(R, Order, Pos + 1);
-      Trail.undo(Env, Bound);
-    }
-    return;
-  }
-
-  evalAtom(R, std::get<BodyAtom>(E), Order, Pos);
-}
-
-void ParallelSolver::WorkerCtx::evalAtom(
-    const Rule &R, const BodyAtom &A, std::span<const BodyElem *const> Order,
-    size_t Pos) {
-  const PredicateDecl &D = S.P.predicate(A.Pred);
-  const Table &T = *S.Tables[A.Pred];
-  unsigned KA = D.keyArity();
-
-  auto termValue = [&](const Term &Tm) -> Value {
-    if (!Tm.isVar())
-      return Tm.Constant;
-    assert(Bound[Tm.Variable] && "unbound variable in ground context");
-    return Env[Tm.Variable];
-  };
-
-  if (A.Negated) {
-    SmallVector<Value, 4> Key;
-    for (unsigned I = 0; I < KA; ++I)
-      Key.push_back(termValue(A.Terms[I]));
-    Value KeyT = S.F.tuple(std::span<const Value>(Key.data(), Key.size()));
-    if (!T.lookup(KeyT))
-      evalElems(R, Order, Pos + 1);
-    return;
-  }
-
-  // Driver atom: iterate this task's chunk of the driver rows. (Cur is
-  // null in spawned continuations, which never re-enter position 0.)
-  if (Pos == 0 && Cur && Cur->Driver >= 0) {
-    const std::vector<uint32_t> &Rows = *Cur->Rows;
-    for (uint32_t I = Cur->Begin; I != Cur->End; ++I) {
-      if (checkAbort())
-        return;
-      matchAtomRow(R, A, Rows[I], Order, Pos);
-    }
-    return;
-  }
-
-  // Compute the bound-column pattern to pick an access path. Boundness is
-  // static for the fixed driver-first order, so every (pred, mask) pair
-  // seen here had its index pre-built by prepareStaticIndexes().
-  uint64_t Mask = 0;
-  SmallVector<Value, 4> Proj;
-  for (unsigned I = 0; I < KA; ++I) {
-    const Term &Tm = A.Terms[I];
-    if (!Tm.isVar()) {
-      Mask |= uint64_t(1) << I;
-      Proj.push_back(Tm.Constant);
-    } else if (Bound[Tm.Variable]) {
-      Mask |= uint64_t(1) << I;
-      Proj.push_back(Env[Tm.Variable]);
-    }
-  }
-  uint64_t Full = KA == 0 ? 0 : (uint64_t(1) << KA) - 1;
-
-  if (Mask == Full) {
-    Value KeyT = S.F.tuple(std::span<const Value>(Proj.data(), Proj.size()));
-    uint32_t Id = T.lookupRow(KeyT);
-    if (Id != Table::NoRow)
-      matchAtomRow(R, A, Id, Order, Pos);
-    return;
-  }
-
-  if (Mask != 0 && S.Opts.UseIndexes) {
-    Value ProjT = S.F.tuple(std::span<const Value>(Proj.data(), Proj.size()));
-    // Unlike the sequential solver there is no need to copy the bucket:
-    // tables are immutable during an eval phase, so the bucket cannot grow
-    // under us — which also makes it a stable target for spawned
-    // sub-tasks covering its tail.
-    if (const std::vector<uint32_t> *Bucket = T.probeExisting(Mask, ProjT)) {
-      uint32_t End = static_cast<uint32_t>(Bucket->size());
-      for (uint32_t I = trySpill(Pos, Bucket, 0, End); I != End; ++I) {
-        if (checkAbort())
-          return;
-        matchAtomRow(R, A, (*Bucket)[I], Order, Pos);
-      }
-      return;
-    }
-    // No index for this mask: the static analysis in
-    // computeWantedIndexes() missed an access path. Count the fallback
-    // (SolveStats::IndexFallbacks) and scan; StrictIndexCoverage turns
-    // this into a hard failure in debug builds.
-    ++IndexFallbacks;
-    assert(!S.Opts.StrictIndexCoverage &&
-           "probeExisting miss: (pred, mask) not pre-built by the static "
-           "index analysis");
-  }
-
-  uint32_t End = static_cast<uint32_t>(T.size());
-  for (uint32_t Id = trySpill(Pos, nullptr, 0, End); Id != End; ++Id) {
-    if (checkAbort())
-      return;
-    matchAtomRow(R, A, Id, Order, Pos);
-  }
-}
-
-void ParallelSolver::WorkerCtx::matchAtomRow(
-    const Rule &R, const BodyAtom &A, uint32_t RowId,
-    std::span<const BodyElem *const> Order, size_t Pos) {
-  const PredicateDecl &D = S.P.predicate(A.Pred);
-  const Table &T = *S.Tables[A.Pred];
-  unsigned KA = D.keyArity();
-
-  BindTrail Trail;
-  bool Ok = true;
-  {
-    std::span<const Value> KeyElems = T.rowKey(RowId);
-    for (unsigned I = 0; I < KA && Ok; ++I) {
-      const Term &Tm = A.Terms[I];
-      if (!Tm.isVar()) {
-        Ok = Tm.Constant == KeyElems[I];
-        continue;
-      }
-      if (Bound[Tm.Variable]) {
-        Ok = Env[Tm.Variable] == KeyElems[I];
-        continue;
-      }
-      Trail.save(Tm.Variable, false, Env[Tm.Variable]);
-      Env[Tm.Variable] = KeyElems[I];
-      Bound[Tm.Variable] = 1;
-    }
-  }
-
-  if (Ok && !D.isRelational()) {
-    const Term &Lt = A.Terms[KA];
-    Value RowVal = T.row(RowId).Lat;
-    if (!Lt.isVar()) {
-      Ok = D.Lat->leq(Lt.Constant, RowVal);
-    } else if (!Bound[Lt.Variable]) {
-      Trail.save(Lt.Variable, false, Env[Lt.Variable]);
-      Env[Lt.Variable] = RowVal;
-      Bound[Lt.Variable] = 1;
-    } else {
-      Value G = D.Lat->glb(Env[Lt.Variable], RowVal);
-      Trail.save(Lt.Variable, true, Env[Lt.Variable]);
-      Env[Lt.Variable] = G;
-    }
-  }
-
-  if (Ok)
-    evalElems(R, Order, Pos + 1);
-  Trail.undo(Env, Bound);
-}
-
-void ParallelSolver::WorkerCtx::deriveHead(const Rule &R) {
-  const HeadAtom &H = R.Head;
-  const PredicateDecl &D = S.P.predicate(H.Pred);
-
-  auto termValue = [&](const Term &Tm) -> Value {
-    if (!Tm.isVar())
-      return Tm.Constant;
-    assert(Bound[Tm.Variable] && "unbound head variable");
-    return Env[Tm.Variable];
-  };
-
-  SmallVector<Value, 4> Key;
-  for (const Term &Tm : H.KeyTerms)
-    Key.push_back(termValue(Tm));
-
-  Value LatVal;
-  if (H.LastFn) {
-    SmallVector<Value, 4> Args;
-    for (const Term &Tm : H.FnArgs)
-      Args.push_back(termValue(Tm));
-    LatVal = callExtern(*H.LastFn,
-                        std::span<const Value>(Args.data(), Args.size()));
-  } else {
-    LatVal = termValue(H.LastTerm);
-  }
-
-  if (D.isRelational()) {
-    Key.push_back(LatVal);
-    LatVal = S.F.boolean(true);
-  }
-
-  ++RuleFirings;
-  // ⊥ derivations can never change a cell (x ⊔ ⊥ = x, and absent cells
-  // are implicitly ⊥), so drop them here instead of shipping them through
-  // the merge — the sequential Table::join does the same.
-  if (!D.isRelational() && LatVal == D.Lat->bot())
-    return;
-  Value KeyT = S.F.tuple(std::span<const Value>(Key.data(), Key.size()));
-  size_t Sh = hashValues(static_cast<uint64_t>(H.Pred), KeyT.hash()) &
-              (NumMergeShards - 1);
-  Buffers[Sh].push_back({H.Pred, KeyT, LatVal});
 }
 
 // Merge phase A: fold all workers' buffered derivations for shard \p Sh
@@ -709,11 +391,7 @@ ParallelSolver::ParallelSolver(const Program &P, SolverOptions Opts)
     const Lattice &L = D.isRelational() ? *RelLattice : *D.Lat;
     Tables.push_back(std::make_unique<Table>(D.keyArity(), L, F));
   }
-  Prepared.reserve(P.rules().size());
-  for (const Rule &R : P.rules())
-    Prepared.push_back(Opts.ReorderBody ? reorderRuleGreedy(R) : R);
-  if (Opts.CompilePlans)
-    Plans = std::make_unique<plan::PlanLibrary>(P, Prepared, Opts.UseIndexes);
+  Plans = std::make_unique<plan::PlanLibrary>(P, P.rules(), Opts.UseIndexes);
   if (Opts.EnableMemo)
     Memo = std::make_unique<plan::ExternMemo>();
   Delta.resize(P.predicates().size());
@@ -733,73 +411,20 @@ ParallelSolver::~ParallelSolver() = default;
 
 /// Workers never create indexes (probeExisting is read-only), so every
 /// index they could profit from must exist before the first eval phase.
-/// With compiled plans the wanted masks are read straight off the plans'
-/// Probe steps — covering whatever body order the planner chose, now or
-/// after a re-plan. Without plans, the fixed driver-first body order makes
-/// the set of bound variables at each atom position statically known, so
-/// simulate every (rule, driver) order once and collect the resulting
-/// (pred, mask) pairs. The sequential solver instead builds these same
-/// indexes lazily on first probe.
+/// The wanted masks are read straight off the plans' Probe steps —
+/// covering whatever body order the planner chose, now or after a
+/// re-plan. The sequential solver instead builds these same indexes
+/// lazily on first probe.
 std::vector<std::pair<PredId, uint64_t>>
 ParallelSolver::computeWantedIndexes() const {
   if (!Opts.UseIndexes)
     return {};
   std::set<std::pair<PredId, uint64_t>> Wanted;
-  if (Plans) {
-    std::vector<std::vector<uint64_t>> MasksByPred(Tables.size());
-    Plans->wantedIndexes(MasksByPred);
-    for (PredId Pred = 0; Pred < MasksByPred.size(); ++Pred)
-      for (uint64_t Mask : MasksByPred[Pred])
-        Wanted.insert({Pred, Mask});
-    for (auto [Pred, Mask] : P.indexHints())
+  std::vector<std::vector<uint64_t>> MasksByPred(Tables.size());
+  Plans->wantedIndexes(MasksByPred);
+  for (PredId Pred = 0; Pred < MasksByPred.size(); ++Pred)
+    for (uint64_t Mask : MasksByPred[Pred])
       Wanted.insert({Pred, Mask});
-    return {Wanted.begin(), Wanted.end()};
-  }
-  for (const Rule &R : Prepared) {
-    SmallVector<int, 8> Drivers;
-    Drivers.push_back(-1);
-    for (size_t I = 0; I < R.Body.size(); ++I)
-      if (const auto *A = std::get_if<BodyAtom>(&R.Body[I]);
-          A && !A->Negated)
-        Drivers.push_back(static_cast<int>(I));
-
-    for (int Driver : Drivers) {
-      std::vector<uint8_t> BoundVar(R.NumVars, 0);
-      SmallVector<const BodyElem *, 8> Order;
-      if (Driver >= 0)
-        Order.push_back(&R.Body[Driver]);
-      for (size_t I = 0; I < R.Body.size(); ++I)
-        if (static_cast<int>(I) != Driver)
-          Order.push_back(&R.Body[I]);
-
-      for (size_t Pos = 0; Pos < Order.size(); ++Pos) {
-        const BodyElem &E = *Order[Pos];
-        if (const auto *A = std::get_if<BodyAtom>(&E)) {
-          if (A->Negated)
-            continue; // negated atoms use the primary map
-          unsigned KA = P.predicate(A->Pred).keyArity();
-          if (!(Pos == 0 && Driver >= 0)) {
-            uint64_t Mask = 0;
-            for (unsigned I = 0; I < KA; ++I) {
-              const Term &Tm = A->Terms[I];
-              if (!Tm.isVar() || BoundVar[Tm.Variable])
-                Mask |= uint64_t(1) << I;
-            }
-            uint64_t Full = KA == 0 ? 0 : (uint64_t(1) << KA) - 1;
-            if (Mask != 0 && Mask != Full)
-              Wanted.insert({A->Pred, Mask});
-          }
-          for (const Term &Tm : A->Terms)
-            if (Tm.isVar())
-              BoundVar[Tm.Variable] = 1;
-        } else if (const auto *B = std::get_if<BodyBinder>(&E)) {
-          for (VarId V : B->Pattern)
-            BoundVar[V] = 1;
-        }
-        // Filters bind nothing.
-      }
-    }
-  }
   for (auto [Pred, Mask] : P.indexHints())
     Wanted.insert({Pred, Mask});
   return {Wanted.begin(), Wanted.end()};
@@ -886,7 +511,7 @@ void ParallelSolver::buildStaticIndexes() {
 }
 
 bool ParallelSolver::replanPlans(double Threshold, bool CountEvents) {
-  if (!Plans || !Opts.CostBasedPlans)
+  if (!Opts.CostBasedPlans)
     return false;
   plan::StatsVec St;
   plan::gatherStats({Tables.data(), Tables.size()}, St);
@@ -902,7 +527,7 @@ bool ParallelSolver::replanPlans(double Threshold, bool CountEvents) {
 void ParallelSolver::buildRound0Tasks(const std::vector<uint32_t> &RuleIds) {
   Tasks.clear();
   for (uint32_t RI : RuleIds) {
-    const Rule &R = Prepared[RI];
+    const Rule &R = P.rules()[RI];
     const BodyAtom *A =
         R.Body.empty() ? nullptr : std::get_if<BodyAtom>(&R.Body[0]);
     if (A && !A->Negated) {
@@ -921,7 +546,7 @@ void ParallelSolver::buildRound0Tasks(const std::vector<uint32_t> &RuleIds) {
 void ParallelSolver::buildDeltaTasks(const std::vector<uint32_t> &RuleIds) {
   Tasks.clear();
   for (uint32_t RI : RuleIds) {
-    const Rule &R = Prepared[RI];
+    const Rule &R = P.rules()[RI];
     for (size_t BI = 0; BI < R.Body.size(); ++BI) {
       const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
       if (!A || A->Negated)
@@ -1027,8 +652,7 @@ SolveStats ParallelSolver::solve() {
     Stats.MemoryBytes = F.memoryBytes();
     for (const std::unique_ptr<Table> &T : Tables)
       Stats.MemoryBytes += T->memoryBytes();
-    if (Plans)
-      Stats.PlanSteps = Plans->totalSteps();
+    Stats.PlanSteps = Plans->totalSteps();
     if (Memo) {
       Stats.MemoHits = Memo->hits();
       Stats.MemoMisses = Memo->misses();

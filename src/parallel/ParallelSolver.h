@@ -54,8 +54,8 @@ namespace flix {
 /// Parallel counterpart of Solver. Query API mirrors Solver so callers can
 /// be generic over the two. SolverOptions::NumThreads picks the worker
 /// count (0 is treated as 1 here; callers normally dispatch 0 to the
-/// sequential Solver instead). SolverOptions::SerializeExternals guards
-/// non-thread-safe external functions.
+/// sequential Solver instead). External functions must be thread-safe;
+/// the FLIX interpreter and the bytecode VM both are.
 class ParallelSolver {
 public:
   explicit ParallelSolver(const Program &P,
@@ -109,10 +109,9 @@ private:
   struct WorkerCtx;
 
   /// Collects the (pred, mask) access paths the workers will probe (plus
-  /// index hints). With compiled plans the masks are read off the plans'
-  /// own Probe steps — order-independent by construction, so any body
-  /// order the cost-based planner picks is covered. Without plans, falls
-  /// back to simulating every (rule, driver) driver-first order.
+  /// index hints), read off the compiled plans' own Probe steps —
+  /// order-independent by construction, so any body order the cost-based
+  /// planner picks is covered.
   std::vector<std::pair<PredId, uint64_t>> computeWantedIndexes() const;
   /// Pre-builds those indexes through the pool: per-(pred, row-chunk)
   /// partial scans, then per-(pred, mask) merges via
@@ -139,12 +138,10 @@ private:
   ValueFactory &F;
   std::unique_ptr<BoolLattice> RelLattice;
   std::vector<std::unique_ptr<Table>> Tables;
-  std::vector<Rule> Prepared; ///< rules, possibly reordered
 
-  /// Compiled join plans (SolverOptions::CompilePlans): workers run the
-  /// shared non-recursive PlanExecutor instead of the recursive
-  /// evalElems/evalAtom walk, with sub-task spilling mapped onto the
-  /// executor's maybeSpill hook. Null when plans are disabled.
+  /// Compiled join plans of P.rules(): workers run the shared
+  /// non-recursive PlanExecutor, with sub-task spilling mapped onto the
+  /// executor's maybeSpill hook.
   std::unique_ptr<plan::PlanLibrary> Plans;
   /// Shared memo cache for pure external functions
   /// (SolverOptions::EnableMemo); all workers' extern calls route through
@@ -175,7 +172,6 @@ private:
   bool Solved = false;
   std::atomic<bool> AbortFlag{false};
   Deadline DL;
-  std::mutex ExternMu; ///< serializes externals when SerializeExternals
 };
 
 } // namespace flix

@@ -202,7 +202,6 @@ Json LoadReport::toJson() const {
   J.set("update_batches", Json::integer(int64_t(UpdateBatches)));
   J.set("coalesced_requests",
         Json::integer(int64_t(CoalescedRequests)));
-  J.set("fallback_solves", Json::integer(int64_t(FallbackSolves)));
   J.set("negation_fallbacks", Json::integer(int64_t(NegationFallbacks)));
   J.set("degraded_recoveries",
         Json::integer(int64_t(DegradedRecoveries)));
@@ -299,7 +298,6 @@ LoadReport flix::server::runLoad(const LoadOptions &O) {
         };
         Rep.UpdateBatches = getInt("update_batches");
         Rep.CoalescedRequests = getInt("coalesced_requests");
-        Rep.FallbackSolves = getInt("fallback_solves");
         Rep.NegationFallbacks = getInt("negation_fallbacks");
         Rep.DegradedRecoveries = getInt("degraded_recoveries");
         Rep.FinalGeneration = getInt("generation");

@@ -61,12 +61,10 @@ struct LoadReport {
   uint64_t DeadlineExceeded = 0;
   uint64_t Overloaded = 0;
 
-  // From the server's final per-db stats. FallbackSolves is the sum of
-  // the two reason counters; NegationFallbacks must stay 0 now that
-  // negation batches are patched in place.
+  // From the server's final per-db stats. NegationFallbacks must stay 0
+  // now that negation batches are patched in place.
   uint64_t UpdateBatches = 0;
   uint64_t CoalescedRequests = 0;
-  uint64_t FallbackSolves = 0;
   uint64_t NegationFallbacks = 0;
   uint64_t DegradedRecoveries = 0;
   uint64_t FinalGeneration = 0;

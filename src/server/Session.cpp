@@ -446,8 +446,6 @@ Json Session::statsJson() {
   S.set("deadline_expired_waits",
         Json::integer(int64_t(DeadlineExpiredWaits)));
   S.set("update_seconds_total", Json::number(TotalUpdateSeconds));
-  S.set("fallback_solves",
-        Json::integer(int64_t(LastUpdate.FallbackSolves)));
   S.set("negation_fallbacks",
         Json::integer(int64_t(LastUpdate.NegationFallbacks)));
   S.set("degraded_recoveries",

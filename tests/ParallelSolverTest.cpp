@@ -99,16 +99,18 @@ TEST_P(ParallelSeedTest, ReorderAndNoIndexDoNotChangeResults) {
   ASSERT_TRUE(Seq.solve().ok());
   Interpretation Expected = modelOf(*B.Prog, Seq);
 
-  for (bool Reorder : {false, true})
+  // CostBasedPlans off keeps the written (driver-first) join orders; on
+  // lets the planner reorder them.
+  for (bool CostBased : {false, true})
     for (bool UseIndexes : {false, true}) {
       SolverOptions PO;
       PO.NumThreads = 2;
-      PO.ReorderBody = Reorder;
+      PO.CostBasedPlans = CostBased;
       PO.UseIndexes = UseIndexes;
       ParallelSolver Par(*B.Prog, PO);
       ASSERT_TRUE(Par.solve().ok());
       EXPECT_EQ(modelOf(*B.Prog, Par), Expected)
-          << "reorder=" << Reorder << " indexes=" << UseIndexes
+          << "cost-based=" << CostBased << " indexes=" << UseIndexes
           << "\nprogram:\n"
           << B.Prog->dump();
     }
@@ -473,9 +475,9 @@ TEST(ParallelCaseStudyTest, StrongUpdateInterpretedSource) {
 }
 
 TEST(ParallelCaseStudyTest, StrongUpdateInterpretedSourceUnserialized) {
-  // Regression: compiled-FLIX programs used to need SerializeExternals
-  // (one global lock around every external call) to run on the parallel
-  // solver, because the interpreter kept per-call state in members. The
+  // Regression: compiled-FLIX programs used to need a global lock around
+  // every external call to run on the parallel solver, because the
+  // interpreter kept per-call state in members. The
   // interpreter is now intrinsically thread-safe, so workers may call a
   // shared Interp concurrently with no lock. Memoization is disabled so
   // every lattice operation actually re-enters the interpreter instead
@@ -486,7 +488,6 @@ TEST(ParallelCaseStudyTest, StrongUpdateInterpretedSourceUnserialized) {
   for (unsigned Threads : {2u, 8u}) {
     SolverOptions Opts;
     Opts.NumThreads = Threads;
-    Opts.SerializeExternals = false;
     Opts.EnableMemo = false;
     StrongUpdateResult Par = runStrongUpdateFlixSource(In, Opts);
     ASSERT_TRUE(Par.ok()) << Par.Error;
@@ -503,7 +504,6 @@ TEST(ParallelCaseStudyTest, StrongUpdateInterpretedSourceMemoized) {
   ASSERT_TRUE(Seq.ok()) << Seq.Error;
   SolverOptions Opts;
   Opts.NumThreads = 8;
-  Opts.SerializeExternals = false;
   StrongUpdateResult Par = runStrongUpdateFlixSource(In, Opts);
   ASSERT_TRUE(Par.ok()) << Par.Error;
   EXPECT_TRUE(Par.samePointsTo(Seq));

@@ -387,8 +387,6 @@ TEST(ServerCore, StatsListAndDrop) {
   EXPECT_EQ(Db->get("generation")->Int, 2);
   EXPECT_EQ(Db->get("mutation_requests")->Int, 1);
   EXPECT_EQ(Db->get("update_batches")->Int, 2); // initial solve + batch
-  ASSERT_NE(Db->get("fallback_solves"), nullptr); // wired (satellite 1)
-  EXPECT_EQ(Db->get("fallback_solves")->Int, 0);
   ASSERT_NE(Db->get("negation_fallbacks"), nullptr);
   EXPECT_EQ(Db->get("negation_fallbacks")->Int, 0);
   ASSERT_NE(Db->get("degraded_recoveries"), nullptr);
@@ -643,8 +641,8 @@ TEST(ServerLoopback, ConcurrentClientsMatchFromScratchSolve) {
   ASSERT_TRUE(replyOk(Stats));
   const Json *Db = Stats.get("db");
   ASSERT_NE(Db, nullptr);
-  EXPECT_EQ(Db->get("fallback_solves")->Int, 0);
   EXPECT_EQ(Db->get("negation_fallbacks")->Int, 0);
+  EXPECT_EQ(Db->get("degraded_recoveries")->Int, 0);
   EXPECT_EQ(Db->get("pending_rows")->Int, 0);
   int64_t Mutations = Db->get("mutation_requests")->Int;
   int64_t Batches = Db->get("update_batches")->Int;

@@ -505,7 +505,7 @@ TEST_P(StrategyTest, NoIndexOptionSameResult) {
   EXPECT_EQ(S.table(Path).size(), 20u * 21u / 2);
 }
 
-TEST_P(StrategyTest, ReorderBodySameResult) {
+TEST_P(StrategyTest, WrittenOrderSameResult) {
   ValueFactory F;
   Program P(F);
   PredId A = P.relation("A", 2);
@@ -521,12 +521,16 @@ TEST_P(StrategyTest, ReorderBodySameResult) {
     P.addFact(A, {F.integer(I), F.integer(I + 100)});
     P.addFact(B, {F.integer(I + 100), F.integer(I + 200)});
   }
-  SolverOptions O = opts();
-  O.ReorderBody = true;
-  Solver S(P, O);
-  ASSERT_TRUE(S.solve().ok());
-  EXPECT_EQ(S.table(R).size(), 10u);
-  EXPECT_TRUE(S.contains(R, {F.integer(3), F.integer(203)}));
+  // Evaluated as written (B first, nothing bound) and under the
+  // cost-based order: same model.
+  for (bool CostBased : {false, true}) {
+    SolverOptions O = opts();
+    O.CostBasedPlans = CostBased;
+    Solver S(P, O);
+    ASSERT_TRUE(S.solve().ok());
+    EXPECT_EQ(S.table(R).size(), 10u) << "cost-based=" << CostBased;
+    EXPECT_TRUE(S.contains(R, {F.integer(3), F.integer(203)}));
+  }
 }
 
 TEST_P(StrategyTest, FactsOnlyProgram) {

@@ -181,10 +181,9 @@ int main(int argc, char **argv) {
     std::printf("  queries     %8llu req (%.0f/s)\n",
                 (unsigned long long)Rep.QueryRequests, Rep.QueriesPerSec);
     std::printf("  update batches %5llu (coalesced %llu requests, "
-                "fallback solves %llu: %llu degraded, %llu negation)\n",
+                "fallback solves: %llu degraded, %llu negation)\n",
                 (unsigned long long)Rep.UpdateBatches,
                 (unsigned long long)Rep.CoalescedRequests,
-                (unsigned long long)Rep.FallbackSolves,
                 (unsigned long long)Rep.DegradedRecoveries,
                 (unsigned long long)Rep.NegationFallbacks);
     std::printf("  mutation latency p50 %.3fms  p99 %.3fms\n",

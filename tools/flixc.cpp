@@ -10,12 +10,11 @@
 //
 //   --naive            use naive instead of semi-naive evaluation
 //   --no-index         disable automatic secondary indexes
-//   --no-plans         interpret rule bodies recursively instead of
-//                      running compiled join plans
 //   --no-memo          disable the pure-function memo cache
 //   --no-vm            run FLIX functions on the tree-walking
 //                      interpreter instead of the bytecode VM
-//   --reorder          greedily reorder rule bodies
+//   --no-cost-plans    evaluate rule bodies in their written order (the
+//                      driver atom first) instead of the cost-based order
 //   --threads <n>      solve with the parallel engine on <n> worker
 //                      threads (0 = sequential solver, the default)
 //   --spill-threshold <n>  split index buckets / scans longer than <n>
@@ -79,16 +78,13 @@ static void printUsage() {
       "usage: flixc [options] <file.flix>\n"
       "  --naive            use naive instead of semi-naive evaluation\n"
       "  --no-index         disable automatic secondary indexes\n"
-      "  --no-plans         disable compiled join plans (recursive "
-      "interpreter)\n"
       "  --no-memo          disable the pure-function memo cache\n"
       "  --no-vm            interpret FLIX functions (disable the bytecode "
       "VM)\n"
       "  --vm-opt-level <n> bytecode optimization pipeline: 0 = off, "
       "1 = local passes, 2 = inlining + local passes (default 2)\n"
-      "  --reorder          greedily reorder rule bodies\n"
-      "  --no-cost-plans    freeze driver-first join orders (disable the "
-      "cost-based planner)\n"
+      "  --no-cost-plans    freeze written (driver-first) join orders "
+      "(disable the cost-based planner)\n"
       "  --replan-threshold <x>  adaptive re-plan hysteresis factor "
       "(0 disables between-round re-planning; default 4)\n"
       "  --threads <n>      parallel engine with <n> workers (0 = "
@@ -270,14 +266,13 @@ static void printPredicate(const Program &P, const SolverT &S, PredId Id) {
 static void printUpdateStats(unsigned UpdateNo, const UpdateStats &U) {
   std::printf("update %u: +%llu -%llu facts, %llu cells deleted, %llu "
               "rederived, %llu derived, %llu firings, %.4f s, %llu "
-              "fallback solves (%llu degraded, %llu negation)%s\n",
+              "degraded recoveries, %llu negation fallbacks%s\n",
               UpdateNo, static_cast<unsigned long long>(U.FactsAdded),
               static_cast<unsigned long long>(U.FactsRetracted),
               static_cast<unsigned long long>(U.CellsDeleted),
               static_cast<unsigned long long>(U.CellsRederived),
               static_cast<unsigned long long>(U.FactsDerived),
               static_cast<unsigned long long>(U.RuleFirings), U.Seconds,
-              static_cast<unsigned long long>(U.FallbackSolves),
               static_cast<unsigned long long>(U.DegradedRecoveries),
               static_cast<unsigned long long>(U.NegationFallbacks),
               U.FullResolve ? " (full re-solve)" : "");
@@ -302,7 +297,7 @@ static const char *statusName(SolveStats::Status St) {
 /// stream-parse.
 static void printJsonStats(const SolveStats &St, const SolverOptions &Opts) {
   std::printf(
-      "{\"status\": \"%s\", \"threads\": %u, \"plans\": %s, "
+      "{\"status\": \"%s\", \"threads\": %u, "
       "\"memo\": %s, \"vm\": %s, \"iterations\": %llu, "
       "\"rule_firings\": %llu, "
       "\"facts_derived\": %llu, \"plan_steps\": %llu, "
@@ -313,11 +308,10 @@ static void printJsonStats(const SolveStats &St, const SolverOptions &Opts) {
       "\"interp_fallbacks\": %llu, \"vm_opt_level\": %d, "
       "\"vm_inlined_calls\": %llu, \"vm_superword_hits\": %llu, "
       "\"vm_passes_removed_insns\": %llu, "
-      "\"index_fallbacks\": %llu, \"fallback_solves\": %llu, "
+      "\"index_fallbacks\": %llu, "
       "\"negation_fallbacks\": %llu, \"degraded_recoveries\": %llu, "
       "\"seconds\": %.6f, \"memory_bytes\": %llu}\n",
       statusName(St.St), Opts.NumThreads,
-      Opts.CompilePlans ? "true" : "false",
       Opts.EnableMemo ? "true" : "false",
       Opts.UseVm ? "true" : "false",
       static_cast<unsigned long long>(St.Iterations),
@@ -336,7 +330,6 @@ static void printJsonStats(const SolveStats &St, const SolverOptions &Opts) {
       static_cast<unsigned long long>(St.VmSuperwordHits),
       static_cast<unsigned long long>(St.VmPassesRemovedInsns),
       static_cast<unsigned long long>(St.IndexFallbacks),
-      static_cast<unsigned long long>(St.FallbackSolves),
       static_cast<unsigned long long>(St.NegationFallbacks),
       static_cast<unsigned long long>(St.DegradedRecoveries), St.Seconds,
       static_cast<unsigned long long>(St.MemoryBytes));
@@ -378,7 +371,7 @@ static void printJsonUpdateStats(unsigned UpdateNo, const UpdateStats &U,
       "\"facts_retracted\": %llu, \"cells_deleted\": %llu, "
       "\"cells_rederived\": %llu, \"iterations\": %llu, "
       "\"rule_firings\": %llu, \"facts_derived\": %llu, "
-      "\"full_resolve\": %s, \"fallback_solves\": %llu, "
+      "\"full_resolve\": %s, "
       "\"negation_fallbacks\": %llu, \"degraded_recoveries\": %llu, "
       "\"vm_calls\": %llu, \"vm_inline_cache_hits\": %llu, "
       "\"interp_fallbacks\": %llu, \"vm_inlined_calls\": %llu, "
@@ -398,7 +391,6 @@ static void printJsonUpdateStats(unsigned UpdateNo, const UpdateStats &U,
       static_cast<unsigned long long>(U.RuleFirings),
       static_cast<unsigned long long>(U.FactsDerived),
       U.FullResolve ? "true" : "false",
-      static_cast<unsigned long long>(U.FallbackSolves),
       static_cast<unsigned long long>(U.NegationFallbacks),
       static_cast<unsigned long long>(U.DegradedRecoveries),
       static_cast<unsigned long long>(U.VmCalls),
@@ -597,8 +589,6 @@ int main(int Argc, char **Argv) {
       Opts.Strat = Strategy::Naive;
     } else if (Arg == "--no-index") {
       Opts.UseIndexes = false;
-    } else if (Arg == "--no-plans") {
-      Opts.CompilePlans = false;
     } else if (Arg == "--no-memo") {
       Opts.EnableMemo = false;
     } else if (Arg == "--no-vm") {
@@ -610,8 +600,6 @@ int main(int Argc, char **Argv) {
       }
       Opts.VmOptLevel =
           static_cast<int>(parseIntFlag("--vm-opt-level", Argv[I], 0, 2));
-    } else if (Arg == "--reorder") {
-      Opts.ReorderBody = true;
     } else if (Arg == "--no-cost-plans") {
       Opts.CostBasedPlans = false;
     } else if (Arg == "--replan-threshold") {
@@ -821,11 +809,10 @@ int main(int Argc, char **Argv) {
                   static_cast<double>(St.MemoryBytes) /
                       (1024.0 * 1024.0));
       std::printf("plans: %llu compiled steps; memo: %llu hits, %llu "
-                  "misses; fallback solves: %llu\n",
+                  "misses\n",
                   static_cast<unsigned long long>(St.PlanSteps),
                   static_cast<unsigned long long>(St.MemoHits),
-                  static_cast<unsigned long long>(St.MemoMisses),
-                  static_cast<unsigned long long>(St.FallbackSolves));
+                  static_cast<unsigned long long>(St.MemoMisses));
       std::printf("planner: %s, %llu cost-based orders, %llu replan "
                   "events, %llu est-vs-actual row drift\n",
                   Opts.CostBasedPlans ? "cost-based" : "greedy",
