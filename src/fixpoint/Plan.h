@@ -433,6 +433,35 @@ private:
   std::atomic<uint64_t> Hits{0}, Misses{0};
 };
 
+/// External-function dispatch shared by every engine: the bytecode-VM
+/// body when \p UseVm and one is compiled, else the interpreter closure
+/// (counted in \p InterpFallbacks when the function wanted the VM), routed
+/// through \p Memo when memoization is on. \p VmCalls counts actual VM
+/// executions (memo hits excluded). Inline so each engine's PlanExecutor
+/// instantiation calls the implementation directly.
+inline Value dispatchExtern(const Program &P, bool UseVm, ExternMemo *Memo,
+                            FnId Fn, std::span<const Value> Args,
+                            uint64_t &VmCalls, uint64_t &InterpFallbacks) {
+  const ExternFn &D = P.functionDecl(Fn);
+  const ExternImpl *Impl = &D.Impl;
+  bool ViaVm = false;
+  if (UseVm) {
+    if (D.VmImpl) {
+      Impl = &D.VmImpl;
+      ViaVm = true;
+    } else if (D.InterpOnly) {
+      ++InterpFallbacks;
+    }
+  }
+  auto Compute = [&] {
+    VmCalls += ViaVm;
+    return (*Impl)(Args);
+  };
+  if (Memo)
+    return Memo->call(Fn, Args, Compute);
+  return Compute();
+}
+
 //===----------------------------------------------------------------------===//
 // PlanExecutor
 //===----------------------------------------------------------------------===//

@@ -27,7 +27,8 @@ struct Solver::PlanEngine {
   Table &table(PredId P) { return *S.Tables[P]; }
   bool checkRow() { return S.checkDeadline(); }
   Value callExtern(FnId Fn, std::span<const Value> Args) {
-    return S.callExtern(Fn, Args);
+    return plan::dispatchExtern(S.P, S.Opts.UseVm, S.Memo.get(), Fn, Args,
+                                S.Stats.VmCalls, S.Stats.InterpFallbacks);
   }
   const std::vector<uint32_t> *probeBucket(const plan::Step &St, Value ProjT,
                                            std::vector<uint32_t> &Copy) {
@@ -100,27 +101,6 @@ Solver::Solver(const Program &P, SolverOptions Opts)
 
 Solver::~Solver() = default;
 
-Value Solver::callExtern(FnId Fn, std::span<const Value> Args) {
-  const ExternFn &D = P.functionDecl(Fn);
-  const ExternImpl *Impl = &D.Impl;
-  bool ViaVm = false;
-  if (Opts.UseVm) {
-    if (D.VmImpl) {
-      Impl = &D.VmImpl;
-      ViaVm = true;
-    } else if (D.InterpOnly) {
-      ++Stats.InterpFallbacks;
-    }
-  }
-  auto Compute = [&] {
-    Stats.VmCalls += ViaVm;
-    return (*Impl)(Args);
-  };
-  if (Memo)
-    return Memo->call(Fn, Args, Compute);
-  return Compute();
-}
-
 //===----------------------------------------------------------------------===//
 // Rule evaluation
 //===----------------------------------------------------------------------===//
@@ -139,6 +119,28 @@ bool Solver::checkDeadline() {
 }
 
 void Solver::runPlan(const plan::RulePlan &Pl) { Engine->Exec.run(Pl); }
+
+void Solver::evalRound(const std::vector<uint32_t> &RuleIds, bool Round0) {
+  if (Par) {
+    Par->evalRound(RuleIds, Round0);
+    return;
+  }
+  for (uint32_t RI : RuleIds) {
+    if (Round0) {
+      if (Aborted)
+        return;
+      evalRule(RI, -1, {});
+      continue;
+    }
+    const Rule &R = P.rules()[RI];
+    for (size_t BI = 0; BI < R.Body.size() && !Aborted; ++BI) {
+      const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
+      if (!A || A->Negated || Delta[A->Pred].empty())
+        continue;
+      evalRule(RI, static_cast<int>(BI), Delta[A->Pred]);
+    }
+  }
+}
 
 void Solver::evalRule(uint32_t RI, int Driver,
                       const std::vector<uint32_t> &DriverRows) {
@@ -160,15 +162,44 @@ bool Solver::preBindTerm(const Term &Tm, Value V) {
   return true;
 }
 
+namespace {
+/// Sorted-unique insertion into one support-index edge list. Long update
+/// streams re-fire the same (premise, head) pairs every cycle, and without
+/// full dedup the lists grow without bound. Lists are tiny (median 1-2
+/// edges), so ordered insertion beats a hash set.
+void insertEdge(SmallVector<CellRef, 2> &Out, CellRef Head) {
+  auto It = std::lower_bound(Out.begin(), Out.end(), Head);
+  if (It != Out.end() && *It == Head)
+    return;
+  size_t Idx = static_cast<size_t>(It - Out.begin());
+  Out.push_back(Head); // may reallocate; reposition via the index
+  std::rotate(Out.begin() + Idx, Out.end() - 1, Out.end());
+}
+} // namespace
+
+void Solver::addSupportEdge(CellRef Prem, CellRef Head) {
+  auto &Rows = Dependents[Prem.Pred];
+  if (Rows.size() <= Prem.Row)
+    Rows.resize(Prem.Row + 1);
+  insertEdge(Rows[Prem.Row], Head);
+}
+
+void Solver::addNegSupportEdge(PredId NegPred, Value KeyT, CellRef Head) {
+  insertEdge(NegDependents[NegPred][KeyT], Head);
+}
+
 void Solver::recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId) {
   // One support edge per positive body premise of this (changed) join:
   // premise row -> head cell. The head cell's value is the lub of its
   // recorded derivations' contributions, so retracting any premise of any
-  // recorded derivation must (and does) over-delete the cell.
+  // recorded derivation must (and does) over-delete the cell. Negated
+  // premises: the derivation also depends on `!P(key)` holding, so record
+  // key -> head in the negation index. If that key later (re)enters P's
+  // table the incremental engine over-deletes the head.
   CellRef Head{HeadPred, RowId};
   for (const BodyElem &E : R.Body) {
     const auto *A = std::get_if<BodyAtom>(&E);
-    if (!A || A->Negated)
+    if (!A)
       continue;
     unsigned KA = P.predicate(A->Pred).keyArity();
     SmallVector<Value, 4> Key;
@@ -177,45 +208,13 @@ void Solver::recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId) {
       Key.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
     }
     Value KeyT = F.tuple(std::span<const Value>(Key.data(), Key.size()));
+    if (A->Negated) {
+      addNegSupportEdge(A->Pred, KeyT, Head);
+      continue;
+    }
     uint32_t Prem = Tables[A->Pred]->lookupRow(KeyT);
-    if (Prem == Table::NoRow)
-      continue;
-    auto &Rows = Dependents[A->Pred];
-    if (Rows.size() <= Prem)
-      Rows.resize(Prem + 1);
-    auto &Out = Rows[Prem];
-    // Keep each premise's edge list sorted and unique: long update
-    // streams re-fire the same (premise, head) pairs every cycle, and
-    // without full dedup the lists grow without bound. Lists are tiny
-    // (median 1-2 edges), so ordered insertion beats a hash set.
-    auto It = std::lower_bound(Out.begin(), Out.end(), Head);
-    if (It != Out.end() && *It == Head)
-      continue;
-    size_t Idx = static_cast<size_t>(It - Out.begin());
-    Out.push_back(Head); // may reallocate; reposition via the index
-    std::rotate(Out.begin() + Idx, Out.end() - 1, Out.end());
-  }
-  // Negated premises: the derivation also depends on `!P(key)` holding,
-  // so record key -> head in the negation index. If that key later
-  // (re)enters P's table the incremental engine over-deletes the head.
-  for (const BodyElem &E : R.Body) {
-    const auto *A = std::get_if<BodyAtom>(&E);
-    if (!A || !A->Negated)
-      continue;
-    unsigned KA = P.predicate(A->Pred).keyArity();
-    SmallVector<Value, 4> Key;
-    for (unsigned I = 0; I < KA; ++I) {
-      const Term &Tm = A->Terms[I];
-      Key.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
-    }
-    Value KeyT = F.tuple(std::span<const Value>(Key.data(), Key.size()));
-    auto &Out = NegDependents[A->Pred][KeyT];
-    auto It = std::lower_bound(Out.begin(), Out.end(), Head);
-    if (It != Out.end() && *It == Head)
-      continue;
-    size_t Idx = static_cast<size_t>(It - Out.begin());
-    Out.push_back(Head);
-    std::rotate(Out.begin() + Idx, Out.end() - 1, Out.end());
+    if (Prem != Table::NoRow)
+      addSupportEdge({A->Pred, Prem}, Head);
   }
 }
 
@@ -376,9 +375,9 @@ size_t Solver::memoryFootprint() const {
   return Bytes;
 }
 
-bool Solver::replanPlans(double Threshold, bool CountEvents) {
+void Solver::replanPlans(double Threshold, bool CountEvents) {
   if (!Opts.CostBasedPlans)
-    return false;
+    return;
   plan::StatsVec St;
   plan::gatherStats({Tables.data(), Tables.size()}, St);
   plan::PlanLibrary::ReplanResult R = Plans->replanFromStats(St, Threshold);
@@ -387,7 +386,8 @@ bool Solver::replanPlans(double Threshold, bool CountEvents) {
     Stats.EstimatedVsActualRows += R.RowsDivergence;
   }
   Stats.CostBasedPlans = Plans->costBasedPlans();
-  return R.Replanned != 0;
+  if (Par && R.Replanned)
+    Par->prepareIndexes();
 }
 
 void Solver::loadFacts() {
@@ -446,22 +446,24 @@ SolveStats Solver::solve() {
   // tables, so the first useful statistics exist only now. Threshold 1.0
   // adopts any strict improvement; not counted as an adaptive replan.
   replanPlans(1.0, /*CountEvents=*/false);
+  // A round body probes read-only, so the indexes its plans want must
+  // exist before round 0; fact loading maintained none of them.
+  if (Par)
+    Par->prepareIndexes();
 
   for (uint32_t S = 0; S < St.numStrata() && !Aborted; ++S) {
     const std::vector<uint32_t> &RuleIds = St.RulesByStratum[S];
     if (RuleIds.empty())
       continue;
 
-    if (Opts.Strat == Strategy::Naive) {
+    // Naive is a sequential ablation baseline; a parallel round body
+    // answers it semi-naively (same model, different iteration counts).
+    if (Opts.Strat == Strategy::Naive && !Par) {
       // Re-evaluate every rule until a full pass derives nothing new.
       uint64_t Before;
       do {
         Before = Stats.FactsDerived;
-        for (uint32_t RI : RuleIds) {
-          if (Aborted)
-            break;
-          evalRule(RI, -1, {});
-        }
+        evalRound(RuleIds, /*Round0=*/true);
         ++Stats.Iterations;
         if (Opts.MaxIterations && Stats.Iterations >= Opts.MaxIterations) {
           if (Before != Stats.FactsDerived) {
@@ -480,11 +482,7 @@ SolveStats Solver::solve() {
     // subsequent rounds instantiate one body atom at a time from ΔP.
     for (auto &ND : NextDelta)
       ND.clear();
-    for (uint32_t RI : RuleIds) {
-      if (Aborted)
-        break;
-      evalRule(RI, -1, {});
-    }
+    evalRound(RuleIds, /*Round0=*/true);
     ++Stats.Iterations;
 
     while (!Aborted) {
@@ -503,22 +501,12 @@ SolveStats Solver::solve() {
         return finish();
       }
       // Adaptive re-plan at the round boundary: single-threaded here, and
-      // no evaluation is in flight, so swapping plans is safe. The
-      // sequential engine probes via Table::probe (lazy index build), so a
-      // new mask needs no pre-building.
+      // no evaluation is in flight, so swapping plans is safe. In-place
+      // rounds probe via Table::probe (lazy index build); a round body
+      // gets any newly wanted mask pre-built by replanPlans.
       if (Opts.ReplanThreshold > 0)
         replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
-      for (uint32_t RI : RuleIds) {
-        const Rule &R = P.rules()[RI];
-        for (size_t BI = 0; BI < R.Body.size() && !Aborted; ++BI) {
-          const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
-          if (!A || A->Negated)
-            continue;
-          if (Delta[A->Pred].empty())
-            continue;
-          evalRule(RI, static_cast<int>(BI), Delta[A->Pred]);
-        }
-      }
+      evalRound(RuleIds, /*Round0=*/false);
       ++Stats.Iterations;
     }
   }

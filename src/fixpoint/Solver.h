@@ -73,7 +73,7 @@ struct SolverOptions {
   /// sequential path (this class); the sequential Solver itself
   /// ignores the field. Callers that accept SolverOptions dispatch on it.
   unsigned NumThreads = 0;
-  /// Intra-rule join parallelism (parallel solver only): when one atom's
+  /// Intra-rule join parallelism (parallel rounds only): when one atom's
   /// index bucket or full scan has more than this many remaining rows,
   /// the worker splits the tail into sub-tasks pushed onto its
   /// work-stealing deque (capturing the bound-env prefix), so a single
@@ -81,7 +81,7 @@ struct SolverOptions {
   /// The default balances sub-task overhead (~1 env copy + deque push)
   /// against steal granularity; see DESIGN.md S11.
   uint32_t SpillThreshold = 1024;
-  /// Debug check (parallel solver only): assert that every (pred, mask)
+  /// Debug check (parallel rounds only): assert that every (pred, mask)
   /// access path the workers take via Table::probeExisting was pre-built
   /// by the static index analysis instead of silently falling back to a
   /// full scan. Fallbacks are always counted in
@@ -228,6 +228,24 @@ struct SolveStats {
   bool ok() const { return St == Status::Fixpoint; }
 };
 
+/// The body of one semi-naive round evaluated off the solver's own thread:
+/// the parallel round executor (parallel/RoundExecutor.h) implements it.
+/// A Solver with one attached runs its stratum and round loop unchanged
+/// and hands every round to it instead of evaluating in place.
+class RoundBody {
+public:
+  virtual ~RoundBody() = default;
+  /// Evaluates \p RuleIds once — every rule over the whole database when
+  /// \p Round0, else driven by each positive body atom's Solver::Delta —
+  /// and joins the derivations into the tables, filling NextDelta.
+  virtual void evalRound(const std::vector<uint32_t> &RuleIds,
+                         bool Round0) = 0;
+  /// Builds every index the round's read-only probes need that does not
+  /// exist yet. Called after fact loading and whenever a re-plan changed
+  /// a plan.
+  virtual void prepareIndexes() = 0;
+};
+
 /// Solves one Program. The solver owns the predicate tables; query them
 /// through the accessors after solve() returns.
 class Solver {
@@ -281,9 +299,13 @@ public:
 
 private:
   friend class IncrementalSolver;
+  friend class RoundExecutor;
   struct PlanEngine;
 
   void loadFacts();
+  /// One semi-naive round of \p RuleIds (see RoundBody::evalRound): on the
+  /// attached RoundBody if there is one, else in place on this thread.
+  void evalRound(const std::vector<uint32_t> &RuleIds, bool Round0);
   /// Evaluates rule \p RI's delta-driven plan for \p Driver (-1: plain
   /// evaluation; otherwise that body atom scans \p DriverRows).
   void evalRule(uint32_t RI, int Driver,
@@ -295,11 +317,12 @@ private:
   /// with it (false on a mismatch); a fresh variable is bound to it.
   bool preBindTerm(const Term &Tm, Value V);
   bool checkDeadline();
-  /// External-function dispatch: through the memo cache when EnableMemo,
-  /// else straight to the implementation.
-  Value callExtern(FnId Fn, std::span<const Value> Args);
   void recordProvenance(uint32_t RI, PredId HeadPred, uint32_t RowId);
   void recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId);
+  /// Support-index edges (sorted-unique insertion): premise row \p Prem,
+  /// or the negated key \p KeyT of \p NegPred, helped derive \p Head.
+  void addSupportEdge(CellRef Prem, CellRef Head);
+  void addNegSupportEdge(PredId NegPred, Value KeyT, CellRef Head);
   /// Head-bound re-derivation (the incremental engine's "Re-derive"): for
   /// every rule whose head predicate is \p Pred, pre-binds the head key
   /// terms against \p KeyTuple's elements and evaluates the body over the
@@ -331,9 +354,9 @@ private:
   /// only). No-op unless CostBasedPlans is set.
   /// Called only at single-threaded points (solve start, round
   /// boundaries) — also by the incremental engine between delta rounds.
-  /// Returns true if any plan changed (the incremental engine then
-  /// refreshes its workers' pre-built indexes).
-  bool replanPlans(double Threshold, bool CountEvents);
+  /// A changed plan may probe new masks, so the attached RoundBody (if
+  /// any) pre-builds them before the next round.
+  void replanPlans(double Threshold, bool CountEvents);
 
   const Program &P;
   SolverOptions Opts;
@@ -388,6 +411,9 @@ private:
   /// The stratification computed by solve(), kept for the incremental
   /// engine's per-stratum update rounds.
   std::optional<Stratification> Strata;
+
+  /// Parallel round body (not owned); null evaluates rounds in place.
+  RoundBody *Par = nullptr;
 
   // Run state.
   SolveStats Stats;

@@ -7,184 +7,13 @@
 #include "incremental/IncrementalSolver.h"
 
 #include "fixpoint/Plan.h"
-#include "parallel/ThreadPool.h"
+#include "parallel/RoundExecutor.h"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
 
 using namespace flix;
-
-//===----------------------------------------------------------------------===//
-// Parallel round machinery
-//===----------------------------------------------------------------------===//
-
-/// One (rule, driver, delta-chunk) evaluation task of a parallel round.
-struct IncrementalSolver::Task {
-  uint32_t RuleIdx;
-  int32_t Driver;
-  uint32_t Begin, End;
-  const std::vector<uint32_t> *Rows;
-};
-
-/// Per-worker evaluation state for parallel delta rounds: the incremental
-/// engine policy of the shared plan executor (fixpoint/Plan.h). It
-/// differs from the sequential Solver's in two ways: tables are read
-/// through const paths only (probeExisting, never probe), and instead of
-/// joining derivations in place the worker buffers them —
-/// together with the row ids of the matched positive premises, captured
-/// on a match stack — for the coordinator to join (and record support /
-/// provenance for) single-threaded after the phase barrier. That keeps
-/// every table, support-index and provenance write outside the pool
-/// phases, so the path is race-free by construction.
-struct IncrementalSolver::WorkerCtx {
-  /// One buffered derivation: head cell content plus the premise rows
-  /// that produced it, and — for rules with negated atoms — the
-  /// (predicate, key tuple) pairs the match went through `!P(key)` on,
-  /// so the coordinator can record negation support edges.
-  struct Deriv {
-    PredId Pred;
-    Value Key;
-    Value Lat;
-    uint32_t RuleIdx;
-    SmallVector<CellRef, 4> Premises;
-    SmallVector<std::pair<PredId, Value>, 2> NegKeys;
-  };
-
-  IncrementalSolver &IS;
-  Solver *Sol = nullptr; ///< refreshed per task (fullSolve replaces it)
-  std::vector<Value> Env;
-  std::vector<uint8_t> Bound;
-  SmallVector<CellRef, 8> PremStack; ///< premises of the open match frames
-  std::vector<Deriv> Buffer;
-  const Task *Cur = nullptr;
-  uint32_t CurRuleIdx = 0;
-  uint64_t RuleFirings = 0;
-  uint64_t IndexFallbacks = 0;
-  uint64_t VmCalls = 0;
-  uint64_t InterpFallbacks = 0;
-
-  explicit WorkerCtx(IncrementalSolver &IS) : IS(IS) {}
-
-  Value callExtern(FnId Fn, std::span<const Value> Args) {
-    const ExternFn &FD = IS.P.functionDecl(Fn);
-    const ExternImpl *Impl = &FD.Impl;
-    bool ViaVm = false;
-    if (IS.Opts.UseVm) {
-      if (FD.VmImpl) {
-        Impl = &FD.VmImpl;
-        ViaVm = true;
-      } else if (FD.InterpOnly) {
-        ++InterpFallbacks;
-      }
-    }
-    auto Compute = [&]() -> Value {
-      VmCalls += ViaVm;
-      return (*Impl)(Args);
-    };
-    // Route through the inner solver's memo so incremental rounds share
-    // the cache its full solves populated.
-    if (Sol && Sol->Memo)
-      return Sol->Memo->call(Fn, Args, Compute);
-    return Compute();
-  }
-
-  //===--------------------------------------------------------------------===//
-  // PlanExecutor engine policy (Plan.h): snapshot reads, buffered
-  // derivations with premise rows captured through onRow/popRow.
-  //===--------------------------------------------------------------------===//
-
-  std::vector<Value> &env() { return Env; }
-  std::vector<uint8_t> &bound() { return Bound; }
-  ValueFactory &factory() { return IS.F; }
-  Table &table(PredId P) { return *Sol->Tables[P]; }
-  bool checkRow() { return false; } // updates have no deadline
-
-  const std::vector<uint32_t> *probeBucket(const plan::Step &St, Value ProjT,
-                                           std::vector<uint32_t> &) {
-    if (const std::vector<uint32_t> *Bucket =
-            Sol->Tables[St.Pred]->probeExisting(St.Mask, ProjT))
-      return Bucket;
-    ++IndexFallbacks;
-    assert(!IS.Opts.StrictIndexCoverage &&
-           "probeExisting miss: plan mask not pre-built by "
-           "prepareWorkerIndexes");
-    return nullptr;
-  }
-
-  uint32_t maybeSpill(const plan::RulePlan &, uint32_t,
-                      const std::vector<uint32_t> *, uint32_t Begin,
-                      uint32_t) {
-    return Begin; // incremental workers never spill sub-tasks
-  }
-
-  void onRow(PredId Pred, uint32_t RowId) {
-    PremStack.push_back({Pred, RowId});
-  }
-  void popRow() { PremStack.pop_back(); }
-
-  void onDerived(const plan::RulePlan &Pl, Value KeyT, Value LatVal) {
-    ++RuleFirings;
-    // ⊥ derivations can never change a cell; drop them before the merge.
-    if (!Pl.Head.Relational &&
-        LatVal == IS.P.predicate(Pl.Head.Pred).Lat->bot())
-      return;
-    Deriv Dv;
-    Dv.Pred = Pl.Head.Pred;
-    Dv.Key = KeyT;
-    Dv.Lat = LatVal;
-    Dv.RuleIdx = CurRuleIdx;
-    for (CellRef C : PremStack)
-      Dv.Premises.push_back(C);
-    captureNegKeys(Dv);
-    Buffer.push_back(std::move(Dv));
-  }
-
-  /// Captures the negated keys a full match went through, read from the
-  /// (fully bound at derivation time) environment. Interning the key
-  /// tuple from a worker is safe: parallel mode switches the factory to
-  /// concurrent interning before the first round.
-  void captureNegKeys(Deriv &Dv) {
-    if (!IS.RuleHasNeg[CurRuleIdx])
-      return;
-    const Rule &R = IS.P.rules()[CurRuleIdx];
-    for (const BodyElem &E : R.Body) {
-      const auto *A = std::get_if<BodyAtom>(&E);
-      if (!A || !A->Negated)
-        continue;
-      unsigned KA = IS.P.predicate(A->Pred).keyArity();
-      SmallVector<Value, 4> Key;
-      for (unsigned I = 0; I < KA; ++I) {
-        const Term &Tm = A->Terms[I];
-        Key.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
-      }
-      Dv.NegKeys.push_back(
-          {A->Pred,
-           IS.F.tuple(std::span<const Value>(Key.data(), Key.size()))});
-    }
-  }
-
-  const std::vector<uint32_t> *driverRows(uint32_t &Begin, uint32_t &End) {
-    Begin = Cur->Begin;
-    End = Cur->End;
-    return Cur->Rows;
-  }
-
-  /// Persistent plan executor (cursor storage reused across tasks).
-  plan::PlanExecutor<WorkerCtx> Exec{*this};
-
-  void runTask(const Task &T) {
-    Sol = IS.S.get();
-    const plan::RulePlan &Pl = Sol->Plans->plan(T.RuleIdx, T.Driver);
-    Env.assign(Pl.NumVars, Value());
-    Bound.assign(Pl.NumVars, 0);
-    PremStack.clear();
-    Cur = &T;
-    CurRuleIdx = T.RuleIdx;
-    Exec.run(Pl);
-    Cur = nullptr;
-  }
-};
 
 //===----------------------------------------------------------------------===//
 // Construction and staging
@@ -210,14 +39,6 @@ IncrementalSolver::IncrementalSolver(const Program &P, SolverOptions Opts)
     if (!Dup)
       Vals.push_back(Fa.LatValue);
   }
-
-  RuleHasNeg.assign(P.rules().size(), 0);
-  for (uint32_t RI = 0; RI < P.rules().size(); ++RI)
-    for (const BodyElem &E : P.rules()[RI].Body)
-      if (const auto *A = std::get_if<BodyAtom>(&E); A && A->Negated) {
-        RuleHasNeg[RI] = 1;
-        break;
-      }
 }
 
 IncrementalSolver::~IncrementalSolver() = default;
@@ -329,36 +150,6 @@ void IncrementalSolver::noteChanged(PredId Pred, uint32_t Row) {
   UpdateChanged[Pred].insert(Row);
 }
 
-void IncrementalSolver::recordSupportEdge(CellRef Prem, CellRef Head) {
-  auto &Rows = S->Dependents[Prem.Pred];
-  if (Rows.size() <= Prem.Row)
-    Rows.resize(Prem.Row + 1);
-  auto &Out = Rows[Prem.Row];
-  // Sorted-unique insertion, matching Solver::recordSupport — both write
-  // the same Dependents structure, so the invariant must hold across
-  // writers. Dedup bounds the index at one edge per (premise row, head
-  // cell) no matter how many times the pair co-occurs across updates.
-  auto It = std::lower_bound(Out.begin(), Out.end(), Head);
-  if (It != Out.end() && *It == Head)
-    return;
-  size_t Idx = static_cast<size_t>(It - Out.begin());
-  Out.push_back(Head);
-  std::rotate(Out.begin() + Idx, Out.end() - 1, Out.end());
-}
-
-void IncrementalSolver::recordNegSupportEdge(PredId Pred, Value KeyT,
-                                             CellRef Head) {
-  // Sorted-unique insertion, matching Solver::recordSupport's negated
-  // branch — both write Solver::NegDependents.
-  auto &Out = S->NegDependents[Pred][KeyT];
-  auto It = std::lower_bound(Out.begin(), Out.end(), Head);
-  if (It != Out.end() && *It == Head)
-    return;
-  size_t Idx = static_cast<size_t>(It - Out.begin());
-  Out.push_back(Head);
-  std::rotate(Out.begin() + Idx, Out.end() - 1, Out.end());
-}
-
 void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
   // Apply staged mutations to the store only: a fresh solve reads the
   // materialized store. Retractions first, then additions — a batch that
@@ -421,116 +212,10 @@ void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
   U.ChangedPreds.clear();
   for (PredId Pr = 0; Pr < P.predicates().size(); ++Pr)
     U.ChangedPreds.push_back(Pr);
-  // A replaced solver has fresh tables: re-prepare the worker indexes if
-  // parallel rounds are in use.
-  if (ParallelReady && Opts.UseIndexes)
-    prepareWorkerIndexes();
-}
-
-// Pre-builds every (pred, mask) secondary index the workers' delta-driven
-// plans can probe, so read-only probeExisting never misses. The masks
-// come straight off the plans' Probe steps (both families), which stays
-// correct under any body order the cost-based planner picks — including
-// after a mid-update re-plan.
-void IncrementalSolver::prepareWorkerIndexes() {
-  std::vector<std::vector<uint64_t>> MasksByPred(S->Tables.size());
-  S->Plans->wantedIndexes(MasksByPred);
-  for (PredId Pred = 0; Pred < MasksByPred.size(); ++Pred)
-    for (uint64_t Mask : MasksByPred[Pred])
-      S->Tables[Pred]->prepareIndex(Mask);
-}
-
-void IncrementalSolver::ensureParallel() {
-  if (ParallelReady)
-    return;
-  ParallelReady = true;
-  unsigned NumWorkers = std::max(1u, Opts.NumThreads);
-  F.enableConcurrentInterning();
-  Pool = std::make_unique<ThreadPool>(NumWorkers);
-  Workers.reserve(NumWorkers);
-  for (unsigned W = 0; W < NumWorkers; ++W)
-    Workers.push_back(std::make_unique<WorkerCtx>(*this));
-  if (Opts.UseIndexes)
-    prepareWorkerIndexes();
-}
-
-void IncrementalSolver::runParallelRound(
-    const std::vector<uint32_t> &RuleIds) {
-  Solver &Sol = *S;
-  unsigned NumWorkers = Pool->numWorkers();
-  Tasks.clear();
-  for (uint32_t RI : RuleIds) {
-    const Rule &R = P.rules()[RI];
-    for (size_t BI = 0; BI < R.Body.size(); ++BI) {
-      const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
-      if (!A || A->Negated)
-        continue;
-      const std::vector<uint32_t> &Rows = Sol.Delta[A->Pred];
-      if (Rows.empty())
-        continue;
-      uint32_t N = static_cast<uint32_t>(Rows.size());
-      uint32_t Chunk = static_cast<uint32_t>(std::max<size_t>(
-          16, (N + NumWorkers * 8 - 1) / (NumWorkers * 8)));
-      for (uint32_t B = 0; B < N; B += Chunk)
-        Tasks.push_back({RI, static_cast<int32_t>(BI), B,
-                         std::min(N, B + Chunk), &Rows});
-    }
-  }
-  if (Tasks.empty())
-    return;
-  Sol.Stats.ParallelTasks += Tasks.size();
-  Pool->run(Tasks.size(), [this](size_t TI, unsigned W) {
-    Workers[W]->runTask(Tasks[TI]);
-  });
-  mergeWorkerDerivs();
-}
-
-void IncrementalSolver::mergeWorkerDerivs() {
-  Solver &Sol = *S;
-  for (const std::unique_ptr<WorkerCtx> &W : Workers) {
-    for (const WorkerCtx::Deriv &D : W->Buffer) {
-      Table &T = *Sol.Tables[D.Pred];
-      Table::JoinResult JR = T.join(D.Key, D.Lat);
-      if (!JR.Changed)
-        continue;
-      ++Sol.Stats.FactsDerived;
-      noteChanged(D.Pred, JR.RowId);
-      CellRef Head{D.Pred, JR.RowId};
-      for (CellRef Prem : D.Premises)
-        recordSupportEdge(Prem, Head);
-      for (const auto &[NegPred, NegKey] : D.NegKeys)
-        recordNegSupportEdge(NegPred, NegKey, Head);
-      if (Opts.TrackProvenance) {
-        Derivation Der;
-        Der.RuleIndex = D.RuleIdx;
-        for (CellRef Prem : D.Premises) {
-          const Table &PT = *Sol.Tables[Prem.Pred];
-          Derivation::Premise Pr;
-          Pr.Pred = Prem.Pred;
-          Pr.Key = PT.row(Prem.Row).Key;
-          // The premise's current value (its value at match time or a lub
-          // above it — the derivation stays valid since rules are
-          // monotone). Premises appear in evaluation order, not body
-          // order.
-          Pr.LatValue = PT.row(Prem.Row).Lat;
-          Der.Premises.push_back(std::move(Pr));
-        }
-        std::vector<Derivation> &Rows = Sol.Provenance[D.Pred];
-        if (Rows.size() <= JR.RowId)
-          Rows.resize(JR.RowId + 1);
-        Rows[JR.RowId] = std::move(Der);
-      }
-    }
-    Sol.Stats.RuleFirings += W->RuleFirings;
-    Sol.Stats.IndexFallbacks += W->IndexFallbacks;
-    Sol.Stats.VmCalls += W->VmCalls;
-    Sol.Stats.InterpFallbacks += W->InterpFallbacks;
-    W->RuleFirings = 0;
-    W->IndexFallbacks = 0;
-    W->VmCalls = 0;
-    W->InterpFallbacks = 0;
-    W->Buffer.clear();
-  }
+  // The parallel round executor re-attaches to the replacement solver
+  // (only after its solve: the full solve itself stays sequential).
+  if (Exec)
+    Exec->bind(*S);
 }
 
 void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
@@ -541,11 +226,11 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
 
   // The inner solver's run state must be clean for re-entry; incremental
   // updates are not subject to TimeLimitSeconds/MaxIterations, but they
-  // do honor a caller-supplied cancellation deadline: the sequential
-  // eval paths (rederive and delta rounds) check it per matched row and
-  // abort with Status::Timeout, after which update() marks the state
-  // Degraded so the next batch recovers via a full solve. Parallel
-  // worker rounds do not observe it (WorkerCtx::checkRow).
+  // do honor a caller-supplied cancellation deadline: every eval path
+  // (rederive, negation-driven evaluation, and delta rounds in place or
+  // on the round executor) checks it per matched row and aborts with
+  // Status::Timeout, after which update() marks the state Degraded so the
+  // next batch recovers via a full solve.
   Sol.Aborted = false;
   Sol.DL = DL;
   Sol.Stats.St = SolveStats::Status::Fixpoint;
@@ -686,19 +371,19 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   PendingAdds.clear();
 
   //--- Phase D: re-derive + delta rounds, stratum by stratum ------------
-  bool Parallel = Opts.NumThreads > 0;
-  if (Parallel)
-    ensureParallel();
+  // Delta rounds run on the parallel round executor when threads are
+  // configured; it is created on the first incremental update.
+  if (Opts.NumThreads > 0 && !Exec) {
+    Exec = std::make_unique<RoundExecutor>(Sol, Opts.NumThreads);
+    Exec->prepareIndexes();
+  }
 
   // Adaptive re-plan against the batch-mutated tables before derivation
   // starts: an update stream can drift table shapes far from what the
   // initial solve planned for. Runs between rounds (no evaluation in
-  // flight); a changed plan may probe new masks, so the workers' indexes
-  // must be refreshed before any parallel round.
-  if (Opts.ReplanThreshold > 0 &&
-      Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true) &&
-      Parallel && Opts.UseIndexes)
-    prepareWorkerIndexes();
+  // flight); replanPlans pre-builds any mask a changed plan now probes.
+  if (Opts.ReplanThreshold > 0)
+    Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
 
   // Keys that net-left a negated predicate's table this update, filled
   // at that predicate's stratum boundary (d) and consumed as insertion
@@ -757,27 +442,9 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       // Round-boundary adaptive re-plan, same contract as the batch
       // solvers: single-threaded here, and workers re-fetch plans by
       // (rule, driver) each round, so swapping them in place is safe.
-      if (Opts.ReplanThreshold > 0 &&
-          Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true) &&
-          Parallel && Opts.UseIndexes)
-        prepareWorkerIndexes();
-      if (RuleIds.empty())
-        continue; // nothing to fire; the loop drains the delta
-      if (Parallel) {
-        runParallelRound(RuleIds);
-        continue;
-      }
-      for (uint32_t RI : RuleIds) {
-        const Rule &R = P.rules()[RI];
-        for (size_t BI = 0; BI < R.Body.size(); ++BI) {
-          const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
-          if (!A || A->Negated)
-            continue;
-          if (Sol.Delta[A->Pred].empty())
-            continue;
-          Sol.evalRule(RI, static_cast<int>(BI), Sol.Delta[A->Pred]);
-        }
-      }
+      if (Opts.ReplanThreshold > 0)
+        Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
+      Sol.evalRound(RuleIds, /*Round0=*/false);
     }
 
     // (d) Stratum boundary: this stratum's negated predicates are now
@@ -857,6 +524,8 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   U.RuleFirings = Sol.Stats.RuleFirings - Before.RuleFirings;
   U.FactsDerived = Sol.Stats.FactsDerived - Before.FactsDerived;
   U.ParallelTasks = Sol.Stats.ParallelTasks - Before.ParallelTasks;
+  U.ParallelSteals = Sol.Stats.ParallelSteals - Before.ParallelSteals;
+  U.SpawnedSubtasks = Sol.Stats.SpawnedSubtasks - Before.SpawnedSubtasks;
   U.IndexFallbacks = Sol.Stats.IndexFallbacks - Before.IndexFallbacks;
   U.ReplanEvents = Sol.Stats.ReplanEvents - Before.ReplanEvents;
   U.EstimatedVsActualRows =
@@ -868,15 +537,11 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   U.VmInlinedCalls = P.vmPipelineCounters().InlinedCalls;
   U.VmSuperwordHits = P.vmPipelineCounters().SuperwordHits;
   U.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
-  if (Pool)
-    U.ParallelSteals = Pool->steals() - StealsBase;
 }
 
 UpdateStats IncrementalSolver::update(Deadline DL) {
   UpdateStats U;
   auto Start = std::chrono::steady_clock::now();
-  if (Pool)
-    StealsBase = Pool->steals();
 
   // Negation no longer forces a full solve: negation-touching batches
   // run stratum-local DRed inside incrementalUpdate(). Only the first

@@ -49,7 +49,7 @@
 
 namespace flix {
 
-class ThreadPool;
+class RoundExecutor;
 
 /// Per-update() outcome: the usual solve counters (covering just this
 /// update's work) plus the incremental-specific ones.
@@ -81,11 +81,15 @@ struct UpdateStats : SolveStats {
 /// buffered until the next update().
 ///
 /// With SolverOptions::NumThreads > 0 the delta rounds of an update run
-/// on a work-stealing pool: workers evaluate rule bodies read-only and
-/// buffer their derivations; the coordinator joins them — and records
-/// support/provenance — single-threaded between rounds, so the support
-/// index write path is trivially race-free. Retraction closure and
-/// re-derivation are sequential in all configurations.
+/// on the same parallel round executor as the ParallelSolver
+/// (parallel/RoundExecutor.h), attached to the inner Solver as its round
+/// body: workers evaluate rule bodies read-only, spill hot scans into
+/// sub-tasks, and buffer each derivation with its premise rows; the
+/// executor's recording merge joins them — and records support /
+/// provenance — single-threaded after the round barrier, so the support
+/// index write path is race-free by construction. The initial full
+/// solve, the retraction closure and re-derivation are sequential in all
+/// configurations.
 ///
 /// SolverOptions caveats: TimeLimitSeconds/MaxIterations apply only to
 /// the initial (and fallback) full solves, not to incremental updates;
@@ -141,14 +145,12 @@ public:
 
   /// update() with a cancellation deadline. Expiry aborts the in-flight
   /// work at the next per-row check (full/fallback solves get the
-  /// remaining budget as their time limit; sequential delta rounds and
-  /// re-derivation check the deadline per matched row). An aborted update
-  /// returns Status::Timeout and leaves the tables a sound
+  /// remaining budget as their time limit; delta rounds — sequential or
+  /// parallel — and re-derivation check the deadline per matched row). An
+  /// aborted update returns Status::Timeout and leaves the tables a sound
   /// under-approximation that is *not* a fixpoint — the solver remembers
   /// this (Degraded) and the next update() re-solves from scratch, so a
   /// cancelled batch costs recovery work but never a wrong model.
-  /// Parallel delta rounds (NumThreads > 0) do not observe mid-round
-  /// deadlines; only the sequential configuration supports cancellation.
   UpdateStats update(Deadline DL);
 
   /// Cumulative number of update() batches that fell back to a
@@ -207,19 +209,10 @@ public:
   std::vector<Fact> currentFacts() const;
 
 private:
-  struct WorkerCtx;
-  struct Task;
-
   Value keyTupleOf(const Fact &Fa) const;
   void fullSolve(UpdateStats &U, Deadline DL);
   void incrementalUpdate(UpdateStats &U, Deadline DL);
   void noteChanged(PredId Pred, uint32_t Row);
-  void recordSupportEdge(CellRef Prem, CellRef Head);
-  void recordNegSupportEdge(PredId Pred, Value KeyT, CellRef Head);
-  void ensureParallel();
-  void prepareWorkerIndexes();
-  void runParallelRound(const std::vector<uint32_t> &RuleIds);
-  void mergeWorkerDerivs();
 
   const Program &P;
   SolverOptions Opts;
@@ -254,23 +247,14 @@ private:
   /// tables).
   std::vector<std::unordered_set<uint32_t>> NegTombstones;
 
-  /// Per rule index: true iff the rule has a negated body atom. Workers
-  /// consult it to decide whether a buffered derivation must capture the
-  /// negated keys it matched through (WorkerCtx::Deriv::NegKeys).
-  std::vector<uint8_t> RuleHasNeg;
-
   /// Rows changed so far in the current update(), per predicate; seeds
   /// every stratum's delta rounds (replacing full round-0 evaluation).
   std::vector<std::unordered_set<uint32_t>> UpdateChanged;
 
-  // Parallel round machinery (lazily set up on first parallel update).
-  std::unique_ptr<ThreadPool> Pool;
-  std::vector<std::unique_ptr<WorkerCtx>> Workers;
-  std::vector<Task> Tasks;
-  bool ParallelReady = false;
-  /// Pool steal counter at the start of the current update(), for the
-  /// per-update ParallelSteals delta.
-  uint64_t StealsBase = 0;
+  /// Parallel round body of S's delta rounds (NumThreads > 0), created on
+  /// the first incremental update and re-bound whenever fullSolve()
+  /// replaces S.
+  std::unique_ptr<RoundExecutor> Exec;
   /// Lifetime counts of full-solve fallbacks taken by update(), by
   /// reason (see negationFallbacks()); they live here because fullSolve()
   /// replaces the inner solver and would lose counters kept in its

@@ -1,0 +1,128 @@
+//===- parallel/RoundExecutor.h - Parallel semi-naive rounds --*- C++ -*-===//
+//
+// Part of flix-cpp, a C++ reproduction of "From Datalog to FLIX" (PLDI'16).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The one parallel evaluation path: a RoundBody that runs each
+/// semi-naive round (§3.7) of a Solver on a work-stealing ThreadPool. The
+/// ParallelSolver attaches one to its Solver for whole solves; the
+/// IncrementalSolver attaches one to its inner Solver for the delta rounds
+/// of its updates. Soundness is the paper's confluence argument (§3.4):
+/// ⊔ is commutative and associative, so rule instances may fire in any
+/// order — including simultaneously — without changing the least fixed
+/// point.
+///
+/// A round has two phases:
+///
+///   1. *Eval.* The round's work is partitioned into (rule, driver atom,
+///      row chunk) tasks. Workers evaluate rule bodies through the shared
+///      PlanExecutor against the tables as an immutable snapshot
+///      (read-only probeExisting, no in-place update) and buffer their
+///      derivations. When one atom's index bucket or scan exceeds
+///      SolverOptions::SpillThreshold rows, the worker captures its
+///      bound-env prefix (and premise-stack prefix) into a sub-task and
+///      spawns the tail onto its deque, so a single hot row's fan-out is
+///      itself stolen and split (SolveStats::SpawnedSubtasks / MaxFanout).
+///   2. *Merge,* after the barrier, in one of two forms:
+///      - the sharded ⊔-compaction merge for plain solves: per-shard
+///        compaction of same-cell derivations (MergeCollisions), then one
+///        parallel join task per head predicate;
+///      - the single-threaded recording merge when the Solver tracks
+///        support or provenance: workers then also capture each match's
+///        premise rows (and, for support, the keys it went through
+///        `!P(key)` on), and the merge joins each derivation and records
+///        its support edges and Derivation.
+///
+/// Derivations become visible only at the round barrier; by confluence
+/// the model equals the sequential solver's, and because values are
+/// hash-consed in one shared factory it is value-identical (same handles)
+/// for any worker count. Every worker checks one shared abort flag plus
+/// the Solver's deadline per row, so a timeout stops all of them.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef FLIX_PARALLEL_ROUNDEXECUTOR_H
+#define FLIX_PARALLEL_ROUNDEXECUTOR_H
+
+#include "fixpoint/Solver.h"
+#include "parallel/ThreadPool.h"
+
+#include <atomic>
+
+namespace flix {
+
+/// Parallel RoundBody over a pool of worker threads. External functions
+/// must be thread-safe; the FLIX interpreter and the bytecode VM both are.
+class RoundExecutor final : public RoundBody {
+public:
+  /// Attaches to \p S; builds no index (its tables may still be empty).
+  RoundExecutor(Solver &S, unsigned NumWorkers);
+  RoundExecutor(const RoundExecutor &) = delete;
+  RoundExecutor &operator=(const RoundExecutor &) = delete;
+  ~RoundExecutor() override;
+
+  /// Re-attaches to \p S — the replacement of a solver the executor was
+  /// attached to — and pre-builds the indexes its plans probe.
+  void bind(Solver &S);
+
+  unsigned numWorkers() const { return NumWorkers; }
+
+  void evalRound(const std::vector<uint32_t> &RuleIds, bool Round0) override;
+
+  /// Pre-builds the wanted indexes: for the sharded merge through the
+  /// pool (per-(pred, row-chunk) partial scans, then per-(pred, mask)
+  /// merges via Table::buildIndexFromPartials), for the recording merge
+  /// on the coordinator that later grows them. Indexes that already exist
+  /// are skipped, so a call after a re-plan builds only newly wanted
+  /// masks.
+  void prepareIndexes() override;
+
+private:
+  /// One unit of eval-phase work: evaluate rule RuleIdx with body element
+  /// Driver instantiated from Rows[Begin, End) (Driver < 0: plain
+  /// left-to-right evaluation, Rows unused).
+  struct Task {
+    uint32_t RuleIdx;
+    int32_t Driver;
+    uint32_t Begin, End;
+    const std::vector<uint32_t> *Rows;
+  };
+  struct Deriv;
+  struct WorkerCtx;
+
+  /// Collects the (pred, mask) access paths the workers will probe (plus
+  /// index hints), read off the compiled plans' own Probe steps — so any
+  /// body order the cost-based planner picks is covered.
+  std::vector<std::pair<PredId, uint64_t>> computeWantedIndexes() const;
+  void addChunkedTasks(uint32_t RuleIdx, int32_t Driver,
+                       const std::vector<uint32_t> &Rows);
+  void runEvalPhase();
+  void runShardedMerge();
+  void runRecordingMerge();
+
+  Solver *S;
+  unsigned NumWorkers;
+  /// Whether workers capture premises for the recording merge: the
+  /// attached Solver tracks support or provenance.
+  bool Record = false;
+  /// Merge shards: cell (pred, key) is owned by shard
+  /// hash(pred, key) mod NumMergeShards. A multiple of plausible worker
+  /// counts so compaction load-balances.
+  static constexpr size_t NumMergeShards = 64;
+
+  std::unique_ptr<ThreadPool> Pool;
+  std::vector<std::unique_ptr<WorkerCtx>> Workers;
+  std::atomic<bool> AbortFlag{false};
+
+  // Phase staging (coordinator-owned; immutable during phases).
+  std::vector<Task> Tasks;
+  std::vector<std::vector<uint32_t>> AllRows; ///< per-pred [0, size) ids
+  std::vector<std::vector<Deriv>> CompactedShards; ///< sharded merge A out
+  std::vector<std::vector<Deriv>> PendingByPred;   ///< sharded merge B in
+};
+
+} // namespace flix
+
+#endif // FLIX_PARALLEL_ROUNDEXECUTOR_H

@@ -558,7 +558,11 @@ struct IcfgCase {
   }
 };
 
-TEST(IncrementalSolverTest, DeadlineAbortRecoversConsistently) {
+/// Deadline handling at 0 threads (in-place delta rounds) and 2 threads
+/// (the parallel round executor).
+class IncrementalDeadlineTest : public IncrementalDifferentialTest {};
+
+TEST_P(IncrementalDeadlineTest, DeadlineAbortRecoversConsistently) {
   // A deadline that expires mid-batch aborts Phase D per matched row,
   // leaving a sound under-approximation plus possibly-stale negation
   // bookkeeping. The next update() must take a *degraded recovery* (not
@@ -569,11 +573,12 @@ TEST(IncrementalSolverTest, DeadlineAbortRecoversConsistently) {
   C.GenE = {{0, 0}, {0, 1}};
   C.KillE = {{3, 1}};
   Program P = C.build();
-  IncrementalSolver IS(P); // sequential: only it observes deadlines
+  IncrementalSolver IS(P, opts());
   ASSERT_TRUE(IS.update().ok());
 
   // A batch that fires rules, run under an already-expired deadline: the
-  // first per-row check aborts with Status::Timeout.
+  // first per-row check aborts with Status::Timeout. The batch only adds
+  // facts, so no re-derivation runs: the delta rounds must see it.
   IS.addFact(C.Gen, {C.F.integer(5), C.F.integer(2)});
   IS.addFact(C.Cfg, {C.F.integer(5), C.F.integer(0)});
   UpdateStats U = IS.update(Deadline::after(1e-9));
@@ -679,6 +684,76 @@ TEST_P(IncrementalDifferentialTest, IcfgGenKillReachability) {
     expectMatchesScratch(IS, [&] { return C.build(); });
   }
   EXPECT_EQ(IS.negationFallbacks(), 0u);
+}
+
+TEST_P(IncrementalDifferentialTest, SpilledRoundsRecordPremisePrefixes) {
+  // SpillThreshold 1 splits every scan of more than one row into
+  // sub-tasks (at >= 1 thread), so delta rounds derive through spilled
+  // continuations. Each batch adds a Cfg edge out of the node most facts
+  // reach — its Reach bucket spills under the Cfg driver — and the next
+  // batch retracts it. That retraction over-deletes the derived cells
+  // only if the spilled derivations recorded the Cfg row of their
+  // premise-stack prefix; a dropped prefix leaves stale cells behind.
+  IcfgProgram I = generateIcfg(99, 3, 10, 8, 2);
+  IcfgCase C;
+  for (auto [A, B] : I.CfgEdges)
+    C.CfgE.insert({A, B});
+  for (int N = 0; N < I.NumNodes; ++N) {
+    for (int D : I.Flows[N].Gen)
+      C.GenE.insert({N, D});
+    for (int D : I.Flows[N].Kill)
+      C.KillE.insert({N, D});
+  }
+
+  Program P = C.build();
+  SolverOptions O = opts();
+  O.SpillThreshold = 1;
+  IncrementalSolver IS(P, O);
+  ASSERT_TRUE(IS.update().ok());
+  expectMatchesScratch(IS, [&] { return C.build(); });
+
+  std::mt19937_64 Rng(29);
+  uint64_t Spawned = 0;
+  for (int Round = 0; Round < 4; ++Round) {
+    std::vector<int> Reaching(I.NumNodes, 0);
+    for (const std::vector<Value> &Row : IS.tuples(C.Reach))
+      ++Reaching[Row[0].asInt()];
+    int Hub = static_cast<int>(
+        std::max_element(Reaching.begin(), Reaching.end()) -
+        Reaching.begin());
+    std::pair<int, int> E = {Hub, int(Rng() % I.NumNodes)};
+    while (C.CfgE.count(E))
+      E.second = int(Rng() % I.NumNodes);
+    C.CfgE.insert(E);
+    IS.addFact(C.Cfg, {C.F.integer(E.first), C.F.integer(E.second)});
+    // Kill churn in the same batch.
+    std::pair<int, int> KM = {int(Rng() % I.NumNodes),
+                              int(Rng() % I.NumFacts)};
+    if (C.KillE.insert(KM).second)
+      IS.addFact(C.Kill, {C.F.integer(KM.first), C.F.integer(KM.second)});
+    UpdateStats U = IS.update();
+    ASSERT_TRUE(U.ok());
+    EXPECT_FALSE(U.FullResolve);
+    Spawned += U.SpawnedSubtasks;
+    expectMatchesScratch(IS, [&] { return C.build(); });
+
+    IS.retractFact(C.Cfg, {C.F.integer(E.first), C.F.integer(E.second)});
+    C.CfgE.erase(E);
+    if (!C.KillE.empty()) {
+      auto It = C.KillE.begin();
+      std::advance(It, Rng() % C.KillE.size());
+      IS.retractFact(C.Kill,
+                     {C.F.integer(It->first), C.F.integer(It->second)});
+      C.KillE.erase(It);
+    }
+    U = IS.update();
+    ASSERT_TRUE(U.ok());
+    EXPECT_FALSE(U.FullResolve);
+    Spawned += U.SpawnedSubtasks;
+    expectMatchesScratch(IS, [&] { return C.build(); });
+  }
+  if (GetParam() == 8)
+    EXPECT_GT(Spawned, 0u);
 }
 
 /// Three strata with negation at both boundaries, the top one feeding a
@@ -1096,10 +1171,13 @@ TEST_P(IncrementalDifferentialTest, AdaptiveReplanMidStream) {
   EXPECT_GT(TotalReplans, 0u);
 }
 
+std::string threadsName(const ::testing::TestParamInfo<unsigned> &Info) {
+  return "threads" + std::to_string(Info.param);
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, IncrementalDifferentialTest,
-                         ::testing::Values(0u, 1u, 8u),
-                         [](const auto &Info) {
-                           return "threads" + std::to_string(Info.param);
-                         });
+                         ::testing::Values(0u, 1u, 8u), threadsName);
+INSTANTIATE_TEST_SUITE_P(Threads, IncrementalDeadlineTest,
+                         ::testing::Values(0u, 2u), threadsName);
 
 } // namespace

@@ -15,8 +15,8 @@
 /// Covered: random core-fragment programs (seeded), the §3.7 compactness
 /// example, all four paper case studies (Strong Update incl. the
 /// interpreted-FLIX-source pipeline, IFDS, IDE, shortest paths), several
-/// parallel solvers running concurrently against one shared factory, and
-/// the timeout / provenance-rejection paths.
+/// parallel solvers running concurrently against one shared factory, the
+/// timeout path, and provenance through the recording merge.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -169,19 +169,71 @@ TEST(ParallelSolverTest, NaiveStrategyFallsBackToSemiNaive) {
   EXPECT_EQ(modelOf(*B.Prog, Par), modelOf(*B.Prog, Seq));
 }
 
-TEST(ParallelSolverTest, ProvenanceIsRejected) {
+TEST(ParallelSolverTest, ProvenanceExplainsEveryDerivedRow) {
+  // With TrackProvenance the recording merge writes one Derivation per
+  // changed cell. At any worker count every derived row must name a rule
+  // with its head predicate, and every premise must be in the model at a
+  // value ⊑ the premise cell's current value. The low spill threshold
+  // routes premise prefixes through spilled sub-tasks too.
+  WeightedGraph G = generateGraph(11, 60, 3.0, 9);
   ValueFactory F;
+  MinCostLattice L(F);
   Program P(F);
-  PredId E = P.relation("E", 2);
-  P.addFact(E, {F.integer(1), F.integer(2)});
+  PredId Edge = P.relation("Edge", 3);
+  PredId Path = P.relation("Path", 2);
+  PredId Dist = P.lattice("Dist", 2, &L);
+  FnId Add = P.function("addCost", 2, FnRole::Transfer,
+                        [&L](std::span<const Value> A) {
+                          return L.addCost(A[0], A[1].asInt());
+                        });
+  RuleBuilder().head(Path, {"x", "y"}).atom(Edge, {"x", "y", "c"}).addTo(P);
+  RuleBuilder()
+      .head(Path, {"x", "z"})
+      .atom(Path, {"x", "y"})
+      .atom(Edge, {"y", "z", "c"})
+      .addTo(P);
+  RuleBuilder()
+      .headFn(Dist, {rv("y")}, Add, {rv("d"), rv("c")})
+      .atom(Dist, {"x", "d"})
+      .atom(Edge, {"x", "y", "c"})
+      .addTo(P);
+  P.addLatFact(Dist, {F.integer(0)}, L.cost(0));
+  for (const std::array<int, 3> &E : G.Edges)
+    P.addFact(Edge, {F.integer(E[0]), F.integer(E[1]), F.integer(E[2])});
 
-  SolverOptions Opts;
-  Opts.NumThreads = 2;
-  Opts.TrackProvenance = true;
-  ParallelSolver S(P, Opts);
-  SolveStats St = S.solve();
-  EXPECT_EQ(St.St, SolveStats::Status::Error);
-  EXPECT_NE(St.Error.find("provenance"), std::string::npos);
+  for (unsigned Threads : {2u, 8u}) {
+    SolverOptions O;
+    O.NumThreads = Threads;
+    O.TrackProvenance = true;
+    O.SpillThreshold = 4;
+    ParallelSolver S(P, O);
+    SolveStats St = S.solve();
+    ASSERT_TRUE(St.ok()) << St.Error;
+    size_t Explained = 0;
+    for (PredId Pred : {Path, Dist}) {
+      unsigned KA = P.predicate(Pred).keyArity();
+      for (const std::vector<Value> &Row : S.tuples(Pred)) {
+        std::span<const Value> Key(Row.data(), KA);
+        const Derivation *D = S.explain(Pred, Key);
+        ASSERT_NE(D, nullptr) << "threads=" << Threads;
+        if (Pred == Dist && Key[0] == F.integer(0))
+          continue; // the source fact; no rule can lower a zero cost
+        ASSERT_NE(D->RuleIndex, Derivation::FromFact)
+            << "threads=" << Threads;
+        EXPECT_EQ(P.rules()[D->RuleIndex].Head.Pred, Pred);
+        EXPECT_FALSE(D->Premises.empty());
+        for (const Derivation::Premise &Pr : D->Premises) {
+          const Table &T = S.table(Pr.Pred);
+          uint32_t PremRow = T.lookupRow(Pr.Key);
+          ASSERT_NE(PremRow, Table::NoRow) << "threads=" << Threads;
+          EXPECT_TRUE(T.lattice().leq(Pr.LatValue, T.row(PremRow).Lat))
+              << "threads=" << Threads;
+        }
+        ++Explained;
+      }
+    }
+    EXPECT_GT(Explained, 0u);
+  }
 }
 
 TEST(ParallelSolverTest, TimeoutAborts) {

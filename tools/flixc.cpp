@@ -30,7 +30,6 @@
 //   --dump-program     print the lowered fixpoint program and exit
 //   --print <pred>     print all tuples of one predicate (repeatable)
 //   --explain <pred>   print derivation trees for a predicate's rows
-//                      (sequential solver only)
 //   --stats            print solver statistics
 //   --json             print solver statistics as one JSON object on
 //                      stdout (one object per update in update-script
@@ -68,7 +67,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 using namespace flix;
@@ -686,14 +684,6 @@ int main(int Argc, char **Argv) {
     printUsage();
     return 1;
   }
-  // The incremental engine's inner solver is sequential (workers only
-  // evaluate read-only), so --explain composes with --threads there.
-  if (Opts.NumThreads > 0 && !ExplainPreds.empty() &&
-      UpdateScriptPath.empty()) {
-    std::fprintf(stderr, "error: --explain requires the sequential solver; "
-                         "drop --threads or use --threads 0\n");
-    return 1;
-  }
   if (Opts.NumThreads > 0 && Opts.Strat == Strategy::Naive)
     std::fprintf(stderr, "warning: the parallel engine always evaluates "
                          "semi-naively; --naive is ignored\n");
@@ -774,27 +764,23 @@ int main(int Argc, char **Argv) {
       }
     }
 
-    // Provenance (and hence --explain) only exists on the sequential
-    // solver; --threads with --explain was rejected during parsing.
-    if constexpr (std::is_same_v<std::decay_t<decltype(S)>, Solver>) {
-      for (const std::string &Name : ExplainPreds) {
-        auto Id = C.predicate(Name);
-        if (!Id) {
-          std::fprintf(stderr, "error: unknown predicate '%s'\n",
-                       Name.c_str());
-          return 1;
-        }
-        std::printf("derivations of %s:\n", Name.c_str());
-        size_t Shown = 0;
-        for (const auto &Row : S.tuples(*Id)) {
-          std::span<const Value> Key(Row.data(),
-                                     P.predicate(*Id).keyArity());
-          std::printf("%s", S.explainString(*Id, Key).c_str());
-          if (++Shown >= 20) {
-            std::printf("  ... (%zu more rows)\n",
-                        S.table(*Id).size() - Shown);
-            break;
-          }
+    for (const std::string &Name : ExplainPreds) {
+      auto Id = C.predicate(Name);
+      if (!Id) {
+        std::fprintf(stderr, "error: unknown predicate '%s'\n",
+                     Name.c_str());
+        return 1;
+      }
+      std::printf("derivations of %s:\n", Name.c_str());
+      size_t Shown = 0;
+      for (const auto &Row : S.tuples(*Id)) {
+        std::span<const Value> Key(Row.data(),
+                                   P.predicate(*Id).keyArity());
+        std::printf("%s", S.explainString(*Id, Key).c_str());
+        if (++Shown >= 20) {
+          std::printf("  ... (%zu more rows)\n",
+                      S.table(*Id).size() - Shown);
+          break;
         }
       }
     }
