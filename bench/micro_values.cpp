@@ -141,7 +141,7 @@ static void BM_TableProbe(benchmark::State &State) {
     T.join(F.tuple({F.integer(I % 100), F.integer(I)}), F.boolean(true));
   int64_t I = 0;
   for (auto _ : State) {
-    Value Proj = F.tuple({F.integer(I % 100)});
+    Value Proj[1] = {F.integer(I % 100)};
     benchmark::DoNotOptimize(T.probe(0b01, Proj));
     ++I;
   }

@@ -35,7 +35,10 @@
 //                      parallel engine at each listed worker count
 //                      (0 = the sequential solver) and report a scaling
 //                      section; results are cross-checked against the
-//                      imperative solver at every thread count
+//                      imperative solver at every thread count. Speedups
+//                      (the row's column for the largest count, and each
+//                      JSON record's "speedup") are against T=0 when it
+//                      is listed, else against the first count given
 //   --json <file>      write one machine-readable record per solver run
 //
 // Environment overrides:
@@ -147,12 +150,20 @@ void runRegime(const char *Title, const char *RegimeKey, int TransferWork,
 
 void runScaling(const std::vector<unsigned> &Threads, int TransferWork,
                 long Reps, JsonReport *Json) {
+  // Speedups are relative to the sequential engine (T=0) when it is
+  // listed, else to the first count given, wherever it sits in the list;
+  // the row's speedup column is the largest count's.
+  unsigned BaseT =
+      std::find(Threads.begin(), Threads.end(), 0u) != Threads.end()
+          ? 0
+          : Threads.front();
+  unsigned MaxT = *std::max_element(Threads.begin(), Threads.end());
   std::printf("Parallel scaling (declarative solver; 0 = sequential "
               "engine):\n");
   std::printf("%-10s", "Program");
   for (unsigned T : Threads)
     std::printf(" %8s", ("T=" + std::to_string(T)).c_str());
-  std::printf("  speedup (T=%u vs T=0)\n", Threads.back());
+  std::printf("  speedup (T=%u vs T=%u)\n", MaxT, BaseT);
   std::printf("%.*s\n",
               static_cast<int>(12 + 9 * Threads.size() + 24),
               "------------------------------------------------------------"
@@ -167,7 +178,13 @@ void runScaling(const std::vector<unsigned> &Threads, int TransferWork,
     IfdsResult Reference = runIfdsImperative(Prob);
 
     std::printf("%-10s", Preset.Name.c_str());
-    double Base = -1, Last = -1;
+    struct Run {
+      unsigned T;
+      double Time;
+      IfdsResult R;
+    };
+    std::vector<Run> Runs;
+    double Base = 0, MaxTime = 0;
     for (unsigned T : Threads) {
       SolverOptions Opts;
       Opts.NumThreads = T;
@@ -180,33 +197,39 @@ void runScaling(const std::vector<unsigned> &Threads, int TransferWork,
         std::printf("\nWARNING: parallel solver (%u threads) disagrees "
                     "with imperative on %s!\n",
                     T, Preset.Name.c_str());
-      if (T == 0 || Base < 0)
+      if (T == BaseT)
         Base = Time;
-      Last = Time;
+      if (T == MaxT)
+        MaxTime = Time;
       std::printf(" %8.3f", Time);
-      if (Json) {
-        Json->begin();
-        Json->str("bench", "table2_ifds")
-            .str("regime", "scaling")
-            .str("program", Preset.Name)
-            .integer("nodes", G.NumNodes)
-            .str("solver", T == 0 ? "flix" : "flix_parallel")
-            .integer("threads", T)
-            .num("seconds", Time)
-            .num("speedup", Base / std::max(Time, 1e-9))
-            .integer("spawned_subtasks",
-                     static_cast<long long>(R.Stats.SpawnedSubtasks))
-            .integer("max_fanout", static_cast<long long>(R.Stats.MaxFanout))
-            .integer("index_build_tasks",
-                     static_cast<long long>(R.Stats.IndexBuildTasks))
-            .integer("parallel_steals",
-                     static_cast<long long>(R.Stats.ParallelSteals))
-            .boolean("ok", R.Ok && R.sameResult(Reference));
-        Json->end();
-      }
+      Runs.push_back({T, Time, std::move(R)});
     }
-    std::printf("  %6.2fx\n", Base / std::max(Last, 1e-9));
+    std::printf("  %6.2fx\n", Base / std::max(MaxTime, 1e-9));
     std::fflush(stdout);
+    if (!Json)
+      continue;
+    for (const Run &Rn : Runs) {
+      Json->begin();
+      Json->str("bench", "table2_ifds")
+          .str("regime", "scaling")
+          .str("program", Preset.Name)
+          .integer("nodes", G.NumNodes)
+          .str("solver", Rn.T == 0 ? "flix" : "flix_parallel")
+          .integer("threads", Rn.T)
+          .num("seconds", Rn.Time)
+          .integer("speedup_base_threads", BaseT)
+          .num("speedup", Base / std::max(Rn.Time, 1e-9))
+          .integer("spawned_subtasks",
+                   static_cast<long long>(Rn.R.Stats.SpawnedSubtasks))
+          .integer("max_fanout",
+                   static_cast<long long>(Rn.R.Stats.MaxFanout))
+          .integer("index_build_tasks",
+                   static_cast<long long>(Rn.R.Stats.IndexBuildTasks))
+          .integer("parallel_steals",
+                   static_cast<long long>(Rn.R.Stats.ParallelSteals))
+          .boolean("ok", Rn.R.Ok && Rn.R.sameResult(Reference));
+      Json->end();
+    }
   }
   std::printf("\n");
 }

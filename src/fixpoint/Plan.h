@@ -139,7 +139,7 @@ struct Step {
   /// rows, full scans, and the probe fallback.
   SmallVector<ColTest, 4> Cols;
   /// Reduced tests for the indexed-probe path: bucket rows match the
-  /// masked columns exactly (the projection tuple is hash-consed), so only
+  /// masked columns exactly (the index compares them on lookup), so only
   /// unmasked columns need work. Empty for Lookup — the row was found by
   /// its exact key.
   SmallVector<ColTest, 4> Binds;
@@ -506,11 +506,12 @@ inline void deriveWithPlan(EngineT &E, ValueFactory &F, const RulePlan &Pl) {
 ///   Table &table(PredId);
 ///   bool checkRow();                      // true => abort the evaluation
 ///   Value callExtern(FnId, std::span<const Value>);
-///   // Indexed probe; returns nullptr to request the full-scan fallback
-///   // (counting/asserting per engine policy). CopyStorage is scratch the
-///   // sequential engine copies its (mutable) bucket into.
-///   const std::vector<uint32_t> *probeBucket(const Step &, Value ProjT,
-///                                            std::vector<uint32_t> &Copy);
+///   // Indexed probe by the bound columns' values; returns nullptr to
+///   // request the full-scan fallback (counting/asserting per engine
+///   // policy). The bucket must keep its address while the plan runs; the
+///   // cursor reads only the prefix of the size it had at probe time.
+///   const Table::Bucket *probeBucket(const Step &,
+///                                    std::span<const Value> Proj);
 ///   // Intra-rule spilling hook (parallel workers): may capture
 ///   // [Begin, End) of Rows (nullptr = raw row-id range) as sub-tasks and
 ///   // return the new Begin. Others return Begin unchanged.
@@ -564,7 +565,6 @@ private:
   struct Cursor {
     const std::vector<uint32_t> *RowList = nullptr; ///< null: raw id range
     uint32_t Idx = 0, End = 0;
-    std::vector<uint32_t> Copy; ///< sequential engine's bucket snapshot
     std::span<const Value> SetElems;
     uint32_t SIdx = 0;
     bool Done = false;        ///< one-shot steps (Filter, Negation)
@@ -626,8 +626,10 @@ private:
       return;
     }
     case StepKind::Lookup: {
-      Value KeyT = projTuple(S);
-      uint32_t Id = E.table(S.Pred).lookupRow(KeyT);
+      SmallVector<Value, 4> Key;
+      gatherProj(S, Key);
+      uint32_t Id = E.table(S.Pred).lookupRow(
+          std::span<const Value>(Key.data(), Key.size()));
       if (Id != Table::NoRow) {
         C.Idx = Id;
         C.End = Id + 1;
@@ -635,9 +637,12 @@ private:
       return;
     }
     case StepKind::Probe: {
-      Value ProjT = projTuple(S);
-      if (const std::vector<uint32_t> *Bucket =
-              E.probeBucket(S, ProjT, C.Copy)) {
+      SmallVector<Value, 4> Proj;
+      gatherProj(S, Proj);
+      if (const Table::Bucket *Bucket = E.probeBucket(
+              S, std::span<const Value>(Proj.data(), Proj.size()))) {
+        // End is captured now: rows an in-place join appends to the
+        // bucket while this cursor is open belong to the next round.
         uint32_t Begin = E.maybeSpill(
             Pl, StepIdx, Bucket, 0, static_cast<uint32_t>(Bucket->size()));
         C.RowList = Bucket;
@@ -728,8 +733,10 @@ private:
       if (C.Done)
         return false;
       C.Done = true;
-      Value KeyT = projTuple(S);
-      if (E.table(S.Pred).lookup(KeyT))
+      SmallVector<Value, 4> Key;
+      gatherProj(S, Key);
+      if (E.table(S.Pred).lookup(
+              std::span<const Value>(Key.data(), Key.size())))
         return false;
       return runGuards(S);
     }
@@ -839,12 +846,11 @@ private:
     return true;
   }
 
-  Value projTuple(const Step &S) {
-    SmallVector<Value, 4> Proj;
+  /// The step's probe projection / lookup key / negation key, in column
+  /// order. Looked up by span, so probing interns nothing.
+  void gatherProj(const Step &S, SmallVector<Value, 4> &Out) {
     for (const Operand &O : S.ProjOps)
-      Proj.push_back(opValue(E, O));
-    return E.factory().tuple(
-        std::span<const Value>(Proj.data(), Proj.size()));
+      Out.push_back(opValue(E, O));
   }
 
   EngineT &E;

@@ -14,9 +14,10 @@
 using namespace flix;
 
 /// The sequential Solver's policy for the shared plan executor: in-place
-/// joins with immediate delta updates, bucket snapshots (recursive
-/// derivations grow buckets mid-iteration), no spilling, no premise
-/// capture. See the engine concept in fixpoint/Plan.h.
+/// joins with immediate delta updates, live buckets read up to their
+/// probe-time size (recursive derivations grow buckets mid-iteration), no
+/// spilling, no premise capture. See the engine concept in
+/// fixpoint/Plan.h.
 struct Solver::PlanEngine {
   Solver &S;
   explicit PlanEngine(Solver &S) : S(S) {}
@@ -30,14 +31,12 @@ struct Solver::PlanEngine {
     return plan::dispatchExtern(S.P, S.Opts.UseVm, S.Memo.get(), Fn, Args,
                                 S.Stats.VmCalls, S.Stats.InterpFallbacks);
   }
-  const std::vector<uint32_t> *probeBucket(const plan::Step &St, Value ProjT,
-                                           std::vector<uint32_t> &Copy) {
-    // Snapshot the bucket: derivations made while iterating may join new
-    // rows into this table and grow the bucket (in-place update).
-    const std::vector<uint32_t> &B =
-        S.Tables[St.Pred]->probe(St.Mask, ProjT);
-    Copy.assign(B.begin(), B.end());
-    return &Copy;
+  const Table::Bucket *probeBucket(const plan::Step &St,
+                                   std::span<const Value> Proj) {
+    // Derivations made while the cursor is open may join rows into this
+    // table and grow the bucket in place; buckets never move, and the
+    // cursor stops at the size captured here.
+    return &S.Tables[St.Pred]->probe(St.Mask, Proj);
   }
   uint32_t maybeSpill(const plan::RulePlan &, uint32_t,
                       const std::vector<uint32_t> *, uint32_t Begin,
@@ -51,7 +50,7 @@ struct Solver::PlanEngine {
     Table::JoinResult JR = S.Tables[Pl.Head.Pred]->join(KeyT, LatVal);
     if (JR.Changed) {
       ++S.Stats.FactsDerived;
-      S.NextDelta[Pl.Head.Pred].insert(JR.RowId);
+      S.queueDelta(Pl.Head.Pred, JR.RowId);
       if (S.Opts.TrackProvenance)
         S.recordProvenance(Pl.RuleIdx, Pl.Head.Pred, JR.RowId);
       if (S.Opts.TrackSupport)
@@ -207,12 +206,13 @@ void Solver::recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId) {
       const Term &Tm = A->Terms[I];
       Key.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
     }
-    Value KeyT = F.tuple(std::span<const Value>(Key.data(), Key.size()));
+    std::span<const Value> KeyS(Key.data(), Key.size());
     if (A->Negated) {
-      addNegSupportEdge(A->Pred, KeyT, Head);
+      // Keyed by the interned tuple: the key usually has no row.
+      addNegSupportEdge(A->Pred, F.tuple(KeyS), Head);
       continue;
     }
-    uint32_t Prem = Tables[A->Pred]->lookupRow(KeyT);
+    uint32_t Prem = Tables[A->Pred]->lookupRow(KeyS);
     if (Prem != Table::NoRow)
       addSupportEdge({A->Pred, Prem}, Head);
   }
@@ -390,6 +390,34 @@ void Solver::replanPlans(double Threshold, bool CountEvents) {
     Par->prepareIndexes();
 }
 
+void Solver::nextDeltaEpoch() {
+  if (++DeltaEpoch != 0)
+    return;
+  // Wrapped: no stamp may equal a future epoch by accident.
+  for (DeltaQueue &Q : NextDelta)
+    std::fill(Q.QueuedIn.begin(), Q.QueuedIn.end(), 0);
+  DeltaEpoch = 1;
+}
+
+void Solver::clearNextDelta() {
+  for (DeltaQueue &Q : NextDelta)
+    Q.Rows.clear();
+  nextDeltaEpoch();
+}
+
+bool Solver::promoteDelta() {
+  bool AnyDelta = false;
+  for (size_t PI = 0; PI < NextDelta.size(); ++PI) {
+    std::vector<uint32_t> &D = Delta[PI];
+    D.clear();
+    D.swap(NextDelta[PI].Rows);
+    std::sort(D.begin(), D.end());
+    AnyDelta |= !D.empty();
+  }
+  nextDeltaEpoch();
+  return AnyDelta;
+}
+
 void Solver::loadFacts() {
   const std::vector<Fact> &Facts = FactsOverride ? *FactsOverride
                                                  : P.facts();
@@ -473,28 +501,18 @@ SolveStats Solver::solve() {
           break;
         }
       } while (Before != Stats.FactsDerived && !Aborted);
-      for (auto &ND : NextDelta)
-        ND.clear();
+      clearNextDelta();
       continue;
     }
 
     // Semi-naive. Round 0 is a full evaluation of the stratum's rules;
     // subsequent rounds instantiate one body atom at a time from ΔP.
-    for (auto &ND : NextDelta)
-      ND.clear();
+    clearNextDelta();
     evalRound(RuleIds, /*Round0=*/true);
     ++Stats.Iterations;
 
     while (!Aborted) {
-      bool AnyDelta = false;
-      for (size_t PI = 0; PI < NextDelta.size(); ++PI) {
-        Delta[PI].assign(NextDelta[PI].begin(), NextDelta[PI].end());
-        // Deterministic iteration order for reproducible runs.
-        std::sort(Delta[PI].begin(), Delta[PI].end());
-        NextDelta[PI].clear();
-        AnyDelta |= !Delta[PI].empty();
-      }
-      if (!AnyDelta)
+      if (!promoteDelta())
         break;
       if (Opts.MaxIterations && Stats.Iterations >= Opts.MaxIterations) {
         Stats.St = SolveStats::Status::IterationLimit;
@@ -520,15 +538,13 @@ SolveStats Solver::solve() {
 
 bool Solver::contains(PredId Pred, std::span<const Value> Tuple) const {
   assert(P.predicate(Pred).isRelational() && "contains() is for relations");
-  Value KeyT = F.tuple(Tuple);
-  return Tables[Pred]->lookup(KeyT) != nullptr;
+  return Tables[Pred]->lookup(Tuple) != nullptr;
 }
 
 Value Solver::latValue(PredId Pred, std::span<const Value> Key) const {
   const PredicateDecl &D = P.predicate(Pred);
   assert(!D.isRelational() && "latValue() is for lattice predicates");
-  Value KeyT = F.tuple(Key);
-  const Value *V = Tables[Pred]->lookup(KeyT);
+  const Value *V = Tables[Pred]->lookup(Key);
   return V ? *V : D.Lat->bot();
 }
 
@@ -536,8 +552,7 @@ const Derivation *Solver::explain(PredId Pred,
                                   std::span<const Value> Key) const {
   if (!Opts.TrackProvenance)
     return nullptr;
-  Value KeyT = F.tuple(Key);
-  uint32_t Row = Tables[Pred]->lookupRow(KeyT);
+  uint32_t Row = Tables[Pred]->lookupRow(Key);
   if (Row == Table::NoRow)
     return nullptr;
   // Rows no rule ever increased came straight from the input facts.
@@ -548,20 +563,19 @@ const Derivation *Solver::explain(PredId Pred,
 }
 
 void Solver::renderExplanation(std::string &Out, PredId Pred,
-                               Value KeyTuple, unsigned Depth,
+                               std::span<const Value> Key, unsigned Depth,
                                unsigned Indent) const {
   const PredicateDecl &D = P.predicate(Pred);
   Out.append(Indent, ' ');
   Out += D.Name;
   Out += '(';
-  std::span<const Value> Key = F.tupleElems(KeyTuple);
   for (size_t I = 0; I < Key.size(); ++I) {
     if (I)
       Out += ", ";
     Out += F.toString(Key[I]);
   }
   Out += ')';
-  uint32_t Row = Tables[Pred]->lookupRow(KeyTuple);
+  uint32_t Row = Tables[Pred]->lookupRow(Key);
   if (Row == Table::NoRow) {
     Out += " [absent]\n";
     return;
@@ -586,7 +600,8 @@ void Solver::renderExplanation(std::string &Out, PredId Pred,
     return;
   }
   for (const Derivation::Premise &Pr : Der->Premises)
-    renderExplanation(Out, Pr.Pred, Pr.Key, Depth - 1, Indent + 2);
+    renderExplanation(Out, Pr.Pred, F.tupleElems(Pr.Key), Depth - 1,
+                      Indent + 2);
 }
 
 std::string Solver::explainString(PredId Pred, std::span<const Value> Key,
@@ -595,7 +610,7 @@ std::string Solver::explainString(PredId Pred, std::span<const Value> Key,
     return "(provenance not tracked; set "
            "SolverOptions::TrackProvenance)\n";
   std::string Out;
-  renderExplanation(Out, Pred, F.tuple(Key), Depth, 0);
+  renderExplanation(Out, Pred, Key, Depth, 0);
   return Out;
 }
 

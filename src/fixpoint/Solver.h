@@ -35,7 +35,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace flix {
 
@@ -340,8 +339,9 @@ private:
   /// calls this only after NegPred's stratum has settled, when its table
   /// is final for the update.
   void evalNegationDriven(uint32_t RI, PredId NegPred, Value KeyTuple);
-  void renderExplanation(std::string &Out, PredId P, Value KeyTuple,
-                         unsigned Depth, unsigned Indent) const;
+  void renderExplanation(std::string &Out, PredId P,
+                         std::span<const Value> Key, unsigned Depth,
+                         unsigned Indent) const;
   /// Everything SolveStats::MemoryBytes accounts for: value arena, tables
   /// + indexes, provenance, the support index, and the memo cache. Also
   /// used by the incremental engine's per-update stats.
@@ -406,7 +406,38 @@ private:
 
   // Delta bookkeeping (SemiNaive).
   std::vector<std::vector<uint32_t>> Delta;
-  std::vector<std::unordered_set<uint32_t>> NextDelta;
+  /// One predicate's next delta: the rows whose cell strictly increased
+  /// this round, each listed once. QueuedIn[Row] is the DeltaEpoch in
+  /// which the row was last queued, so a membership test is one compare
+  /// and starting a new round is one epoch increment.
+  struct DeltaQueue {
+    std::vector<uint32_t> Rows;
+    std::vector<uint32_t> QueuedIn;
+  };
+  std::vector<DeltaQueue> NextDelta;
+  uint32_t DeltaEpoch = 1;
+
+  /// Queues row \p Row of \p Pred for the next delta round (at most once
+  /// per round). Every writer of NextDelta goes through here: in-place
+  /// joins, both parallel merges and the incremental engine's seeding.
+  /// Concurrent calls are safe for distinct predicates.
+  void queueDelta(PredId Pred, uint32_t Row) {
+    DeltaQueue &Q = NextDelta[Pred];
+    if (Q.QueuedIn.size() <= Row)
+      Q.QueuedIn.resize(Tables[Pred]->size(), 0);
+    if (Q.QueuedIn[Row] == DeltaEpoch)
+      return;
+    Q.QueuedIn[Row] = DeltaEpoch;
+    Q.Rows.push_back(Row);
+  }
+  /// Makes the queued rows the current Delta (sorted, for reproducible
+  /// runs) and starts an empty next delta. Returns whether any predicate
+  /// has a non-empty delta.
+  bool promoteDelta();
+  /// Drops every queued row.
+  void clearNextDelta();
+  /// Advances DeltaEpoch, resetting the stamps if it wraps.
+  void nextDeltaEpoch();
 
   /// The stratification computed by solve(), kept for the incremental
   /// engine's per-stratum update rounds.

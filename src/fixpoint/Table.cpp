@@ -13,50 +13,95 @@
 
 using namespace flix;
 
-const std::vector<uint32_t> Table::EmptyBucket;
+const Table::Bucket Table::EmptyBucket;
 
-// Estimated heap bytes of one map node of a bucket map (hash-map node
-// header + key + vector object). Bucket *payload* is charged separately
-// from vector capacity, so this only covers the fixed per-bucket part.
-static constexpr size_t BucketNodeBytes =
-    sizeof(Value) + sizeof(std::vector<uint32_t>) + 16;
+uint64_t Table::hashProj(std::span<const Value> KeyElems, uint64_t Mask) {
+  SmallVector<Value, 4> Proj;
+  for (size_t I = 0; I < KeyElems.size(); ++I)
+    if (Mask & (uint64_t(1) << I))
+      Proj.push_back(KeyElems[I]);
+  return ValueFactory::hashSeq(
+      std::span<const Value>(Proj.data(), Proj.size()));
+}
 
-void Table::Index::add(Value Proj, uint32_t Id) {
-  auto [It, Inserted] = Buckets.try_emplace(Proj);
-  if (Inserted)
-    Bytes += BucketNodeBytes;
-  std::vector<uint32_t> &B = It->second;
-  size_t OldCap = B.capacity();
-  B.push_back(Id);
-  if (B.capacity() != OldCap)
-    Bytes += (B.capacity() - OldCap) * sizeof(uint32_t);
-  MaxBucket = std::max(MaxBucket, B.size());
+bool Table::projEquals(uint32_t Id, uint64_t Mask,
+                       std::span<const Value> Proj) const {
+  std::span<const Value> KeyElems = rowKey(Id);
+  size_t J = 0;
+  for (size_t I = 0; I < KeyElems.size(); ++I)
+    if (Mask & (uint64_t(1) << I))
+      if (J >= Proj.size() || KeyElems[I] != Proj[J++])
+        return false;
+  return J == Proj.size();
+}
+
+/// Whether full keys \p A and \p B agree on the \p Mask columns.
+static bool sameCols(std::span<const Value> A, std::span<const Value> B,
+                     uint64_t Mask) {
+  for (size_t I = 0; I < A.size(); ++I)
+    if ((Mask & (uint64_t(1) << I)) && A[I] != B[I])
+      return false;
+  return true;
+}
+
+uint32_t Table::findRow(Value KeyTuple, uint64_t H) const {
+  return Primary.find(
+      H, [&](uint32_t Id) { return Rows[Id].Key == KeyTuple; });
+}
+
+const Table::Bucket *Table::findBucket(const Index &Ix,
+                                       std::span<const Value> Proj) const {
+  uint32_t B = Ix.ByHash.find(ValueFactory::hashSeq(Proj), [&](uint32_t B) {
+    return projEquals(Ix.Buckets[B].front(), Ix.Mask, Proj);
+  });
+  return B == HashIndex::NoId ? nullptr : &Ix.Buckets[B];
+}
+
+void Table::append(Index &Ix, uint64_t H, std::span<const uint32_t> Ids) {
+  std::span<const Value> KeyElems = rowKey(Ids.front());
+  uint32_t B = Ix.ByHash.findOrInsert(
+      H,
+      [&](uint32_t B) {
+        return sameCols(rowKey(Ix.Buckets[B].front()), KeyElems, Ix.Mask);
+      },
+      [&] {
+        Ix.Buckets.emplace_back();
+        Ix.Bytes += sizeof(Bucket);
+        return static_cast<uint32_t>(Ix.Buckets.size() - 1);
+      });
+  Bucket &Bk = Ix.Buckets[B];
+  size_t OldCap = Bk.capacity();
+  Bk.insert(Bk.end(), Ids.begin(), Ids.end());
+  if (Bk.capacity() != OldCap)
+    Ix.Bytes += (Bk.capacity() - OldCap) * sizeof(uint32_t);
+  Ix.MaxBucket = std::max(Ix.MaxBucket, Bk.size());
 }
 
 Table::JoinResult Table::join(Value KeyTuple, Value LatVal) {
-  auto It = Primary.find(KeyTuple);
-  if (It != Primary.end()) {
-    Row &R = Rows[It->second];
+  std::span<const Value> KeyElems = F.tupleElems(KeyTuple);
+  uint64_t H = ValueFactory::hashSeq(KeyElems);
+  uint32_t Id = findRow(KeyTuple, H);
+  if (Id != HashIndex::NoId) {
+    Row &R = Rows[Id];
     Value Joined = Lat.lub(R.Lat, LatVal);
     assert(Lat.leq(R.Lat, Joined) && Lat.leq(LatVal, Joined) &&
            "lub not an upper bound; malformed lattice");
     if (Joined == R.Lat)
-      return {It->second, false};
+      return {Id, false};
     if (R.Lat == Bot)
       --NumTombstones; // tombstoned row revived in place
     R.Lat = Joined;
-    return {It->second, true};
+    return {Id, true};
   }
   // New cell. ⊥ cells are not materialized.
   if (LatVal == Bot)
     return {NoRow, false};
-  uint32_t Id = static_cast<uint32_t>(Rows.size());
+  Id = static_cast<uint32_t>(Rows.size());
   Rows.push_back({KeyTuple, LatVal});
-  Primary.emplace(KeyTuple, Id);
+  Primary.insert(H, Id);
   // Keep existing secondary indexes in sync.
-  std::span<const Value> KeyElems = F.tupleElems(KeyTuple);
   for (Index &Ix : Indexes)
-    Ix.add(projectKey(KeyElems, Ix.Mask), Id);
+    append(Ix, hashProj(KeyElems, Ix.Mask), {&Id, 1});
   return {Id, true};
 }
 
@@ -69,27 +114,26 @@ void Table::resetRow(uint32_t Id) {
   ++NumTombstones;
 }
 
-const Value *Table::lookup(Value KeyTuple) const {
-  auto It = Primary.find(KeyTuple);
-  if (It == Primary.end() || Rows[It->second].Lat == Bot)
-    return nullptr;
-  return &Rows[It->second].Lat;
+const Value *Table::lookup(std::span<const Value> Key) const {
+  uint32_t Id = lookupRow(Key);
+  return Id == NoRow ? nullptr : &Rows[Id].Lat;
+}
+
+uint32_t Table::lookupRow(std::span<const Value> Key) const {
+  uint32_t Id = Primary.find(ValueFactory::hashSeq(Key), [&](uint32_t Id) {
+    return std::ranges::equal(rowKey(Id), Key);
+  });
+  if (Id == HashIndex::NoId || Rows[Id].Lat == Bot)
+    return NoRow;
+  return Id;
 }
 
 uint32_t Table::lookupRow(Value KeyTuple) const {
-  auto It = Primary.find(KeyTuple);
-  if (It == Primary.end() || Rows[It->second].Lat == Bot)
+  uint32_t Id =
+      findRow(KeyTuple, ValueFactory::hashSeq(F.tupleElems(KeyTuple)));
+  if (Id == HashIndex::NoId || Rows[Id].Lat == Bot)
     return NoRow;
-  return It->second;
-}
-
-Value Table::projectKey(std::span<const Value> KeyElems,
-                        uint64_t Mask) const {
-  SmallVector<Value, 4> Proj;
-  for (unsigned I = 0; I < KeyArity; ++I)
-    if (Mask & (uint64_t(1) << I))
-      Proj.push_back(KeyElems[I]);
-  return F.tuple(std::span<const Value>(Proj.data(), Proj.size()));
+  return Id;
 }
 
 Table::Index *Table::findIndex(uint64_t Mask) {
@@ -102,24 +146,37 @@ Table::Index *Table::findIndex(uint64_t Mask) {
 Table::Index &Table::ensureIndex(uint64_t Mask) {
   if (Index *Ix = findIndex(Mask))
     return *Ix;
-  Indexes.push_back(Index{Mask, {}, 0});
-  Index &Ix = Indexes.back();
+  Index &Ix = Indexes.emplace_back();
+  Ix.Mask = Mask;
   for (uint32_t Id = 0; Id < Rows.size(); ++Id)
-    Ix.add(projectKey(F.tupleElems(Rows[Id].Key), Mask), Id);
+    append(Ix, hashProj(rowKey(Id), Mask), {&Id, 1});
   return Ix;
 }
 
 void Table::buildPartialIndex(uint64_t Mask, uint32_t Begin, uint32_t End,
                               PartialIndex &Out) const {
   assert(End <= Rows.size());
-  for (uint32_t Id = Begin; Id < End; ++Id)
-    Out[projectKey(F.tupleElems(Rows[Id].Key), Mask)].push_back(Id);
+  for (uint32_t Id = Begin; Id < End; ++Id) {
+    std::span<const Value> KeyElems = rowKey(Id);
+    uint64_t H = hashProj(KeyElems, Mask);
+    uint32_t G = Out.ByHash.findOrInsert(
+        H,
+        [&](uint32_t G) {
+          return sameCols(rowKey(Out.Groups[G].front()), KeyElems, Mask);
+        },
+        [&] {
+          Out.Groups.emplace_back();
+          Out.Hashes.push_back(H);
+          return static_cast<uint32_t>(Out.Groups.size() - 1);
+        });
+    Out.Groups[G].push_back(Id);
+  }
 }
 
 void Table::reserveIndexSlots(std::span<const uint64_t> Masks) {
   for (uint64_t Mask : Masks)
     if (!findIndex(Mask))
-      Indexes.push_back(Index{Mask, {}, 0});
+      Indexes.emplace_back().Mask = Mask;
 }
 
 void Table::buildIndexFromPartials(uint64_t Mask,
@@ -127,28 +184,18 @@ void Table::buildIndexFromPartials(uint64_t Mask,
   Index *Ix = findIndex(Mask);
   assert(Ix && "slot must be pre-created with reserveIndexSlots");
   assert(Ix->Buckets.empty() && "index already built");
-  // Size the bucket map once: the union's bucket count is at most the sum
-  // of the partials' (and usually close to the largest partial's).
+  // Size the bucket index once: the union's bucket count is at most the
+  // sum of the partials' (and usually close to the largest partial's).
   size_t KeyEstimate = 0;
   for (const PartialIndex &P : Parts)
-    KeyEstimate += P.size();
-  Ix->Buckets.reserve(KeyEstimate);
-  // Partials are ordered by row range and each partial's buckets hold
+    KeyEstimate += P.Groups.size();
+  Ix->ByHash.reserve(KeyEstimate);
+  // Partials are ordered by row range and each partial's groups hold
   // ascending ids, so appending in partial order keeps every merged
   // bucket ascending — the same layout ensureIndex produces.
-  for (PartialIndex &P : Parts) {
-    for (auto &[Proj, Ids] : P) {
-      auto [It, Inserted] = Ix->Buckets.try_emplace(Proj);
-      if (Inserted)
-        Ix->Bytes += BucketNodeBytes;
-      std::vector<uint32_t> &B = It->second;
-      size_t OldCap = B.capacity();
-      B.insert(B.end(), Ids.begin(), Ids.end());
-      if (B.capacity() != OldCap)
-        Ix->Bytes += (B.capacity() - OldCap) * sizeof(uint32_t);
-      Ix->MaxBucket = std::max(Ix->MaxBucket, B.size());
-    }
-  }
+  for (PartialIndex &P : Parts)
+    for (size_t G = 0; G < P.Groups.size(); ++G)
+      append(*Ix, P.Hashes[G], P.Groups[G]);
 }
 
 bool Table::hasIndex(uint64_t Mask) const {
@@ -173,37 +220,32 @@ void Table::collectIndexStats(std::vector<IndexStats> &Out) const {
     Out.push_back({Ix.Mask, Ix.Buckets.size(), Ix.MaxBucket});
 }
 
-const std::vector<uint32_t> &Table::probe(uint64_t BoundMask,
-                                          Value ProjTuple) {
+const Table::Bucket &Table::probe(uint64_t BoundMask,
+                                  std::span<const Value> Proj) {
   assert(BoundMask != 0 && "use a full scan for unbound probes");
   // Mirrors the solvers' Full computation; KeyArity > 63 never reaches a
   // probe (rejected by Program::validate), so the shift is defined.
   assert(KeyArity <= 63 && "unindexable key arity must be rejected earlier");
   assert(BoundMask != (KeyArity == 0 ? 0 : (uint64_t(1) << KeyArity) - 1) &&
-         "use the primary map for fully bound probes");
-  Index &Ix = ensureIndex(BoundMask);
-  auto It = Ix.Buckets.find(ProjTuple);
-  return It == Ix.Buckets.end() ? EmptyBucket : It->second;
+         "use the primary index for fully bound probes");
+  const Bucket *B = findBucket(ensureIndex(BoundMask), Proj);
+  return B ? *B : EmptyBucket;
 }
 
-const std::vector<uint32_t> *Table::probeExisting(uint64_t BoundMask,
-                                                  Value ProjTuple) const {
+const Table::Bucket *Table::probeExisting(uint64_t BoundMask,
+                                          std::span<const Value> Proj) const {
   for (const Index &Ix : Indexes) {
     if (Ix.Mask != BoundMask)
       continue;
-    auto It = Ix.Buckets.find(ProjTuple);
-    return It == Ix.Buckets.end() ? &EmptyBucket : &It->second;
+    const Bucket *B = findBucket(Ix, Proj);
+    return B ? B : &EmptyBucket;
   }
   return nullptr;
 }
 
 size_t Table::memoryBytes() const {
-  size_t Bytes = Rows.capacity() * sizeof(Row);
-  Bytes += Primary.size() * (sizeof(Value) + sizeof(uint32_t) + 16);
-  for (const Index &Ix : Indexes) {
-    Bytes += Ix.Bytes;
-    // Hash-table array of the bucket map itself.
-    Bytes += Ix.Buckets.bucket_count() * sizeof(void *);
-  }
+  size_t Bytes = Rows.capacity() * sizeof(Row) + Primary.memoryBytes();
+  for (const Index &Ix : Indexes)
+    Bytes += Ix.Bytes + Ix.ByHash.memoryBytes();
   return Bytes;
 }

@@ -11,11 +11,15 @@
 /// into the table computes the per-cell least upper bound, maintaining
 /// compactness; ⊥-valued cells are never materialized (see DESIGN.md).
 ///
-/// Key tuples are interned in the ValueFactory, so the primary map and all
-/// secondary indexes are Value → row maps with O(1) handle hashing.
-/// Secondary indexes over subsets of the key columns are created lazily
-/// from the bound-variable patterns the solver encounters — the paper's
-/// automatic index selection (§4.5).
+/// A row's key tuple is interned in the ValueFactory when join() inserts
+/// the row; that is the only time the table interns anything. The primary
+/// index and every secondary index are HashIndexes over the structural
+/// hash of the key (or projected key) elements, ValueFactory::hashSeq, so
+/// lookups and probes take the key as an element span: they hash it in
+/// place and compare elements only when a stored hash matches. An absent
+/// key therefore costs no arena memory. Secondary indexes over subsets of
+/// the key columns are created lazily from the bound-variable patterns the
+/// solver encounters — the paper's automatic index selection (§4.5).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +27,9 @@
 #define FLIX_FIXPOINT_TABLE_H
 
 #include "runtime/Lattice.h"
+#include "support/HashIndex.h"
 
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 namespace flix {
@@ -36,6 +41,9 @@ public:
     Value Key; ///< interned Tuple of the key columns
     Value Lat; ///< current lattice element of this cell
   };
+
+  /// Ids of the rows sharing one projected key, ascending.
+  using Bucket = std::vector<uint32_t>;
 
   /// \p KeyArity key columns; \p Lat is the lattice of the value column
   /// (the BoolLattice for relational predicates). Key arities above 63
@@ -87,42 +95,54 @@ public:
   /// are dropped (RowId == NoRow, Changed == false).
   JoinResult join(Value KeyTuple, Value LatVal);
 
-  /// Returns the lattice value of the cell \p KeyTuple, or nullptr if the
-  /// cell is absent (i.e. implicitly ⊥, including tombstoned rows).
-  const Value *lookup(Value KeyTuple) const;
+  /// Returns the lattice value of the cell with key columns \p Key, or
+  /// nullptr if the cell is absent (i.e. implicitly ⊥, including
+  /// tombstoned rows).
+  const Value *lookup(std::span<const Value> Key) const;
 
-  /// Returns the row id of cell \p KeyTuple, or NoRow if absent (including
-  /// tombstoned rows, which are logically ⊥).
+  /// Returns the row id of the cell with key columns \p Key, or NoRow if
+  /// absent (including tombstoned rows, which are logically ⊥).
+  uint32_t lookupRow(std::span<const Value> Key) const;
+  /// The same for a caller that holds the interned key tuple.
   uint32_t lookupRow(Value KeyTuple) const;
 
   /// Probes the secondary index for \p BoundMask (bit i set = key column i
-  /// bound), returning ids of rows whose bound columns equal \p ProjTuple
-  /// (the interned tuple of the bound columns, in column order). Builds the
-  /// index on first use. \p BoundMask must be neither empty nor full.
-  const std::vector<uint32_t> &probe(uint64_t BoundMask, Value ProjTuple);
+  /// bound), returning ids of rows whose bound columns equal \p Proj (the
+  /// bound columns' values, in column order). Builds the index on first
+  /// use. \p BoundMask must be neither empty nor full.
+  ///
+  /// The returned bucket stays at its address for the table's lifetime:
+  /// later joins append to it in place and creating further indexes never
+  /// moves it. So a caller may keep the pointer across in-place joins and
+  /// walk the prefix of the size it saw at probe time.
+  const Bucket &probe(uint64_t BoundMask, std::span<const Value> Proj);
 
   /// Read-only probe for concurrent readers (the parallel solver's
-  /// workers): returns the bucket for \p BoundMask/\p ProjTuple, an empty
+  /// workers): returns the bucket for \p BoundMask/\p Proj, an empty
   /// bucket if the index exists but has no such key, or nullptr if the
   /// index itself does not exist (callers fall back to a full scan).
   /// Never builds an index, so it is safe while other threads read the
   /// table — indexes must be prepared up front with prepareIndex().
-  const std::vector<uint32_t> *probeExisting(uint64_t BoundMask,
-                                             Value ProjTuple) const;
+  const Bucket *probeExisting(uint64_t BoundMask,
+                              std::span<const Value> Proj) const;
 
   /// Eagerly creates the secondary index for \p BoundMask (a no-op if it
   /// already exists); used by index hints.
   void prepareIndex(uint64_t BoundMask) { ensureIndex(BoundMask); }
 
   /// One worker's partial secondary index over a contiguous row range:
-  /// projected bound-column tuple → ids of the range's matching rows, in
-  /// ascending order.
-  using PartialIndex = std::unordered_map<Value, std::vector<uint32_t>>;
+  /// the range's row ids grouped by projected key, each group ascending.
+  class PartialIndex {
+    friend class Table;
+    HashIndex ByHash;             ///< projected-key hash → group position
+    std::vector<Bucket> Groups;   ///< in first-seen order
+    std::vector<uint64_t> Hashes; ///< projected-key hash per group
+  };
 
-  /// Scans rows [\p Begin, \p End) and appends each row id to the bucket
-  /// of its \p Mask projection in \p Out. Read-only on the table, so any
-  /// number of threads may build partials of the same table concurrently
-  /// (with a concurrent-mode ValueFactory for the projection tuples).
+  /// Scans rows [\p Begin, \p End) and appends each row id to the group
+  /// of its \p Mask projection in \p Out. Read-only on the table (and it
+  /// interns nothing), so any number of threads may build partials of the
+  /// same table concurrently.
   void buildPartialIndex(uint64_t Mask, uint32_t Begin, uint32_t End,
                          PartialIndex &Out) const;
 
@@ -172,20 +192,32 @@ public:
 private:
   struct Index {
     uint64_t Mask;
-    std::unordered_map<Value, std::vector<uint32_t>> Buckets;
-    /// Capacity-aware byte estimate of this index's buckets (vector
-    /// capacity + per-bucket map-node overhead), maintained by add().
+    HashIndex ByHash; ///< projected-key hash → position in Buckets
+    /// A deque, so buckets keep their address as buckets are added.
+    std::deque<Bucket> Buckets;
+    /// Capacity-aware byte estimate of Buckets (vector objects and
+    /// capacity), maintained by append().
     size_t Bytes = 0;
-    /// Rows in the largest bucket, maintained by add() and the
-    /// partial-merge builder; read by indexStats() for the cost model.
+    /// Rows in the largest bucket, maintained by append(); read by
+    /// indexStats() for the cost model.
     size_t MaxBucket = 0;
-
-    /// Appends \p Id to the bucket of \p Proj, keeping Bytes in sync with
-    /// actual vector capacity growth.
-    void add(Value Proj, uint32_t Id);
   };
 
-  Value projectKey(std::span<const Value> KeyElems, uint64_t Mask) const;
+  /// Structural hash of the \p Mask columns of \p KeyElems: hashSeq of the
+  /// projected key, which is what a probe hashes.
+  static uint64_t hashProj(std::span<const Value> KeyElems, uint64_t Mask);
+  /// Whether the \p Mask columns of row \p Id equal \p Proj.
+  bool projEquals(uint32_t Id, uint64_t Mask,
+                  std::span<const Value> Proj) const;
+  /// The row holding interned key \p KeyTuple (hash \p H), tombstoned
+  /// or not; HashIndex::NoId if none.
+  uint32_t findRow(Value KeyTuple, uint64_t H) const;
+  /// The bucket of projected key \p Proj in \p Ix, or nullptr.
+  const Bucket *findBucket(const Index &Ix,
+                           std::span<const Value> Proj) const;
+  /// Appends \p Ids (rows whose \p Mask projection hashes to \p H and
+  /// equals row Ids[0]'s) to their bucket, creating it if needed.
+  void append(Index &Ix, uint64_t H, std::span<const uint32_t> Ids);
   Index &ensureIndex(uint64_t Mask);
   Index *findIndex(uint64_t Mask);
 
@@ -196,9 +228,10 @@ private:
   size_t NumTombstones = 0;
 
   std::vector<Row> Rows;
-  std::unordered_map<Value, uint32_t> Primary;
-  std::vector<Index> Indexes;
-  static const std::vector<uint32_t> EmptyBucket;
+  HashIndex Primary; ///< key hash → row id
+  /// A deque, so creating an index never moves another one's buckets.
+  std::deque<Index> Indexes;
+  static const Bucket EmptyBucket;
 };
 
 } // namespace flix

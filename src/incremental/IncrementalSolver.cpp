@@ -146,7 +146,7 @@ std::vector<Fact> IncrementalSolver::currentFacts() const {
 //===----------------------------------------------------------------------===//
 
 void IncrementalSolver::noteChanged(PredId Pred, uint32_t Row) {
-  S->NextDelta[Pred].insert(Row);
+  S->queueDelta(Pred, Row);
   UpdateChanged[Pred].insert(Row);
 }
 
@@ -236,8 +236,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   Sol.Stats.St = SolveStats::Status::Fixpoint;
   for (auto &Ch : UpdateChanged)
     Ch.clear();
-  for (auto &ND : Sol.NextDelta)
-    ND.clear();
+  Sol.clearNextDelta();
 
   assert(Sol.Strata && "inner solver solved, stratification available");
   const Stratification &St = *Sol.Strata;
@@ -421,23 +420,16 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
     // sound (joins are idempotent) and cheap (deltas are small).
     for (PredId PI = 0; PI < NumPreds; ++PI)
       for (uint32_t Row : UpdateChanged[PI])
-        Sol.NextDelta[PI].insert(Row);
+        Sol.queueDelta(PI, Row);
 
     // (c) Semi-naive delta rounds restricted to this stratum's rules.
     const std::vector<uint32_t> &RuleIds = St.RulesByStratum[Str];
     while (!Sol.Aborted) {
-      bool AnyDelta = false;
-      for (size_t PI = 0; PI < NumPreds; ++PI) {
-        Sol.Delta[PI].assign(Sol.NextDelta[PI].begin(),
-                             Sol.NextDelta[PI].end());
-        std::sort(Sol.Delta[PI].begin(), Sol.Delta[PI].end());
-        for (uint32_t Row : Sol.NextDelta[PI])
-          UpdateChanged[PI].insert(Row);
-        Sol.NextDelta[PI].clear();
-        AnyDelta |= !Sol.Delta[PI].empty();
-      }
-      if (!AnyDelta)
+      if (!Sol.promoteDelta())
         break;
+      for (size_t PI = 0; PI < NumPreds; ++PI)
+        for (uint32_t Row : Sol.Delta[PI])
+          UpdateChanged[PI].insert(Row);
       ++Sol.Stats.Iterations;
       // Round-boundary adaptive re-plan, same contract as the batch
       // solvers: single-threaded here, and workers re-fetch plans by

@@ -213,15 +213,14 @@ struct RoundExecutor::WorkerCtx {
                                 VmCalls, InterpFallbacks);
   }
 
-  /// Buckets are immutable during an eval phase, so no copy is taken (the
-  /// scratch vector stays untouched) and the returned pointer is a stable
-  /// spill target. A miss means the static index analysis and the plan
-  /// compiler disagreed on a mask — counted, fatal under
+  /// Buckets are immutable during an eval phase, so the returned pointer
+  /// is a stable spill target. A miss means the static index analysis and
+  /// the plan compiler disagreed on a mask — counted, fatal under
   /// StrictIndexCoverage, and answered with a full-scan fallback.
-  const std::vector<uint32_t> *probeBucket(const plan::Step &St, Value ProjT,
-                                           std::vector<uint32_t> &) {
-    if (const std::vector<uint32_t> *Bucket =
-            sol().Tables[St.Pred]->probeExisting(St.Mask, ProjT))
+  const Table::Bucket *probeBucket(const plan::Step &St,
+                                   std::span<const Value> Proj) {
+    if (const Table::Bucket *Bucket =
+            sol().Tables[St.Pred]->probeExisting(St.Mask, Proj))
       return Bucket;
     ++IndexFallbacks;
     assert(!sol().Opts.StrictIndexCoverage &&
@@ -389,12 +388,11 @@ void RoundExecutor::WorkerCtx::compactShard(size_t Sh,
 
 // Sharded merge, phase B: join one predicate's compacted derivations into
 // its head table and record the strictly-increased rows as the next
-// delta. One task per predicate, so each table and NextDelta set has a
+// delta. One task per predicate, so each table and NextDelta queue has a
 // single writer.
 void RoundExecutor::WorkerCtx::joinPred(PredId Pred,
                                         const std::vector<Deriv> &Pending) {
   Table &T = *sol().Tables[Pred];
-  auto &ND = sol().NextDelta[Pred];
   uint64_t Seen = 0;
   for (const Deriv &D : Pending) {
     if ((++Seen & 0x3FF) == 0 && checkAbort())
@@ -402,7 +400,7 @@ void RoundExecutor::WorkerCtx::joinPred(PredId Pred,
     Table::JoinResult JR = T.join(D.Key, D.Lat);
     if (JR.Changed) {
       ++FactsDerived;
-      ND.insert(JR.RowId);
+      sol().queueDelta(Pred, JR.RowId);
     }
   }
 }
@@ -684,7 +682,7 @@ void RoundExecutor::runRecordingMerge() {
       if (!JR.Changed)
         continue;
       ++Sol.Stats.FactsDerived;
-      Sol.NextDelta[R.D.Pred].insert(JR.RowId);
+      Sol.queueDelta(R.D.Pred, JR.RowId);
       CellRef Head{R.D.Pred, JR.RowId};
       if (Sol.Opts.TrackSupport) {
         for (CellRef Prem : R.Premises)

@@ -13,50 +13,13 @@ using namespace flix;
 
 static_assert(sizeof(void *) >= 8, "Value handles assume a 64-bit host");
 
-template <typename EqFn, typename MakeFn>
-uint32_t ValueFactory::internIn(FlatIndex &Ix, uint64_t H, EqFn Eq,
-                                MakeFn MakeNew) {
-  // Grow at 70% load (including initial allocation).
-  if (Ix.Count * 10 >= Ix.capacity() * 7) {
-    size_t NewCap = std::max<size_t>(64, Ix.capacity() * 2);
-    FlatIndex NewIx;
-    NewIx.Hashes.assign(NewCap, 0);
-    NewIx.Ids.assign(NewCap, FlatIndex::Empty);
-    NewIx.Count = Ix.Count;
-    size_t Mask = NewCap - 1;
-    for (size_t I = 0; I < Ix.capacity(); ++I) {
-      if (Ix.Ids[I] == FlatIndex::Empty)
-        continue;
-      size_t Slot = Ix.Hashes[I] & Mask;
-      while (NewIx.Ids[Slot] != FlatIndex::Empty)
-        Slot = (Slot + 1) & Mask;
-      NewIx.Hashes[Slot] = Ix.Hashes[I];
-      NewIx.Ids[Slot] = Ix.Ids[I];
-    }
-    Ix = std::move(NewIx);
-  }
-
-  size_t Mask = Ix.capacity() - 1;
-  size_t Slot = H & Mask;
-  while (Ix.Ids[Slot] != FlatIndex::Empty) {
-    if (Ix.Hashes[Slot] == H && Eq(Ix.Ids[Slot]))
-      return Ix.Ids[Slot];
-    Slot = (Slot + 1) & Mask;
-  }
-  uint32_t Id = MakeNew();
-  Ix.Hashes[Slot] = H;
-  Ix.Ids[Slot] = Id;
-  ++Ix.Count;
-  return Id;
-}
-
 Value ValueFactory::tag(Symbol TagName, Value Payload) {
   uint64_t H = hashValues(static_cast<uint64_t>(TagName.Id), Payload.hash());
   unsigned ShardId = shardOfHash(H);
   Shard &S = Shards[ShardId];
   auto Lock = lockShard(S);
-  uint32_t Id = internIn(
-      S.TagIx, H,
+  uint32_t Id = S.TagIx.findOrInsert(
+      H,
       [&](uint32_t Enc) {
         const TagRecord &R = S.Tags[localOfId(Enc)];
         return R.Name == TagName && R.Payload == Payload;
@@ -69,15 +32,27 @@ Value ValueFactory::tag(Symbol TagName, Value Payload) {
   return Value(ValueKind::Tag, Id);
 }
 
+bool ValueFactory::findTag(Symbol TagName, Value Payload, Value &Out) const {
+  uint64_t H = hashValues(static_cast<uint64_t>(TagName.Id), Payload.hash());
+  const Shard &S = Shards[shardOfHash(H)];
+  auto Lock = lockShard(S);
+  uint32_t Id = S.TagIx.find(H, [&](uint32_t Enc) {
+    const TagRecord &R = S.Tags[localOfId(Enc)];
+    return R.Name == TagName && R.Payload == Payload;
+  });
+  if (Id == HashIndex::NoId)
+    return false;
+  Out = Value(ValueKind::Tag, Id);
+  return true;
+}
+
 Value ValueFactory::internSeq(std::span<const Value> Elems, ValueKind K) {
-  uint64_t H = 0x7c0fa1d2b3e4f596ULL;
-  for (const Value &V : Elems)
-    H = hashCombine(H, V.hash());
+  uint64_t H = hashSeq(Elems);
   unsigned ShardId = shardOfHash(H);
   Shard &S = Shards[ShardId];
   auto Lock = lockShard(S);
-  uint32_t Id = internIn(
-      S.SeqIx, H,
+  uint32_t Id = S.SeqIx.findOrInsert(
+      H,
       [&](uint32_t Enc) {
         const std::vector<Value> &Sq = S.Seqs[localOfId(Enc)];
         return Sq.size() == Elems.size() &&
@@ -217,9 +192,7 @@ size_t ValueFactory::memoryBytes() const {
     // Lock so a concurrently interning solver cannot race this read (the
     // stress path: several solvers sharing one factory).
     auto Lock = lockShard(S);
-    Bytes += S.PayloadBytes +
-             S.TagIx.capacity() * (sizeof(uint64_t) + sizeof(uint32_t)) +
-             S.SeqIx.capacity() * (sizeof(uint64_t) + sizeof(uint32_t));
+    Bytes += S.PayloadBytes + S.TagIx.memoryBytes() + S.SeqIx.memoryBytes();
   }
   return Bytes;
 }

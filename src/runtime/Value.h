@@ -17,6 +17,7 @@
 #ifndef FLIX_RUNTIME_VALUE_H
 #define FLIX_RUNTIME_VALUE_H
 
+#include "support/HashIndex.h"
 #include "support/Hashing.h"
 #include "support/SegmentedVector.h"
 #include "support/StringInterner.h"
@@ -105,6 +106,12 @@ private:
 /// Creates and interns values. All compound values are hash-consed: building
 /// the same tag/tuple/set twice yields the identical handle.
 ///
+/// hashSeq() is the one definition of a tuple's (or set's) structural hash:
+/// interning files a tuple under hashSeq of its elements, and every keyed
+/// index of the engine (Table rows and secondary indexes, flixd snapshots)
+/// hashes its key elements with it too, so a lookup can hash an element
+/// span in place and never has to intern the key it is looking for.
+///
 /// By default a ValueFactory is single-threaded. Calling
 /// enableConcurrentInterning() switches it to *lock-sharded* operation for
 /// the parallel solver: the hash-consing tables are split into power-of-two
@@ -138,11 +145,23 @@ public:
     return tag(Strings.intern(TagName), Payload);
   }
   Value tag(std::string_view TagName) { return tag(TagName, unit()); }
+  /// Looks up `TagName(Payload)` without interning it: false if no such
+  /// tag was ever built (then no stored value can equal it).
+  bool findTag(Symbol TagName, Value Payload, Value &Out) const;
 
   /// Builds an n-ary tuple.
   Value tuple(std::span<const Value> Elems);
   Value tuple(std::initializer_list<Value> Elems) {
     return tuple(std::span<const Value>(Elems.begin(), Elems.size()));
+  }
+
+  /// Structural hash of the tuple or set with elements \p Elems (see the
+  /// class comment).
+  static uint64_t hashSeq(std::span<const Value> Elems) {
+    uint64_t H = 0x7c0fa1d2b3e4f596ULL;
+    for (const Value &V : Elems)
+      H = hashCombine(H, V.hash());
+    return H;
   }
 
   /// Builds a set; duplicates are removed and the representation is
@@ -195,25 +214,13 @@ private:
     Value Payload;
   };
 
-  /// Open-addressing hash index (hash, id) with linear probing — the
-  /// hash-consing tables are the hottest structures in the solver, and a
-  /// flat layout beats node-based maps by a wide margin.
-  struct FlatIndex {
-    std::vector<uint64_t> Hashes;
-    std::vector<uint32_t> Ids; ///< Empty = UINT32_MAX
-    size_t Count = 0;
-
-    static constexpr uint32_t Empty = UINT32_MAX;
-    size_t capacity() const { return Ids.size(); }
-  };
-
   /// Compound-value ids are sharded by structural hash: handle payload
   /// bits encode (shard, per-shard index) as Local·NumShards + Shard.
   /// Structurally equal values hash equal, so consing stays canonical;
   /// interning locks only the owning shard (and only in concurrent mode).
   static constexpr uint64_t NumShards = 8;
   static unsigned shardOfHash(uint64_t H) {
-    // High bits: the FlatIndex slot uses the low bits, and reusing them
+    // High bits: the HashIndex slot uses the low bits, and reusing them
     // for shard selection would leave 7/8 of each shard's slots unused.
     return static_cast<unsigned>(H >> 61);
   }
@@ -227,8 +234,8 @@ private:
 
   struct Shard {
     mutable std::mutex Mu;
-    FlatIndex TagIx;
-    FlatIndex SeqIx;
+    HashIndex TagIx;
+    HashIndex SeqIx;
     SegmentedVector<TagRecord> Tags;
     // Tuples and sets share the element-vector storage; sets are stored
     // in canonical (sorted, unique) order.
@@ -242,12 +249,6 @@ private:
       return std::unique_lock<std::mutex>(S.Mu);
     return {};
   }
-
-  /// Finds the id interned under \p H for which \p Eq(id) holds, or
-  /// inserts the id produced by \p MakeNew. Caller holds the shard lock.
-  template <typename EqFn, typename MakeFn>
-  static uint32_t internIn(FlatIndex &Ix, uint64_t H, EqFn Eq,
-                           MakeFn MakeNew);
 
   Value internSeq(std::span<const Value> Elems, ValueKind K);
 

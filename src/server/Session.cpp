@@ -32,9 +32,11 @@ Json valueToJson(const ValueFactory &F, Value V) {
 
 /// Parses one typed fact column from its JSON wire form. Mirrors flixc's
 /// text fact-file column format: Int/Str/Bool as the native JSON type,
-/// enums as `"Enum.Case"` strings.
+/// enums as `"Enum.Case"` strings. With \p Unknown set (point queries),
+/// strings and tags are looked up instead of interned; one never interned
+/// sets *Unknown, since no stored cell can contain it.
 bool jsonToColumn(ValueFactory &F, const Type &T, const Json &J, Value &Out,
-                  std::string &Err) {
+                  std::string &Err, bool *Unknown = nullptr) {
   switch (T.K) {
   case Type::Kind::Int:
     if (!J.isInt()) {
@@ -47,6 +49,12 @@ bool jsonToColumn(ValueFactory &F, const Type &T, const Json &J, Value &Out,
     if (!J.isStr()) {
       Err = "expected a JSON string";
       return false;
+    }
+    if (Unknown) {
+      uint32_t Id = F.strings().lookup(J.Str);
+      *Unknown |= Id == StringInterner::NotInterned;
+      Out = F.string(Symbol{Id});
+      return true;
     }
     Out = F.string(J.Str);
     return true;
@@ -61,6 +69,13 @@ bool jsonToColumn(ValueFactory &F, const Type &T, const Json &J, Value &Out,
     if (!J.isStr() || J.Str.rfind(T.EnumName + ".", 0) != 0) {
       Err = "expected a " + T.EnumName + " tag string (\"Enum.Case\")";
       return false;
+    }
+    if (Unknown) {
+      uint32_t Id = F.strings().lookup(J.Str);
+      if (Id == StringInterner::NotInterned ||
+          !F.findTag(Symbol{Id}, F.unit(), Out))
+        *Unknown = true;
+      return true;
     }
     Out = F.tag(J.Str);
     return true;
@@ -389,10 +404,12 @@ Session::QueryReply Session::query(const std::string &PredName,
     }
     const PredInfo &Info = Compiler->checkedModule().Preds.at(PredName);
     SmallVector<Value, 4> KeyVals;
+    bool Unknown = false;
     for (size_t I = 0; I < Key->Arr.size(); ++I) {
       Value V;
       std::string ColErr;
-      if (!jsonToColumn(F, Info.AttrTypes[I], Key->Arr[I], V, ColErr)) {
+      if (!jsonToColumn(F, Info.AttrTypes[I], Key->Arr[I], V, ColErr,
+                        &Unknown)) {
         R.Ok = false;
         R.Code = ErrCode::BadFact;
         R.Error = "key column " + std::to_string(I + 1) + " of " +
@@ -401,13 +418,13 @@ Session::QueryReply Session::query(const std::string &PredName,
       }
       KeyVals.push_back(V);
     }
-    Value KeyT = F.tuple(std::span<const Value>(KeyVals.data(),
-                                                KeyVals.size()));
-    auto It = PS.ByKey.find(KeyT);
-    bool Found = It != PS.ByKey.end();
-    Fields.set("found", Json::boolean(Found));
-    if (Found && !Decl.isRelational())
-      Fields.set("value", valueToJson(F, It->second));
+    const Table::Row *Row =
+        Unknown ? nullptr
+                : PS.find(F, std::span<const Value>(KeyVals.data(),
+                                                    KeyVals.size()));
+    Fields.set("found", Json::boolean(Row != nullptr));
+    if (Row && !Decl.isRelational())
+      Fields.set("value", valueToJson(F, Row->Lat));
   } else {
     Json RowsJ = Json::array();
     for (const Table::Row &Row : PS.Rows) {
@@ -464,6 +481,10 @@ Json Session::statsJson() {
   S.set("cost_based_plans",
         Json::integer(int64_t(LastUpdate.CostBasedPlans)));
   S.set("memory_bytes", Json::integer(int64_t(LastUpdate.MemoryBytes)));
+  // Live value-arena size (the last update's memory_bytes includes it as
+  // of that update): point queries intern nothing, so it moves only with
+  // loads and mutations.
+  S.set("value_arena_bytes", Json::integer(int64_t(F.memoryBytes())));
 
   Json Last = Json::object();
   Last.set("seconds", Json::number(LastUpdate.Seconds));

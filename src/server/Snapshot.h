@@ -14,10 +14,13 @@
 /// affected cone like the incremental update itself, not the database.
 ///
 /// Readers resolve a snapshot with one mutex-protected shared_ptr copy
-/// and then run lock-free: point lookups through the per-predicate hash
-/// map, scans over the dense row vector. The Value handles inside are
-/// interned in the session's ValueFactory (concurrent-interning mode),
-/// so dereferencing them while a solve runs is safe.
+/// and then run lock-free: point lookups through the per-predicate
+/// HashIndex over the rows' key hashes (ValueFactory::hashSeq, as in the
+/// solver's tables), scans over the dense row vector. A point lookup takes
+/// the key as an element span and interns nothing, so queries for absent
+/// keys cost no arena memory. The Value handles inside are interned in
+/// the session's ValueFactory (concurrent-interning mode), so
+/// dereferencing them while a solve runs is safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,30 +28,41 @@
 #define FLIX_SERVER_SNAPSHOT_H
 
 #include "fixpoint/Table.h"
+#include "support/HashIndex.h"
 
+#include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace flix {
 namespace server {
 
-/// One predicate's live rows at some generation. Both representations
-/// are kept: ByKey answers point queries in O(1), Rows preserves the
-/// table's insertion order for scans.
+/// One predicate's live rows at some generation. Rows preserves the
+/// table's insertion order for scans; ByKey indexes it for point queries.
 struct PredSnapshot {
-  std::vector<Table::Row> Rows;          ///< live (non-tombstone) cells
-  std::unordered_map<Value, Value> ByKey; ///< key tuple -> lattice value
+  std::vector<Table::Row> Rows; ///< live (non-tombstone) cells
+  HashIndex ByKey;              ///< key hash -> position in Rows
+
+  /// The live row with key columns \p Key, or nullptr.
+  const Table::Row *find(const ValueFactory &F,
+                         std::span<const Value> Key) const {
+    uint32_t Pos =
+        ByKey.find(ValueFactory::hashSeq(Key), [&](uint32_t Pos) {
+          return std::ranges::equal(F.tupleElems(Rows[Pos].Key), Key);
+        });
+    return Pos == HashIndex::NoId ? nullptr : &Rows[Pos];
+  }
 
   static std::shared_ptr<const PredSnapshot> capture(const Table &T) {
     auto S = std::make_shared<PredSnapshot>();
     S->Rows.reserve(T.liveSize());
     S->ByKey.reserve(T.liveSize());
-    for (const Table::Row &R : T.rows()) {
-      if (R.Lat == T.botValue())
+    for (uint32_t Id = 0; Id < T.size(); ++Id) {
+      if (T.isTombstone(Id))
         continue; // tombstoned or never-present
-      S->Rows.push_back(R);
-      S->ByKey.emplace(R.Key, R.Lat);
+      S->ByKey.insert(ValueFactory::hashSeq(T.rowKey(Id)),
+                      static_cast<uint32_t>(S->Rows.size()));
+      S->Rows.push_back(T.row(Id));
     }
     return S;
   }

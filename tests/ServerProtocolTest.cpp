@@ -409,6 +409,61 @@ TEST(ServerCore, StatsListAndDrop) {
   EXPECT_EQ(replyCode(R), "no_such_db");
 }
 
+TEST(ServerCore, AbsentKeyQueriesInternNothing) {
+  // Point queries look keys up without interning them — neither the key
+  // tuple nor a string or enum column value the session never saw — so a
+  // long stream of absent-key queries leaves the value arena unchanged.
+  const char *Program = R"(
+enum Color { case Red, case Green }
+rel Edge(x: Int, y: Int);
+rel Path(x: Int, y: Int);
+rel Named(s: Str, x: Int);
+rel Paint(c: Color, x: Int);
+Path(x, y) :- Edge(x, y).
+Path(x, z) :- Path(x, y), Edge(y, z).
+Edge(1, 2).
+Edge(2, 3).
+Named("one", 1).
+Paint(Color.Red, 1).
+)";
+  Server S(ServerOptions{});
+  ASSERT_TRUE(replyOk(roundTrip(S, loadLine("m", Program))));
+  auto query = [&](const std::string &Pred, const std::string &Key) {
+    return roundTrip(S, "{\"op\":\"query\",\"db\":\"m\",\"pred\":\"" +
+                            Pred + "\",\"key\":" + Key + "}");
+  };
+  auto arenaBytes = [&] {
+    Json R = roundTrip(S, "{\"op\":\"stats\",\"db\":\"m\"}");
+    const Json *B = R.get("db")->get("value_arena_bytes");
+    EXPECT_NE(B, nullptr);
+    return B ? B->Int : -1;
+  };
+  // Warm up: present keys of every column type.
+  ASSERT_TRUE(query("Path", "[1,3]").get("found")->B);
+  ASSERT_TRUE(query("Named", "[\"one\",1]").get("found")->B);
+  ASSERT_TRUE(query("Paint", "[\"Color.Red\",1]").get("found")->B);
+
+  int64_t Before = arenaBytes();
+  for (int I = 0; I < 10000; ++I) {
+    std::string N = std::to_string(I);
+    std::string PathKey = "[";
+    PathKey += std::to_string(1000 + I);
+    PathKey += ",-";
+    PathKey += N;
+    PathKey += "]";
+    Json R = query("Path", PathKey);
+    ASSERT_TRUE(replyOk(R)) << writeJson(R);
+    EXPECT_FALSE(R.get("found")->B);
+    EXPECT_FALSE(query("Named", "[\"name" + N + "\",1]").get("found")->B);
+    EXPECT_FALSE(query("Paint", "[\"Color.Hue" + N + "\",1]")
+                     .get("found")
+                     ->B);
+  }
+  EXPECT_EQ(arenaBytes(), Before);
+  // A never-seen value of a known column still answers correctly.
+  EXPECT_FALSE(query("Paint", "[\"Color.Green\",1]").get("found")->B);
+}
+
 //===----------------------------------------------------------------------===//
 // 4. Loopback socket tests
 //===----------------------------------------------------------------------===//

@@ -6,9 +6,12 @@
 
 #include "fixpoint/Solver.h"
 
+#include "parallel/Dispatch.h"
 #include "runtime/Lattices.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 using namespace flix;
 
@@ -192,6 +195,102 @@ TEST(SolverEdgeTest, IndexHintViaApi) {
   EXPECT_EQ(S.table(A).numIndexes(), 1u);
   ASSERT_TRUE(S.solve().ok());
   EXPECT_EQ(S.table(A).size(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Absent keys cost no arena memory: lookups hash key spans in place, so the
+// value factory only grows for rows actually inserted.
+//===----------------------------------------------------------------------===//
+
+TEST(SolverEdgeTest, AbsentKeyQueriesInternNothing) {
+  ValueFactory F;
+  ParityLattice L(F);
+  Program P(F);
+  PredId Edge = P.relation("Edge", 2);
+  PredId Path = P.relation("Path", 2);
+  PredId Par = P.lattice("Par", 2, &L);
+  RuleBuilder().head(Path, {"x", "y"}).atom(Edge, {"x", "y"}).addTo(P);
+  RuleBuilder()
+      .head(Path, {"x", "z"})
+      .atom(Path, {"x", "y"})
+      .atom(Edge, {"y", "z"})
+      .addTo(P);
+  for (int I = 0; I < 50; ++I) {
+    P.addFact(Edge, {F.integer(I), F.integer(I + 1)});
+    P.addLatFact(Par, {F.integer(I)}, I % 2 ? L.odd() : L.even());
+  }
+  SolverOptions Opts;
+  Opts.TrackProvenance = true;
+  Solver S(P, Opts);
+  ASSERT_TRUE(S.solve().ok());
+  // Warm up: present keys, including a provenance walk.
+  ASSERT_TRUE(S.contains(Path, {F.integer(0), F.integer(50)}));
+  ASSERT_EQ(S.latValue(Par, {F.integer(3)}), L.odd());
+  std::array<Value, 2> Present = {F.integer(0), F.integer(2)};
+  ASSERT_NE(S.explain(Path, Present), nullptr);
+  S.explainString(Path, Present);
+
+  size_t Before = F.memoryBytes();
+  for (int I = 0; I < 10000; ++I) {
+    std::array<Value, 2> Key = {F.integer(1000 + I), F.integer(-I)};
+    EXPECT_FALSE(S.contains(Path, Key));
+    EXPECT_EQ(S.latValue(Par, {Key[0]}), L.bot());
+    EXPECT_EQ(S.explain(Path, Key), nullptr);
+    EXPECT_NE(S.explainString(Path, Key).find("[absent]"),
+              std::string::npos);
+  }
+  EXPECT_EQ(F.memoryBytes(), Before);
+}
+
+TEST(SolverEdgeTest, AbsentKeyProbesAndNegationsInternNothing) {
+  // Every probe and negation step of the solve below misses: Query(q, r)
+  // probes Edge on (r, q) and negates Blocked(r, q), and no (r, q) pair
+  // exists anywhere. The only keys the solve interns are the facts' and
+  // the heads', which are interned up front, so the arena must not grow
+  // on either engine.
+  constexpr int N = 10000;
+  for (unsigned Threads : {0u, 2u}) {
+    ValueFactory F;
+    Program P(F);
+    PredId Query = P.relation("Query", 2);
+    PredId Edge = P.relation("Edge", 3);
+    PredId Blocked = P.relation("Blocked", 2);
+    PredId Hit = P.relation("Hit", 1);
+    PredId Open = P.relation("Open", 1);
+    RuleBuilder()
+        .head(Hit, {"q"})
+        .atom(Query, {"q", "r"})
+        .atom(Edge, {"r", "q", "x"})
+        .addTo(P);
+    RuleBuilder()
+        .head(Open, {"q"})
+        .atom(Query, {"q", "r"})
+        .negated(Blocked, {"r", "q"})
+        .addTo(P);
+    for (int Q = 0; Q < N; ++Q) {
+      P.addFact(Query, {F.integer(Q), F.integer(N + Q)});
+      F.tuple({F.integer(Q), F.integer(N + Q)});
+      F.tuple({F.integer(Q)}); // the Open(q) head key
+    }
+    for (int I = 0; I < 500; ++I) {
+      P.addFact(Edge, {F.integer(I), F.integer(I), F.integer(I)});
+      P.addFact(Blocked, {F.integer(I), F.integer(I + 1)});
+      F.tuple({F.integer(I), F.integer(I), F.integer(I)});
+      F.tuple({F.integer(I), F.integer(I + 1)});
+    }
+    SolverOptions Opts;
+    Opts.NumThreads = Threads;
+    // The written order keeps Query first, so Edge and Blocked are
+    // reached by probe and negation steps.
+    Opts.CostBasedPlans = false;
+    size_t Before = F.memoryBytes();
+    solveWith(P, Opts, [&](const auto &S, const SolveStats &St) {
+      ASSERT_TRUE(St.ok()) << "threads " << Threads;
+      EXPECT_EQ(S.table(Hit).size(), 0u);
+      EXPECT_EQ(S.table(Open).size(), size_t(N));
+    });
+    EXPECT_EQ(F.memoryBytes(), Before) << "threads " << Threads;
+  }
 }
 
 } // namespace

@@ -8,10 +8,13 @@
 #include "fixpoint/Table.h"
 
 #include "runtime/Lattices.h"
+#include "support/SmallVector.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <random>
 
 using namespace flix;
 
@@ -27,6 +30,11 @@ protected:
   ParityLattice L{F};
 
   Value key(int A, int B) { return F.tuple({F.integer(A), F.integer(B)}); }
+  /// Key columns for the span lookups (interning nothing).
+  std::array<Value, 2> cols(int A, int B) {
+    return {F.integer(A), F.integer(B)};
+  }
+  std::array<Value, 1> proj(int A) { return {F.integer(A)}; }
 };
 
 TEST_F(TableTest, InsertAndLookup) {
@@ -34,9 +42,9 @@ TEST_F(TableTest, InsertAndLookup) {
   auto [Id, Changed] = T.join(key(1, 2), L.odd());
   EXPECT_TRUE(Changed);
   EXPECT_EQ(T.size(), 1u);
-  ASSERT_NE(T.lookup(key(1, 2)), nullptr);
-  EXPECT_EQ(*T.lookup(key(1, 2)), L.odd());
-  EXPECT_EQ(T.lookup(key(2, 1)), nullptr);
+  ASSERT_NE(T.lookup(cols(1, 2)), nullptr);
+  EXPECT_EQ(*T.lookup(cols(1, 2)), L.odd());
+  EXPECT_EQ(T.lookup(cols(2, 1)), nullptr);
   EXPECT_EQ(T.lookupRow(key(1, 2)), Id);
 }
 
@@ -47,7 +55,7 @@ TEST_F(TableTest, JoinComputesLubPerCell) {
   EXPECT_FALSE(R1.Changed); // no increase
   auto R2 = T.join(key(1, 2), L.even());
   EXPECT_TRUE(R2.Changed); // odd ⊔ even = ⊤
-  EXPECT_EQ(*T.lookup(key(1, 2)), L.top());
+  EXPECT_EQ(*T.lookup(cols(1, 2)), L.top());
   EXPECT_EQ(T.size(), 1u); // still one compact cell
 }
 
@@ -64,7 +72,7 @@ TEST_F(TableTest, JoinBottomIntoExistingCellIsNoop) {
   T.join(key(1, 2), L.odd());
   auto R = T.join(key(1, 2), L.bot());
   EXPECT_FALSE(R.Changed);
-  EXPECT_EQ(*T.lookup(key(1, 2)), L.odd());
+  EXPECT_EQ(*T.lookup(cols(1, 2)), L.odd());
 }
 
 TEST_F(TableTest, SecondaryIndexProbing) {
@@ -73,13 +81,13 @@ TEST_F(TableTest, SecondaryIndexProbing) {
     for (int B = 0; B < 3; ++B)
       T.join(key(A, B), L.odd());
   // Probe on column 0 = 2.
-  Value Proj = F.tuple({F.integer(2)});
+  std::array<Value, 1> Proj = proj(2);
   const std::vector<uint32_t> &Bucket = T.probe(0b01, Proj);
   EXPECT_EQ(Bucket.size(), 3u);
   for (uint32_t Id : Bucket)
     EXPECT_EQ(T.rowKey(Id)[0].asInt(), 2);
   // Probe on column 1 = 0.
-  const std::vector<uint32_t> &B2 = T.probe(0b10, F.tuple({F.integer(0)}));
+  const std::vector<uint32_t> &B2 = T.probe(0b10, proj(0));
   EXPECT_EQ(B2.size(), 5u);
   EXPECT_EQ(T.numIndexes(), 2u);
 }
@@ -87,7 +95,7 @@ TEST_F(TableTest, SecondaryIndexProbing) {
 TEST_F(TableTest, IndexStaysInSyncWithNewRows) {
   Table T(2, L, F);
   T.join(key(1, 1), L.odd());
-  Value Proj = F.tuple({F.integer(1)});
+  std::array<Value, 1> Proj = proj(1);
   EXPECT_EQ(T.probe(0b01, Proj).size(), 1u);
   // Insert after the index exists; the index must pick it up.
   T.join(key(1, 2), L.odd());
@@ -97,7 +105,7 @@ TEST_F(TableTest, IndexStaysInSyncWithNewRows) {
 TEST_F(TableTest, ProbeMissReturnsEmpty) {
   Table T(2, L, F);
   T.join(key(1, 1), L.odd());
-  EXPECT_TRUE(T.probe(0b01, F.tuple({F.integer(9)})).empty());
+  EXPECT_TRUE(T.probe(0b01, proj(9)).empty());
 }
 
 TEST_F(TableTest, MemoryAccountingGrows) {
@@ -105,7 +113,7 @@ TEST_F(TableTest, MemoryAccountingGrows) {
   size_t Before = T.memoryBytes();
   for (int I = 0; I < 1000; ++I)
     T.join(key(I, I), L.odd());
-  T.probe(0b01, F.tuple({F.integer(0)}));
+  T.probe(0b01, proj(0));
   EXPECT_GT(T.memoryBytes(), Before);
 }
 
@@ -133,7 +141,7 @@ TEST_F(TableTest, MemoryAccountingCoversBucketCapacity) {
   for (int I = 0; I < N; ++I)
     T.join(key(7, I), L.odd());
   size_t RowsOnly = T.memoryBytes();
-  T.probe(0b01, F.tuple({F.integer(7)}));
+  T.probe(0b01, proj(7));
   size_t WithIndex = T.memoryBytes();
   size_t IndexBytes = WithIndex - RowsOnly;
   // Lower bound: the ids actually stored (capacity >= size).
@@ -166,7 +174,7 @@ TEST_F(TableTest, BuildIndexFromPartialsMatchesIncrementalIndex) {
       Mask, std::span<Table::PartialIndex>(Parts.data(), Parts.size()));
 
   for (int A = 0; A < 7; ++A) {
-    Value Proj = F.tuple({F.integer(A)});
+    std::array<Value, 1> Proj = proj(A);
     const std::vector<uint32_t> *B = Par.probeExisting(Mask, Proj);
     ASSERT_NE(B, nullptr);
     EXPECT_EQ(*B, Inc.probe(Mask, Proj)) << "column value " << A;
@@ -174,8 +182,119 @@ TEST_F(TableTest, BuildIndexFromPartialsMatchesIncrementalIndex) {
   }
   // New rows keep flowing into the merged index afterwards.
   Par.join(key(3, 999), L.odd());
-  EXPECT_EQ(Par.probeExisting(Mask, F.tuple({F.integer(3)}))->back(),
+  EXPECT_EQ(Par.probeExisting(Mask, proj(3))->back(),
             static_cast<uint32_t>(N));
+}
+
+TEST_F(TableTest, SpanLookupsMatchBruteForceScan) {
+  // Random keys over a small domain (so projections collide a lot), some
+  // rows tombstoned; every lookup path, on every mask, against a scan.
+  constexpr unsigned Arity = 3;
+  constexpr int Domain = 5;
+  std::mt19937 Rng(7);
+  auto randKey = [&] {
+    std::array<Value, Arity> K;
+    for (Value &V : K)
+      V = F.integer(static_cast<int64_t>(Rng() % Domain));
+    return K;
+  };
+  Table T(Arity, L, F);
+  for (int I = 0; I < 80; ++I) {
+    std::array<Value, Arity> K = randKey();
+    T.join(F.tuple(K), Rng() % 2 ? L.odd() : L.even());
+  }
+  for (uint32_t Id = 0; Id < T.size(); Id += 3)
+    T.resetRow(Id);
+  // Indexes on half the masks exist before the probes, the rest are
+  // built by probe(); probeExisting must answer only for built ones.
+  T.prepareIndex(0b001);
+  T.prepareIndex(0b110);
+
+  auto sameCols = [&](uint32_t Id, uint64_t Mask,
+                      std::span<const Value> Proj) {
+    std::span<const Value> Key = T.rowKey(Id);
+    size_t J = 0;
+    for (unsigned C = 0; C < Arity; ++C)
+      if (Mask & (uint64_t(1) << C))
+        if (Key[C] != Proj[J++])
+          return false;
+    return true;
+  };
+
+  for (int Trial = 0; Trial < 400; ++Trial) {
+    std::array<Value, Arity> K = randKey();
+    // Full-key lookups: the live row with this key, if any.
+    uint32_t Want = Table::NoRow;
+    for (uint32_t Id = 0; Id < T.size(); ++Id)
+      if (!T.isTombstone(Id) && sameCols(Id, 0b111, K))
+        Want = Id;
+    EXPECT_EQ(T.lookupRow(K), Want);
+    const Value *Lat = T.lookup(K);
+    if (Want == Table::NoRow)
+      EXPECT_EQ(Lat, nullptr);
+    else
+      EXPECT_EQ(*Lat, T.row(Want).Lat);
+
+    // Partial masks: buckets hold every matching row id, tombstones
+    // included (the solvers skip those), ascending.
+    for (uint64_t Mask = 1; Mask < 0b111; ++Mask) {
+      SmallVector<Value, 3> Proj;
+      for (unsigned C = 0; C < Arity; ++C)
+        if (Mask & (uint64_t(1) << C))
+          Proj.push_back(K[C]);
+      std::span<const Value> ProjS(Proj.data(), Proj.size());
+      Table::Bucket Scan;
+      for (uint32_t Id = 0; Id < T.size(); ++Id)
+        if (sameCols(Id, Mask, ProjS))
+          Scan.push_back(Id);
+      bool Built = T.hasIndex(Mask);
+      const Table::Bucket *Existing = T.probeExisting(Mask, ProjS);
+      EXPECT_EQ(Existing != nullptr, Built) << "mask " << Mask;
+      EXPECT_EQ(T.probe(Mask, ProjS), Scan) << "mask " << Mask;
+      ASSERT_NE(T.probeExisting(Mask, ProjS), nullptr);
+      EXPECT_EQ(*T.probeExisting(Mask, ProjS), Scan) << "mask " << Mask;
+    }
+  }
+}
+
+TEST_F(TableTest, HashSeqIsTheInterningHash) {
+  // Interning shards a tuple by the top three bits of its hash and keeps
+  // the shard in the handle's low three bits (ValueFactory::encodeId), so
+  // the tables' lookup hash must predict every handle's shard.
+  for (int A = 0; A < 64; ++A)
+    for (int B = 0; B < 16; ++B) {
+      std::array<Value, 3> Elems = {F.integer(A), F.string("s"),
+                                    F.integer(B)};
+      Value T = F.tuple(Elems);
+      EXPECT_EQ(T.rawBits() & 7, ValueFactory::hashSeq(Elems) >> 61);
+      EXPECT_EQ(ValueFactory::hashSeq(F.tupleElems(T)),
+                ValueFactory::hashSeq(Elems));
+    }
+}
+
+TEST_F(TableTest, ProbedBucketSurvivesJoinsRehashAndNewIndexes) {
+  // The sequential solver keeps a probed bucket's address open while its
+  // own in-place joins append to that bucket, add buckets (rehashing the
+  // bucket index) and create further indexes; the bucket must stay put
+  // and keep the prefix the cursor captured.
+  Table T(2, L, F);
+  for (int I = 0; I < 8; ++I)
+    T.join(key(1, I), L.odd());
+  const Table::Bucket *B = &T.probe(0b01, proj(1));
+  Table::Bucket Captured = *B;
+  ASSERT_EQ(Captured.size(), 8u);
+
+  for (int I = 0; I < 2000; ++I) {
+    T.join(key(1, 100 + I), L.odd()); // grows B's storage
+    T.join(key(10 + I, I), L.even()); // new buckets: rehashes the index
+    if (I == 1000)
+      T.prepareIndex(0b10); // a second index on the same table
+  }
+  EXPECT_EQ(&T.probe(0b01, proj(1)), B);
+  ASSERT_EQ(B->size(), Captured.size() + 2000);
+  EXPECT_TRUE(std::equal(Captured.begin(), Captured.end(), B->begin()));
+  EXPECT_EQ(T.numIndexes(), 2u);
+  EXPECT_EQ(T.probe(0b10, proj(5)).size(), 2u); // (1, 5) and (15, 5)
 }
 
 TEST_F(TableTest, RelationalTableViaBoolLattice) {
