@@ -241,7 +241,6 @@ flix::runStrongUpdateFlixSource(const PointerProgram &In,
   // Honor the engine choice end to end: with UseVm off the whole run is a
   // pure-interpreter oracle (no VM is even constructed).
   C.setUseVm(Opts.UseVm);
-  C.setVmOptLevel(Opts.VmOptLevel);
   StrongUpdateResult R;
   if (!C.compile(strongUpdateFlixSource(), "strong-update.flix")) {
     R.St = StrongUpdateResult::Status::Error;

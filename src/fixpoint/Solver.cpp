@@ -375,6 +375,20 @@ size_t Solver::memoryFootprint() const {
   return Bytes;
 }
 
+void Solver::sampleStats() {
+  Stats.MemoryBytes = memoryFootprint();
+  Stats.PlanSteps = Plans->totalSteps();
+  Stats.CostBasedPlans = Plans->costBasedPlans();
+  if (Memo) {
+    Stats.MemoHits = Memo->hits();
+    Stats.MemoMisses = Memo->misses();
+  }
+  Stats.VmInlineCacheHits = P.vmIcHits() - IcHitsAtStart;
+  Stats.VmInlinedCalls = P.vmPipelineCounters().InlinedCalls;
+  Stats.VmSuperwordHits = P.vmPipelineCounters().SuperwordHits;
+  Stats.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
+}
+
 void Solver::replanPlans(double Threshold, bool CountEvents) {
   if (!Opts.CostBasedPlans)
     return;
@@ -385,7 +399,6 @@ void Solver::replanPlans(double Threshold, bool CountEvents) {
     Stats.ReplanEvents += R.Replanned;
     Stats.EstimatedVsActualRows += R.RowsDivergence;
   }
-  Stats.CostBasedPlans = Plans->costBasedPlans();
   if (Par && R.Replanned)
     Par->prepareIndexes();
 }
@@ -434,23 +447,14 @@ SolveStats Solver::solve() {
 
   auto Start = std::chrono::steady_clock::now();
   DL = Deadline::after(Opts.TimeLimitSeconds);
-  uint64_t IcHitsAtStart = P.vmIcHits();
+  IcHitsAtStart = P.vmIcHits();
 
   auto finish = [&]() {
     Stats.Seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       Start)
             .count();
-    Stats.MemoryBytes = memoryFootprint();
-    Stats.PlanSteps = Plans->totalSteps();
-    if (Memo) {
-      Stats.MemoHits = Memo->hits();
-      Stats.MemoMisses = Memo->misses();
-    }
-    Stats.VmInlineCacheHits = P.vmIcHits() - IcHitsAtStart;
-    Stats.VmInlinedCalls = P.vmPipelineCounters().InlinedCalls;
-    Stats.VmSuperwordHits = P.vmPipelineCounters().SuperwordHits;
-    Stats.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
+    sampleStats();
     return Stats;
   };
 

@@ -29,6 +29,7 @@
 #define FLIX_FIXPOINT_SOLVER_H
 
 #include "fixpoint/Program.h"
+#include "fixpoint/Stats.h"
 #include "fixpoint/Stratify.h"
 #include "fixpoint/Table.h"
 #include "support/Deadline.h"
@@ -98,13 +99,6 @@ struct SolverOptions {
   /// (differentially tested); off is the interpreter ablation
   /// (flixc --no-vm).
   bool UseVm = true;
-  /// Bytecode optimization pipeline level the VM compiled under
-  /// (flixc/flixd --vm-opt-level): 0 = off, 1 = local passes,
-  /// 2 = inlining + local passes. Informational at the solver layer —
-  /// the pipeline runs at compile time (FlixCompiler::setVmOptLevel);
-  /// tools carry the flag here so every consumer sees one source of
-  /// truth.
-  int VmOptLevel = 2;
   /// Choose join orders with the statistics-driven cost model
   /// (plan::chooseOrder) once facts are loaded, instead of freezing the
   /// driver-first order at compile time. Identical minimal model either
@@ -146,85 +140,6 @@ struct Derivation {
     Value LatValue; ///< the lattice value observed at match time
   };
   SmallVector<Premise, 4> Premises;
-};
-
-/// Outcome and counters of a solver run.
-struct SolveStats {
-  enum class Status { Fixpoint, Timeout, IterationLimit, Error };
-  Status St = Status::Fixpoint;
-  std::string Error;
-
-  uint64_t Iterations = 0;   ///< delta rounds (or naive passes)
-  uint64_t RuleFirings = 0;  ///< successful full body matches
-  uint64_t FactsDerived = 0; ///< joins that strictly increased a cell
-  double Seconds = 0;
-  /// Tables + indexes + value arena + provenance + support index + memo
-  /// cache — everything the solver keeps alive.
-  size_t MemoryBytes = 0;
-
-  // Plan/memo counters (compiled plans / SolverOptions::EnableMemo).
-  uint64_t PlanSteps = 0;  ///< compiled plan steps over all plans of
-                           ///< both plan families
-  // Cost-based planner counters (SolverOptions::CostBasedPlans).
-  uint64_t CostBasedPlans = 0; ///< (rule, driver) pairs whose current
-                               ///< order differs from the frozen
-                               ///< driver-first order
-  uint64_t ReplanEvents = 0;   ///< (rule, driver) pairs re-planned by the
-                               ///< adaptive between-round checks (the
-                               ///< initial cost-based choice not counted)
-  /// Cumulative live-row drift between consecutive planner statistics
-  /// snapshots (Σ per-predicate |rows now − rows at last plan|): how far
-  /// the observed delta shapes moved from what the current plans were
-  /// estimated against. Large values with ReplanEvents == 0 mean the
-  /// hysteresis threshold absorbed the drift.
-  uint64_t EstimatedVsActualRows = 0;
-  // Incremental-engine escape hatches, by reason: update() batches that
-  // fell back to a from-scratch solve. Always 0 for a plain one-shot
-  // Solver run; cumulative over the IncrementalSolver's lifetime.
-  /// Fallbacks taken because a staged fact reached a negated predicate.
-  /// This escape hatch was retired — negation-touching batches now run
-  /// stratum-local DRed incrementally — so the counter is an operator-
-  /// visible invariant: it must stay 0 (tests assert it).
-  uint64_t NegationFallbacks = 0;
-  /// Recovery solves after a degraded update (deadline / iteration limit
-  /// hit mid-batch left the tables a sound under-approximation, not a
-  /// fixpoint; the next update() rebuilds from the fact store).
-  uint64_t DegradedRecoveries = 0;
-  uint64_t MemoHits = 0;   ///< extern calls answered from the memo cache
-  uint64_t MemoMisses = 0; ///< extern calls computed then cached
-
-  // Bytecode-VM counters (SolverOptions::UseVm).
-  uint64_t VmCalls = 0; ///< extern dispatches executed by the VM (memo
-                        ///< hits excluded — only actual executions)
-  uint64_t VmInlineCacheHits = 0; ///< tag-dispatch + tuple-check inline
-                                  ///< cache hits during this run
-  /// Extern dispatches that wanted the VM (UseVm on, interpreted FLIX
-  /// function) but had no compiled body and fell back to the
-  /// interpreter. The standard suites assert this stays 0 — the VM
-  /// compiler covers the whole functional sub-language.
-  uint64_t InterpFallbacks = 0;
-  // Static pipeline counters (vm/Passes.h), fixed when the module
-  // compiled — identical across runs of the same program, reported so
-  // tools can show what the optimizer did without a recompile.
-  uint64_t VmInlinedCalls = 0;     ///< CallFn sites spliced inline
-  uint64_t VmSuperwordHits = 0;    ///< compare+branch pairs fused
-  uint64_t VmPassesRemovedInsns = 0; ///< instructions removed by passes
-
-  // Parallel-engine counters (zero for the sequential solver).
-  uint64_t ParallelTasks = 0;   ///< (rule, driver, chunk) tasks executed
-  uint64_t ParallelSteals = 0;  ///< tasks obtained by work stealing
-  uint64_t MergeCollisions = 0; ///< ⊔-compactions of same-key derivations
-  uint64_t SpawnedSubtasks = 0; ///< intra-rule sub-tasks split off by
-                                ///< workers (SolverOptions::SpillThreshold)
-  uint64_t MaxFanout = 0;       ///< largest number of sub-tasks one split
-                                ///< produced (hot-row fan-out indicator)
-  uint64_t IndexBuildTasks = 0; ///< pool tasks used to pre-build static
-                                ///< indexes (partial scans + merges)
-  uint64_t IndexFallbacks = 0;  ///< probeExisting misses that fell back to
-                                ///< a full scan (0 when the static index
-                                ///< analysis covers every access path)
-
-  bool ok() const { return St == Status::Fixpoint; }
 };
 
 /// The body of one semi-naive round evaluated off the solver's own thread:
@@ -343,9 +258,14 @@ private:
                          std::span<const Value> Key, unsigned Depth,
                          unsigned Indent) const;
   /// Everything SolveStats::MemoryBytes accounts for: value arena, tables
-  /// + indexes, provenance, the support index, and the memo cache. Also
-  /// used by the incremental engine's per-update stats.
+  /// + indexes, provenance, the support index, and the memo cache.
   size_t memoryFootprint() const;
+  /// Refreshes the Stats fields that are sampled rather than counted: the
+  /// gauges (footprint, plan totals, memo totals), the VM inline-cache
+  /// hits since solve() started and the VM pipeline statics, the last two
+  /// read off the Program. Called when solve() returns and by the
+  /// incremental engine after every update.
+  void sampleStats();
   /// Cost-based (re)planning: snapshots table statistics and re-plans via
   /// PlanLibrary::replanFromStats. \p Threshold 1.0 adopts any strict
   /// improvement (the initial post-loadFacts choice); larger values are
@@ -448,6 +368,7 @@ private:
 
   // Run state.
   SolveStats Stats;
+  uint64_t IcHitsAtStart = 0; ///< P.vmIcHits() when solve() started
   bool Solved = false;
   bool Aborted = false;
   Deadline DL;

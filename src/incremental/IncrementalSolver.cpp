@@ -206,8 +206,7 @@ void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
   // what keeps degraded recovery consistent after an aborted update.
   for (auto &Tomb : NegTombstones)
     Tomb.clear();
-  SolveStats St = S->solve();
-  static_cast<SolveStats &>(U) = St;
+  S->solve();
   // Every predicate's table was rebuilt from nothing.
   U.ChangedPreds.clear();
   for (PredId Pr = 0; Pr < P.predicates().size(); ++Pr)
@@ -220,8 +219,6 @@ void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
 
 void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   Solver &Sol = *S;
-  SolveStats Before = Sol.Stats;
-  uint64_t IcHitsAtUpdateStart = P.vmIcHits();
   size_t NumPreds = P.predicates().size();
 
   // The inner solver's run state must be clean for re-entry; incremental
@@ -510,25 +507,6 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   for (PredId Pr = 0; Pr < NumPreds; ++Pr)
     if (!UpdateChanged[Pr].empty() || !DeletedByPred[Pr].empty())
       U.ChangedPreds.push_back(Pr);
-
-  U.St = Sol.Stats.St;
-  U.Iterations = Sol.Stats.Iterations - Before.Iterations;
-  U.RuleFirings = Sol.Stats.RuleFirings - Before.RuleFirings;
-  U.FactsDerived = Sol.Stats.FactsDerived - Before.FactsDerived;
-  U.ParallelTasks = Sol.Stats.ParallelTasks - Before.ParallelTasks;
-  U.ParallelSteals = Sol.Stats.ParallelSteals - Before.ParallelSteals;
-  U.SpawnedSubtasks = Sol.Stats.SpawnedSubtasks - Before.SpawnedSubtasks;
-  U.IndexFallbacks = Sol.Stats.IndexFallbacks - Before.IndexFallbacks;
-  U.ReplanEvents = Sol.Stats.ReplanEvents - Before.ReplanEvents;
-  U.EstimatedVsActualRows =
-      Sol.Stats.EstimatedVsActualRows - Before.EstimatedVsActualRows;
-  U.CostBasedPlans = Sol.Stats.CostBasedPlans; // absolute, not a delta
-  U.VmCalls = Sol.Stats.VmCalls - Before.VmCalls;
-  U.InterpFallbacks = Sol.Stats.InterpFallbacks - Before.InterpFallbacks;
-  U.VmInlineCacheHits = P.vmIcHits() - IcHitsAtUpdateStart;
-  U.VmInlinedCalls = P.vmPipelineCounters().InlinedCalls;
-  U.VmSuperwordHits = P.vmPipelineCounters().SuperwordHits;
-  U.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
 }
 
 UpdateStats IncrementalSolver::update(Deadline DL) {
@@ -539,34 +517,28 @@ UpdateStats IncrementalSolver::update(Deadline DL) {
   // run stratum-local DRed inside incrementalUpdate(). Only the first
   // solve and degraded recovery rebuild from scratch.
   bool NeedFull = !SolvedOnce || Degraded;
+  // The inner solver's stats before this update; zero when a full solve
+  // replaces the solver, whose whole run is then this update's work.
+  SolveStats Before;
   if (NeedFull) {
     U.FullResolve = SolvedOnce;
     if (U.FullResolve)
-      ++CumDegradedRecoveries;
+      ++Lifetime.DegradedRecoveries;
     fullSolve(U, DL);
     SolvedOnce = true;
-  } else if (PendingAdds.empty() && PendingRetracts.empty()) {
-    // Trivial update: the model is already the fixpoint.
   } else {
-    incrementalUpdate(U, DL);
+    Before = S->Stats;
+    // An update with nothing staged is trivial: the model is already the
+    // fixpoint.
+    if (!PendingAdds.empty() || !PendingRetracts.empty())
+      incrementalUpdate(U, DL);
   }
+  S->sampleStats();
+  static_cast<SolveStats &>(U) = S->Stats.since(Before);
+  U.accumulate(Lifetime);
   Degraded = !U.ok();
-  U.NegationFallbacks = CumNegationFallbacks;
-  U.DegradedRecoveries = CumDegradedRecoveries;
-
   U.Seconds = std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - Start)
                   .count();
-  // Full footprint including provenance, the support index and the memo
-  // cache — the components the old tables-only sum under-reported.
-  U.MemoryBytes = S->memoryFootprint();
-  U.PlanSteps = S->Plans->totalSteps();
-  U.CostBasedPlans = S->Plans->costBasedPlans();
-  if (S->Memo) {
-    // Cumulative over the inner solver's lifetime (the cache is shared
-    // across updates), not per-update deltas.
-    U.MemoHits = S->Memo->hits();
-    U.MemoMisses = S->Memo->misses();
-  }
   return U;
 }

@@ -51,25 +51,6 @@ namespace flix {
 
 class RoundExecutor;
 
-/// Per-update() outcome: the usual solve counters (covering just this
-/// update's work) plus the incremental-specific ones.
-struct UpdateStats : SolveStats {
-  uint64_t FactsAdded = 0;     ///< fact pairs inserted (duplicates skipped)
-  uint64_t FactsRetracted = 0; ///< fact pairs removed (unknown ones skipped)
-  uint64_t CellsDeleted = 0;   ///< cells reset to ⊥ by over-deletion
-  uint64_t CellsRederived = 0; ///< deleted cells re-derived to non-⊥
-  /// Update fell back to a from-scratch solve. Post stratum-local DRed
-  /// this happens only for degraded recovery (the prior update aborted);
-  /// negation never causes it.
-  bool FullResolve = false;
-  /// Predicates whose table changed in this update (every predicate on a
-  /// full solve). The snapshot-read hook: readers that maintain
-  /// per-predicate immutable copies of the model (the server's query
-  /// snapshots) rebuild exactly these and share the rest, so snapshot
-  /// maintenance cost tracks the affected cone like the update itself.
-  std::vector<PredId> ChangedPreds;
-};
-
 /// Wraps the sequential semi-naive Solver with a mutable input-fact store
 /// and an update() that advances the model to the new fact set's least
 /// fixed point without recomputing it from scratch.
@@ -160,8 +141,8 @@ public:
   /// a retired escape hatch and must stay 0 (tests assert it);
   /// degradedRecoveries() counts rebuilds after an aborted (deadline /
   /// iteration-limit) update.
-  uint64_t negationFallbacks() const { return CumNegationFallbacks; }
-  uint64_t degradedRecoveries() const { return CumDegradedRecoveries; }
+  uint64_t negationFallbacks() const { return Lifetime.NegationFallbacks; }
+  uint64_t degradedRecoveries() const { return Lifetime.DegradedRecoveries; }
 
   /// Number of staged (not yet applied) mutations.
   size_t pendingMutations() const {
@@ -256,11 +237,12 @@ private:
   /// replaces S.
   std::unique_ptr<RoundExecutor> Exec;
   /// Lifetime counts of full-solve fallbacks taken by update(), by
-  /// reason (see negationFallbacks()); they live here because fullSolve()
-  /// replaces the inner solver and would lose counters kept in its
-  /// stats. CumNegationFallbacks is a retired path and must stay 0.
-  uint64_t CumNegationFallbacks = 0;
-  uint64_t CumDegradedRecoveries = 0;
+  /// reason (the NegationFallbacks and DegradedRecoveries gauges; see
+  /// negationFallbacks()), folded into every returned UpdateStats. They
+  /// live here because fullSolve() replaces the inner solver and would
+  /// lose counts kept in its stats. NegationFallbacks is a retired path
+  /// and must stay 0.
+  SolveStats Lifetime;
 };
 
 } // namespace flix

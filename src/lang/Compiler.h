@@ -62,6 +62,7 @@ public:
   /// local passes (the default). Must be called before compile(); has
   /// no effect when the VM is disabled.
   void setVmOptLevel(int Level) { VmOptLevel = Level; }
+  int vmOptLevel() const { return VmOptLevel; }
 
   /// The bytecode VM, or nullptr when disabled or before compile().
   vm::Vm *vm() { return TheVm.get(); }

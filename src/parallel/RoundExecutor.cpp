@@ -170,15 +170,9 @@ struct RoundExecutor::WorkerCtx {
   /// tasks, so steady-state evaluation allocates nothing).
   plan::PlanExecutor<WorkerCtx> Exec{*this};
 
-  // Counters drained into SolveStats by the coordinator after each round.
-  uint64_t RuleFirings = 0;
-  uint64_t FactsDerived = 0;
-  uint64_t MergeCollisions = 0;
-  uint64_t SpawnedSubtasks = 0;
-  uint64_t MaxFanout = 0;
-  uint64_t IndexFallbacks = 0;
-  uint64_t VmCalls = 0;
-  uint64_t InterpFallbacks = 0;
+  /// This worker's counters for the running round, folded into the
+  /// solver's stats by the coordinator after the round barrier.
+  SolveStats Stats;
 
   WorkerCtx(RoundExecutor &Ex, unsigned Id) : Ex(Ex), Id(Id) {
     Buffers.resize(NumMergeShards);
@@ -210,7 +204,7 @@ struct RoundExecutor::WorkerCtx {
   Value callExtern(FnId Fn, std::span<const Value> Args) {
     Solver &S = sol();
     return plan::dispatchExtern(S.P, S.Opts.UseVm, S.Memo.get(), Fn, Args,
-                                VmCalls, InterpFallbacks);
+                                Stats.VmCalls, Stats.InterpFallbacks);
   }
 
   /// Buckets are immutable during an eval phase, so the returned pointer
@@ -222,7 +216,7 @@ struct RoundExecutor::WorkerCtx {
     if (const Table::Bucket *Bucket =
             sol().Tables[St.Pred]->probeExisting(St.Mask, Proj))
       return Bucket;
-    ++IndexFallbacks;
+    ++Stats.IndexFallbacks;
     assert(!sol().Opts.StrictIndexCoverage &&
            "probeExisting miss: plan mask not pre-built by the static "
            "index analysis");
@@ -243,7 +237,7 @@ struct RoundExecutor::WorkerCtx {
   }
 
   void onDerived(const plan::RulePlan &Pl, Value KeyT, Value LatVal) {
-    ++RuleFirings;
+    ++Stats.RuleFirings;
     // x ⊔ ⊥ = x can never change a cell, so don't ship ⊥ derivations
     // through the merge (the sequential Table::join drops them too).
     if (!Pl.Head.Relational &&
@@ -351,11 +345,11 @@ uint32_t RoundExecutor::WorkerCtx::maybeSpill(
     size_t Slot = Arena.publish(T);
     Ex.Pool->spawn(Id,
                    SpawnPayloadBit | (size_t(Id) << SpawnWorkerShift) | Slot);
-    ++SpawnedSubtasks;
+    ++Stats.SpawnedSubtasks;
     ++Fanout;
     B += Thresh;
   }
-  MaxFanout = std::max(MaxFanout, Fanout);
+  Stats.MaxFanout = std::max(Stats.MaxFanout, Fanout);
   return B;
 }
 
@@ -381,7 +375,7 @@ void RoundExecutor::WorkerCtx::compactShard(size_t Sh,
       }
       Deriv &E = Out[It->second];
       E.Lat = sol().Tables[D.Pred]->lattice().lub(E.Lat, D.Lat);
-      ++MergeCollisions;
+      ++Stats.MergeCollisions;
     }
   }
 }
@@ -399,7 +393,7 @@ void RoundExecutor::WorkerCtx::joinPred(PredId Pred,
       break; // partial joins are fine: the run reports Timeout
     Table::JoinResult JR = T.join(D.Key, D.Lat);
     if (JR.Changed) {
-      ++FactsDerived;
+      ++Stats.FactsDerived;
       sol().queueDelta(Pred, JR.RowId);
     }
   }
@@ -607,17 +601,8 @@ void RoundExecutor::evalRound(const std::vector<uint32_t> &RuleIds,
   St.ParallelTasks += Tasks.size();
   St.ParallelSteals += Pool->steals() - StealsBefore;
   for (const std::unique_ptr<WorkerCtx> &W : Workers) {
-    St.RuleFirings += W->RuleFirings;
-    St.FactsDerived += W->FactsDerived;
-    St.MergeCollisions += W->MergeCollisions;
-    St.SpawnedSubtasks += W->SpawnedSubtasks;
-    St.MaxFanout = std::max(St.MaxFanout, W->MaxFanout);
-    St.IndexFallbacks += W->IndexFallbacks;
-    St.VmCalls += W->VmCalls;
-    St.InterpFallbacks += W->InterpFallbacks;
-    W->RuleFirings = W->FactsDerived = W->MergeCollisions = 0;
-    W->SpawnedSubtasks = W->MaxFanout = W->IndexFallbacks = 0;
-    W->VmCalls = W->InterpFallbacks = 0;
+    St.accumulate(W->Stats);
+    W->Stats = SolveStats();
   }
   if (AbortFlag.load(std::memory_order_relaxed)) {
     S->Aborted = true;

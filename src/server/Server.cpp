@@ -201,6 +201,7 @@ Json Server::handleLoad(const Request &R) {
 
   Session::Options SO;
   SO.Solve = Opt.Solve;
+  SO.VmOptLevel = Opt.VmOptLevel;
   SO.MaxPendingFacts = Opt.MaxPendingFactsPerDb;
   SO.UpdateTimeLimitSeconds = Opt.UpdateTimeLimitSeconds;
   auto S = std::make_shared<Session>(Name, SO);

@@ -62,6 +62,8 @@ struct ServerOptions {
 
   /// Solver options for every database's IncrementalSolver.
   SolverOptions Solve;
+  /// VM optimization pipeline level every database compiles under.
+  int VmOptLevel = 2;
   /// Per-update-batch solve budget in seconds (0 = unbounded).
   double UpdateTimeLimitSeconds = 0;
 };

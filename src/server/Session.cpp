@@ -98,7 +98,7 @@ bool Session::load(const std::string &Source, Deadline DL, ErrCode &Code,
   // Honor the daemon's engine flags (flixd --no-vm / --vm-opt-level) in
   // every database this server compiles.
   Compiler->setUseVm(Opt.Solve.UseVm);
-  Compiler->setVmOptLevel(Opt.Solve.VmOptLevel);
+  Compiler->setVmOptLevel(Opt.VmOptLevel);
   if (!Compiler->compile(Source, DbName + ".flix")) {
     Code = ErrCode::CompileError;
     Err = Compiler->diagnostics();
@@ -463,45 +463,17 @@ Json Session::statsJson() {
   S.set("deadline_expired_waits",
         Json::integer(int64_t(DeadlineExpiredWaits)));
   S.set("update_seconds_total", Json::number(TotalUpdateSeconds));
-  S.set("negation_fallbacks",
-        Json::integer(int64_t(LastUpdate.NegationFallbacks)));
-  S.set("degraded_recoveries",
-        Json::integer(int64_t(LastUpdate.DegradedRecoveries)));
-  S.set("vm_calls", Json::integer(int64_t(LastUpdate.VmCalls)));
-  S.set("vm_inline_cache_hits",
-        Json::integer(int64_t(LastUpdate.VmInlineCacheHits)));
-  S.set("interp_fallbacks",
-        Json::integer(int64_t(LastUpdate.InterpFallbacks)));
-  S.set("vm_inlined_calls",
-        Json::integer(int64_t(LastUpdate.VmInlinedCalls)));
-  S.set("vm_superword_hits",
-        Json::integer(int64_t(LastUpdate.VmSuperwordHits)));
-  S.set("vm_passes_removed_insns",
-        Json::integer(int64_t(LastUpdate.VmPassesRemovedInsns)));
-  S.set("cost_based_plans",
-        Json::integer(int64_t(LastUpdate.CostBasedPlans)));
-  S.set("memory_bytes", Json::integer(int64_t(LastUpdate.MemoryBytes)));
-  // Live value-arena size (the last update's memory_bytes includes it as
+  // Live value-arena size (the last update's MemoryBytes includes it as
   // of that update): point queries intern nothing, so it moves only with
   // loads and mutations.
   S.set("value_arena_bytes", Json::integer(int64_t(F.memoryBytes())));
-
-  Json Last = Json::object();
-  Last.set("seconds", Json::number(LastUpdate.Seconds));
-  Last.set("replan_events",
-           Json::integer(int64_t(LastUpdate.ReplanEvents)));
-  Last.set("iterations", Json::integer(int64_t(LastUpdate.Iterations)));
-  Last.set("rule_firings", Json::integer(int64_t(LastUpdate.RuleFirings)));
-  Last.set("facts_derived",
-           Json::integer(int64_t(LastUpdate.FactsDerived)));
-  Last.set("facts_added", Json::integer(int64_t(LastUpdate.FactsAdded)));
-  Last.set("facts_retracted",
-           Json::integer(int64_t(LastUpdate.FactsRetracted)));
-  Last.set("cells_deleted",
-           Json::integer(int64_t(LastUpdate.CellsDeleted)));
-  Last.set("cells_rederived",
-           Json::integer(int64_t(LastUpdate.CellsRederived)));
-  Last.set("full_resolve", Json::boolean(LastUpdate.FullResolve));
-  S.set("last_update", std::move(Last));
+  // The last update's stats: every registry row, flat.
+  S.set("full_resolve", Json::boolean(LastUpdate.FullResolve));
+  forEachStat(LastUpdate, [&](const StatInfo &I, auto V) {
+    if constexpr (std::is_floating_point_v<decltype(V)>)
+      S.set(I.Key, Json::number(V));
+    else
+      S.set(I.Key, Json::integer(int64_t(V)));
+  });
   return S;
 }

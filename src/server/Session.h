@@ -64,6 +64,9 @@ public:
     /// parallelizes delta rounds inside one update; requests are still
     /// serialized through the leader).
     SolverOptions Solve;
+    /// VM optimization pipeline level every database compiles under
+    /// (flixd --vm-opt-level; FlixCompiler::setVmOptLevel).
+    int VmOptLevel = 2;
     /// Admission bound: maximum staged-but-uncommitted fact rows.
     uint64_t MaxPendingFacts = uint64_t(1) << 20;
     /// Per-batch solve budget (0 = unbounded); see the file comment.

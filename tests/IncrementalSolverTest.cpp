@@ -756,6 +756,33 @@ TEST_P(IncrementalDifferentialTest, SpilledRoundsRecordPremisePrefixes) {
     EXPECT_GT(Spawned, 0u);
 }
 
+TEST_P(IncrementalDifferentialTest, SpillingUpdateReportsMaxFanout) {
+  // Node 1 is a hub with 64 out-edges. Making it cheaper to reach drives
+  // one delta row of Dist through the hub's 64-row Edge bucket, which
+  // SpillThreshold 4 splits into 15 sub-tasks in one go. The update's
+  // stats must carry that fan-out along with the sub-tasks it counts.
+  SsspCase C;
+  C.Edges.insert({0, 1, 10});
+  for (int N = 100; N < 164; ++N)
+    C.Edges.insert({1, N, 1});
+  Program P = C.build();
+  SolverOptions O = opts();
+  O.SpillThreshold = 4;
+  IncrementalSolver IS(P, O);
+  ASSERT_TRUE(IS.update().ok());
+
+  IS.addFact(C.Edge, {C.F.integer(0), C.F.integer(1), C.F.integer(1)});
+  UpdateStats U = IS.update();
+  ASSERT_TRUE(U.ok());
+  EXPECT_EQ(C.dist(IS, 150), 2);
+  if (GetParam() > 0) {
+    EXPECT_GT(U.SpawnedSubtasks, 0u);
+  }
+  if (U.SpawnedSubtasks > 0) {
+    EXPECT_GE(U.MaxFanout, 2u);
+  }
+}
+
 /// Three strata with negation at both boundaries, the top one feeding a
 /// lattice head:
 ///   stratum 0: Down(x) :- Fault(x).   Down(y) :- Down(x), Wire(x, y).

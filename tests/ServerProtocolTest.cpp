@@ -409,6 +409,22 @@ TEST(ServerCore, StatsListAndDrop) {
   EXPECT_EQ(replyCode(R), "no_such_db");
 }
 
+TEST(ServerProtocol, StatsBlockCarriesEveryRegistryKey) {
+  // The db block renders the last update flat: every solve and update
+  // counter of the stats registry (fixpoint/Stats.h), by its JSON key.
+  Server S(ServerOptions{});
+  ASSERT_TRUE(replyOk(roundTrip(S, loadLine("g", kPathProgram))));
+  Json R = roundTrip(S, "{\"op\":\"stats\",\"db\":\"g\"}");
+  ASSERT_TRUE(replyOk(R)) << writeJson(R);
+  const Json *Db = R.get("db");
+  ASSERT_NE(Db, nullptr);
+  UpdateStats Rows;
+  forEachStat(Rows, [&](const StatInfo &I, auto) {
+    EXPECT_NE(Db->get(I.Key), nullptr) << I.Key;
+  });
+  EXPECT_NE(Db->get("full_resolve"), nullptr);
+}
+
 TEST(ServerCore, AbsentKeyQueriesInternNothing) {
   // Point queries look keys up without interning them — neither the key
   // tuple nor a string or enum column value the session never saw — so a

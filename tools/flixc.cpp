@@ -261,21 +261,6 @@ static void printPredicate(const Program &P, const SolverT &S, PredId Id) {
   }
 }
 
-static void printUpdateStats(unsigned UpdateNo, const UpdateStats &U) {
-  std::printf("update %u: +%llu -%llu facts, %llu cells deleted, %llu "
-              "rederived, %llu derived, %llu firings, %.4f s, %llu "
-              "degraded recoveries, %llu negation fallbacks%s\n",
-              UpdateNo, static_cast<unsigned long long>(U.FactsAdded),
-              static_cast<unsigned long long>(U.FactsRetracted),
-              static_cast<unsigned long long>(U.CellsDeleted),
-              static_cast<unsigned long long>(U.CellsRederived),
-              static_cast<unsigned long long>(U.FactsDerived),
-              static_cast<unsigned long long>(U.RuleFirings), U.Seconds,
-              static_cast<unsigned long long>(U.DegradedRecoveries),
-              static_cast<unsigned long long>(U.NegationFallbacks),
-              U.FullResolve ? " (full re-solve)" : "");
-}
-
 static const char *statusName(SolveStats::Status St) {
   switch (St) {
   case SolveStats::Status::Fixpoint:
@@ -288,125 +273,6 @@ static const char *statusName(SolveStats::Status St) {
     return "error";
   }
   return "unknown";
-}
-
-/// One flat JSON object of solver statistics — the --json output. One
-/// line per solve (or per update in update-script mode) so scripts can
-/// stream-parse.
-static void printJsonStats(const SolveStats &St, const SolverOptions &Opts) {
-  std::printf(
-      "{\"status\": \"%s\", \"threads\": %u, "
-      "\"memo\": %s, \"vm\": %s, \"iterations\": %llu, "
-      "\"rule_firings\": %llu, "
-      "\"facts_derived\": %llu, \"plan_steps\": %llu, "
-      "\"cost_based_plans\": %llu, \"replan_events\": %llu, "
-      "\"estimated_vs_actual_rows\": %llu, "
-      "\"memo_hits\": %llu, \"memo_misses\": %llu, "
-      "\"vm_calls\": %llu, \"vm_inline_cache_hits\": %llu, "
-      "\"interp_fallbacks\": %llu, \"vm_opt_level\": %d, "
-      "\"vm_inlined_calls\": %llu, \"vm_superword_hits\": %llu, "
-      "\"vm_passes_removed_insns\": %llu, "
-      "\"index_fallbacks\": %llu, "
-      "\"negation_fallbacks\": %llu, \"degraded_recoveries\": %llu, "
-      "\"seconds\": %.6f, \"memory_bytes\": %llu}\n",
-      statusName(St.St), Opts.NumThreads,
-      Opts.EnableMemo ? "true" : "false",
-      Opts.UseVm ? "true" : "false",
-      static_cast<unsigned long long>(St.Iterations),
-      static_cast<unsigned long long>(St.RuleFirings),
-      static_cast<unsigned long long>(St.FactsDerived),
-      static_cast<unsigned long long>(St.PlanSteps),
-      static_cast<unsigned long long>(St.CostBasedPlans),
-      static_cast<unsigned long long>(St.ReplanEvents),
-      static_cast<unsigned long long>(St.EstimatedVsActualRows),
-      static_cast<unsigned long long>(St.MemoHits),
-      static_cast<unsigned long long>(St.MemoMisses),
-      static_cast<unsigned long long>(St.VmCalls),
-      static_cast<unsigned long long>(St.VmInlineCacheHits),
-      static_cast<unsigned long long>(St.InterpFallbacks), Opts.VmOptLevel,
-      static_cast<unsigned long long>(St.VmInlinedCalls),
-      static_cast<unsigned long long>(St.VmSuperwordHits),
-      static_cast<unsigned long long>(St.VmPassesRemovedInsns),
-      static_cast<unsigned long long>(St.IndexFallbacks),
-      static_cast<unsigned long long>(St.NegationFallbacks),
-      static_cast<unsigned long long>(St.DegradedRecoveries), St.Seconds,
-      static_cast<unsigned long long>(St.MemoryBytes));
-}
-
-/// Running totals over an update-script replay, reported with each
-/// per-update JSON line so stream parsers never need to sum themselves.
-struct CumulativeUpdateStats {
-  uint64_t Updates = 0;
-  uint64_t FactsAdded = 0;
-  uint64_t FactsRetracted = 0;
-  uint64_t CellsDeleted = 0;
-  uint64_t CellsRederived = 0;
-  uint64_t RuleFirings = 0;
-  uint64_t FactsDerived = 0;
-  double Seconds = 0;
-
-  void absorb(const UpdateStats &U) {
-    ++Updates;
-    FactsAdded += U.FactsAdded;
-    FactsRetracted += U.FactsRetracted;
-    CellsDeleted += U.CellsDeleted;
-    CellsRederived += U.CellsRederived;
-    RuleFirings += U.RuleFirings;
-    FactsDerived += U.FactsDerived;
-    Seconds += U.Seconds;
-  }
-};
-
-/// The per-update --json line in update-script mode: the flat solve
-/// stats plus the update number, this batch's wall time and mutation
-/// counters, and the running cumulative block.
-static void printJsonUpdateStats(unsigned UpdateNo, const UpdateStats &U,
-                                 const SolverOptions &Opts,
-                                 const CumulativeUpdateStats &Cum) {
-  std::printf(
-      "{\"status\": \"%s\", \"update\": %u, \"threads\": %u, "
-      "\"batch_seconds\": %.6f, \"facts_added\": %llu, "
-      "\"facts_retracted\": %llu, \"cells_deleted\": %llu, "
-      "\"cells_rederived\": %llu, \"iterations\": %llu, "
-      "\"rule_firings\": %llu, \"facts_derived\": %llu, "
-      "\"full_resolve\": %s, "
-      "\"negation_fallbacks\": %llu, \"degraded_recoveries\": %llu, "
-      "\"vm_calls\": %llu, \"vm_inline_cache_hits\": %llu, "
-      "\"interp_fallbacks\": %llu, \"vm_inlined_calls\": %llu, "
-      "\"vm_superword_hits\": %llu, \"vm_passes_removed_insns\": %llu, "
-      "\"cost_based_plans\": %llu, \"replan_events\": %llu, "
-      "\"memory_bytes\": %llu, \"cumulative\": {\"updates\": %llu, "
-      "\"seconds\": %.6f, \"facts_added\": %llu, "
-      "\"facts_retracted\": %llu, \"cells_deleted\": %llu, "
-      "\"cells_rederived\": %llu, \"rule_firings\": %llu, "
-      "\"facts_derived\": %llu}}\n",
-      statusName(U.St), UpdateNo, Opts.NumThreads, U.Seconds,
-      static_cast<unsigned long long>(U.FactsAdded),
-      static_cast<unsigned long long>(U.FactsRetracted),
-      static_cast<unsigned long long>(U.CellsDeleted),
-      static_cast<unsigned long long>(U.CellsRederived),
-      static_cast<unsigned long long>(U.Iterations),
-      static_cast<unsigned long long>(U.RuleFirings),
-      static_cast<unsigned long long>(U.FactsDerived),
-      U.FullResolve ? "true" : "false",
-      static_cast<unsigned long long>(U.NegationFallbacks),
-      static_cast<unsigned long long>(U.DegradedRecoveries),
-      static_cast<unsigned long long>(U.VmCalls),
-      static_cast<unsigned long long>(U.VmInlineCacheHits),
-      static_cast<unsigned long long>(U.InterpFallbacks),
-      static_cast<unsigned long long>(U.VmInlinedCalls),
-      static_cast<unsigned long long>(U.VmSuperwordHits),
-      static_cast<unsigned long long>(U.VmPassesRemovedInsns),
-      static_cast<unsigned long long>(U.CostBasedPlans),
-      static_cast<unsigned long long>(U.ReplanEvents),
-      static_cast<unsigned long long>(U.MemoryBytes),
-      static_cast<unsigned long long>(Cum.Updates), Cum.Seconds,
-      static_cast<unsigned long long>(Cum.FactsAdded),
-      static_cast<unsigned long long>(Cum.FactsRetracted),
-      static_cast<unsigned long long>(Cum.CellsDeleted),
-      static_cast<unsigned long long>(Cum.CellsRederived),
-      static_cast<unsigned long long>(Cum.RuleFirings),
-      static_cast<unsigned long long>(Cum.FactsDerived));
 }
 
 /// Replays an update script (see the file comment) against the
@@ -429,7 +295,7 @@ static int runUpdateScript(FlixCompiler &C, ValueFactory &F,
   IncrementalSolver IS(P, Opts);
 
   unsigned UpdateNo = 0;
-  CumulativeUpdateStats Cum;
+  UpdateStats Cum; // running totals, reported on every --json line
   auto runUpdate = [&]() -> bool {
     UpdateStats U = IS.update();
     if (U.St == SolveStats::Status::Error) {
@@ -445,11 +311,19 @@ static int runUpdateScript(FlixCompiler &C, ValueFactory &F,
       std::fprintf(stderr, "warning: update %u did not reach a fixpoint; "
                            "the next update re-solves from scratch\n",
                    UpdateNo);
-    Cum.absorb(U);
+    Cum.accumulate(U);
     if (Stats)
-      printUpdateStats(UpdateNo, U);
+      std::printf("update %u: %s%s\n", UpdateNo,
+                  renderStats(U, StatsFormat::Text).c_str(),
+                  U.FullResolve ? " (full re-solve)" : "");
     if (Json)
-      printJsonUpdateStats(UpdateNo, U, Opts, Cum);
+      std::printf("{\"status\": \"%s\", \"update\": %u, \"threads\": %u, "
+                  "\"batch_seconds\": %.6f, \"full_resolve\": %s, %s, "
+                  "\"cumulative\": {\"updates\": %u, %s}}\n",
+                  statusName(U.St), UpdateNo, Opts.NumThreads, U.Seconds,
+                  U.FullResolve ? "true" : "false",
+                  renderStats(U, StatsFormat::Json).c_str(), UpdateNo + 1,
+                  renderStats(Cum, StatsFormat::Json).c_str());
     ++UpdateNo;
     return true;
   };
@@ -572,6 +446,7 @@ static int runUpdateScript(FlixCompiler &C, ValueFactory &F,
 
 int main(int Argc, char **Argv) {
   SolverOptions Opts;
+  int VmOptLevel = 2;
   bool DumpProgram = false;
   bool Stats = false;
   bool Json = false;
@@ -596,7 +471,7 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --vm-opt-level needs a value\n");
         return 1;
       }
-      Opts.VmOptLevel =
+      VmOptLevel =
           static_cast<int>(parseIntFlag("--vm-opt-level", Argv[I], 0, 2));
     } else if (Arg == "--no-cost-plans") {
       Opts.CostBasedPlans = false;
@@ -699,7 +574,7 @@ int main(int Argc, char **Argv) {
   ValueFactory F;
   FlixCompiler C(F);
   C.setUseVm(Opts.UseVm);
-  C.setVmOptLevel(Opts.VmOptLevel);
+  C.setVmOptLevel(VmOptLevel);
   if (!C.compile(Buf.str(), InputPath)) {
     std::fprintf(stderr, "%s", C.diagnostics().c_str());
     return 1;
@@ -785,53 +660,15 @@ int main(int Argc, char **Argv) {
       }
     }
 
-    if (Stats) {
-      std::printf("\nstats: %llu iterations, %llu rule firings, %llu facts "
-                  "derived, %.3f s, %.1f MB\n",
-                  static_cast<unsigned long long>(St.Iterations),
-                  static_cast<unsigned long long>(St.RuleFirings),
-                  static_cast<unsigned long long>(St.FactsDerived),
-                  St.Seconds,
-                  static_cast<double>(St.MemoryBytes) /
-                      (1024.0 * 1024.0));
-      std::printf("plans: %llu compiled steps; memo: %llu hits, %llu "
-                  "misses\n",
-                  static_cast<unsigned long long>(St.PlanSteps),
-                  static_cast<unsigned long long>(St.MemoHits),
-                  static_cast<unsigned long long>(St.MemoMisses));
-      std::printf("planner: %s, %llu cost-based orders, %llu replan "
-                  "events, %llu est-vs-actual row drift\n",
-                  Opts.CostBasedPlans ? "cost-based" : "greedy",
-                  static_cast<unsigned long long>(St.CostBasedPlans),
-                  static_cast<unsigned long long>(St.ReplanEvents),
-                  static_cast<unsigned long long>(St.EstimatedVsActualRows));
-      std::printf("vm: %s, %llu calls, %llu inline-cache hits, %llu "
-                  "interp fallbacks\n",
-                  Opts.UseVm ? "on" : "off",
-                  static_cast<unsigned long long>(St.VmCalls),
-                  static_cast<unsigned long long>(St.VmInlineCacheHits),
-                  static_cast<unsigned long long>(St.InterpFallbacks));
-      if (Opts.UseVm)
-        std::printf("vm pipeline: level %d, %llu calls inlined, %llu "
-                    "superwords fused, %llu instructions removed\n",
-                    Opts.VmOptLevel,
-                    static_cast<unsigned long long>(St.VmInlinedCalls),
-                    static_cast<unsigned long long>(St.VmSuperwordHits),
-                    static_cast<unsigned long long>(St.VmPassesRemovedInsns));
-      if (Opts.NumThreads > 0)
-        std::printf("parallel: %u threads, %llu tasks, %llu steals, %llu "
-                    "merge collisions, %llu spawned subtasks (max fanout "
-                    "%llu), %llu index-build tasks\n",
-                    Opts.NumThreads,
-                    static_cast<unsigned long long>(St.ParallelTasks),
-                    static_cast<unsigned long long>(St.ParallelSteals),
-                    static_cast<unsigned long long>(St.MergeCollisions),
-                    static_cast<unsigned long long>(St.SpawnedSubtasks),
-                    static_cast<unsigned long long>(St.MaxFanout),
-                    static_cast<unsigned long long>(St.IndexBuildTasks));
-    }
+    if (Stats)
+      std::printf("\nstats: %s\n", renderStats(St, StatsFormat::Text).c_str());
     if (Json)
-      printJsonStats(St, Opts);
+      std::printf("{\"status\": \"%s\", \"threads\": %u, \"memo\": %s, "
+                  "\"vm\": %s, \"vm_opt_level\": %d, %s}\n",
+                  statusName(St.St), Opts.NumThreads,
+                  Opts.EnableMemo ? "true" : "false",
+                  Opts.UseVm ? "true" : "false", C.vmOptLevel(),
+                  renderStats(St, StatsFormat::Json).c_str());
     return 0;
   });
 }

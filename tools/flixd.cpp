@@ -131,7 +131,7 @@ int main(int argc, char **argv) {
     } else if (A == "--no-vm") {
       Opt.Solve.UseVm = false;
     } else if (A == "--vm-opt-level") {
-      Opt.Solve.VmOptLevel =
+      Opt.VmOptLevel =
           int(parseIntFlag("--vm-opt-level", needValue(I), 0, 2));
     } else if (A == "--no-cost-plans") {
       Opt.Solve.CostBasedPlans = false;
