@@ -119,7 +119,6 @@ AccessEstimate elemEstimate(const Program &P, const BodyElem &E,
 /// Cost and expected full-match rows of one complete order (Cost = total
 /// step cost, Fanout = product of fanouts = estimated matches).
 AccessEstimate orderEstimate(const Program &P, const Rule &R, int Driver,
-                             bool DriverIsDelta,
                              std::span<const uint32_t> BodyOrder,
                              const StatsVec &Stats, bool UseIndexes,
                              const std::vector<bool> &PreBound) {
@@ -128,8 +127,8 @@ AccessEstimate orderEstimate(const Program &P, const Rule &R, int Driver,
   double Cost = 0, Mult = 1;
   for (size_t Pos = 0; Pos < BodyOrder.size(); ++Pos) {
     const BodyElem &E = R.Body[BodyOrder[Pos]];
-    if (Pos == 0 && Driver >= 0 && DriverIsDelta) {
-      bindElem(E, BoundVar); // delta driver: normalized to fanout 1
+    if (Pos == 0 && Driver >= 0) {
+      bindElem(E, BoundVar); // delta/seed driver: normalized to fanout 1
       continue;
     }
     AccessEstimate A = elemEstimate(P, E, BoundVar, Stats, UseIndexes);
@@ -190,19 +189,16 @@ void flix::plan::gatherStats(std::span<const std::unique_ptr<Table>> Tables,
 }
 
 double flix::plan::orderCost(const Program &P, const Rule &R, int Driver,
-                             bool DriverIsDelta,
                              std::span<const uint32_t> BodyOrder,
                              const StatsVec &Stats, bool UseIndexes,
                              const std::vector<bool> &PreBound) {
-  return orderEstimate(P, R, Driver, DriverIsDelta, BodyOrder, Stats,
-                       UseIndexes, PreBound)
+  return orderEstimate(P, R, Driver, BodyOrder, Stats, UseIndexes, PreBound)
       .Cost;
 }
 
 SmallVector<uint32_t, 8> flix::plan::chooseOrder(
-    const Program &P, const Rule &R, int Driver, bool DriverIsDelta,
-    const StatsVec &Stats, bool UseIndexes,
-    const std::vector<bool> &PreBound) {
+    const Program &P, const Rule &R, int Driver, const StatsVec &Stats,
+    bool UseIndexes, const std::vector<bool> &PreBound) {
   SmallVector<uint32_t, 8> Free;
   for (uint32_t I = 0; I < R.Body.size(); ++I)
     if (static_cast<int>(I) != Driver)
@@ -212,16 +208,8 @@ SmallVector<uint32_t, 8> flix::plan::chooseOrder(
   BoundVar.resize(R.NumVars, false);
 
   SmallVector<uint32_t, 8> Order;
-  double Cost0 = 0, Mult0 = 1;
   if (Driver >= 0) {
     Order.push_back(static_cast<uint32_t>(Driver));
-    if (!DriverIsDelta) {
-      // Rederive family: the fronted atom opens with a real access path.
-      AccessEstimate A =
-          elemEstimate(P, R.Body[Driver], BoundVar, Stats, UseIndexes);
-      Cost0 = A.Cost;
-      Mult0 = A.Fanout;
-    }
     bindElem(R.Body[Driver], BoundVar);
   }
 
@@ -288,18 +276,94 @@ SmallVector<uint32_t, 8> flix::plan::chooseOrder(
       Used[I] = false;
     }
   };
-  Rec(Rec, Cost0, Mult0, BoundVar, 0);
+  Rec(Rec, 0.0, 1.0, BoundVar, 0);
   assert(Best.size() == R.Body.size() && "no valid order found");
   return Best;
 }
 
 namespace {
 
+/// True if slot \p Driver of \p R opens with a Seed step: the head slot,
+/// or a negated body atom.
+bool isSeedSlot(const Rule &R, int Driver) {
+  if (Driver == HeadSlot)
+    return true;
+  const auto *A =
+      Driver < 0 ? nullptr : std::get_if<BodyAtom>(&R.Body[Driver]);
+  return A && A->Negated;
+}
+
+/// The fronted terms of seed slot \p Driver, in key-column order: the
+/// head key terms for HeadSlot, plus the last column of a relational head
+/// (part of its key) unless LastFn computes it — a computed column
+/// cannot be inverted, so it stays free and the plan may re-derive
+/// sibling cells too (idempotent, harmless); the key terms of a negated
+/// driver atom. Empty for every other slot.
+SmallVector<Term, 4> seedTerms(const Program &P, const Rule &R,
+                               int Driver) {
+  SmallVector<Term, 4> Out;
+  if (!isSeedSlot(R, Driver))
+    return Out;
+  if (Driver == HeadSlot) {
+    for (const Term &T : R.Head.KeyTerms)
+      Out.push_back(T);
+    if (P.predicate(R.Head.Pred).isRelational() && !R.Head.LastFn)
+      Out.push_back(R.Head.LastTerm);
+    return Out;
+  }
+  const auto &A = std::get<BodyAtom>(R.Body[Driver]);
+  for (unsigned I = 0, KA = P.predicate(A.Pred).keyArity(); I < KA; ++I)
+    Out.push_back(A.Terms[I]);
+  return Out;
+}
+
+/// The variables a slot binds before its body order starts (the cost
+/// model's pre-bound set): the seed's fronted variables. Empty, not
+/// all-false, when there are none — the cost model sizes it.
+std::vector<bool> seedVars(const Program &P, const Rule &R, int Driver) {
+  std::vector<bool> Vars;
+  for (const Term &T : seedTerms(P, R, Driver))
+    if (T.isVar()) {
+      Vars.resize(R.NumVars, false);
+      Vars[T.Variable] = true;
+    }
+  return Vars;
+}
+
+/// The body element the cost model pins first for slot \p Driver: none
+/// for the head slot, whose seed is not a body element.
+int pinnedElem(int Driver) { return Driver == HeadSlot ? -1 : Driver; }
+
+/// Appends the column tests of \p Terms (column I tests Terms[I]) with
+/// sequential boundness: a constant is checked, a variable bound in
+/// \p Bound is checked, a fresh one binds and is marked bound, so its
+/// later occurrences check.
+void appendColTests(std::span<const Term> Terms, std::vector<bool> &Bound,
+                    SmallVector<ColTest, 4> &Out) {
+  for (size_t I = 0; I < Terms.size(); ++I) {
+    const Term &Tm = Terms[I];
+    ColTest Ct;
+    Ct.Col = static_cast<uint8_t>(I);
+    if (!Tm.isVar()) {
+      Ct.Op = ColOp::CheckConst;
+      Ct.Const = Tm.Constant;
+    } else if (Bound[Tm.Variable]) {
+      Ct.Op = ColOp::CheckVar;
+      Ct.Var = Tm.Variable;
+    } else {
+      Ct.Op = ColOp::Bind;
+      Ct.Var = Tm.Variable;
+      Bound[Tm.Variable] = true;
+    }
+    Out.push_back(Ct);
+  }
+}
+
 /// Compiles one (rule, driver) plan along \p OrderIdx (body indices; the
-/// driver element first when Driver >= 0). \p PreBound marks variables
-/// bound before the body starts (the pre-bound family). \p DriverIsDelta
-/// selects a StepKind::Driver opening step (delta rounds) vs a normal
-/// access path for the fronted atom (the pre-bound family).
+/// driver element first when Driver >= 0). A positive driver atom opens
+/// with a StepKind::Driver step; a seed slot opens with a StepKind::Seed
+/// step over its fronted terms (which replaces a negated driver atom's
+/// Negation step: a seed row is a key absent from the table).
 ///
 /// Boundness evolves along the order as follows: positive atoms bind all
 /// their variable terms including the lattice column, binder patterns
@@ -311,30 +375,34 @@ namespace {
 /// fixpoint independent of join order, which is what the plan-equivalence
 /// harness (PlanDifferentialTest) checks end to end.
 RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
-                     int Driver, const std::vector<bool> &PreBound,
-                     bool DriverIsDelta, bool UseIndexes,
+                     int Driver, bool UseIndexes,
                      std::span<const uint32_t> OrderIdx) {
   RulePlan Pl;
   Pl.RuleIdx = RuleIdx;
   Pl.Driver = Driver;
   Pl.NumVars = R.NumVars;
   Pl.Valid = true;
-  Pl.PreBound = PreBound;
 
-  std::vector<bool> BoundVar = PreBound;
-  BoundVar.resize(R.NumVars, false);
+  std::vector<bool> BoundVar(R.NumVars, false);
 
   assert(OrderIdx.size() == R.Body.size() && "order must cover the body");
   assert((!(Driver >= 0) || OrderIdx[0] == static_cast<uint32_t>(Driver)) &&
          "driver element must open the order");
-  SmallVector<const BodyElem *, 8> Order;
-  for (uint32_t BI : OrderIdx) {
-    Order.push_back(&R.Body[BI]);
+  for (uint32_t BI : OrderIdx)
     Pl.BodyOrder.push_back(BI);
+
+  if (isSeedSlot(R, Driver)) {
+    Step S;
+    S.Kind = StepKind::Seed;
+    S.Pred = Driver == HeadSlot ? R.Head.Pred
+                                : std::get<BodyAtom>(R.Body[Driver]).Pred;
+    SmallVector<Term, 4> Terms = seedTerms(P, R, Driver);
+    appendColTests({Terms.data(), Terms.size()}, BoundVar, S.Cols);
+    Pl.Steps.push_back(std::move(S));
   }
 
-  for (size_t Pos = 0; Pos < Order.size(); ++Pos) {
-    const BodyElem &E = *Order[Pos];
+  for (size_t Pos = 0; Pos < OrderIdx.size(); ++Pos) {
+    const BodyElem &E = R.Body[OrderIdx[Pos]];
 
     if (const auto *Fl = std::get_if<BodyFilter>(&E)) {
       // Fuse onto the preceding step: it runs at the same point of the
@@ -384,8 +452,9 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
     unsigned KA = D.keyArity();
 
     if (A.Negated) {
-      // Ground by placement (or by pre-binding, when fronted); binds
-      // nothing.
+      if (Pos == 0 && Driver >= 0)
+        continue; // the seed step above stands for it
+      // Ground by placement; binds nothing.
       Step S;
       S.Kind = StepKind::Negation;
       S.Pred = A.Pred;
@@ -404,23 +473,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
     // check.
     {
       std::vector<bool> InAtom = BoundVar;
-      for (unsigned I = 0; I < KA; ++I) {
-        const Term &Tm = A.Terms[I];
-        ColTest Ct;
-        Ct.Col = static_cast<uint8_t>(I);
-        if (!Tm.isVar()) {
-          Ct.Op = ColOp::CheckConst;
-          Ct.Const = Tm.Constant;
-        } else if (InAtom[Tm.Variable]) {
-          Ct.Op = ColOp::CheckVar;
-          Ct.Var = Tm.Variable;
-        } else {
-          Ct.Op = ColOp::Bind;
-          Ct.Var = Tm.Variable;
-          InAtom[Tm.Variable] = true;
-        }
-        S.Cols.push_back(Ct);
-      }
+      appendColTests({A.Terms.data(), KA}, InAtom, S.Cols);
       if (!D.isRelational()) {
         // The lattice column sees the key columns' binds.
         const Term &Lt = A.Terms[KA];
@@ -437,7 +490,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
       }
     }
 
-    if (Pos == 0 && Driver >= 0 && DriverIsDelta) {
+    if (Pos == 0 && Driver >= 0) {
       S.Kind = StepKind::Driver;
     } else {
       // Access-path mask from pre-atom boundness; wantedIndexes() reports
@@ -494,31 +547,27 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
 }
 
 /// One plan's replan decision: recompiles \p Pl (of rule \p R, keeping
-/// its driver and pre-bound set) with the chosen order when its current
-/// cost exceeds Threshold × the best candidate's. Refreshes the stored
-/// estimates either way, so the next check compares against this
-/// snapshot.
+/// its driver) with the chosen order when its current cost exceeds
+/// Threshold × the best candidate's. Refreshes the stored estimates either
+/// way, so the next check compares against this snapshot.
 bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
-               const Rule &R, bool DriverIsDelta, const StatsVec &Stats,
-               double Threshold) {
-  int Driver = Pl.Driver;
-  // compilePlan only reads PreBound before the assignment below replaces
-  // Pl, so referencing the plan's own set is safe.
-  const std::vector<bool> &PreBound = Pl.PreBound;
-  SmallVector<uint32_t, 8> Best = chooseOrder(
-      P, R, Driver, DriverIsDelta, Stats, UseIndexes, PreBound);
+               const Rule &R, const StatsVec &Stats, double Threshold) {
+  int Pinned = pinnedElem(Pl.Driver);
+  std::vector<bool> PreBound = seedVars(P, R, Pl.Driver);
+  SmallVector<uint32_t, 8> Best =
+      chooseOrder(P, R, Pinned, Stats, UseIndexes, PreBound);
   std::span<const uint32_t> BestView(Best.data(), Best.size());
   std::span<const uint32_t> CurView(Pl.BodyOrder.data(),
                                     Pl.BodyOrder.size());
-  AccessEstimate CurE = orderEstimate(P, R, Driver, DriverIsDelta, CurView,
-                                      Stats, UseIndexes, PreBound);
+  AccessEstimate CurE =
+      orderEstimate(P, R, Pinned, CurView, Stats, UseIndexes, PreBound);
   if (sameOrder(BestView, CurView)) {
     Pl.EstCost = CurE.Cost;
     Pl.EstRows = CurE.Fanout;
     return false;
   }
-  AccessEstimate BestE = orderEstimate(P, R, Driver, DriverIsDelta,
-                                       BestView, Stats, UseIndexes, PreBound);
+  AccessEstimate BestE =
+      orderEstimate(P, R, Pinned, BestView, Stats, UseIndexes, PreBound);
   // Hysteresis: keep the current plan unless it is Threshold× worse than
   // the best candidate (1e-9 guards float ties).
   if (CurE.Cost <= Threshold * BestE.Cost + 1e-9) {
@@ -526,8 +575,7 @@ bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
     Pl.EstRows = CurE.Fanout;
     return false;
   }
-  Pl = compilePlan(P, R, Pl.RuleIdx, Driver, PreBound, DriverIsDelta,
-                   UseIndexes, BestView);
+  Pl = compilePlan(P, R, Pl.RuleIdx, Pl.Driver, UseIndexes, BestView);
   Pl.EstCost = BestE.Cost;
   Pl.EstRows = BestE.Fanout;
   return true;
@@ -536,51 +584,21 @@ bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
 } // namespace
 
 PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Rules,
-                         bool UseIndexes)
+                         bool UseIndexes, bool Seeds)
     : Prog(&P), Rules(&Rules), UseIndexes(UseIndexes) {
-  Normal.resize(Rules.size());
-  PreBound.resize(Rules.size());
+  PerRule.resize(Rules.size());
   for (uint32_t RI = 0; RI < Rules.size(); ++RI) {
     const Rule &R = Rules[RI];
-    Normal[RI].resize(R.Body.size() + 1);
-    PreBound[RI].resize(R.Body.size() + 1);
-
-    // Re-derive pre-bound set: the variables the head key tuple grounds.
-    // For relational heads the key includes the last column (unless it
-    // is function-computed, which cannot be inverted).
-    std::vector<bool> HeadVars(R.NumVars, false);
-    for (const Term &T : R.Head.KeyTerms)
-      if (T.isVar())
-        HeadVars[T.Variable] = true;
-    if (P.predicate(R.Head.Pred).isRelational() && !R.Head.LastFn &&
-        R.Head.LastTerm.isVar())
-      HeadVars[R.Head.LastTerm.Variable] = true;
-
-    for (int Driver = -1; Driver < static_cast<int>(R.Body.size());
+    PerRule[RI].resize(R.Body.size() + 2);
+    for (int Driver = HeadSlot; Driver < static_cast<int>(R.Body.size());
          ++Driver) {
-      const BodyAtom *A =
-          Driver < 0 ? nullptr : std::get_if<BodyAtom>(&R.Body[Driver]);
-      if (Driver >= 0 && !A)
+      if (Driver >= 0 && !std::holds_alternative<BodyAtom>(R.Body[Driver]))
         continue; // filters and binders never drive
-      SmallVector<uint32_t, 8> Def = defaultOrder(R, Driver);
-      std::span<const uint32_t> DefView(Def.data(), Def.size());
-      RulePlan &PB = PreBound[RI][static_cast<size_t>(Driver + 1)];
-      if (A && A->Negated) {
-        // Negation-driven: the fronted `!P(key)` has its key pre-bound.
-        std::vector<bool> KeyVars(R.NumVars, false);
-        for (unsigned I = 0, KA = P.predicate(A->Pred).keyArity(); I < KA;
-             ++I)
-          if (A->Terms[I].isVar())
-            KeyVars[A->Terms[I].Variable] = true;
-        PB = compilePlan(P, R, RI, Driver, KeyVars, /*DriverIsDelta=*/false,
-                         UseIndexes, DefView);
+      if (!Seeds && isSeedSlot(R, Driver))
         continue;
-      }
-      RulePlan &N = Normal[RI][static_cast<size_t>(Driver + 1)];
-      N = compilePlan(P, R, RI, Driver, {}, /*DriverIsDelta=*/Driver >= 0,
-                      UseIndexes, DefView);
-      PB = compilePlan(P, R, RI, Driver, HeadVars, /*DriverIsDelta=*/false,
-                       UseIndexes, DefView);
+      SmallVector<uint32_t, 8> Def = defaultOrder(R, Driver);
+      PerRule[RI][static_cast<size_t>(Driver - HeadSlot)] = compilePlan(
+          P, R, RI, Driver, UseIndexes, {Def.data(), Def.size()});
     }
   }
   recountDerived();
@@ -600,22 +618,11 @@ PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold) {
   Res.RowsDivergence = static_cast<uint64_t>(Div);
   LastStats = Stats;
 
-  for (uint32_t RI = 0; RI < Rules->size(); ++RI) {
-    const Rule &R = (*Rules)[RI];
-    for (size_t D = 0; D < Normal[RI].size(); ++D) {
-      RulePlan &N = Normal[RI][D];
-      RulePlan &PB = PreBound[RI][D];
-      bool Changed = false;
-      if (N.Valid)
-        Changed |= replanOne(*Prog, UseIndexes, N, R,
-                             /*DriverIsDelta=*/N.Driver >= 0, Stats,
-                             Threshold);
-      if (PB.Valid)
-        Changed |= replanOne(*Prog, UseIndexes, PB, R,
-                             /*DriverIsDelta=*/false, Stats, Threshold);
-      Res.Replanned += Changed;
-    }
-  }
+  for (uint32_t RI = 0; RI < Rules->size(); ++RI)
+    for (RulePlan &Pl : PerRule[RI])
+      if (Pl.Valid)
+        Res.Replanned += replanOne(*Prog, UseIndexes, Pl, (*Rules)[RI],
+                                   Stats, Threshold);
   if (Res.Replanned)
     recountDerived();
   return Res;
@@ -624,36 +631,28 @@ PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold) {
 void PlanLibrary::recountDerived() {
   TotalSteps = 0;
   CostBased = 0;
-  for (uint32_t RI = 0; RI < Normal.size(); ++RI) {
-    const Rule &R = (*Rules)[RI];
-    for (size_t D = 0; D < Normal[RI].size(); ++D) {
-      SmallVector<uint32_t, 8> Def =
-          defaultOrder(R, static_cast<int>(D) - 1);
-      std::span<const uint32_t> DefView(Def.data(), Def.size());
-      bool Reordered = false;
-      for (const RulePlan *Pl : {&Normal[RI][D], &PreBound[RI][D]}) {
-        if (!Pl->Valid)
-          continue;
-        TotalSteps += Pl->Steps.size();
-        Reordered |=
-            !sameOrder({Pl->BodyOrder.data(), Pl->BodyOrder.size()}, DefView);
-      }
-      CostBased += Reordered;
+  for (uint32_t RI = 0; RI < PerRule.size(); ++RI) {
+    for (const RulePlan &Pl : PerRule[RI]) {
+      if (!Pl.Valid)
+        continue;
+      TotalSteps += Pl.Steps.size();
+      SmallVector<uint32_t, 8> Def = defaultOrder((*Rules)[RI], Pl.Driver);
+      CostBased += !sameOrder({Pl.BodyOrder.data(), Pl.BodyOrder.size()},
+                              {Def.data(), Def.size()});
     }
   }
 }
 
 void PlanLibrary::wantedIndexes(
     std::vector<std::vector<uint64_t>> &MasksByPred) const {
-  for (const auto *Family : {&Normal, &PreBound})
-    for (const std::vector<RulePlan> &PerRule : *Family)
-      for (const RulePlan &Pl : PerRule) {
-        if (!Pl.Valid)
-          continue;
-        for (const Step &S : Pl.Steps)
-          if (S.Kind == StepKind::Probe)
-            MasksByPred[S.Pred].push_back(S.Mask);
-      }
+  for (const std::vector<RulePlan> &Slots : PerRule)
+    for (const RulePlan &Pl : Slots) {
+      if (!Pl.Valid)
+        continue;
+      for (const Step &S : Pl.Steps)
+        if (S.Kind == StepKind::Probe)
+          MasksByPred[S.Pred].push_back(S.Mask);
+    }
   for (std::vector<uint64_t> &Masks : MasksByPred) {
     std::sort(Masks.begin(), Masks.end());
     Masks.erase(std::unique(Masks.begin(), Masks.end()), Masks.end());

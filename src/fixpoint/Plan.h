@@ -119,13 +119,23 @@ enum class StepKind : uint8_t {
   /// processed in order and every negated predicate lives strictly below
   /// the rules that negate it, so its table is final (all net inserts
   /// and retracts applied) before any Negation step of this update reads
-  /// it. This is why no "pre-batch view" exists: insertion deltas for
-  /// `not P` are pre-bound plans that front the negated atom (see
-  /// PlanLibrary::preBoundPlan), read against the same current tables.
+  /// it. This is why no "pre-batch view" exists: the insertion delta of
+  /// `not P` is the seed plan of the negated atom's slot, whose Seed step
+  /// reads the rows that left P's table, and its other steps read the
+  /// same current tables.
   Negation,
   Binder,   ///< `pat <- f(args)`: iterate the returned set
   Filter,   ///< leading filter with no preceding step to fuse onto
+  /// Rows supplied by the engine from a seed list (the incremental
+  /// engine's re-derive and `not P` insertion deltas): the key-column
+  /// tests of the fronted terms only — no tombstone skip (seed rows are
+  /// usually tombstoned), no lattice column, no premise push.
+  Seed,
 };
+
+/// Driver slot of the head seed plan: its Seed step scans rows of the
+/// head predicate, matching the head key terms (see PlanLibrary).
+inline constexpr int HeadSlot = -2;
 
 struct Step {
   StepKind Kind;
@@ -173,8 +183,11 @@ struct HeadPlan {
 /// head recipe.
 struct RulePlan {
   uint32_t RuleIdx = 0;
+  /// -1: no driver; a body index: that atom opens the plan (a Driver step
+  /// for a positive atom, a Seed step for a negated one); HeadSlot: a
+  /// Seed step over head rows opens the plan.
   int32_t Driver = -1;
-  bool Valid = false; ///< false for driver slots its family has no plan for
+  bool Valid = false; ///< false for driver slots that have no plan
   uint32_t NumVars = 0;
   SmallVector<Step, 8> Steps;
   HeadPlan Head;
@@ -182,9 +195,6 @@ struct RulePlan {
   /// indices (the driver element first when Driver >= 0). The frozen
   /// driver-first order at construction; replanFromStats may replace it.
   SmallVector<uint32_t, 8> BodyOrder;
-  /// Variables the caller binds before the first step runs (indexed by
-  /// VarId; empty for the delta-driven family).
-  std::vector<bool> PreBound;
   /// Cost-model estimates recorded at the last (re)plan: total step cost
   /// and expected full-match rows. Fed back into SolveStats as
   /// EstimatedVsActualRows drift at the next adaptive check.
@@ -234,14 +244,13 @@ AccessEstimate estimateAccess(const PredStats &St, uint64_t Mask,
 
 /// Total estimated cost of evaluating \p R's body in \p BodyOrder (body
 /// indices): Σ over steps of (product of preceding fanouts) × step cost.
-/// When \p Driver >= 0 and \p DriverIsDelta, the fronted driver element
-/// contributes fanout 1 — delta size scales all candidate orders of the
-/// same (rule, driver) equally, so it cancels in comparisons. \p PreBound
-/// marks variables bound before the body starts (rederive plans).
+/// When \p Driver >= 0 the fronted driver element contributes fanout 1 —
+/// delta (or seed) size scales all candidate orders of the same (rule,
+/// driver) equally, so it cancels in comparisons. \p PreBound marks
+/// variables bound before the body starts (a seed's fronted terms).
 double orderCost(const Program &P, const Rule &R, int Driver,
-                 bool DriverIsDelta, std::span<const uint32_t> BodyOrder,
-                 const StatsVec &Stats, bool UseIndexes,
-                 const std::vector<bool> &PreBound);
+                 std::span<const uint32_t> BodyOrder, const StatsVec &Stats,
+                 bool UseIndexes, const std::vector<bool> &PreBound);
 
 /// Chooses a minimal-cost valid evaluation order for (\p R, \p Driver):
 /// branch-and-bound over all valid interleavings for small bodies,
@@ -250,29 +259,30 @@ double orderCost(const Program &P, const Rule &R, int Driver,
 /// bound. Deterministic: ties break toward the lowest body index, so
 /// equal statistics always reproduce the same order.
 SmallVector<uint32_t, 8> chooseOrder(const Program &P, const Rule &R,
-                                     int Driver, bool DriverIsDelta,
-                                     const StatsVec &Stats, bool UseIndexes,
+                                     int Driver, const StatsVec &Stats,
+                                     bool UseIndexes,
                                      const std::vector<bool> &PreBound);
 
-/// Compiles and owns the plans of one rule set. Two families, each keyed
-/// by (rule, driver) with Driver == -1 for "no fronted element":
+/// Compiles and owns the plans of one rule set: one family,
+/// plan(RuleIdx, Driver), each plan evaluating the rule once per row of a
+/// row list the engine supplies (§3.7's "once per body atom, that atom
+/// drawn from a delta"):
 ///
-///   * plan(RuleIdx, Driver): the delta-driven family. Driver == -1 is
-///     plain first-to-last evaluation (round 0 / naive); Driver >= 0
-///     makes that positive body atom a StepKind::Driver step fed by the
-///     engine.
-///   * preBoundPlan(RuleIdx, Driver): the incremental engine's derivative
-///     rules, which start from one known tuple instead of a delta row.
-///     The fronted atom moves first but opens with a normal access path
-///     (lookup/probe/scan/negation), not a Driver step, and the plan is
-///     compiled with a pre-bound variable set fixed by the fronted atom:
-///       - Driver == -1 or a positive atom: every head-key variable
-///         (Solver::rederive, the DRed re-derive step);
-///       - a negated atom: that atom's key variables
-///         (Solver::evalNegationDriven, the insertion delta of `not P`).
+///   * Driver == -1: no fronted element, plain first-to-last evaluation
+///     (round 0 / naive);
+///   * Driver a positive body atom: a StepKind::Driver step scans the
+///     atom's delta rows (semi-naive rounds);
+///   * Driver a negated body atom, or HeadSlot: a StepKind::Seed step
+///     scans seed rows and binds the fronted terms — the negated atom's
+///     key terms (the insertion delta of `not P`: rows that left P's
+///     table), or the head key terms plus the last column of a relational
+///     head without LastFn (DRed's re-derive: the over-deleted head
+///     cells). Compiled only when \p Seeds (the incremental engine's
+///     solver, SolverOptions::TrackSupport).
 ///
-/// Both families share compilation, cost-based re-planning and the index
-/// analysis below. The compiler's boundness simulation (negated atoms
+/// Every slot shares compilation, cost-based re-planning and the index
+/// analysis below; a seed slot's pre-bound variable set follows from
+/// (rule, driver). The compiler's boundness simulation (negated atoms
 /// bind nothing, positive atoms bind every variable term including the
 /// lattice column, binder patterns bind, filters bind nothing) is exact
 /// along a fixed order, so the probe masks of the compiled steps are
@@ -280,21 +290,16 @@ SmallVector<uint32_t, 8> chooseOrder(const Program &P, const Rule &R,
 class PlanLibrary {
 public:
   PlanLibrary(const Program &P, const std::vector<Rule> &Rules,
-              bool UseIndexes);
+              bool UseIndexes, bool Seeds = false);
 
   const RulePlan &plan(uint32_t RuleIdx, int Driver) const {
-    const RulePlan &Pl = Normal[RuleIdx][static_cast<size_t>(Driver + 1)];
+    const RulePlan &Pl =
+        PerRule[RuleIdx][static_cast<size_t>(Driver - HeadSlot)];
     assert(Pl.Valid && "no plan for this driver position");
     return Pl;
   }
-  const RulePlan &preBoundPlan(uint32_t RuleIdx, int Driver) const {
-    const RulePlan &Pl = PreBound[RuleIdx][static_cast<size_t>(Driver + 1)];
-    assert(Pl.Valid && "no pre-bound plan for this driver position");
-    return Pl;
-  }
 
-  /// Total compiled steps over all valid plans of both families
-  /// (SolveStats::PlanSteps).
+  /// Total compiled steps over all valid plans (SolveStats::PlanSteps).
   uint64_t totalSteps() const { return TotalSteps; }
 
   /// Outcome of one replanFromStats call: (rule, driver) pairs whose plans
@@ -305,9 +310,9 @@ public:
     uint64_t RowsDivergence = 0;
   };
 
-  /// Re-evaluates every plan of both families against \p Stats: a plan
-  /// is recompiled with the cost model's chosen order when its current
-  /// order's estimated cost exceeds \p Threshold × the best candidate's
+  /// Re-evaluates every plan against \p Stats: a plan is recompiled with
+  /// the cost model's chosen order when its current order's estimated
+  /// cost exceeds \p Threshold × the best candidate's
   /// (so Threshold 1.0 adopts any strict improvement — the initial
   /// cost-based choose — and larger thresholds add hysteresis for the
   /// adaptive between-round checks). Single-threaded callers only: plans
@@ -320,9 +325,9 @@ public:
   unsigned costBasedPlans() const { return CostBased; }
 
   /// Appends, per predicate, the bound-column masks of every Probe step in
-  /// any compiled plan of either family (sorted, deduplicated). Because it
-  /// reads the *compiled* plans rather than re-simulating an assumed
-  /// order, it stays correct for any cost-chosen order — the static index
+  /// any compiled plan (sorted, deduplicated). Because it reads the
+  /// *compiled* plans rather than re-simulating an assumed order, it
+  /// stays correct for any cost-chosen order — the static index
   /// analyses build exactly these masks, so StrictIndexCoverage cannot
   /// trip on a reordered plan. \p MasksByPred must be sized to the
   /// program's predicate count.
@@ -334,10 +339,9 @@ private:
   const Program *Prog = nullptr;
   const std::vector<Rule> *Rules = nullptr;
   bool UseIndexes = true;
-  /// Per rule, per driver slot (Driver + 1); invalid where no plan of the
-  /// family exists for that slot.
-  std::vector<std::vector<RulePlan>> Normal;
-  std::vector<std::vector<RulePlan>> PreBound;
+  /// Per rule, per driver slot (Driver - HeadSlot); invalid where no plan
+  /// exists for that slot.
+  std::vector<std::vector<RulePlan>> PerRule;
   /// Statistics snapshot of the last replanFromStats call (divergence
   /// baseline).
   StatsVec LastStats;
@@ -521,15 +525,14 @@ inline void deriveWithPlan(EngineT &E, ValueFactory &F, const RulePlan &Pl) {
 ///   void onRow(PredId, uint32_t RowId);   // positive-atom premise push
 ///   void popRow();                        //   ... and pop (incremental)
 ///   void onDerived(const RulePlan &, Value KeyT, Value LatVal);
-///   // Driver rows of the current task (StepKind::Driver).
+///   // Driver rows of the current task (StepKind::Driver / Seed).
 ///   const std::vector<uint32_t> *driverRows(uint32_t &Begin, uint32_t &End);
 template <typename EngineT> class PlanExecutor {
 public:
   explicit PlanExecutor(EngineT &E) : E(E) {}
 
-  /// Evaluates \p Pl from step 0 over an empty environment prefix (the
-  /// caller has already sized env/bound, and pre-bound any head-bound
-  /// variables for rederive plans).
+  /// Evaluates \p Pl from step 0 over an empty environment (the caller
+  /// has already sized env/bound).
   void run(const RulePlan &Pl) {
     if (Pl.Steps.empty()) {
       deriveWithPlan(E, E.factory(), Pl);
@@ -620,7 +623,8 @@ private:
     C.UseFullCols = false;
 
     switch (S.Kind) {
-    case StepKind::Driver: {
+    case StepKind::Driver:
+    case StepKind::Seed: {
       C.RowList = E.driverRows(C.Idx, C.End);
       C.UseFullCols = true;
       return;
@@ -691,23 +695,29 @@ private:
 
     switch (S.Kind) {
     case StepKind::Driver:
+    case StepKind::Seed:
     case StepKind::Lookup:
     case StepKind::Probe:
     case StepKind::Scan: {
       Table &T = E.table(S.Pred);
+      // A seed row is no premise of the derivation: it names the cell (or
+      // the absent negated key) the plan evaluates for.
+      bool Premise = S.Kind != StepKind::Seed;
       while (C.Idx < C.End) {
         if (E.checkRow())
           return false;
         uint32_t RowId = C.RowList ? (*C.RowList)[C.Idx] : C.Idx;
         ++C.Idx;
-        if (T.isTombstone(RowId))
+        if (Premise && T.isTombstone(RowId))
           continue;
         if (!matchRow(S, C, T, RowId)) {
           C.Trail.undo(E.env(), E.bound());
           continue;
         }
-        E.onRow(S.Pred, RowId);
-        C.HasPremise = true;
+        if (Premise) {
+          E.onRow(S.Pred, RowId);
+          C.HasPremise = true;
+        }
         return true;
       }
       return false;

@@ -78,7 +78,10 @@ Solver::Solver(const Program &P, SolverOptions Opts)
     const Lattice &L = D.isRelational() ? *RelLattice : *D.Lat;
     Tables.push_back(std::make_unique<Table>(D.keyArity(), L, F));
   }
-  Plans = std::make_unique<plan::PlanLibrary>(P, P.rules(), Opts.UseIndexes);
+  // Seed plans serve only the incremental engine's re-derive and `not P`
+  // insertion deltas, which need the support index anyway.
+  Plans = std::make_unique<plan::PlanLibrary>(P, P.rules(), Opts.UseIndexes,
+                                              /*Seeds=*/Opts.TrackSupport);
   Engine = std::make_unique<PlanEngine>(*this);
   if (Opts.EnableMemo)
     Memo = std::make_unique<plan::ExternMemo>();
@@ -90,9 +93,6 @@ Solver::Solver(const Program &P, SolverOptions Opts)
     Dependents.resize(P.predicates().size());
     NegDependents.resize(P.predicates().size());
   }
-  RulesByHead.resize(P.predicates().size());
-  for (uint32_t RI = 0; RI < P.rules().size(); ++RI)
-    RulesByHead[P.rules()[RI].Head.Pred].push_back(RI);
   for (auto [Pred, Mask] : P.indexHints())
     if (Opts.UseIndexes)
       Tables[Pred]->prepareIndex(Mask);
@@ -146,19 +146,9 @@ void Solver::evalRule(uint32_t RI, int Driver,
   const plan::RulePlan &Pl = Plans->plan(RI, Driver);
   Env.assign(Pl.NumVars, Value());
   Bound.assign(Pl.NumVars, 0);
-  CurDriverRows = Driver >= 0 ? &DriverRows : nullptr;
+  CurDriverRows = &DriverRows;
   runPlan(Pl);
   CurDriverRows = nullptr;
-}
-
-bool Solver::preBindTerm(const Term &Tm, Value V) {
-  if (!Tm.isVar())
-    return Tm.Constant == V;
-  if (Bound[Tm.Variable])
-    return Env[Tm.Variable] == V;
-  Env[Tm.Variable] = V;
-  Bound[Tm.Variable] = 1;
-  return true;
 }
 
 namespace {
@@ -232,77 +222,6 @@ size_t Solver::negSupportEdgeCount() const {
     for (const auto &[KeyT, Out] : Keys)
       Count += Out.size();
   return Count;
-}
-
-void Solver::rederive(PredId Pred, Value KeyTuple) {
-  std::span<const Value> KeyElems = F.tupleElems(KeyTuple);
-  const PredicateDecl &D = P.predicate(Pred);
-  for (uint32_t RI : RulesByHead[Pred]) {
-    const Rule &R = P.rules()[RI];
-    Env.assign(R.NumVars, Value());
-    Bound.assign(R.NumVars, 0);
-    bool Ok = true;
-    for (size_t I = 0; I < R.Head.KeyTerms.size() && Ok; ++I)
-      Ok = preBindTerm(R.Head.KeyTerms[I], KeyElems[I]);
-    // For relational heads the key tuple includes the last column; a
-    // function-valued last column can't be inverted, so it stays free and
-    // the rule may re-derive sibling cells too (idempotent, harmless).
-    if (Ok && D.isRelational() && !R.Head.LastFn)
-      Ok = preBindTerm(R.Head.LastTerm, KeyElems.back());
-    if (!Ok)
-      continue;
-    // Evaluate the most-bound positive atom first (the head-key bindings
-    // usually ground part of it), so the opening access is an indexed
-    // probe instead of a full scan — rederive runs once per deleted cell,
-    // and a leading scan would make retraction cost O(deleted * table).
-    // Moving one atom to the front is the same shape delta rounds use, so
-    // downstream filters/binders still see their inputs bound in order.
-    int BestAtom = -1;
-    size_t BestBound = 0, BestSize = 0;
-    for (size_t BI = 0; BI < R.Body.size(); ++BI) {
-      const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
-      if (!A || A->Negated)
-        continue;
-      size_t NumBound = 0;
-      for (const Term &Tm : A->Terms)
-        if (!Tm.isVar() || Bound[Tm.Variable])
-          ++NumBound;
-      size_t Size = Tables[A->Pred]->size();
-      if (BestAtom < 0 || NumBound > BestBound ||
-          (NumBound == BestBound && Size < BestSize)) {
-        BestAtom = static_cast<int>(BI);
-        BestBound = NumBound;
-        BestSize = Size;
-      }
-    }
-    // The pre-bound plan for a positive (or no) fronted atom is compiled
-    // with exactly the head variables just bound.
-    runPlan(Plans->preBoundPlan(RI, BestAtom));
-  }
-}
-
-void Solver::evalNegationDriven(uint32_t RI, PredId NegPred,
-                                Value KeyTuple) {
-  const Rule &R = P.rules()[RI];
-  std::span<const Value> Key = F.tupleElems(KeyTuple);
-  unsigned KA = P.predicate(NegPred).keyArity();
-  // A rule may negate NegPred in several atoms; each is a distinct driver
-  // position (the others are probed as ordinary ground negations — the
-  // probe re-checks the now-true negation, which is merely redundant).
-  for (size_t BI = 0; BI < R.Body.size(); ++BI) {
-    const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
-    if (!A || !A->Negated || A->Pred != NegPred)
-      continue;
-    Env.assign(R.NumVars, Value());
-    Bound.assign(R.NumVars, 0);
-    bool Ok = true;
-    for (unsigned I = 0; I < KA && Ok; ++I)
-      Ok = preBindTerm(A->Terms[I], Key[I]);
-    // The pre-bound plan for a negated fronted atom is compiled with
-    // exactly that atom's key variables bound.
-    if (Ok)
-      runPlan(Plans->preBoundPlan(RI, static_cast<int>(BI)));
-  }
 }
 
 void Solver::recordProvenance(uint32_t RI, PredId HeadPred,

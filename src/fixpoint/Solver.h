@@ -66,8 +66,9 @@ struct SolverOptions {
   /// increase) that the incremental engine's Delete/Re-derive pass walks
   /// on retraction. Unlike TrackProvenance (which keeps only the *last*
   /// increasing derivation), the support index keeps an edge for *every*
-  /// changed join, so over-deletion is sound. Set by IncrementalSolver;
-  /// off by default.
+  /// changed join, so over-deletion is sound. Also compiles the seed
+  /// plans its re-derive and `not P` insertion deltas run
+  /// (plan::PlanLibrary). Set by IncrementalSolver; off by default.
   bool TrackSupport = false;
   /// Worker threads for the ParallelSolver (src/parallel). 0 selects the
   /// sequential path (this class); the sequential Solver itself
@@ -220,16 +221,17 @@ private:
   /// One semi-naive round of \p RuleIds (see RoundBody::evalRound): on the
   /// attached RoundBody if there is one, else in place on this thread.
   void evalRound(const std::vector<uint32_t> &RuleIds, bool Round0);
-  /// Evaluates rule \p RI's delta-driven plan for \p Driver (-1: plain
-  /// evaluation; otherwise that body atom scans \p DriverRows).
+  /// Evaluates rule \p RI's plan for \p Driver once over \p DriverRows
+  /// (see plan::PlanLibrary): -1 is plain evaluation (rows unused); a
+  /// positive body atom scans them as its delta; a negated body atom or
+  /// plan::HeadSlot scans them as seeds — the incremental engine's
+  /// insertion delta of `not P` (rows that left P's table) and its DRed
+  /// re-derive (over-deleted head cells). Derivations land in NextDelta
+  /// as usual.
   void evalRule(uint32_t RI, int Driver,
                 const std::vector<uint32_t> &DriverRows);
   /// Runs one compiled plan over the current Env/Bound.
   void runPlan(const plan::RulePlan &Pl);
-  /// Binds one term of a pre-bound plan's known tuple against \p V: a
-  /// constant must equal it and an already bound variable must agree
-  /// with it (false on a mismatch); a fresh variable is bound to it.
-  bool preBindTerm(const Term &Tm, Value V);
   bool checkDeadline();
   void recordProvenance(uint32_t RI, PredId HeadPred, uint32_t RowId);
   void recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId);
@@ -237,23 +239,6 @@ private:
   /// or the negated key \p KeyT of \p NegPred, helped derive \p Head.
   void addSupportEdge(CellRef Prem, CellRef Head);
   void addNegSupportEdge(PredId NegPred, Value KeyT, CellRef Head);
-  /// Head-bound re-derivation (the incremental engine's "Re-derive"): for
-  /// every rule whose head predicate is \p Pred, pre-binds the head key
-  /// terms against \p KeyTuple's elements and evaluates the body over the
-  /// current database, re-joining whatever the surviving derivations
-  /// yield for exactly that cell. Changed joins land in NextDelta as
-  /// usual.
-  void rederive(PredId Pred, Value KeyTuple);
-  /// Negation-driven evaluation (the incremental engine's insert-delta
-  /// for `not P`): for every negated atom on \p NegPred in rule \p RI,
-  /// pre-binds that atom's key terms against \p KeyTuple — a key whose
-  /// row just left \p NegPred's table, making the ground negation true —
-  /// and evaluates the rest of the body over the current database with
-  /// the negated atom fronted (PlanLibrary::preBoundPlan); derivations
-  /// land in NextDelta as usual. Sound because the engine
-  /// calls this only after NegPred's stratum has settled, when its table
-  /// is final for the update.
-  void evalNegationDriven(uint32_t RI, PredId NegPred, Value KeyTuple);
   void renderExplanation(std::string &Out, PredId P,
                          std::span<const Value> Key, unsigned Depth,
                          unsigned Indent) const;
@@ -319,10 +304,6 @@ private:
   /// When non-null, loadFacts() reads this fact set instead of
   /// P.facts() — the incremental engine's materialized fact store.
   const std::vector<Fact> *FactsOverride = nullptr;
-
-  /// Rule indexes (into P.rules()) grouped by head predicate, for
-  /// rederive().
-  std::vector<std::vector<uint32_t>> RulesByHead;
 
   // Delta bookkeeping (SemiNaive).
   std::vector<std::vector<uint32_t>> Delta;

@@ -119,7 +119,10 @@ namespace flix {
   X(uint64_t, CellsDeleted, "cells_deleted", "cells deleted", Counter,         \
     "cells reset to bottom by over-deletion")                                  \
   X(uint64_t, CellsRederived, "cells_rederived", "cells rederived", Counter,   \
-    "deleted cells re-derived to a non-bottom value")
+    "deleted cells re-derived to a non-bottom value")                          \
+  X(uint64_t, SeedPlanRuns, "seed_plan_runs", "seed plan runs", Counter,       \
+    "seed-plan runs: one per rule re-deriving its head, one per negated "      \
+    "occurrence driven by rows that left the table")
 
 enum class StatKind : uint8_t { Counter, Gauge, Static };
 

@@ -9,7 +9,6 @@
 #include "fixpoint/Plan.h"
 #include "parallel/RoundExecutor.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 
@@ -147,7 +146,7 @@ std::vector<Fact> IncrementalSolver::currentFacts() const {
 
 void IncrementalSolver::noteChanged(PredId Pred, uint32_t Row) {
   S->queueDelta(Pred, Row);
-  UpdateChanged[Pred].insert(Row);
+  UpdateChanged[Pred].insert(Row, S->Tables[Pred]->size());
 }
 
 void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
@@ -224,14 +223,14 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   // The inner solver's run state must be clean for re-entry; incremental
   // updates are not subject to TimeLimitSeconds/MaxIterations, but they
   // do honor a caller-supplied cancellation deadline: every eval path
-  // (rederive, negation-driven evaluation, and delta rounds in place or
-  // on the round executor) checks it per matched row and aborts with
-  // Status::Timeout, after which update() marks the state Degraded so the
-  // next batch recovers via a full solve.
+  // (seed plans, and delta rounds in place or on the round executor)
+  // checks it per matched row and aborts with Status::Timeout, after
+  // which update() marks the state Degraded so the next batch recovers
+  // via a full solve.
   Sol.Aborted = false;
   Sol.DL = DL;
   Sol.Stats.St = SolveStats::Status::Fixpoint;
-  for (auto &Ch : UpdateChanged)
+  for (RowSet &Ch : UpdateChanged)
     Ch.clear();
   Sol.clearNextDelta();
 
@@ -247,35 +246,25 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       PreSize[Pr] = static_cast<uint32_t>(Sol.Tables[Pr]->size());
 
   //--- Phase R: retractions + over-delete closure -----------------------
-  std::vector<std::vector<uint8_t>> DeletedMark(NumPreds);
-  auto markDeleted = [&](PredId Pr, uint32_t Row) -> bool {
-    std::vector<uint8_t> &M = DeletedMark[Pr];
-    if (M.size() <= Row)
-      M.resize(Sol.Tables[Pr]->size(), 0);
-    if (M[Row])
-      return false;
-    M[Row] = 1;
-    return true;
+  // Every cell over-deleted by this update, per predicate.
+  std::vector<RowSet> Deleted(NumPreds);
+  auto markDeleted = [&](PredId Pr, uint32_t Row) {
+    return Deleted[Pr].insert(Row, Sol.Tables[Pr]->size());
   };
 
-  std::vector<std::vector<uint32_t>> DeletedByPred(NumPreds);
-
-  // Over-delete one seed set: everything transitively supported by a
-  // seed cell through the support index, which over-approximates true
-  // support — sound, since re-derivation restores every cell still
-  // derivable. Resets every closure cell to ⊥ first (a later reset must
-  // not clobber an earlier re-join), then re-joins the surviving
-  // input-fact contributions of exactly those cells — O(deleted), not
-  // O(facts). Runs once for the retraction seeds and once per stratum
-  // boundary for negation-invalidated heads; cells land in DeletedByPred
-  // so the re-derive pass of their own (later) stratum picks them up.
-  auto overDeleteBatch = [&](std::vector<CellRef> &Work) {
-    std::vector<CellRef> Batch;
-    while (!Work.empty()) {
-      CellRef C = Work.back();
-      Work.pop_back();
-      Batch.push_back(C);
-      DeletedByPred[C.Pred].push_back(C.Row);
+  // Over-delete one batch of marked seed cells: everything transitively
+  // supported by a seed cell through the support index, which
+  // over-approximates true support — sound, since re-derivation restores
+  // every cell still derivable. \p Batch grows into the closure. Resets
+  // every closure cell to ⊥ first (a later reset must not clobber an
+  // earlier re-join), then re-joins the surviving input-fact
+  // contributions of exactly those cells — O(deleted), not O(facts).
+  // Runs once for the retraction seeds and once per stratum boundary for
+  // negation-invalidated heads; cells land in Deleted so the re-derive
+  // pass of their own (later) stratum picks them up.
+  auto overDeleteBatch = [&](std::vector<CellRef> &Batch) {
+    for (size_t I = 0; I < Batch.size(); ++I) {
+      CellRef C = Batch[I];
       auto &Dep = Sol.Dependents[C.Pred];
       if (C.Row < Dep.size()) {
         for (CellRef D : Dep[C.Row])
@@ -284,7 +273,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
           // would only inflate the batch with no-op resets.
           if (!Sol.Tables[D.Pred]->isTombstone(D.Row) &&
               markDeleted(D.Pred, D.Row))
-            Work.push_back(D);
+            Batch.push_back(D);
         // Out-edges of a deleted cell are stale; re-derivation re-records
         // the ones that still hold.
         Dep[C.Row].clear();
@@ -309,7 +298,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
     }
   };
 
-  std::vector<CellRef> Work;
+  std::vector<CellRef> Retracted;
   for (const Fact &Fa : PendingRetracts) {
     Value KeyT = keyTupleOf(Fa);
     auto It = FactStore[Fa.Pred].find(KeyT);
@@ -334,10 +323,10 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
     // may depend on the retracted contribution.
     uint32_t Row = Sol.Tables[Fa.Pred]->lookupRow(KeyT);
     if (Row != Table::NoRow && markDeleted(Fa.Pred, Row))
-      Work.push_back({Fa.Pred, Row});
+      Retracted.push_back({Fa.Pred, Row});
   }
   PendingRetracts.clear();
-  overDeleteBatch(Work);
+  overDeleteBatch(Retracted);
 
   //--- Phase A: additions ----------------------------------------------
   for (const Fact &Fa : PendingAdds) {
@@ -381,34 +370,46 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   if (Opts.ReplanThreshold > 0)
     Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
 
-  // Keys that net-left a negated predicate's table this update, filled
+  // Rows that net-left a negated predicate's table this update, filled
   // at that predicate's stratum boundary (d) and consumed as insertion
   // deltas for `not P` by every higher stratum's rules (b'). Kept for
   // the whole update — several strata may negate the same predicate.
-  std::vector<std::vector<Value>> NegDeleted(NumPreds);
+  std::vector<std::vector<uint32_t>> NegDeleted(NumPreds);
 
   for (uint32_t Str = 0; Str < St.numStrata() && !Sol.Aborted; ++Str) {
-    // (a) Head-bound re-derivation of this stratum's deleted cells over
-    // the surviving database. Order within the stratum is irrelevant: a
-    // derivation missed because another deleted cell is still ⊥ is
-    // re-fired by the delta rounds once that cell comes back.
-    for (PredId Pr = 0; Pr < NumPreds && !Sol.Aborted; ++Pr) {
-      if (DeletedByPred[Pr].empty() || St.PredStratum[Pr] != Str)
+    // (a) Set-at-a-time re-derivation of this stratum's deleted cells
+    // over the surviving database: each rule runs once, its head seed
+    // plan scanning every deleted cell of its head predicate. Order is
+    // irrelevant: a derivation missed because another deleted cell is
+    // still ⊥ is re-fired by the delta rounds once that cell comes back.
+    for (uint32_t RI : St.RulesByStratum[Str]) {
+      if (Sol.Aborted)
+        break;
+      const std::vector<uint32_t> &Rows =
+          Deleted[P.rules()[RI].Head.Pred].Rows;
+      if (Rows.empty())
         continue;
-      for (uint32_t Row : DeletedByPred[Pr])
-        Sol.rederive(Pr, Sol.Tables[Pr]->row(Row).Key);
+      Sol.evalRule(RI, plan::HeadSlot, Rows);
+      ++U.SeedPlanRuns;
     }
 
-    // (b') Negation-driven evaluation: every key that net-left a
-    // lower-stratum negated predicate is an insertion delta for its
-    // negated occurrences — drive this stratum's rules that negate it
+    // (b') Negation-driven evaluation: the rows that net-left a
+    // lower-stratum negated predicate are an insertion delta for its
+    // negated occurrences — drive each occurrence's seed plan over them,
     // with the now-true `!P(key)` fronted. Lower strata settled before
     // their boundary ran, so the probes below read final tables.
     for (const NegUse &NU : St.NegUsesByStratum[Str]) {
-      if (Sol.Aborted)
-        break;
-      for (Value KeyT : NegDeleted[NU.Pred])
-        Sol.evalNegationDriven(NU.RuleIdx, NU.Pred, KeyT);
+      const std::vector<uint32_t> &Rows = NegDeleted[NU.Pred];
+      if (Rows.empty())
+        continue;
+      const Rule &R = P.rules()[NU.RuleIdx];
+      for (size_t BI = 0; BI < R.Body.size() && !Sol.Aborted; ++BI) {
+        const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
+        if (!A || !A->Negated || A->Pred != NU.Pred)
+          continue;
+        Sol.evalRule(NU.RuleIdx, static_cast<int>(BI), Rows);
+        ++U.SeedPlanRuns;
+      }
     }
 
     // (b) Seed this stratum's rounds with every row changed so far in
@@ -416,7 +417,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
     // evaluation. Re-firing rows already processed by lower strata is
     // sound (joins are idempotent) and cheap (deltas are small).
     for (PredId PI = 0; PI < NumPreds; ++PI)
-      for (uint32_t Row : UpdateChanged[PI])
+      for (uint32_t Row : UpdateChanged[PI].Rows)
         Sol.queueDelta(PI, Row);
 
     // (c) Semi-naive delta rounds restricted to this stratum's rules.
@@ -426,7 +427,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
         break;
       for (size_t PI = 0; PI < NumPreds; ++PI)
         for (uint32_t Row : Sol.Delta[PI])
-          UpdateChanged[PI].insert(Row);
+          UpdateChanged[PI].insert(Row, Sol.Tables[PI]->size());
       ++Sol.Stats.Iterations;
       // Round-boundary adaptive re-plan, same contract as the batch
       // solvers: single-threaded here, and workers re-fetch plans by
@@ -451,17 +452,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
         continue;
       Table &T = *Sol.Tables[Pr];
       auto &Tomb = NegTombstones[Pr];
-      // Only touched rows can have flipped presence: every insertion or
-      // revival goes through a changed join (-> UpdateChanged) and every
-      // deletion through the over-delete reset (-> DeletedByPred).
-      std::vector<uint32_t> Touched(UpdateChanged[Pr].begin(),
-                                    UpdateChanged[Pr].end());
-      Touched.insert(Touched.end(), DeletedByPred[Pr].begin(),
-                     DeletedByPred[Pr].end());
-      std::sort(Touched.begin(), Touched.end());
-      Touched.erase(std::unique(Touched.begin(), Touched.end()),
-                    Touched.end());
-      for (uint32_t Row : Touched) {
+      auto visit = [&](uint32_t Row) {
         bool Before = Row < PreSize[Pr] && !Tomb.count(Row);
         bool Now = !T.isTombstone(Row);
         // Sync the tombstone record even when presence did not net-flip
@@ -471,32 +462,39 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
         else
           Tomb.insert(Row);
         if (Before == Now)
-          continue;
-        Value KeyT = T.row(Row).Key;
+          return;
         if (!Now) {
-          NegDeleted[Pr].push_back(KeyT);
-          continue;
+          NegDeleted[Pr].push_back(Row);
+          return;
         }
         // Net insert: consume the key's negation support entry. Heads
         // already tombstoned, or already deleted this update (a Phase R
         // revival carries a fact-only value until its own stratum runs,
         // and facts never depend on a negation), need no second pass.
-        auto It = Sol.NegDependents[Pr].find(KeyT);
+        auto It = Sol.NegDependents[Pr].find(T.row(Row).Key);
         if (It == Sol.NegDependents[Pr].end())
-          continue;
+          return;
         for (CellRef D : It->second)
           if (!Sol.Tables[D.Pred]->isTombstone(D.Row) &&
               markDeleted(D.Pred, D.Row))
             NegSeeds.push_back(D);
         Sol.NegDependents[Pr].erase(It);
-      }
+      };
+      // Only touched rows can have flipped presence: every insertion or
+      // revival goes through a changed join (-> UpdateChanged) and every
+      // deletion through the over-delete reset (-> Deleted).
+      for (uint32_t Row : UpdateChanged[Pr].Rows)
+        visit(Row);
+      for (uint32_t Row : Deleted[Pr].Rows)
+        if (!UpdateChanged[Pr].contains(Row))
+          visit(Row);
     }
     if (!NegSeeds.empty())
       overDeleteBatch(NegSeeds);
   }
 
   for (PredId Pr = 0; Pr < NumPreds; ++Pr)
-    for (uint32_t Row : DeletedByPred[Pr])
+    for (uint32_t Row : Deleted[Pr].Rows)
       if (!Sol.Tables[Pr]->isTombstone(Row))
         ++U.CellsRederived;
 
@@ -505,7 +503,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   // too). Everything else is untouched and snapshot readers can keep
   // sharing their copies of it.
   for (PredId Pr = 0; Pr < NumPreds; ++Pr)
-    if (!UpdateChanged[Pr].empty() || !DeletedByPred[Pr].empty())
+    if (!UpdateChanged[Pr].Rows.empty() || !Deleted[Pr].Rows.empty())
       U.ChangedPreds.push_back(Pr);
 }
 

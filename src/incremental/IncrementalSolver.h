@@ -17,17 +17,19 @@
 /// cells it helped increase; retraction over-deletes the transitive
 /// closure of the retracted cells through that index, resets the deleted
 /// cells to ⊥ in place (Table::resetRow tombstones), re-joins their
-/// surviving input-fact contributions, re-derives each deleted cell with
-/// head-bound rule evaluation over the surviving database, and finally
-/// resumes semi-naive delta rounds per stratum until the fixed point is
-/// restored.
+/// surviving input-fact contributions, re-derives the deleted cells over
+/// the surviving database, and finally resumes semi-naive delta rounds
+/// per stratum until the fixed point is restored. Re-derivation is set at
+/// a time: each rule runs once per stratum, its head seed plan
+/// (plan::HeadSlot) scanning all of its head predicate's deleted cells.
 ///
 /// Stratified negation is handled without an escape hatch: strata are
 /// processed in order, and at each stratum boundary the net presence
 /// changes of that stratum's negated predicates are converted into
-/// deltas for the higher-stratum rules that negate them. A key that
-/// left the table drives those rules with the now-true `!P(key)`
-/// fronted (Solver::evalNegationDriven); a key that (re)entered it
+/// deltas for the higher-stratum rules that negate them. The rows that
+/// left the table drive those rules once per negated occurrence, through
+/// the occurrence's seed plan with the now-true `!P(key)` fronted; a key
+/// that (re)entered it
 /// over-deletes the heads recorded in the negation support index
 /// (Solver::NegDependents), which the normal Delete/Re-derive machinery
 /// then restores. Stratification guarantees a negated table is final
@@ -43,9 +45,11 @@
 
 #include "fixpoint/Solver.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 namespace flix {
 
@@ -69,8 +73,8 @@ class RoundExecutor;
 /// executor's recording merge joins them — and records support /
 /// provenance — single-threaded after the round barrier, so the support
 /// index write path is race-free by construction. The initial full
-/// solve, the retraction closure and re-derivation are sequential in all
-/// configurations.
+/// solve, the retraction closure and the seed plans (re-derive and `not P`
+/// insertion deltas) run sequentially in all configurations.
 ///
 /// SolverOptions caveats: TimeLimitSeconds/MaxIterations apply only to
 /// the initial (and fallback) full solves, not to incremental updates;
@@ -190,6 +194,35 @@ public:
   std::vector<Fact> currentFacts() const;
 
 private:
+  /// One predicate's rows touched by the current update, each listed
+  /// once in first-touch order, plus a per-row mark for O(1) membership.
+  /// Holds both the changed and the over-deleted rows.
+  struct RowSet {
+    std::vector<uint32_t> Rows;
+    std::vector<uint8_t> Marked;
+
+    bool contains(uint32_t Row) const {
+      return Row < Marked.size() && Marked[Row];
+    }
+    /// Adds \p Row of a table holding \p TableSize rows; false if it was
+    /// already in the set.
+    bool insert(uint32_t Row, size_t TableSize) {
+      if (Marked.size() <= Row)
+        Marked.resize(std::max<size_t>(TableSize, Row + 1), 0);
+      if (Marked[Row])
+        return false;
+      Marked[Row] = 1;
+      Rows.push_back(Row);
+      return true;
+    }
+    /// Empties the set in O(rows listed).
+    void clear() {
+      for (uint32_t Row : Rows)
+        Marked[Row] = 0;
+      Rows.clear();
+    }
+  };
+
   Value keyTupleOf(const Fact &Fa) const;
   void fullSolve(UpdateStats &U, Deadline DL);
   void incrementalUpdate(UpdateStats &U, Deadline DL);
@@ -230,7 +263,7 @@ private:
 
   /// Rows changed so far in the current update(), per predicate; seeds
   /// every stratum's delta rounds (replacing full round-0 evaluation).
-  std::vector<std::unordered_set<uint32_t>> UpdateChanged;
+  std::vector<RowSet> UpdateChanged;
 
   /// Parallel round body of S's delta rounds (NumThreads > 0), created on
   /// the first incremental update and re-bound whenever fullSolve()

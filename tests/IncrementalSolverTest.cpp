@@ -1198,6 +1198,155 @@ TEST_P(IncrementalDifferentialTest, AdaptiveReplanMidStream) {
   EXPECT_GT(TotalReplans, 0u);
 }
 
+TEST(IncrementalSolverTest, SeedPlansRunOncePerRule) {
+  // Re-derive and the insertion delta of `not P` are set at a time: one
+  // seed-plan run per rule re-deriving its head and one per negated
+  // occurrence, however many cells the retraction over-deletes. A chain
+  // ICFG with five facts flowing from node 0; cutting an early edge
+  // over-deletes every Reach cell behind it, and retracting a Kill fact
+  // in the same batch drives the negated occurrence's seed plan.
+  IcfgCase C;
+  for (int N = 0; N < 60; ++N)
+    C.CfgE.insert({N, N + 1});
+  for (int D = 0; D < 5; ++D)
+    C.GenE.insert({0, D});
+  C.KillE = {{30, 2}};
+  Program P = C.build();
+  IncrementalSolver IS(P);
+  ASSERT_TRUE(IS.update().ok());
+
+  IS.retractFact(C.Cfg, {C.F.integer(10), C.F.integer(11)});
+  C.CfgE.erase({10, 11});
+  IS.retractFact(C.Kill, {C.F.integer(30), C.F.integer(2)});
+  C.KillE.clear();
+  UpdateStats U = IS.update();
+  ASSERT_TRUE(U.ok());
+  EXPECT_FALSE(U.FullResolve);
+  expectMatchesScratch(IS, [&] { return C.build(); });
+
+  uint64_t Slots = P.rules().size();
+  for (const Rule &R : P.rules())
+    for (const BodyElem &E : R.Body)
+      if (const auto *A = std::get_if<BodyAtom>(&E); A && A->Negated)
+        ++Slots;
+  EXPECT_GE(U.CellsDeleted, 100u);
+  EXPECT_GT(U.SeedPlanRuns, 0u);
+  EXPECT_LE(U.SeedPlanRuns, Slots);
+}
+
+/// Head shapes a re-derive seed must match against the deleted cells'
+/// key columns, under random retract/add churn:
+///   Reach(s, s) :- Src(s).                        repeated head variable
+///   Reach(s, m) :- Reach(s, n), Edge(n, m).
+///   Tag(0, n)   :- Reach(s, n), Src(n).           constant head column
+///   Tag(1, n)   :- Reach(s, n), Edge(n, s).
+///   Next(s, half(n)) :- Reach(s, n).              relational, headFn
+///   Dist(s, 0)  :- Src(s).                        lattice
+///   Dist(m, addCost(d, 1)) :- Dist(n, d), Edge(n, m).   lattice, headFn
+struct HeadShapesCase {
+  ValueFactory F;
+  MinCostLattice L{F};
+  PredId Edge = 0, Src = 0, Reach = 0, Tag = 0, Next = 0, Dist = 0;
+  std::set<std::pair<int, int>> Edges;
+  std::set<int> Srcs;
+
+  Program build() {
+    Program P(F);
+    Edge = P.relation("Edge", 2);
+    Src = P.relation("Src", 1);
+    Reach = P.relation("Reach", 2);
+    Tag = P.relation("Tag", 2);
+    Next = P.relation("Next", 2);
+    Dist = P.lattice("Dist", 2, &L);
+    // Not injective: Next(s, 2) has a derivation from Reach(s, 4) and one
+    // from Reach(s, 5), so only re-derive restores it when one goes.
+    FnId Half = P.function("half", 1, FnRole::Transfer,
+                           [this](std::span<const Value> A) {
+                             return F.integer(A[0].asInt() / 2);
+                           });
+    FnId Add = P.function("addCost", 2, FnRole::Transfer,
+                          [this](std::span<const Value> A) {
+                            return L.addCost(A[0], A[1].asInt());
+                          });
+    RuleBuilder().head(Reach, {"s", "s"}).atom(Src, {"s"}).addTo(P);
+    RuleBuilder()
+        .head(Reach, {"s", "m"})
+        .atom(Reach, {"s", "n"})
+        .atom(Edge, {"n", "m"})
+        .addTo(P);
+    RuleBuilder()
+        .head(Tag, {F.integer(0), rv("n")})
+        .atom(Reach, {"s", "n"})
+        .atom(Src, {"n"})
+        .addTo(P);
+    RuleBuilder()
+        .head(Tag, {F.integer(1), rv("n")})
+        .atom(Reach, {"s", "n"})
+        .atom(Edge, {"n", "s"})
+        .addTo(P);
+    RuleBuilder()
+        .headFn(Next, {rv("s")}, Half, {rv("n")})
+        .atom(Reach, {"s", "n"})
+        .addTo(P);
+    RuleBuilder().head(Dist, {rv("s"), L.cost(0)}).atom(Src, {"s"}).addTo(P);
+    RuleBuilder()
+        .headFn(Dist, {rv("m")}, Add, {rv("d"), F.integer(1)})
+        .atom(Dist, {"n", "d"})
+        .atom(Edge, {"n", "m"})
+        .addTo(P);
+    for (auto [A, B] : Edges)
+      P.addFact(Edge, {F.integer(A), F.integer(B)});
+    for (int S : Srcs)
+      P.addFact(Src, {F.integer(S)});
+    return P;
+  }
+};
+
+TEST_P(IncrementalDifferentialTest, RederiveHeadShapes) {
+  constexpr int Nodes = 16;
+  HeadShapesCase C;
+  std::mt19937_64 Rng(29);
+  while (C.Edges.size() < 18)
+    C.Edges.insert({int(Rng() % Nodes), int(Rng() % Nodes)});
+  C.Srcs = {0, 5};
+  Program P = C.build();
+  IncrementalSolver IS(P, opts());
+  ASSERT_TRUE(IS.update().ok());
+  expectMatchesScratch(IS, [&] { return C.build(); });
+
+  uint64_t Deleted = 0, Rederived = 0;
+  for (int Round = 0; Round < 20; ++Round) {
+    for (int K = 0; K < 3 && !C.Edges.empty(); ++K) {
+      auto It = C.Edges.begin();
+      std::advance(It, Rng() % C.Edges.size());
+      IS.retractFact(C.Edge, {C.F.integer(It->first),
+                              C.F.integer(It->second)});
+      C.Edges.erase(It);
+    }
+    for (int K = 0; K < 3; ++K) {
+      std::pair<int, int> E = {int(Rng() % Nodes), int(Rng() % Nodes)};
+      if (C.Edges.insert(E).second)
+        IS.addFact(C.Edge, {C.F.integer(E.first), C.F.integer(E.second)});
+    }
+    // Toggle one source: retracting it deletes its diagonal Reach cell
+    // and Dist seed, so every head shape above sees deleted cells.
+    int S = int(Rng() % Nodes);
+    if (C.Srcs.erase(S))
+      IS.retractFact(C.Src, {C.F.integer(S)});
+    else if (C.Srcs.insert(S).second)
+      IS.addFact(C.Src, {C.F.integer(S)});
+    UpdateStats U = IS.update();
+    ASSERT_TRUE(U.ok());
+    EXPECT_FALSE(U.FullResolve);
+    Deleted += U.CellsDeleted;
+    Rederived += U.CellsRederived;
+    expectMatchesScratch(IS, [&] { return C.build(); });
+  }
+  // The churn must actually exercise re-derivation.
+  EXPECT_GT(Deleted, 0u);
+  EXPECT_GT(Rederived, 0u);
+}
+
 std::string threadsName(const ::testing::TestParamInfo<unsigned> &Info) {
   return "threads" + std::to_string(Info.param);
 }

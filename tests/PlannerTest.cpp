@@ -122,9 +122,9 @@ TEST(PlannerCostModelTest, OrderDominance) {
   uint32_t Written[] = {0, 1, 2}; // Src, Big, Sel
   uint32_t Chosen[] = {0, 2, 1};  // Src, Sel, Big
   double CostWritten =
-      orderCost(C.P, R, -1, false, Written, St, true, PreBound);
+      orderCost(C.P, R, -1, Written, St, true, PreBound);
   double CostChosen =
-      orderCost(C.P, R, -1, false, Chosen, St, true, PreBound);
+      orderCost(C.P, R, -1, Chosen, St, true, PreBound);
   // The written order scans Big with nothing bound; the planner's order
   // probes it with `a` bound. Orders of magnitude, not noise.
   EXPECT_GT(CostWritten, 100 * CostChosen);
@@ -133,7 +133,7 @@ TEST(PlannerCostModelTest, OrderDominance) {
   // one thing a sane order guarantees is that Big is probed last, with
   // `a` already bound.
   SmallVector<uint32_t, 8> Got =
-      chooseOrder(C.P, R, -1, false, St, true, PreBound);
+      chooseOrder(C.P, R, -1, St, true, PreBound);
   ASSERT_EQ(Got.size(), 3u);
   EXPECT_EQ(Got[2], 1u);
 }
@@ -146,8 +146,7 @@ TEST(PlannerCostModelTest, DriverStaysFirst) {
   // Even when the driver atom is the expensive one it must open the
   // order — delta-driven evaluation feeds it from the engine.
   SmallVector<uint32_t, 8> Got =
-      chooseOrder(C.P, R, /*Driver=*/1, /*DriverIsDelta=*/true, St, true,
-                  PreBound);
+      chooseOrder(C.P, R, /*Driver=*/1, St, true, PreBound);
   ASSERT_EQ(Got.size(), 3u);
   EXPECT_EQ(Got[0], 1u);
 }
@@ -172,11 +171,11 @@ TEST(PlannerCostModelTest, TieBreakingIsDeterministic) {
   std::vector<bool> PreBound(R.NumVars, false);
 
   SmallVector<uint32_t, 8> First =
-      chooseOrder(P, R, -1, false, St, true, PreBound);
+      chooseOrder(P, R, -1, St, true, PreBound);
   ASSERT_EQ(First.size(), 2u);
   EXPECT_EQ(First[0], 0u) << "ties must break toward the written order";
   for (int I = 0; I < 10; ++I)
-    EXPECT_EQ(chooseOrder(P, R, -1, false, St, true, PreBound), First);
+    EXPECT_EQ(chooseOrder(P, R, -1, St, true, PreBound), First);
 }
 
 //===----------------------------------------------------------------------===//
