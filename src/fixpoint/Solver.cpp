@@ -152,29 +152,74 @@ void Solver::evalRule(uint32_t RI, int Driver,
 }
 
 namespace {
-/// Sorted-unique insertion into one support-index edge list. Long update
-/// streams re-fire the same (premise, head) pairs every cycle, and without
-/// full dedup the lists grow without bound. Lists are tiny (median 1-2
-/// edges), so ordered insertion beats a hash set.
-void insertEdge(SmallVector<CellRef, 2> &Out, CellRef Head) {
+/// Heap bytes of a vector's buffer.
+template <class T> size_t bufferBytes(const std::vector<T> &V) {
+  return V.capacity() * sizeof(T);
+}
+
+/// Heap bytes of a SmallVector that spilled its inline storage.
+template <class T, unsigned N> size_t spillBytes(const SmallVector<T, N> &V) {
+  return V.capacity() > N ? V.capacity() * sizeof(T) : 0;
+}
+
+/// Estimated bytes of one negation support entry besides its edge list's
+/// spill: key, inline edge list and hash-node overhead.
+constexpr size_t NegEntryBytes =
+    sizeof(Value) + sizeof(SmallVector<CellRef, 2>) + 16;
+
+/// Grows the per-row vector \p Rows to hold row \p Row, keeping \p Bytes
+/// (which counts its buffer) current.
+template <class T>
+void growToRow(std::vector<T> &Rows, uint32_t Row, size_t &Bytes) {
+  if (Row < Rows.size())
+    return;
+  Bytes -= bufferBytes(Rows);
+  Rows.resize(size_t(Row) + 1);
+  Bytes += bufferBytes(Rows);
+}
+
+/// Sorted-unique insertion into one support-index edge list, keeping
+/// \p Bytes current. Long update streams re-fire the same (premise, head)
+/// pairs every cycle, and without full dedup the lists grow without
+/// bound. Lists are tiny (median 1-2 edges), so ordered insertion beats a
+/// hash set.
+void insertEdge(SmallVector<CellRef, 2> &Out, CellRef Head, size_t &Bytes) {
   auto It = std::lower_bound(Out.begin(), Out.end(), Head);
   if (It != Out.end() && *It == Head)
     return;
   size_t Idx = static_cast<size_t>(It - Out.begin());
+  Bytes -= spillBytes(Out);
   Out.push_back(Head); // may reallocate; reposition via the index
+  Bytes += spillBytes(Out);
   std::rotate(Out.begin() + Idx, Out.end() - 1, Out.end());
 }
 } // namespace
 
 void Solver::addSupportEdge(CellRef Prem, CellRef Head) {
   auto &Rows = Dependents[Prem.Pred];
-  if (Rows.size() <= Prem.Row)
-    Rows.resize(Prem.Row + 1);
-  insertEdge(Rows[Prem.Row], Head);
+  growToRow(Rows, Prem.Row, AuxBytes);
+  insertEdge(Rows[Prem.Row], Head, AuxBytes);
 }
 
 void Solver::addNegSupportEdge(PredId NegPred, Value KeyT, CellRef Head) {
-  insertEdge(NegDependents[NegPred][KeyT], Head);
+  auto [It, New] = NegDependents[NegPred].try_emplace(KeyT);
+  if (New)
+    AuxBytes += NegEntryBytes;
+  insertEdge(It->second, Head, AuxBytes);
+}
+
+void Solver::eraseNegSupport(PredId NegPred, NegSupportMap::iterator It) {
+  AuxBytes -= NegEntryBytes + spillBytes(It->second);
+  NegDependents[NegPred].erase(It);
+}
+
+void Solver::setProvenance(PredId Pred, uint32_t Row, Derivation D) {
+  std::vector<Derivation> &Rows = Provenance[Pred];
+  growToRow(Rows, Row, AuxBytes);
+  // Moving keeps a spilled premise buffer, so its bytes move with it.
+  AuxBytes += spillBytes(D.Premises);
+  AuxBytes -= spillBytes(Rows[Row].Premises);
+  Rows[Row] = std::move(D);
 }
 
 void Solver::recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId) {
@@ -226,9 +271,6 @@ size_t Solver::negSupportEdgeCount() const {
 
 void Solver::recordProvenance(uint32_t RI, PredId HeadPred,
                               uint32_t RowId) {
-  std::vector<Derivation> &Rows = Provenance[HeadPred];
-  if (Rows.size() <= RowId)
-    Rows.resize(RowId + 1);
   const Rule &R = P.rules()[RI];
   Derivation D;
   D.RuleIndex = RI;
@@ -254,7 +296,7 @@ void Solver::recordProvenance(uint32_t RI, PredId HeadPred,
     }
     D.Premises.push_back(std::move(Pr));
   }
-  Rows[RowId] = std::move(D);
+  setProvenance(HeadPred, RowId, std::move(D));
 }
 
 //===----------------------------------------------------------------------===//
@@ -262,35 +304,33 @@ void Solver::recordProvenance(uint32_t RI, PredId HeadPred,
 //===----------------------------------------------------------------------===//
 
 size_t Solver::memoryFootprint() const {
-  size_t Bytes = F.memoryBytes();
+  size_t Bytes = F.memoryBytes() + AuxBytes;
   for (const auto &T : Tables)
     Bytes += T->memoryBytes();
-  // Provenance: one Derivation per recorded row, plus premise vectors
-  // that spilled their inline storage (SmallVector<Premise, 4>).
-  for (const auto &Rows : Provenance) {
-    Bytes += Rows.capacity() * sizeof(Derivation);
-    for (const Derivation &D : Rows)
-      if (D.Premises.capacity() > 4)
-        Bytes += D.Premises.capacity() * sizeof(Derivation::Premise);
-  }
-  // Support index: per-premise edge lists (SmallVector<CellRef, 2>).
-  for (const auto &Rows : Dependents) {
-    Bytes += Rows.capacity() * sizeof(SmallVector<CellRef, 2>);
-    for (const auto &Out : Rows)
-      if (Out.capacity() > 2)
-        Bytes += Out.capacity() * sizeof(CellRef);
-  }
-  // Negation support index: hash map entries (key + edge list + node
-  // overhead estimate) plus spilled edge storage.
-  for (const auto &Keys : NegDependents) {
-    Bytes += Keys.size() *
-             (sizeof(Value) + sizeof(SmallVector<CellRef, 2>) + 16);
-    for (const auto &[KeyT, Out] : Keys)
-      if (Out.capacity() > 2)
-        Bytes += Out.capacity() * sizeof(CellRef);
-  }
   if (Memo)
     Bytes += Memo->memoryBytes();
+  return Bytes;
+}
+
+size_t Solver::recountMemoryBytes() const {
+  size_t Bytes = memoryFootprint() - AuxBytes;
+  // Provenance: one Derivation per recorded row, plus premise vectors
+  // that spilled their inline storage.
+  for (const auto &Rows : Provenance) {
+    Bytes += bufferBytes(Rows);
+    for (const Derivation &D : Rows)
+      Bytes += spillBytes(D.Premises);
+  }
+  // Support index: per-premise edge lists.
+  for (const auto &Rows : Dependents) {
+    Bytes += bufferBytes(Rows);
+    for (const auto &Out : Rows)
+      Bytes += spillBytes(Out);
+  }
+  // Negation support index: map entries plus spilled edge storage.
+  for (const auto &Keys : NegDependents)
+    for (const auto &[KeyT, Out] : Keys)
+      Bytes += NegEntryBytes + spillBytes(Out);
   return Bytes;
 }
 

@@ -212,10 +212,17 @@ public:
   /// supportEdgeCount() — bounding index growth in tests.
   size_t negSupportEdgeCount() const;
 
+  /// SolveStats::MemoryBytes recomputed from scratch by walking every
+  /// provenance row, support edge list and negation support entry. The
+  /// test oracle for the maintained count (sampleStats() never walks).
+  size_t recountMemoryBytes() const;
+
 private:
   friend class IncrementalSolver;
   friend class RoundExecutor;
   struct PlanEngine;
+  /// One negated predicate's negation support entries (NegDependents).
+  using NegSupportMap = std::unordered_map<Value, SmallVector<CellRef, 2>>;
 
   void loadFacts();
   /// One semi-naive round of \p RuleIds (see RoundBody::evalRound): on the
@@ -239,11 +246,17 @@ private:
   /// or the negated key \p KeyT of \p NegPred, helped derive \p Head.
   void addSupportEdge(CellRef Prem, CellRef Head);
   void addNegSupportEdge(PredId NegPred, Value KeyT, CellRef Head);
+  /// Consumes one negation support entry (its key re-entered the table).
+  void eraseNegSupport(PredId NegPred, NegSupportMap::iterator It);
+  /// Makes \p D the provenance of row \p Row of \p Pred.
+  void setProvenance(PredId Pred, uint32_t Row, Derivation D);
   void renderExplanation(std::string &Out, PredId P,
                          std::span<const Value> Key, unsigned Depth,
                          unsigned Indent) const;
   /// Everything SolveStats::MemoryBytes accounts for: value arena, tables
-  /// + indexes, provenance, the support index, and the memo cache.
+  /// + indexes, provenance, the support index, and the memo cache. Costs
+  /// O(predicates + indexes): the per-row structures are counted by
+  /// AuxBytes as they change.
   size_t memoryFootprint() const;
   /// Refreshes the Stats fields that are sampled rather than counted: the
   /// gauges (footprint, plan totals, memo totals), the VM inline-cache
@@ -298,8 +311,13 @@ private:
   /// table, the incremental engine over-deletes exactly these cells and
   /// consumes (erases) the entry; re-derivation re-records whichever
   /// edges still hold. Same over-approximation discipline as Dependents.
-  std::vector<std::unordered_map<Value, SmallVector<CellRef, 2>>>
-      NegDependents;
+  std::vector<NegSupportMap> NegDependents;
+
+  /// Heap bytes of Provenance, Dependents and NegDependents, kept current
+  /// by every write to them (setProvenance, addSupportEdge,
+  /// addNegSupportEdge, eraseNegSupport; clearing an edge list keeps its
+  /// capacity), so memoryFootprint() never walks them.
+  size_t AuxBytes = 0;
 
   /// When non-null, loadFacts() reads this fact set instead of
   /// P.facts() — the incremental engine's materialized fact store.

@@ -163,8 +163,9 @@ struct UpdateStats : SolveStats {
   /// Predicates whose table changed in this update (every predicate on a
   /// full solve). The snapshot-read hook: readers that maintain
   /// per-predicate immutable copies of the model (the server's query
-  /// snapshots) rebuild exactly these and share the rest, so snapshot
-  /// maintenance cost tracks the affected cone like the update itself.
+  /// snapshots) advance exactly these, by the rows
+  /// IncrementalSolver::changedRows/deletedRows name, and share the rest,
+  /// so snapshot maintenance cost tracks the update's changed cells.
   std::vector<PredId> ChangedPreds;
 
   using SolveStats::accumulate;

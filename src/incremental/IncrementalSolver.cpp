@@ -23,6 +23,7 @@ IncrementalSolver::IncrementalSolver(const Program &P, SolverOptions Opts)
   size_t NumPreds = P.predicates().size();
   FactStore.resize(NumPreds);
   UpdateChanged.resize(NumPreds);
+  UpdateDeleted.resize(NumPreds);
   NegTombstones.resize(NumPreds);
 
   // Seed the fact store from the program's facts.
@@ -230,8 +231,6 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   Sol.Aborted = false;
   Sol.DL = DL;
   Sol.Stats.St = SolveStats::Status::Fixpoint;
-  for (RowSet &Ch : UpdateChanged)
-    Ch.clear();
   Sol.clearNextDelta();
 
   assert(Sol.Strata && "inner solver solved, stratification available");
@@ -246,10 +245,8 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       PreSize[Pr] = static_cast<uint32_t>(Sol.Tables[Pr]->size());
 
   //--- Phase R: retractions + over-delete closure -----------------------
-  // Every cell over-deleted by this update, per predicate.
-  std::vector<RowSet> Deleted(NumPreds);
   auto markDeleted = [&](PredId Pr, uint32_t Row) {
-    return Deleted[Pr].insert(Row, Sol.Tables[Pr]->size());
+    return UpdateDeleted[Pr].insert(Row, Sol.Tables[Pr]->size());
   };
 
   // Over-delete one batch of marked seed cells: everything transitively
@@ -260,7 +257,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   // earlier re-join), then re-joins the surviving input-fact
   // contributions of exactly those cells — O(deleted), not O(facts).
   // Runs once for the retraction seeds and once per stratum boundary for
-  // negation-invalidated heads; cells land in Deleted so the re-derive
+  // negation-invalidated heads; cells land in UpdateDeleted so the re-derive
   // pass of their own (later) stratum picks them up.
   auto overDeleteBatch = [&](std::vector<CellRef> &Batch) {
     for (size_t I = 0; I < Batch.size(); ++I) {
@@ -283,7 +280,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       Sol.Tables[C.Pred]->resetRow(C.Row);
       ++U.CellsDeleted;
       if (Opts.TrackProvenance && C.Row < Sol.Provenance[C.Pred].size())
-        Sol.Provenance[C.Pred][C.Row] = Derivation(); // back to FromFact
+        Sol.setProvenance(C.Pred, C.Row, Derivation()); // back to FromFact
     }
     for (CellRef C : Batch) {
       Value KeyT = Sol.Tables[C.Pred]->row(C.Row).Key;
@@ -345,12 +342,8 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
     Table::JoinResult JR = Sol.Tables[Fa.Pred]->join(KeyT, Fa.LatValue);
     if (JR.Changed) {
       noteChanged(Fa.Pred, JR.RowId);
-      if (Opts.TrackProvenance) {
-        std::vector<Derivation> &Rows = Sol.Provenance[Fa.Pred];
-        if (Rows.size() <= JR.RowId)
-          Rows.resize(JR.RowId + 1);
-        Rows[JR.RowId] = Derivation(); // the last increase is the fact
-      }
+      if (Opts.TrackProvenance) // the last increase is the fact
+        Sol.setProvenance(Fa.Pred, JR.RowId, Derivation());
     }
   }
   PendingAdds.clear();
@@ -386,7 +379,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       if (Sol.Aborted)
         break;
       const std::vector<uint32_t> &Rows =
-          Deleted[P.rules()[RI].Head.Pred].Rows;
+          UpdateDeleted[P.rules()[RI].Head.Pred].Rows;
       if (Rows.empty())
         continue;
       Sol.evalRule(RI, plan::HeadSlot, Rows);
@@ -478,14 +471,14 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
           if (!Sol.Tables[D.Pred]->isTombstone(D.Row) &&
               markDeleted(D.Pred, D.Row))
             NegSeeds.push_back(D);
-        Sol.NegDependents[Pr].erase(It);
+        Sol.eraseNegSupport(Pr, It);
       };
       // Only touched rows can have flipped presence: every insertion or
       // revival goes through a changed join (-> UpdateChanged) and every
-      // deletion through the over-delete reset (-> Deleted).
+      // deletion through the over-delete reset (-> UpdateDeleted).
       for (uint32_t Row : UpdateChanged[Pr].Rows)
         visit(Row);
-      for (uint32_t Row : Deleted[Pr].Rows)
+      for (uint32_t Row : UpdateDeleted[Pr].Rows)
         if (!UpdateChanged[Pr].contains(Row))
           visit(Row);
     }
@@ -493,8 +486,14 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       overDeleteBatch(NegSeeds);
   }
 
+  // An aborted update can leave changed rows queued for a round that
+  // never ran; they changed the tables all the same.
   for (PredId Pr = 0; Pr < NumPreds; ++Pr)
-    for (uint32_t Row : Deleted[Pr].Rows)
+    for (uint32_t Row : Sol.NextDelta[Pr].Rows)
+      UpdateChanged[Pr].insert(Row, Sol.Tables[Pr]->size());
+
+  for (PredId Pr = 0; Pr < NumPreds; ++Pr)
+    for (uint32_t Row : UpdateDeleted[Pr].Rows)
       if (!Sol.Tables[Pr]->isTombstone(Row))
         ++U.CellsRederived;
 
@@ -503,7 +502,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   // too). Everything else is untouched and snapshot readers can keep
   // sharing their copies of it.
   for (PredId Pr = 0; Pr < NumPreds; ++Pr)
-    if (!UpdateChanged[Pr].Rows.empty() || !Deleted[Pr].Rows.empty())
+    if (!UpdateChanged[Pr].Rows.empty() || !UpdateDeleted[Pr].Rows.empty())
       U.ChangedPreds.push_back(Pr);
 }
 
@@ -515,6 +514,10 @@ UpdateStats IncrementalSolver::update(Deadline DL) {
   // run stratum-local DRed inside incrementalUpdate(). Only the first
   // solve and degraded recovery rebuild from scratch.
   bool NeedFull = !SolvedOnce || Degraded;
+  for (PredId Pr = 0; Pr < UpdateChanged.size(); ++Pr) {
+    UpdateChanged[Pr].clear();
+    UpdateDeleted[Pr].clear();
+  }
   // The inner solver's stats before this update; zero when a full solve
   // replaces the solver, whose whole run is then this update's work.
   SolveStats Before;

@@ -189,6 +189,21 @@ public:
         Pred, std::span<const Value>(Key.begin(), Key.size()), Depth);
   }
 
+  /// Row ids of \p Pred's table whose cell the last update() changed
+  /// (changedRows) or over-deleted (deletedRows), each list
+  /// duplicate-free and unordered; a row may be in both. Together they are
+  /// the update's difference on the table: a reader holding a copy of it
+  /// from before the update is current again after re-reading these rows
+  /// (the server's query snapshots do). Empty after a full solve (the
+  /// first update() or a FullResolve), which replaces the inner solver and
+  /// with it every row id.
+  std::span<const uint32_t> changedRows(PredId Pred) const {
+    return UpdateChanged[Pred].Rows;
+  }
+  std::span<const uint32_t> deletedRows(PredId Pred) const {
+    return UpdateDeleted[Pred].Rows;
+  }
+
   /// The current input fact set, materialized (e.g. for a from-scratch
   /// differential check). Staged mutations are not included.
   std::vector<Fact> currentFacts() const;
@@ -264,6 +279,9 @@ private:
   /// Rows changed so far in the current update(), per predicate; seeds
   /// every stratum's delta rounds (replacing full round-0 evaluation).
   std::vector<RowSet> UpdateChanged;
+  /// Rows over-deleted by the current update(), per predicate; the
+  /// re-derive pass of each stratum scans them.
+  std::vector<RowSet> UpdateDeleted;
 
   /// Parallel round body of S's delta rounds (NumThreads > 0), created on
   /// the first incremental update and re-bound whenever fullSolve()

@@ -686,10 +686,7 @@ void RoundExecutor::runRecordingMerge() {
         const Table::Row &Row = Sol.Tables[Prem.Pred]->row(Prem.Row);
         Der.Premises.push_back({Prem.Pred, Row.Key, Row.Lat});
       }
-      std::vector<Derivation> &Rows = Sol.Provenance[R.D.Pred];
-      if (Rows.size() <= JR.RowId)
-        Rows.resize(JR.RowId + 1);
-      Rows[JR.RowId] = std::move(Der);
+      Sol.setProvenance(R.D.Pred, JR.RowId, std::move(Der));
     }
     W->RecordBuf.clear();
   }

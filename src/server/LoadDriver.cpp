@@ -202,9 +202,10 @@ Json LoadReport::toJson() const {
   J.set("update_batches", Json::integer(int64_t(UpdateBatches)));
   J.set("coalesced_requests",
         Json::integer(int64_t(CoalescedRequests)));
-  J.set("negation_fallbacks", Json::integer(int64_t(NegationFallbacks)));
-  J.set("degraded_recoveries",
-        Json::integer(int64_t(DegradedRecoveries)));
+  forEachStat(Engine, [&](const StatInfo &I, auto V) {
+    if (I.Kind == StatKind::Gauge)
+      J.set(I.Key, Json::integer(int64_t(V)));
+  });
   J.set("final_generation", Json::integer(int64_t(FinalGeneration)));
   J.set("mutations_per_sec", Json::number(MutationsPerSec));
   J.set("rows_per_sec", Json::number(RowsPerSec));
@@ -284,7 +285,7 @@ LoadReport flix::server::runLoad(const LoadOptions &O) {
   Rep.QueryP50Ms = percentile(QryMs, 0.50);
   Rep.QueryP99Ms = percentile(QryMs, 0.99);
 
-  // Final server-side stats for coalescing and fallback counters.
+  // Final server-side stats: coalescing and every registry row.
   {
     Json Req = Json::object();
     Req.set("op", Json::str("stats"));
@@ -298,9 +299,12 @@ LoadReport flix::server::runLoad(const LoadOptions &O) {
         };
         Rep.UpdateBatches = getInt("update_batches");
         Rep.CoalescedRequests = getInt("coalesced_requests");
-        Rep.NegationFallbacks = getInt("negation_fallbacks");
-        Rep.DegradedRecoveries = getInt("degraded_recoveries");
         Rep.FinalGeneration = getInt("generation");
+        forEachStat(Rep.Engine, [&](const StatInfo &I, auto &V) {
+          using T = std::remove_reference_t<decltype(V)>;
+          if (const Json *J = DbJ->get(I.Key); J && J->isNum())
+            V = J->isInt() ? T(J->Int) : T(J->Dbl);
+        });
       }
     }
   }

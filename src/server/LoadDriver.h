@@ -21,6 +21,7 @@
 #ifndef FLIX_SERVER_LOADDRIVER_H
 #define FLIX_SERVER_LOADDRIVER_H
 
+#include "fixpoint/Stats.h"
 #include "server/Json.h"
 
 #include <cstdint>
@@ -61,13 +62,15 @@ struct LoadReport {
   uint64_t DeadlineExceeded = 0;
   uint64_t Overloaded = 0;
 
-  // From the server's final per-db stats. NegationFallbacks must stay 0
-  // now that negation batches are patched in place.
+  // From the server's final per-db stats.
   uint64_t UpdateBatches = 0;
   uint64_t CoalescedRequests = 0;
-  uint64_t NegationFallbacks = 0;
-  uint64_t DegradedRecoveries = 0;
   uint64_t FinalGeneration = 0;
+  /// Every stats-registry row of that block, read by its registry key.
+  /// toJson() reports the gauges — the engine's state at the end of the
+  /// run, among them the lifetime fallback counts; NegationFallbacks must
+  /// stay 0 now that negation batches are patched in place.
+  SolveStats Engine;
 
   double MutationsPerSec = 0;
   double RowsPerSec = 0;

@@ -100,8 +100,10 @@ public:
     return Stopping.load(std::memory_order_acquire);
   }
 
-private:
+  /// The loaded database \p Name, or null.
   std::shared_ptr<Session> findDb(const std::string &Name);
+
+private:
   Json handleRequest(const Request &R);
   Json handleLoad(const Request &R);
   Json handleMutate(const Request &R, bool Retract);

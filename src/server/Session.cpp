@@ -6,6 +6,7 @@
 
 #include "server/Session.h"
 
+#include <algorithm>
 #include <chrono>
 
 using namespace flix;
@@ -251,15 +252,31 @@ void Session::publishSnapshot(const UpdateStats &U, uint64_t Gen) {
   auto NewSnap = std::make_shared<DbSnapshot>();
   NewSnap->Generation = Gen;
   size_t NumPreds = Compiler->program().predicates().size();
-  NewSnap->Preds.resize(NumPreds);
-  std::vector<uint8_t> Changed(NumPreds, Old ? 0 : 1);
-  for (PredId Pr : U.ChangedPreds)
-    if (Pr < NumPreds)
-      Changed[Pr] = 1;
-  for (size_t I = 0; I < NumPreds; ++I)
-    NewSnap->Preds[I] = Changed[I]
-                            ? PredSnapshot::capture(IS->table(PredId(I)))
-                            : Old->Preds[I];
+  // A full solve replaced the inner solver, and with it every row id the
+  // overlays are keyed by: re-capture every predicate.
+  NewSnap->Rebases = Old ? Old->Rebases : 0;
+  if (!Old || U.FullResolve) {
+    for (size_t I = 0; I < NumPreds; ++I)
+      NewSnap->Preds.push_back(PredSnapshot::capture(IS->table(PredId(I))));
+  } else {
+    NewSnap->Preds = Old->Preds;
+    for (PredId Pr : U.ChangedPreds) {
+      std::span<const uint32_t> Changed = IS->changedRows(Pr);
+      std::span<const uint32_t> Deleted = IS->deletedRows(Pr);
+      Touched.assign(Changed.begin(), Changed.end());
+      Touched.insert(Touched.end(), Deleted.begin(), Deleted.end());
+      std::sort(Touched.begin(), Touched.end());
+      Touched.erase(std::unique(Touched.begin(), Touched.end()),
+                    Touched.end());
+      const PredSnapshot &Prev = *Old->Preds[Pr];
+      if (Prev.wantsRebase(Touched.size())) {
+        NewSnap->Preds[Pr] = PredSnapshot::capture(IS->table(Pr));
+        ++NewSnap->Rebases;
+      } else {
+        NewSnap->Preds[Pr] = Prev.advance(IS->table(Pr), Touched);
+      }
+    }
+  }
   std::lock_guard<std::mutex> Lk(SnapMu);
   Snap = std::move(NewSnap);
 }
@@ -427,17 +444,18 @@ Session::QueryReply Session::query(const std::string &PredName,
       Fields.set("value", valueToJson(F, Row->Lat));
   } else {
     Json RowsJ = Json::array();
-    for (const Table::Row &Row : PS.Rows) {
+    PS.forEachLive([&](const Table::Row &Row) {
       if (Limit > 0 && int64_t(RowsJ.Arr.size()) >= Limit)
-        break;
+        return false;
       Json RowJ = Json::array();
       for (Value K : F.tupleElems(Row.Key))
         RowJ.Arr.push_back(valueToJson(F, K));
       if (!Decl.isRelational())
         RowJ.Arr.push_back(valueToJson(F, Row.Lat));
       RowsJ.Arr.push_back(std::move(RowJ));
-    }
-    Fields.set("count", Json::integer(int64_t(PS.Rows.size())));
+      return true;
+    });
+    Fields.set("count", Json::integer(int64_t(PS.liveCount())));
     Fields.set("rows", std::move(RowsJ));
   }
   R.Fields = std::move(Fields);
@@ -467,6 +485,14 @@ Json Session::statsJson() {
   // of that update): point queries intern nothing, so it moves only with
   // loads and mutations.
   S.set("value_arena_bytes", Json::integer(int64_t(F.memoryBytes())));
+  // Snapshot maintenance: re-bases forced by the overlay bound so far, and
+  // the rows the published snapshot carries on top of its bases.
+  std::shared_ptr<const DbSnapshot> Cur = snapshot();
+  uint64_t OverlayRows = 0;
+  for (const auto &PS : Cur->Preds)
+    OverlayRows += PS->overlaySize();
+  S.set("snapshot_rebases", Json::integer(int64_t(Cur->Rebases)));
+  S.set("snapshot_overlay_rows", Json::integer(int64_t(OverlayRows)));
   // The last update's stats: every registry row, flat.
   S.set("full_resolve", Json::boolean(LastUpdate.FullResolve));
   forEachStat(LastUpdate, [&](const StatInfo &I, auto V) {

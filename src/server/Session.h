@@ -21,8 +21,11 @@
 ///     (BENCH_incremental.json), so N coalesced requests cost one cone,
 ///     not N.
 ///   * Snapshot isolation. After each commit the leader publishes an
-///     immutable DbSnapshot, rebuilding only the predicates the update
-///     touched (UpdateStats::ChangedPreds). Queries resolve the current
+///     immutable DbSnapshot. Predicates the update did not touch
+///     (UpdateStats::ChangedPreds) are shared as they are; a touched one
+///     keeps its shared base and gains the update's changed and
+///     over-deleted rows in its overlay (server/Snapshot.h), so a commit
+///     costs O(changed cells), not O(rows). Queries resolve the current
 ///     snapshot and never block on — or are blocked by — a running
 ///     solve.
 ///   * Admission control. Staged rows are bounded
@@ -121,6 +124,15 @@ public:
   /// Per-db stats object for the wire `stats` reply.
   Json statsJson();
 
+  /// The current published snapshot.
+  std::shared_ptr<const DbSnapshot> snapshot() const;
+
+  /// The compiled program and the live solver behind the snapshots (valid
+  /// after load()). Reading the solver races with a committing batch, so
+  /// only callers that know no mutation is in flight may (tests do).
+  const Program &program() const { return Compiler->program(); }
+  const IncrementalSolver &solver() const { return *IS; }
+
 private:
   struct GenOutcome {
     bool Ok = true;
@@ -131,7 +143,6 @@ private:
     uint64_t Requests = 1; ///< mutation requests coalesced into the batch
   };
 
-  std::shared_ptr<const DbSnapshot> snapshot() const;
   /// Leader-only: applies one swapped-out batch and publishes the new
   /// snapshot. Called with the session mutex released.
   GenOutcome commitBatch(const std::vector<Fact> &Adds,
@@ -173,6 +184,7 @@ private:
   // Published snapshot (SnapMu orders the shared_ptr swap/copy).
   mutable std::mutex SnapMu;
   std::shared_ptr<const DbSnapshot> Snap;
+  std::vector<uint32_t> Touched; ///< leader-only publishSnapshot scratch
 };
 
 } // namespace server

@@ -686,6 +686,77 @@ TEST_P(IncrementalDifferentialTest, IcfgGenKillReachability) {
   EXPECT_EQ(IS.negationFallbacks(), 0u);
 }
 
+TEST_P(IncrementalDifferentialTest, MaintainedMemoryBytesMatchRecount) {
+  // MemoryBytes is a count kept current as provenance, the support index
+  // and the negation support index grow and shrink, so sampling it costs
+  // O(predicates + indexes). After every update of retract/add churn —
+  // Kill churn consumes and re-records negation support entries — it must
+  // equal the full walk.
+  for (bool Prov : {false, true}) {
+    SCOPED_TRACE(Prov ? "TrackProvenance" : "TrackSupport only");
+    IcfgProgram I = generateIcfg(7, 3, 10, 8, 2);
+    IcfgCase C;
+    for (auto [A, B] : I.CfgEdges)
+      C.CfgE.insert({A, B});
+    for (int N = 0; N < I.NumNodes; ++N) {
+      for (int D : I.Flows[N].Gen)
+        C.GenE.insert({N, D});
+      for (int D : I.Flows[N].Kill)
+        C.KillE.insert({N, D});
+    }
+    // Plus a five-premise rule, whose provenance records spill their
+    // inline premise storage.
+    auto build = [&] {
+      Program P = C.build();
+      PredId Wide = P.relation("Wide", 2);
+      RuleBuilder()
+          .head(Wide, {"n", "m"})
+          .atom(C.Cfg, {"n", "m"})
+          .atom(C.Reach, {"n", "d"})
+          .atom(C.Reach, {"m", "d"})
+          .atom(C.Cfg, {"m", "k"})
+          .atom(C.Reach, {"k", "d"})
+          .addTo(P);
+      return P;
+    };
+    Program P = build();
+    SolverOptions O = opts();
+    O.TrackProvenance = Prov;
+    IncrementalSolver IS(P, O);
+    UpdateStats U = IS.update();
+    ASSERT_TRUE(U.ok());
+    EXPECT_EQ(U.MemoryBytes, IS.solver().recountMemoryBytes());
+
+    std::mt19937_64 Rng(29);
+    auto churn = [&](PredId Pred, std::set<std::pair<int, int>> &Set,
+                     int Range) {
+      if (Rng() % 2 && !Set.empty()) {
+        auto It = Set.begin();
+        std::advance(It, Rng() % Set.size());
+        IS.retractFact(Pred,
+                       {C.F.integer(It->first), C.F.integer(It->second)});
+        Set.erase(It);
+        return;
+      }
+      std::pair<int, int> E = {int(Rng() % I.NumNodes), int(Rng() % Range)};
+      if (Set.insert(E).second)
+        IS.addFact(Pred, {C.F.integer(E.first), C.F.integer(E.second)});
+    };
+    for (int Round = 0; Round < 12; ++Round) {
+      for (int K = 0; K < 3; ++K)
+        churn(C.Cfg, C.CfgE, I.NumNodes);
+      churn(C.Gen, C.GenE, I.NumFacts);
+      churn(C.Kill, C.KillE, I.NumFacts);
+      U = IS.update();
+      ASSERT_TRUE(U.ok());
+      EXPECT_FALSE(U.FullResolve);
+      EXPECT_EQ(U.MemoryBytes, IS.solver().recountMemoryBytes())
+          << "round " << Round;
+    }
+    expectMatchesScratch(IS, build);
+  }
+}
+
 TEST_P(IncrementalDifferentialTest, SpilledRoundsRecordPremisePrefixes) {
   // SpillThreshold 1 splits every scan of more than one row into
   // sub-tasks (at >= 1 thread), so delta rounds derive through spilled

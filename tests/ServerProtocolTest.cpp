@@ -33,6 +33,8 @@
 
 #include "gtest/gtest.h"
 
+#include <map>
+#include <random>
 #include <set>
 #include <thread>
 
@@ -478,6 +480,277 @@ Paint(Color.Red, 1).
   EXPECT_EQ(arenaBytes(), Before);
   // A never-seen value of a known column still answers correctly.
   EXPECT_FALSE(query("Paint", "[\"Color.Green\",1]").get("found")->B);
+}
+
+namespace {
+
+/// A shortest-paths program whose derived predicates read a `!`-negated
+/// atom, plus a gate that, once opened, makes one batch run for seconds
+/// (Heavy joins Spin with itself three times: 600^3 matched rows) — long
+/// enough for a one-second per-batch time limit to cancel it, while every
+/// other batch takes milliseconds.
+const char *kChurnProgram = R"(
+def leq(e1: Int, e2: Int): Bool = e1 >= e2
+def lub(e1: Int, e2: Int): Int = if (e1 <= e2) e1 else e2
+def glb(e1: Int, e2: Int): Int = if (e1 >= e2) e1 else e2
+let Int<> = (99999999, 0, leq, lub, glb);
+
+rel Edge(x: Int, y: Int, c: Int);
+rel Blocked(x: Int);
+rel Open(x: Int, y: Int);
+lat Dist(x: Int, Int<>);
+rel Gate(g: Int);
+rel Spin(x: Int);
+rel Heavy(x: Int);
+
+Dist(0, 0).
+Dist(y, d + c) :- Dist(x, d), Edge(x, y, c), !Blocked(y).
+Open(x, y) :- Edge(x, y, c), !Blocked(x).
+Heavy(x) :- Gate(g), Spin(x), Spin(y), Spin(z).
+)";
+
+/// Renders Int columns as the JSON array the wire uses for them.
+std::string intRow(std::span<const Value> Cols) {
+  Json J = Json::array();
+  for (Value V : Cols)
+    J.Arr.push_back(Json::integer(V.asInt()));
+  return writeJson(J);
+}
+
+} // namespace
+
+TEST(ServerCore, SnapshotsTrackChurnAcrossRebases) {
+  // A published snapshot is a shared base plus an overlay of the rows
+  // each update changed or over-deleted, re-based when the overlay
+  // outgrows its bound. Under random add/retract churn, after every
+  // commit: the snapshot reads exactly like a fresh capture of the live
+  // table, point queries (present, deleted and never-seen keys) and scans
+  // (with and without limit) answer the live table's rows, values, count
+  // and order, and the model equals a from-scratch solve. One batch is
+  // cancelled by the per-batch time limit; the next recovers with a full
+  // solve, which renumbers every row.
+  constexpr int Nodes = 40;
+  std::string Source = kChurnProgram;
+  for (int I = 0; I < 600; ++I)
+    Source += "Spin(" + std::to_string(I) + ").\n";
+  ServerOptions Opt;
+  Opt.UpdateTimeLimitSeconds = 1.0;
+  Server S(Opt);
+  ASSERT_TRUE(replyOk(roundTrip(S, loadLine("c", Source.c_str()))));
+  std::shared_ptr<Session> Sess = S.findDb("c");
+  ASSERT_NE(Sess, nullptr);
+  const Program &Prog = Sess->program();
+  auto predId = [&](const char *Name) {
+    std::optional<PredId> P = Prog.findPredicate(Name);
+    EXPECT_TRUE(P.has_value()) << Name;
+    return P.value_or(0);
+  };
+
+  std::set<std::array<int, 3>> Edges;
+  std::set<int> Blocked;
+  // Churn and probe sampling draw from separate streams, so the churn
+  // does not depend on how far the cancelled batch got.
+  std::mt19937_64 Rng(2027), ProbeRng(7);
+  auto mutate = [&](const char *Op, const char *Pred,
+                    const std::vector<std::vector<int>> &Rows) {
+    Json Req = Json::object();
+    Req.set("op", Json::str(Op));
+    Req.set("db", Json::str("c"));
+    Req.set("pred", Json::str(Pred));
+    Json RowsJ = Json::array();
+    for (const std::vector<int> &Row : Rows) {
+      Json RowJ = Json::array();
+      for (int V : Row)
+        RowJ.Arr.push_back(Json::integer(V));
+      RowsJ.Arr.push_back(std::move(RowJ));
+    }
+    Req.set("rows", std::move(RowsJ));
+    return roundTrip(S, writeJson(Req));
+  };
+  auto query = [&](const std::string &Pred, const std::string *Key,
+                   int64_t Limit) {
+    std::string Line = "{\"op\":\"query\",\"db\":\"c\",\"pred\":\"" + Pred +
+                       "\"";
+    if (Key)
+      Line += ",\"key\":" + *Key;
+    if (Limit)
+      Line += ",\"limit\":" + std::to_string(Limit);
+    Json R = roundTrip(S, Line + "}");
+    EXPECT_TRUE(replyOk(R)) << writeJson(R);
+    return R;
+  };
+
+  // Keys ever served per predicate, so deleted cells keep being probed.
+  std::map<std::string, std::set<std::string>> SeenKeys;
+  auto checkSnapshot = [&](bool Fixpoint) {
+    std::shared_ptr<const DbSnapshot> Snap = Sess->snapshot();
+    uint64_t OverlayRows = 0;
+    for (const auto &PS : Snap->Preds) {
+      OverlayRows += PS->overlaySize();
+      EXPECT_FALSE(PS->wantsRebase(0)) << "overlay beyond the re-base bound";
+    }
+    for (const char *Name : {"Edge", "Blocked", "Open", "Dist", "Heavy"}) {
+      SCOPED_TRACE(Name);
+      PredId Pid = predId(Name);
+      const Table &T = Sess->solver().table(Pid);
+      bool IsLat = !Prog.predicate(Pid).isRelational();
+
+      // Structure: the published snapshot against a fresh capture.
+      const PredSnapshot &Pub = *Snap->Preds[Pid];
+      auto Fresh = PredSnapshot::capture(T);
+      std::vector<std::pair<Value, Value>> PubRows, FreshRows;
+      Pub.forEachLive([&](const Table::Row &R) {
+        PubRows.emplace_back(R.Key, R.Lat);
+        return true;
+      });
+      Fresh->forEachLive([&](const Table::Row &R) {
+        FreshRows.emplace_back(R.Key, R.Lat);
+        return true;
+      });
+      EXPECT_EQ(PubRows, FreshRows);
+      EXPECT_EQ(Pub.liveCount(), Fresh->liveCount());
+
+      // Wire: scans and point queries against the live table.
+      std::vector<std::string> Expected;
+      std::map<std::string, std::string> Live; ///< key -> value ("" rel)
+      for (uint32_t Id = 0; Id < T.size(); ++Id) {
+        if (T.isTombstone(Id))
+          continue;
+        std::string Key = intRow(T.rowKey(Id));
+        std::vector<Value> Full(T.rowKey(Id).begin(), T.rowKey(Id).end());
+        if (IsLat)
+          Full.push_back(T.row(Id).Lat);
+        Expected.push_back(intRow(Full));
+        Live[Key] = IsLat ? writeJson(Json::integer(T.row(Id).Lat.asInt()))
+                          : "";
+        SeenKeys[Name].insert(Key);
+      }
+      Json Scan = query(Name, nullptr, 0);
+      std::vector<std::string> Got;
+      for (const Json &Row : Scan.get("rows")->Arr)
+        Got.push_back(writeJson(Row));
+      EXPECT_EQ(Got, Expected);
+      EXPECT_EQ(Scan.get("count")->Int, int64_t(Expected.size()));
+      Json Capped = query(Name, nullptr, 3);
+      std::vector<std::string> Prefix;
+      for (const Json &Row : Capped.get("rows")->Arr)
+        Prefix.push_back(writeJson(Row));
+      Expected.resize(std::min<size_t>(Expected.size(), 3));
+      EXPECT_EQ(Prefix, Expected);
+      EXPECT_EQ(Capped.get("count")->Int, Scan.get("count")->Int);
+
+      std::vector<std::string> Probe(SeenKeys[Name].begin(),
+                                     SeenKeys[Name].end());
+      std::shuffle(Probe.begin(), Probe.end(), ProbeRng);
+      Probe.resize(std::min<size_t>(Probe.size(), 40));
+      std::string Absent = "[1000"; // no node is numbered 1000
+      for (unsigned K = 1; K < T.keyArity(); ++K)
+        Absent += ",1";
+      Probe.push_back(Absent + "]");
+      for (const std::string &Key : Probe) {
+        Json R = query(Name, &Key, 0);
+        auto It = Live.find(Key);
+        EXPECT_EQ(R.get("found")->B, It != Live.end()) << Key;
+        if (It != Live.end() && IsLat) {
+          ASSERT_NE(R.get("value"), nullptr);
+          EXPECT_EQ(writeJson(*R.get("value")), It->second) << Key;
+        }
+      }
+    }
+    Json Stats = roundTrip(S, "{\"op\":\"stats\",\"db\":\"c\"}");
+    const Json *Db = Stats.get("db");
+    ASSERT_NE(Db, nullptr);
+    ASSERT_NE(Db->get("snapshot_overlay_rows"), nullptr);
+    EXPECT_EQ(Db->get("snapshot_overlay_rows")->Int, int64_t(OverlayRows));
+    if (!Fixpoint)
+      return;
+
+    // Model: a from-scratch solve over the same facts.
+    std::string Src = Source;
+    for (auto [X, Y, C] : Edges)
+      Src += "Edge(" + std::to_string(X) + ", " + std::to_string(Y) + ", " +
+             std::to_string(C) + ").\n";
+    for (int X : Blocked)
+      Src += "Blocked(" + std::to_string(X) + ").\n";
+    ValueFactory F;
+    FlixCompiler Scratch(F);
+    ASSERT_TRUE(Scratch.compile(Src, "scratch.flix"))
+        << Scratch.diagnostics();
+    Solver Ref(Scratch.program());
+    ASSERT_TRUE(Ref.solve().ok());
+    for (const char *Name : {"Edge", "Blocked", "Open", "Dist"}) {
+      std::set<std::string> Want, Have;
+      for (const std::vector<Value> &Row :
+           Ref.tuples(*Scratch.predicate(Name)))
+        Want.insert(intRow(Row));
+      Json Scan = query(Name, nullptr, 0);
+      for (const Json &Row : Scan.get("rows")->Arr)
+        Have.insert(writeJson(Row));
+      EXPECT_EQ(Want, Have) << Name;
+    }
+  };
+
+  checkSnapshot(true);
+  for (int Commit = 0; Commit < 120; ++Commit) {
+    SCOPED_TRACE("commit " + std::to_string(Commit));
+    Json R;
+    if (Commit == 60) {
+      // Open the gate: the batch outruns the time limit and is cancelled,
+      // leaving a partial (sound, not fixpoint) model published.
+      R = mutate("add_facts", "Gate", {{1}});
+      ASSERT_FALSE(replyOk(R)) << writeJson(R);
+      EXPECT_EQ(replyCode(R), "deadline_exceeded");
+      // The cancelled round's derivations reached the table before any
+      // round promoted them; the snapshot must carry them all the same.
+      EXPECT_GT(Sess->snapshot()->Preds[predId("Heavy")]->liveCount(), 0u);
+      checkSnapshot(false);
+      // Close it again: this batch recovers with a full solve.
+      R = mutate("retract_facts", "Gate", {{1}});
+      ASSERT_TRUE(replyOk(R)) << writeJson(R);
+      EXPECT_TRUE(R.get("full_resolve")->B);
+      checkSnapshot(true);
+      continue;
+    }
+    int Kind = int(Rng() % 4);
+    if (Kind == 0 || Edges.size() < 40) {
+      std::vector<std::vector<int>> Rows;
+      for (int K = 0; K < 6; ++K) {
+        std::array<int, 3> E = {int(Rng() % Nodes), int(Rng() % Nodes),
+                                int(1 + Rng() % 9)};
+        if (Edges.insert(E).second)
+          Rows.push_back({E[0], E[1], E[2]});
+      }
+      R = mutate("add_facts", "Edge", Rows);
+    } else if (Kind == 1) {
+      std::vector<std::vector<int>> Rows;
+      for (int K = 0; K < 4 && !Edges.empty(); ++K) {
+        auto It = Edges.begin();
+        std::advance(It, Rng() % Edges.size());
+        Rows.push_back({(*It)[0], (*It)[1], (*It)[2]});
+        Edges.erase(It);
+      }
+      R = mutate("retract_facts", "Edge", Rows);
+    } else if (Kind == 2 || Blocked.empty()) {
+      int X = 1 + int(Rng() % (Nodes - 1));
+      Blocked.insert(X);
+      R = mutate("add_facts", "Blocked", {{X}});
+    } else {
+      auto It = Blocked.begin();
+      std::advance(It, Rng() % Blocked.size());
+      R = mutate("retract_facts", "Blocked", {{*It}});
+      Blocked.erase(It);
+    }
+    ASSERT_TRUE(replyOk(R)) << writeJson(R);
+    checkSnapshot(true);
+  }
+
+  Json Stats = roundTrip(S, "{\"op\":\"stats\",\"db\":\"c\"}");
+  const Json *Db = Stats.get("db");
+  ASSERT_NE(Db, nullptr);
+  ASSERT_NE(Db->get("snapshot_rebases"), nullptr);
+  EXPECT_GE(Db->get("snapshot_rebases")->Int, 3);
+  EXPECT_EQ(Db->get("degraded_recoveries")->Int, 1);
+  EXPECT_EQ(Db->get("negation_fallbacks")->Int, 0);
 }
 
 //===----------------------------------------------------------------------===//

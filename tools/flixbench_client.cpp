@@ -184,8 +184,8 @@ int main(int argc, char **argv) {
                 "fallback solves: %llu degraded, %llu negation)\n",
                 (unsigned long long)Rep.UpdateBatches,
                 (unsigned long long)Rep.CoalescedRequests,
-                (unsigned long long)Rep.DegradedRecoveries,
-                (unsigned long long)Rep.NegationFallbacks);
+                (unsigned long long)Rep.Engine.DegradedRecoveries,
+                (unsigned long long)Rep.Engine.NegationFallbacks);
     std::printf("  mutation latency p50 %.3fms  p99 %.3fms\n",
                 Rep.MutationP50Ms, Rep.MutationP99Ms);
     std::printf("  query latency    p50 %.3fms  p99 %.3fms\n",
