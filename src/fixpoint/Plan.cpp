@@ -467,6 +467,12 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
     Step S;
     S.Pred = A.Pred;
     S.Lat = D.isRelational() ? nullptr : D.Lat;
+    Pl.PremiseSlots.push_back(static_cast<uint32_t>(
+        std::count_if(R.Body.begin(), R.Body.begin() + OrderIdx[Pos],
+                      [](const BodyElem &Elem) {
+                        const auto *Atom = std::get_if<BodyAtom>(&Elem);
+                        return Atom && !Atom->Negated;
+                      })));
 
     // Full column tests with sequential in-atom boundness: the first
     // occurrence of a variable binds, later occurrences (in this atom)

@@ -24,9 +24,10 @@
 ///
 /// PlanExecutor runs a plan with an explicit cursor stack instead of
 /// recursion. It is templated over a small engine policy so the sequential
-/// Solver (in-place joins), the parallel workers (buffered derivations,
-/// sub-task spilling) and the incremental workers (premise capture)
-/// share one executor; see the engine concept below.
+/// Solver (in-place joins) and the parallel workers (buffered derivations,
+/// sub-task spilling) share one executor; both keep its premise stack
+/// when the solver records support or provenance. See the engine concept
+/// below.
 ///
 /// ExternMemo caches pure external-function results keyed on hash-consed
 /// Value handles. Soundness: the paper requires transfer and filter
@@ -195,6 +196,9 @@ struct RulePlan {
   /// indices (the driver element first when Driver >= 0). The frozen
   /// driver-first order at construction; replanFromStats may replace it.
   SmallVector<uint32_t, 8> BodyOrder;
+  /// Per positive-atom step (premise stack order), the atom's rank among
+  /// the rule's positive atoms: its premise slot in body order.
+  SmallVector<uint32_t, 4> PremiseSlots;
   /// Cost-model estimates recorded at the last (re)plan: total step cost
   /// and expected full-match rows. Fed back into SolveStats as
   /// EstimatedVsActualRows drift at the next adaptive check.
@@ -523,7 +527,7 @@ inline void deriveWithPlan(EngineT &E, ValueFactory &F, const RulePlan &Pl) {
 ///                       const std::vector<uint32_t> *Rows,
 ///                       uint32_t Begin, uint32_t End);
 ///   void onRow(PredId, uint32_t RowId);   // positive-atom premise push
-///   void popRow();                        //   ... and pop (incremental)
+///   void popRow();                        //   ... and pop (recording)
 ///   void onDerived(const RulePlan &, Value KeyT, Value LatVal);
 ///   // Driver rows of the current task (StepKind::Driver / Seed).
 ///   const std::vector<uint32_t> *driverRows(uint32_t &Begin, uint32_t &End);

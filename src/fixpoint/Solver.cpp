@@ -16,11 +16,17 @@ using namespace flix;
 /// The sequential Solver's policy for the shared plan executor: in-place
 /// joins with immediate delta updates, live buckets read up to their
 /// probe-time size (recursive derivations grow buckets mid-iteration), no
-/// spilling, no premise capture. See the engine concept in
-/// fixpoint/Plan.h.
+/// spilling. When the solver records support or provenance it keeps the
+/// executor's premise stack and hands each changed join to
+/// recordDerivation. See the engine concept in fixpoint/Plan.h.
 struct Solver::PlanEngine {
   Solver &S;
-  explicit PlanEngine(Solver &S) : S(S) {}
+  const bool Record; ///< the solver tracks support or provenance
+  /// Premise rows of the open match frames, in step order (Record only).
+  SmallVector<CellRef, 8> PremStack;
+
+  explicit PlanEngine(Solver &S)
+      : S(S), Record(S.Opts.TrackSupport || S.Opts.TrackProvenance) {}
 
   std::vector<Value> &env() { return S.Env; }
   std::vector<uint8_t> &bound() { return S.Bound; }
@@ -43,19 +49,28 @@ struct Solver::PlanEngine {
                       uint32_t) {
     return Begin;
   }
-  void onRow(PredId, uint32_t) {}
-  void popRow() {}
+  void onRow(PredId Pred, uint32_t RowId) {
+    if (Record)
+      PremStack.push_back({Pred, RowId});
+  }
+  void popRow() {
+    if (Record)
+      PremStack.pop_back();
+  }
   void onDerived(const plan::RulePlan &Pl, Value KeyT, Value LatVal) {
     ++S.Stats.RuleFirings;
     Table::JoinResult JR = S.Tables[Pl.Head.Pred]->join(KeyT, LatVal);
-    if (JR.Changed) {
-      ++S.Stats.FactsDerived;
-      S.queueDelta(Pl.Head.Pred, JR.RowId);
-      if (S.Opts.TrackProvenance)
-        S.recordProvenance(Pl.RuleIdx, Pl.Head.Pred, JR.RowId);
-      if (S.Opts.TrackSupport)
-        S.recordSupport(S.P.rules()[Pl.RuleIdx], Pl.Head.Pred, JR.RowId);
-    }
+    if (!JR.Changed)
+      return;
+    ++S.Stats.FactsDerived;
+    S.queueDelta(Pl.Head.Pred, JR.RowId);
+    if (!Record)
+      return;
+    NegKeyList NegKeys;
+    S.negatedKeys(Pl.RuleIdx, S.Env, NegKeys);
+    S.recordDerivation(Pl, {Pl.Head.Pred, JR.RowId},
+                       {PremStack.data(), PremStack.size()},
+                       {NegKeys.data(), NegKeys.size()});
   }
   const std::vector<uint32_t> *driverRows(uint32_t &Begin, uint32_t &End) {
     Begin = 0;
@@ -222,18 +237,13 @@ void Solver::setProvenance(PredId Pred, uint32_t Row, Derivation D) {
   Rows[Row] = std::move(D);
 }
 
-void Solver::recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId) {
-  // One support edge per positive body premise of this (changed) join:
-  // premise row -> head cell. The head cell's value is the lub of its
-  // recorded derivations' contributions, so retracting any premise of any
-  // recorded derivation must (and does) over-delete the cell. Negated
-  // premises: the derivation also depends on `!P(key)` holding, so record
-  // key -> head in the negation index. If that key later (re)enters P's
-  // table the incremental engine over-deletes the head.
-  CellRef Head{HeadPred, RowId};
-  for (const BodyElem &E : R.Body) {
+void Solver::negatedKeys(uint32_t RI, const std::vector<Value> &Env,
+                         NegKeyList &Out) const {
+  if (!Opts.TrackSupport)
+    return;
+  for (const BodyElem &E : P.rules()[RI].Body) {
     const auto *A = std::get_if<BodyAtom>(&E);
-    if (!A)
+    if (!A || !A->Negated)
       continue;
     unsigned KA = P.predicate(A->Pred).keyArity();
     SmallVector<Value, 4> Key;
@@ -241,16 +251,42 @@ void Solver::recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId) {
       const Term &Tm = A->Terms[I];
       Key.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
     }
-    std::span<const Value> KeyS(Key.data(), Key.size());
-    if (A->Negated) {
-      // Keyed by the interned tuple: the key usually has no row.
-      addNegSupportEdge(A->Pred, F.tuple(KeyS), Head);
-      continue;
-    }
-    uint32_t Prem = Tables[A->Pred]->lookupRow(KeyS);
-    if (Prem != Table::NoRow)
-      addSupportEdge({A->Pred, Prem}, Head);
+    // Keyed by the interned tuple: the key usually has no row.
+    Out.push_back({A->Pred, F.tuple(std::span<const Value>(Key.data(),
+                                                           Key.size()))});
   }
+}
+
+void Solver::recordDerivation(const plan::RulePlan &Pl, CellRef Head,
+                              std::span<const CellRef> Premises,
+                              std::span<const NegKey> NegKeys) {
+  assert(Premises.size() == Pl.PremiseSlots.size() &&
+         "one premise row per positive body atom");
+  if (Opts.TrackSupport) {
+    // One support edge per premise row of this (changed) join: premise
+    // row -> head cell. The head cell's value is the lub of its recorded
+    // derivations' contributions, so retracting any premise of any
+    // recorded derivation must (and does) over-delete the cell. The
+    // derivation also depends on each `!P(key)` holding, so record
+    // key -> head in the negation index: if that key later (re)enters P's
+    // table the incremental engine over-deletes the head.
+    for (CellRef Prem : Premises)
+      addSupportEdge(Prem, Head);
+    for (const auto &[NegPred, KeyT] : NegKeys)
+      addNegSupportEdge(NegPred, KeyT, Head);
+  }
+  if (!Opts.TrackProvenance)
+    return;
+  Derivation D;
+  D.RuleIndex = Pl.RuleIdx;
+  D.Premises.resize(Premises.size());
+  for (size_t K = 0; K < Premises.size(); ++K) {
+    // The premise's current value: its value at match time or a lub above
+    // it, so the derivation stays valid since rules are monotone.
+    const Table::Row &Row = Tables[Premises[K].Pred]->row(Premises[K].Row);
+    D.Premises[Pl.PremiseSlots[K]] = {Premises[K].Pred, Row.Key, Row.Lat};
+  }
+  setProvenance(Head.Pred, Head.Row, std::move(D));
 }
 
 size_t Solver::supportEdgeCount() const {
@@ -267,36 +303,6 @@ size_t Solver::negSupportEdgeCount() const {
     for (const auto &[KeyT, Out] : Keys)
       Count += Out.size();
   return Count;
-}
-
-void Solver::recordProvenance(uint32_t RI, PredId HeadPred,
-                              uint32_t RowId) {
-  const Rule &R = P.rules()[RI];
-  Derivation D;
-  D.RuleIndex = RI;
-  for (const BodyElem &E : R.Body) {
-    const auto *A = std::get_if<BodyAtom>(&E);
-    if (!A || A->Negated)
-      continue;
-    const PredicateDecl &AD = P.predicate(A->Pred);
-    unsigned KA = AD.keyArity();
-    SmallVector<Value, 4> Key;
-    for (unsigned I = 0; I < KA; ++I) {
-      const Term &Tm = A->Terms[I];
-      Key.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
-    }
-    Derivation::Premise Pr;
-    Pr.Pred = A->Pred;
-    Pr.Key = F.tuple(std::span<const Value>(Key.data(), Key.size()));
-    if (AD.isRelational()) {
-      Pr.LatValue = F.boolean(true);
-    } else {
-      const Term &Lt = A->Terms[KA];
-      Pr.LatValue = Lt.isVar() ? Env[Lt.Variable] : Lt.Constant;
-    }
-    D.Premises.push_back(std::move(Pr));
-  }
-  setProvenance(HeadPred, RowId, std::move(D));
 }
 
 //===----------------------------------------------------------------------===//

@@ -131,14 +131,15 @@ struct CellRef {
 };
 
 /// Why a cell holds its value: the rule that last increased it and the
-/// ground body atoms of that rule instance (facts have no premises).
+/// ground body atoms of that rule instance (facts have no premises), in
+/// body order. Every engine writes it through Solver::recordDerivation.
 struct Derivation {
   static constexpr uint32_t FromFact = UINT32_MAX;
   uint32_t RuleIndex = FromFact;
   struct Premise {
     PredId Pred;
     Value Key;      ///< interned key tuple of the matched row
-    Value LatValue; ///< the lattice value observed at match time
+    Value LatValue; ///< the row's value when the derivation was recorded
   };
   SmallVector<Premise, 4> Premises;
 };
@@ -223,6 +224,9 @@ private:
   struct PlanEngine;
   /// One negated predicate's negation support entries (NegDependents).
   using NegSupportMap = std::unordered_map<Value, SmallVector<CellRef, 2>>;
+  /// A negated atom's (predicate, interned key tuple) under one match.
+  using NegKey = std::pair<PredId, Value>;
+  using NegKeyList = SmallVector<NegKey, 2>;
 
   void loadFacts();
   /// One semi-naive round of \p RuleIds (see RoundBody::evalRound): on the
@@ -240,8 +244,17 @@ private:
   /// Runs one compiled plan over the current Env/Bound.
   void runPlan(const plan::RulePlan &Pl);
   bool checkDeadline();
-  void recordProvenance(uint32_t RI, PredId HeadPred, uint32_t RowId);
-  void recordSupport(const Rule &R, PredId HeadPred, uint32_t RowId);
+  /// Appends the keys of rule \p RI's negated atoms under the match
+  /// environment \p Env (TrackSupport only: nothing else reads them).
+  /// Safe on workers: the factory then interns concurrently.
+  void negatedKeys(uint32_t RI, const std::vector<Value> &Env,
+                   NegKeyList &Out) const;
+  /// The one derivation recorder of every engine: a match of \p Pl, with
+  /// the executor's premise stack \p Premises (step order), increased
+  /// \p Head. Writes support edges and the Derivation as tracked.
+  void recordDerivation(const plan::RulePlan &Pl, CellRef Head,
+                        std::span<const CellRef> Premises,
+                        std::span<const NegKey> NegKeys);
   /// Support-index edges (sorted-unique insertion): premise row \p Prem,
   /// or the negated key \p KeyT of \p NegPred, helped derive \p Head.
   void addSupportEdge(CellRef Prem, CellRef Head);

@@ -63,15 +63,15 @@ constexpr size_t SpawnSlotMask = (size_t(1) << SpawnWorkerShift) - 1;
 /// are buffered instead of joined in place, and the abort check consults
 /// a shared atomic flag so one worker's timeout stops all of them.
 struct RoundExecutor::WorkerCtx {
-  /// A derivation for the recording merge: the head cell content plus the
-  /// premise rows that produced it, in evaluation order, and — when the
-  /// Solver tracks support — the (predicate, key tuple) pairs the match
-  /// went through `!P(key)` on.
+  /// A derivation for the recording merge: the head cell content, the
+  /// plan that matched (plans are not replaced within a round), the
+  /// premise stack at the match and its negated keys — the arguments of
+  /// Solver::recordDerivation.
   struct Recorded {
     Deriv D;
-    uint32_t RuleIdx;
+    const plan::RulePlan *Pl;
     SmallVector<CellRef, 4> Premises;
-    SmallVector<std::pair<PredId, Value>, 2> NegKeys;
+    Solver::NegKeyList NegKeys;
   };
 
   /// A captured continuation of one in-flight rule evaluation: re-run the
@@ -252,31 +252,10 @@ struct RoundExecutor::WorkerCtx {
     }
     Recorded &R = RecordBuf.emplace_back();
     R.D = D;
-    R.RuleIdx = Pl.RuleIdx;
+    R.Pl = &Pl;
     for (CellRef C : PremStack)
       R.Premises.push_back(C);
-    if (sol().Opts.TrackSupport)
-      captureNegKeys(R);
-  }
-
-  /// Captures the negated keys a full match went through, read from the
-  /// (fully bound at derivation time) environment. Interning the key
-  /// tuple from a worker is safe: the factory is in concurrent mode.
-  void captureNegKeys(Recorded &R) {
-    Solver &S = sol();
-    for (const BodyElem &E : S.P.rules()[R.RuleIdx].Body) {
-      const auto *A = std::get_if<BodyAtom>(&E);
-      if (!A || !A->Negated)
-        continue;
-      unsigned KA = S.P.predicate(A->Pred).keyArity();
-      SmallVector<Value, 4> Key;
-      for (unsigned I = 0; I < KA; ++I) {
-        const Term &Tm = A->Terms[I];
-        Key.push_back(Tm.isVar() ? Env[Tm.Variable] : Tm.Constant);
-      }
-      R.NegKeys.push_back(
-          {A->Pred, S.F.tuple(std::span<const Value>(Key.data(), Key.size()))});
-    }
+    sol().negatedKeys(Pl.RuleIdx, Env, R.NegKeys);
   }
 
   /// Driver rows of the running task (only reachable from runTask: spawned
@@ -655,8 +634,8 @@ void RoundExecutor::runShardedMerge() {
 }
 
 // The recording merge: joins every buffered derivation single-threaded,
-// in worker order, and for each changed join records the support edges
-// (premise rows and negated keys) and the Derivation. Every table,
+// in worker order, and hands each changed join to the Solver's one
+// derivation recorder (Solver::recordDerivation). Every table,
 // support-index and provenance write stays outside the pool phases, so
 // the path is race-free by construction.
 void RoundExecutor::runRecordingMerge() {
@@ -668,25 +647,9 @@ void RoundExecutor::runRecordingMerge() {
         continue;
       ++Sol.Stats.FactsDerived;
       Sol.queueDelta(R.D.Pred, JR.RowId);
-      CellRef Head{R.D.Pred, JR.RowId};
-      if (Sol.Opts.TrackSupport) {
-        for (CellRef Prem : R.Premises)
-          Sol.addSupportEdge(Prem, Head);
-        for (const auto &[NegPred, NegKey] : R.NegKeys)
-          Sol.addNegSupportEdge(NegPred, NegKey, Head);
-      }
-      if (!Sol.Opts.TrackProvenance)
-        continue;
-      Derivation Der;
-      Der.RuleIndex = R.RuleIdx;
-      for (CellRef Prem : R.Premises) {
-        // The premise's current value: its value at match time or a lub
-        // above it, so the derivation stays valid since rules are
-        // monotone. Premises appear in evaluation order, not body order.
-        const Table::Row &Row = Sol.Tables[Prem.Pred]->row(Prem.Row);
-        Der.Premises.push_back({Prem.Pred, Row.Key, Row.Lat});
-      }
-      Sol.setProvenance(R.D.Pred, JR.RowId, std::move(Der));
+      Sol.recordDerivation(*R.Pl, {R.D.Pred, JR.RowId},
+                           {R.Premises.data(), R.Premises.size()},
+                           {R.NegKeys.data(), R.NegKeys.size()});
     }
     W->RecordBuf.clear();
   }

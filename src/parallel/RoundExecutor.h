@@ -30,10 +30,12 @@
 ///        compaction of same-cell derivations (MergeCollisions), then one
 ///        parallel join task per head predicate;
 ///      - the single-threaded recording merge when the Solver tracks
-///        support or provenance: workers then also capture each match's
-///        premise rows (and, for support, the keys it went through
-///        `!P(key)` on), and the merge joins each derivation and records
-///        its support edges and Derivation.
+///        support or provenance: workers then also copy the executor's
+///        premise stack at each match and its negated keys
+///        (Solver::negatedKeys), and the merge joins each derivation and
+///        hands every changed one to Solver::recordDerivation — the same
+///        recorder the sequential engine calls on its in-place joins, so
+///        support edges and explain() agree across engines.
 ///
 /// Derivations become visible only at the round barrier; by confluence
 /// the model equals the sequential solver's, and because values are

@@ -210,8 +210,8 @@ TEST(IncrementalSolverTest, UnknownRetractionAndDuplicateAddAreNoops) {
 }
 
 TEST(IncrementalSolverTest, SupportEdgesStayBoundedAcrossUpdateCycles) {
-  // Both support-index writers (Solver::recordSupport and the
-  // incremental rederive path) keep each cell's Dependents list
+  // The support-index writer (Solver::recordDerivation, for in-place
+  // joins and recording merges alike) keeps each cell's Dependents list
   // sorted-unique, so repeating the same add/retract churn must not grow
   // the index: re-deriving a cell through the same join re-records the
   // same edge, which is dropped as a duplicate. Without dedup this count
@@ -333,46 +333,53 @@ TEST(IncrementalSolverTest, RetractingSeedFactEmptiesReachability) {
 }
 
 TEST(IncrementalSolverTest, ProvenanceFollowsRederivedCell) {
-  SsspCase C;
-  C.Edges = {{0, 1, 1}, {1, 2, 2}, {0, 2, 5}, {2, 3, 1}, {3, 1, 1}};
-  Program P = C.build();
-  SolverOptions O;
-  O.TrackProvenance = true;
-  IncrementalSolver IS(P, O);
-  ASSERT_TRUE(IS.update().ok());
+  // With threads one update runs the re-derive seed plan in place on the
+  // coordinator and the delta rounds on the round executor: both record
+  // derivations through the same recorder.
+  for (unsigned Threads : {0u, 1u, 8u}) {
+    SCOPED_TRACE(Threads);
+    SsspCase C;
+    C.Edges = {{0, 1, 1}, {1, 2, 2}, {0, 2, 5}, {2, 3, 1}, {3, 1, 1}};
+    Program P = C.build();
+    SolverOptions O;
+    O.TrackProvenance = true;
+    O.NumThreads = Threads;
+    IncrementalSolver IS(P, O);
+    ASSERT_TRUE(IS.update().ok());
 
-  // Before: Dist(1) = 1 via the direct edge.
-  const Derivation *D = IS.explain(C.Dist, {C.F.integer(1)});
-  ASSERT_NE(D, nullptr);
-  EXPECT_EQ(D->RuleIndex, 0u);
+    // Before: Dist(1) = 1 via the direct edge.
+    const Derivation *D = IS.explain(C.Dist, {C.F.integer(1)});
+    ASSERT_NE(D, nullptr);
+    EXPECT_EQ(D->RuleIndex, 0u);
 
-  IS.retractFact(C.Edge, {C.F.integer(0), C.F.integer(1), C.F.integer(1)});
-  ASSERT_TRUE(IS.update().ok());
+    IS.retractFact(C.Edge, {C.F.integer(0), C.F.integer(1), C.F.integer(1)});
+    ASSERT_TRUE(IS.update().ok());
 
-  // After: the re-derived Dist(1) = 7 must carry a fresh rule derivation
-  // whose premises exist in the current model (Dist(3) and the 3->1
-  // edge), not the retracted route.
-  D = IS.explain(C.Dist, {C.F.integer(1)});
-  ASSERT_NE(D, nullptr);
-  EXPECT_EQ(D->RuleIndex, 0u);
-  bool SawEdge31 = false;
-  for (const Derivation::Premise &Pr : D->Premises) {
-    if (Pr.Pred == C.Edge) {
-      Value Want = C.F.tuple(
-          {C.F.integer(3), C.F.integer(1), C.F.integer(1)});
-      EXPECT_TRUE(Pr.Key == Want)
-          << "stale premise " << C.F.toString(Pr.Key);
-      SawEdge31 = Pr.Key == Want;
+    // After: the re-derived Dist(1) = 7 must carry a fresh rule derivation
+    // whose premises exist in the current model (Dist(3) and the 3->1
+    // edge), not the retracted route.
+    D = IS.explain(C.Dist, {C.F.integer(1)});
+    ASSERT_NE(D, nullptr);
+    EXPECT_EQ(D->RuleIndex, 0u);
+    bool SawEdge31 = false;
+    for (const Derivation::Premise &Pr : D->Premises) {
+      if (Pr.Pred == C.Edge) {
+        Value Want = C.F.tuple(
+            {C.F.integer(3), C.F.integer(1), C.F.integer(1)});
+        EXPECT_TRUE(Pr.Key == Want)
+            << "stale premise " << C.F.toString(Pr.Key);
+        SawEdge31 = Pr.Key == Want;
+      }
     }
-  }
-  EXPECT_TRUE(SawEdge31);
-  std::string Tree = IS.explainString(C.Dist, {C.F.integer(1)});
-  EXPECT_NE(Tree.find("= 7"), std::string::npos) << Tree;
-  EXPECT_NE(Tree.find("rule #0"), std::string::npos) << Tree;
+    EXPECT_TRUE(SawEdge31);
+    std::string Tree = IS.explainString(C.Dist, {C.F.integer(1)});
+    EXPECT_NE(Tree.find("= 7"), std::string::npos) << Tree;
+    EXPECT_NE(Tree.find("rule #0"), std::string::npos) << Tree;
 
-  // The seed fact still explains as a fact.
-  Tree = IS.explainString(C.Dist, {C.F.integer(0)});
-  EXPECT_NE(Tree.find("<- fact"), std::string::npos) << Tree;
+    // The seed fact still explains as a fact.
+    Tree = IS.explainString(C.Dist, {C.F.integer(0)});
+    EXPECT_NE(Tree.find("<- fact"), std::string::npos) << Tree;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,6 +6,7 @@
 
 #include "fixpoint/Solver.h"
 
+#include "parallel/ParallelSolver.h"
 #include "runtime/Lattices.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,27 @@ SolverOptions withProvenance() {
   SolverOptions Opts;
   Opts.TrackProvenance = true;
   return Opts;
+}
+
+/// Solves \p P with provenance on \p Threads workers (0: the sequential
+/// Solver) and returns the derivation of cell (\p Pred, \p Key).
+Derivation explainAt(const Program &P, unsigned Threads, PredId Pred,
+                     std::span<const Value> Key) {
+  SolverOptions Opts = withProvenance();
+  Opts.NumThreads = Threads;
+  auto Explain = [&](auto &S) {
+    SolveStats St = S.solve();
+    EXPECT_TRUE(St.ok()) << St.Error;
+    const Derivation *D = S.explain(Pred, Key);
+    EXPECT_NE(D, nullptr);
+    return D ? *D : Derivation();
+  };
+  if (Threads == 0) {
+    Solver S(P, Opts);
+    return Explain(S);
+  }
+  ParallelSolver S(P, Opts);
+  return Explain(S);
 }
 
 TEST(ProvenanceTest, FactsExplainAsFacts) {
@@ -165,6 +187,50 @@ TEST(ProvenanceTest, NegationAndFiltersAreNotPremises) {
   ASSERT_NE(D, nullptr);
   ASSERT_EQ(D->Premises.size(), 1u);
   EXPECT_EQ(D->Premises[0].Pred, A);
+}
+
+TEST(ProvenanceTest, PremiseValueIsTheCellValueNotTheRuleConstant) {
+  // B(x) <- A(x, Odd) matches A(1) = ⊤ because Odd ⊑ ⊤. The premise
+  // records what the cell holds, not the constant the rule tested it
+  // against, on every engine.
+  ValueFactory F;
+  ParityLattice L(F);
+  Program P(F);
+  PredId A = P.lattice("A", 2, &L);
+  PredId B = P.relation("B", 1);
+  RuleBuilder().head(B, {"x"}).atom(A, {"x", L.odd()}).addTo(P);
+  P.addLatFact(A, {F.integer(1)}, L.top());
+  Value Key[1] = {F.integer(1)};
+  for (unsigned Threads : {0u, 2u, 8u}) {
+    SCOPED_TRACE(Threads);
+    Derivation D = explainAt(P, Threads, B, Key);
+    ASSERT_EQ(D.Premises.size(), 1u);
+    EXPECT_EQ(D.Premises[0].Pred, A);
+    EXPECT_EQ(D.Premises[0].LatValue, L.top());
+  }
+}
+
+TEST(ProvenanceTest, PremisesFollowBodyOrder) {
+  // C's delta round is driven by the derived B, so the parallel engine
+  // matches B before A; the derivation still lists them as written.
+  ValueFactory F;
+  Program P(F);
+  PredId A = P.relation("A", 1);
+  PredId B0 = P.relation("B0", 1);
+  PredId B = P.relation("B", 1);
+  PredId C = P.relation("C", 1);
+  RuleBuilder().head(C, {"x"}).atom(A, {"x"}).atom(B, {"x"}).addTo(P);
+  RuleBuilder().head(B, {"x"}).atom(B0, {"x"}).addTo(P);
+  P.addFact(A, {F.integer(1)});
+  P.addFact(B0, {F.integer(1)});
+  Value Key[1] = {F.integer(1)};
+  for (unsigned Threads : {0u, 1u, 2u, 8u}) {
+    SCOPED_TRACE(Threads);
+    Derivation D = explainAt(P, Threads, C, Key);
+    ASSERT_EQ(D.Premises.size(), 2u);
+    EXPECT_EQ(D.Premises[0].Pred, A);
+    EXPECT_EQ(D.Premises[1].Pred, B);
+  }
 }
 
 } // namespace
