@@ -350,8 +350,6 @@ int main(int Argc, char **Argv) {
             .integer("spawned_subtasks",
                      static_cast<long long>(St.SpawnedSubtasks))
             .integer("max_fanout", static_cast<long long>(St.MaxFanout))
-            .integer("index_build_tasks",
-                     static_cast<long long>(St.IndexBuildTasks))
             .integer("parallel_steals",
                      static_cast<long long>(St.ParallelSteals))
             .boolean("ok", Ok);

@@ -223,8 +223,6 @@ void runScaling(const std::vector<unsigned> &Threads, int TransferWork,
                    static_cast<long long>(Rn.R.Stats.SpawnedSubtasks))
           .integer("max_fanout",
                    static_cast<long long>(Rn.R.Stats.MaxFanout))
-          .integer("index_build_tasks",
-                   static_cast<long long>(Rn.R.Stats.IndexBuildTasks))
           .integer("parallel_steals",
                    static_cast<long long>(Rn.R.Stats.ParallelSteals))
           .boolean("ok", Rn.R.Ok && Rn.R.sameResult(Reference));

@@ -331,10 +331,10 @@ public:
   /// Appends, per predicate, the bound-column masks of every Probe step in
   /// any compiled plan (sorted, deduplicated). Because it reads the
   /// *compiled* plans rather than re-simulating an assumed order, it
-  /// stays correct for any cost-chosen order — the static index
-  /// analyses build exactly these masks, so StrictIndexCoverage cannot
-  /// trip on a reordered plan. \p MasksByPred must be sized to the
-  /// program's predicate count.
+  /// stays correct for any cost-chosen order — Solver::prepareIndexes
+  /// builds exactly these masks, so the parallel workers' read-only
+  /// probes never miss on a reordered plan. \p MasksByPred must be sized
+  /// to the program's predicate count.
   void wantedIndexes(std::vector<std::vector<uint64_t>> &MasksByPred) const;
 
 private:

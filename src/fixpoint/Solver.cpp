@@ -365,7 +365,15 @@ void Solver::replanPlans(double Threshold, bool CountEvents) {
     Stats.EstimatedVsActualRows += R.RowsDivergence;
   }
   if (Par && R.Replanned)
-    Par->prepareIndexes();
+    prepareIndexes();
+}
+
+void Solver::prepareIndexes() {
+  std::vector<std::vector<uint64_t>> MasksByPred(Tables.size());
+  Plans->wantedIndexes(MasksByPred);
+  for (PredId Pred = 0; Pred < MasksByPred.size(); ++Pred)
+    for (uint64_t Mask : MasksByPred[Pred])
+      Tables[Pred]->prepareIndex(Mask);
 }
 
 void Solver::nextDeltaEpoch() {
@@ -446,7 +454,7 @@ SolveStats Solver::solve() {
   // A round body probes read-only, so the indexes its plans want must
   // exist before round 0; fact loading maintained none of them.
   if (Par)
-    Par->prepareIndexes();
+    prepareIndexes();
 
   for (uint32_t S = 0; S < St.numStrata() && !Aborted; ++S) {
     const std::vector<uint32_t> &RuleIds = St.RulesByStratum[S];

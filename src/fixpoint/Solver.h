@@ -82,13 +82,6 @@ struct SolverOptions {
   /// The default balances sub-task overhead (~1 env copy + deque push)
   /// against steal granularity; see DESIGN.md S11.
   uint32_t SpillThreshold = 1024;
-  /// Debug check (parallel rounds only): assert that every (pred, mask)
-  /// access path the workers take via Table::probeExisting was pre-built
-  /// by the static index analysis instead of silently falling back to a
-  /// full scan. Fallbacks are always counted in
-  /// SolveStats::IndexFallbacks; with this flag set they also trip an
-  /// assert in debug builds. Meaningful only with UseIndexes.
-  bool StrictIndexCoverage = false;
   /// Memoize external-function calls on their hash-consed argument
   /// handles. Sound because the paper requires transfer/filter functions
   /// to be pure (§2.3); turn off to ablate, or if an extern violates the
@@ -147,7 +140,9 @@ struct Derivation {
 /// The body of one semi-naive round evaluated off the solver's own thread:
 /// the parallel round executor (parallel/RoundExecutor.h) implements it.
 /// A Solver with one attached runs its stratum and round loop unchanged
-/// and hands every round to it instead of evaluating in place.
+/// and hands every round to it instead of evaluating in place; the Solver
+/// pre-builds the indexes its read-only probes need
+/// (Solver::prepareIndexes).
 class RoundBody {
 public:
   virtual ~RoundBody() = default;
@@ -156,10 +151,6 @@ public:
   /// and joins the derivations into the tables, filling NextDelta.
   virtual void evalRound(const std::vector<uint32_t> &RuleIds,
                          bool Round0) = 0;
-  /// Builds every index the round's read-only probes need that does not
-  /// exist yet. Called after fact loading and whenever a re-plan changed
-  /// a plan.
-  virtual void prepareIndexes() = 0;
 };
 
 /// Solves one Program. The solver owns the predicate tables; query them
@@ -285,9 +276,17 @@ private:
   /// only). No-op unless CostBasedPlans is set.
   /// Called only at single-threaded points (solve start, round
   /// boundaries) — also by the incremental engine between delta rounds.
-  /// A changed plan may probe new masks, so the attached RoundBody (if
-  /// any) pre-builds them before the next round.
+  /// A changed plan may probe new masks, so with a RoundBody attached
+  /// they are pre-built (prepareIndexes) before the next round.
   void replanPlans(double Threshold, bool CountEvents);
+  /// Builds, with Table::prepareIndex on this thread, every (pred, mask)
+  /// index a compiled plan probes (PlanLibrary::wantedIndexes). A
+  /// RoundBody's workers probe read-only (Table::probeExisting), so this
+  /// runs whenever one is attached: at solve start, after a re-plan that
+  /// changed a plan, and when one attaches to a solved Solver. Indexes
+  /// that exist are left alone. The sequential engine instead builds the
+  /// same indexes lazily, on first probe.
+  void prepareIndexes();
 
   const Program &P;
   SolverOptions Opts;

@@ -106,8 +106,6 @@ namespace flix {
     "intra-rule sub-tasks split off by workers (SpillThreshold)")              \
   X(uint64_t, MaxFanout, "max_fanout", "max fanout", Gauge,                    \
     "most sub-tasks one split produced (hot-row fan-out)")                     \
-  X(uint64_t, IndexBuildTasks, "index_build_tasks", "index-build tasks",       \
-    Counter, "pool tasks that pre-built static indexes")                       \
   X(uint64_t, IndexFallbacks, "index_fallbacks", "index fallbacks", Counter,   \
     "read-only probes that found no pre-built index and scanned instead")
 

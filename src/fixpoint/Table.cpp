@@ -57,8 +57,8 @@ const Table::Bucket *Table::findBucket(const Index &Ix,
   return B == HashIndex::NoId ? nullptr : &Ix.Buckets[B];
 }
 
-void Table::append(Index &Ix, uint64_t H, std::span<const uint32_t> Ids) {
-  std::span<const Value> KeyElems = rowKey(Ids.front());
+void Table::append(Index &Ix, uint64_t H, uint32_t Id) {
+  std::span<const Value> KeyElems = rowKey(Id);
   uint32_t B = Ix.ByHash.findOrInsert(
       H,
       [&](uint32_t B) {
@@ -71,7 +71,7 @@ void Table::append(Index &Ix, uint64_t H, std::span<const uint32_t> Ids) {
       });
   Bucket &Bk = Ix.Buckets[B];
   size_t OldCap = Bk.capacity();
-  Bk.insert(Bk.end(), Ids.begin(), Ids.end());
+  Bk.push_back(Id);
   if (Bk.capacity() != OldCap)
     Ix.Bytes += (Bk.capacity() - OldCap) * sizeof(uint32_t);
   Ix.MaxBucket = std::max(Ix.MaxBucket, Bk.size());
@@ -101,7 +101,7 @@ Table::JoinResult Table::join(Value KeyTuple, Value LatVal) {
   Primary.insert(H, Id);
   // Keep existing secondary indexes in sync.
   for (Index &Ix : Indexes)
-    append(Ix, hashProj(KeyElems, Ix.Mask), {&Id, 1});
+    append(Ix, hashProj(KeyElems, Ix.Mask), Id);
   return {Id, true};
 }
 
@@ -149,60 +149,8 @@ Table::Index &Table::ensureIndex(uint64_t Mask) {
   Index &Ix = Indexes.emplace_back();
   Ix.Mask = Mask;
   for (uint32_t Id = 0; Id < Rows.size(); ++Id)
-    append(Ix, hashProj(rowKey(Id), Mask), {&Id, 1});
+    append(Ix, hashProj(rowKey(Id), Mask), Id);
   return Ix;
-}
-
-void Table::buildPartialIndex(uint64_t Mask, uint32_t Begin, uint32_t End,
-                              PartialIndex &Out) const {
-  assert(End <= Rows.size());
-  for (uint32_t Id = Begin; Id < End; ++Id) {
-    std::span<const Value> KeyElems = rowKey(Id);
-    uint64_t H = hashProj(KeyElems, Mask);
-    uint32_t G = Out.ByHash.findOrInsert(
-        H,
-        [&](uint32_t G) {
-          return sameCols(rowKey(Out.Groups[G].front()), KeyElems, Mask);
-        },
-        [&] {
-          Out.Groups.emplace_back();
-          Out.Hashes.push_back(H);
-          return static_cast<uint32_t>(Out.Groups.size() - 1);
-        });
-    Out.Groups[G].push_back(Id);
-  }
-}
-
-void Table::reserveIndexSlots(std::span<const uint64_t> Masks) {
-  for (uint64_t Mask : Masks)
-    if (!findIndex(Mask))
-      Indexes.emplace_back().Mask = Mask;
-}
-
-void Table::buildIndexFromPartials(uint64_t Mask,
-                                   std::span<PartialIndex> Parts) {
-  Index *Ix = findIndex(Mask);
-  assert(Ix && "slot must be pre-created with reserveIndexSlots");
-  assert(Ix->Buckets.empty() && "index already built");
-  // Size the bucket index once: the union's bucket count is at most the
-  // sum of the partials' (and usually close to the largest partial's).
-  size_t KeyEstimate = 0;
-  for (const PartialIndex &P : Parts)
-    KeyEstimate += P.Groups.size();
-  Ix->ByHash.reserve(KeyEstimate);
-  // Partials are ordered by row range and each partial's groups hold
-  // ascending ids, so appending in partial order keeps every merged
-  // bucket ascending — the same layout ensureIndex produces.
-  for (PartialIndex &P : Parts)
-    for (size_t G = 0; G < P.Groups.size(); ++G)
-      append(*Ix, P.Hashes[G], P.Groups[G]);
-}
-
-bool Table::hasIndex(uint64_t Mask) const {
-  for (const Index &Ix : Indexes)
-    if (Ix.Mask == Mask)
-      return true;
-  return false;
 }
 
 bool Table::indexStats(uint64_t Mask, IndexStats &Out) const {

@@ -127,50 +127,16 @@ public:
                               std::span<const Value> Proj) const;
 
   /// Eagerly creates the secondary index for \p BoundMask (a no-op if it
-  /// already exists); used by index hints.
+  /// already exists); used by index hints and Solver::prepareIndexes.
   void prepareIndex(uint64_t BoundMask) { ensureIndex(BoundMask); }
-
-  /// One worker's partial secondary index over a contiguous row range:
-  /// the range's row ids grouped by projected key, each group ascending.
-  class PartialIndex {
-    friend class Table;
-    HashIndex ByHash;             ///< projected-key hash → group position
-    std::vector<Bucket> Groups;   ///< in first-seen order
-    std::vector<uint64_t> Hashes; ///< projected-key hash per group
-  };
-
-  /// Scans rows [\p Begin, \p End) and appends each row id to the group
-  /// of its \p Mask projection in \p Out. Read-only on the table (and it
-  /// interns nothing), so any number of threads may build partials of the
-  /// same table concurrently.
-  void buildPartialIndex(uint64_t Mask, uint32_t Begin, uint32_t End,
-                         PartialIndex &Out) const;
-
-  /// Pre-creates empty index slots for \p Masks (skipping ones that
-  /// already exist) WITHOUT scanning any rows, so that one concurrent
-  /// buildIndexFromPartials call per mask can later fill them while only
-  /// touching its own Index object.
-  void reserveIndexSlots(std::span<const uint64_t> Masks);
-
-  /// Installs the secondary index for \p Mask by concatenating per-range
-  /// partial buckets (\p Parts ordered by row range, as produced by
-  /// buildPartialIndex over a partition of [0, size())). The slot must
-  /// have been created by reserveIndexSlots and still be empty. Calls for
-  /// distinct masks of the same table may run concurrently: each touches
-  /// only its own pre-created Index object.
-  void buildIndexFromPartials(uint64_t Mask, std::span<PartialIndex> Parts);
 
   /// Number of secondary indexes created so far (for stats/tests).
   size_t numIndexes() const { return Indexes.size(); }
 
-  /// Whether a secondary index (possibly a still-empty reserved slot) on
-  /// \p Mask exists. Used after a re-plan to build only missing indexes.
-  bool hasIndex(uint64_t Mask) const;
-
   /// Cheap maintained statistics of one secondary index, read by the
   /// cost-based planner (Plan.cpp): the number of distinct projected keys
-  /// and the largest bucket's row count. Both are maintained by add() and
-  /// the partial-merge builder, so reading them costs nothing.
+  /// and the largest bucket's row count. Both are maintained as rows are
+  /// appended, so reading them costs nothing.
   struct IndexStats {
     uint64_t Mask;
     size_t Buckets;   ///< distinct projected keys (bucket count)
@@ -215,9 +181,9 @@ private:
   /// The bucket of projected key \p Proj in \p Ix, or nullptr.
   const Bucket *findBucket(const Index &Ix,
                            std::span<const Value> Proj) const;
-  /// Appends \p Ids (rows whose \p Mask projection hashes to \p H and
-  /// equals row Ids[0]'s) to their bucket, creating it if needed.
-  void append(Index &Ix, uint64_t H, std::span<const uint32_t> Ids);
+  /// Appends row \p Id, whose projection hashes to \p H, to its bucket,
+  /// creating the bucket if needed.
+  void append(Index &Ix, uint64_t H, uint32_t Id);
   Index &ensureIndex(uint64_t Mask);
   Index *findIndex(uint64_t Mask);
 

@@ -27,24 +27,37 @@ IncrementalSolver::IncrementalSolver(const Program &P, SolverOptions Opts)
   NegTombstones.resize(NumPreds);
 
   // Seed the fact store from the program's facts.
-  for (const Fact &Fa : P.facts()) {
-    Value KeyT = keyTupleOf(Fa);
-    auto &Vals = FactStore[Fa.Pred][KeyT];
-    bool Dup = false;
-    for (Value V : Vals)
-      if (V == Fa.LatValue) {
-        Dup = true;
-        break;
-      }
-    if (!Dup)
-      Vals.push_back(Fa.LatValue);
-  }
+  for (const Fact &Fa : P.facts())
+    storeAdd(Fa.Pred, keyTupleOf(Fa), Fa.LatValue);
 }
 
 IncrementalSolver::~IncrementalSolver() = default;
 
 Value IncrementalSolver::keyTupleOf(const Fact &Fa) const {
   return F.tuple(std::span<const Value>(Fa.Key.data(), Fa.Key.size()));
+}
+
+bool IncrementalSolver::storeAdd(PredId Pred, Value KeyT, Value LatVal) {
+  SmallVector<Value, 2> &Vals = FactStore[Pred][KeyT];
+  if (std::find(Vals.begin(), Vals.end(), LatVal) != Vals.end())
+    return false;
+  Vals.push_back(LatVal);
+  return true;
+}
+
+bool IncrementalSolver::storeRetract(PredId Pred, Value KeyT, Value LatVal) {
+  auto It = FactStore[Pred].find(KeyT);
+  if (It == FactStore[Pred].end())
+    return false;
+  SmallVector<Value, 2> &Vals = It->second;
+  auto V = std::find(Vals.begin(), Vals.end(), LatVal);
+  if (V == Vals.end())
+    return false;
+  *V = Vals.back();
+  Vals.pop_back();
+  if (Vals.empty())
+    FactStore[Pred].erase(It);
+  return true;
 }
 
 void IncrementalSolver::addFact(PredId Pred, std::span<const Value> Tuple) {
@@ -154,51 +167,21 @@ void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
   // Apply staged mutations to the store only: a fresh solve reads the
   // materialized store. Retractions first, then additions — a batch that
   // both retracts and adds the same fact leaves it present.
-  for (const Fact &Fa : PendingRetracts) {
-    Value KeyT = keyTupleOf(Fa);
-    auto It = FactStore[Fa.Pred].find(KeyT);
-    if (It == FactStore[Fa.Pred].end())
-      continue;
-    auto &Vals = It->second;
-    for (size_t I = 0; I < Vals.size(); ++I) {
-      if (Vals[I] == Fa.LatValue) {
-        Vals[I] = Vals.back();
-        Vals.pop_back();
-        ++U.FactsRetracted;
-        break;
-      }
-    }
-    if (Vals.empty())
-      FactStore[Fa.Pred].erase(It);
-  }
+  for (const Fact &Fa : PendingRetracts)
+    U.FactsRetracted += storeRetract(Fa.Pred, keyTupleOf(Fa), Fa.LatValue);
   PendingRetracts.clear();
-  for (const Fact &Fa : PendingAdds) {
-    Value KeyT = keyTupleOf(Fa);
-    auto &Vals = FactStore[Fa.Pred][KeyT];
-    bool Dup = false;
-    for (Value V : Vals)
-      if (V == Fa.LatValue) {
-        Dup = true;
-        break;
-      }
-    if (Dup)
-      continue;
-    Vals.push_back(Fa.LatValue);
-    ++U.FactsAdded;
-  }
+  for (const Fact &Fa : PendingAdds)
+    U.FactsAdded += storeAdd(Fa.Pred, keyTupleOf(Fa), Fa.LatValue);
   PendingAdds.clear();
 
   OverrideFacts = currentFacts();
   SolverOptions SO = Opts;
   SO.TrackSupport = true;
   SO.NumThreads = 0; // the inner Solver is sequential
-  // A request deadline tighter than the configured time limit wins: the
+  // DL already folds in the configured time limit (update()); its
   // remaining budget becomes this solve's limit.
-  if (DL.active()) {
-    double Remaining = DL.remainingSeconds();
-    if (SO.TimeLimitSeconds <= 0 || Remaining < SO.TimeLimitSeconds)
-      SO.TimeLimitSeconds = Remaining > 0 ? Remaining : 1e-9;
-  }
+  if (DL.active())
+    SO.TimeLimitSeconds = std::max(DL.remainingSeconds(), 1e-9);
   S = std::make_unique<Solver>(P, SO);
   S->FactsOverride = &OverrideFacts;
   // The replaced solver's tables are rebuilt tombstone-free, so the
@@ -221,10 +204,10 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   Solver &Sol = *S;
   size_t NumPreds = P.predicates().size();
 
-  // The inner solver's run state must be clean for re-entry; incremental
-  // updates are not subject to TimeLimitSeconds/MaxIterations, but they
-  // do honor a caller-supplied cancellation deadline: every eval path
-  // (seed plans, and delta rounds in place or on the round executor)
+  // The inner solver's run state must be clean for re-entry. Incremental
+  // updates are not subject to MaxIterations, but they do honor DL (the
+  // tighter of TimeLimitSeconds and the caller's deadline): every eval
+  // path (seed plans, and delta rounds in place or on the round executor)
   // checks it per matched row and aborts with Status::Timeout, after
   // which update() marks the state Degraded so the next batch recovers
   // via a full solve.
@@ -298,22 +281,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   std::vector<CellRef> Retracted;
   for (const Fact &Fa : PendingRetracts) {
     Value KeyT = keyTupleOf(Fa);
-    auto It = FactStore[Fa.Pred].find(KeyT);
-    if (It == FactStore[Fa.Pred].end())
-      continue;
-    auto &Vals = It->second;
-    bool Removed = false;
-    for (size_t I = 0; I < Vals.size(); ++I) {
-      if (Vals[I] == Fa.LatValue) {
-        Vals[I] = Vals.back();
-        Vals.pop_back();
-        Removed = true;
-        break;
-      }
-    }
-    if (Vals.empty())
-      FactStore[Fa.Pred].erase(It);
-    if (!Removed)
+    if (!storeRetract(Fa.Pred, KeyT, Fa.LatValue))
       continue;
     ++U.FactsRetracted;
     // Seed the closure with the fact's cell (if materialized): its value
@@ -328,16 +296,8 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   //--- Phase A: additions ----------------------------------------------
   for (const Fact &Fa : PendingAdds) {
     Value KeyT = keyTupleOf(Fa);
-    auto &Vals = FactStore[Fa.Pred][KeyT];
-    bool Dup = false;
-    for (Value V : Vals)
-      if (V == Fa.LatValue) {
-        Dup = true;
-        break;
-      }
-    if (Dup)
+    if (!storeAdd(Fa.Pred, KeyT, Fa.LatValue))
       continue;
-    Vals.push_back(Fa.LatValue);
     ++U.FactsAdded;
     Table::JoinResult JR = Sol.Tables[Fa.Pred]->join(KeyT, Fa.LatValue);
     if (JR.Changed) {
@@ -353,7 +313,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   // configured; it is created on the first incremental update.
   if (Opts.NumThreads > 0 && !Exec) {
     Exec = std::make_unique<RoundExecutor>(Sol, Opts.NumThreads);
-    Exec->prepareIndexes();
+    Sol.prepareIndexes();
   }
 
   // Adaptive re-plan against the batch-mutated tables before derivation
@@ -509,6 +469,11 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
 UpdateStats IncrementalSolver::update(Deadline DL) {
   UpdateStats U;
   auto Start = std::chrono::steady_clock::now();
+  // The configured time limit bounds every update, full solve or not; a
+  // caller's deadline that expires sooner wins.
+  if (Opts.TimeLimitSeconds > 0 &&
+      DL.remainingSeconds() > Opts.TimeLimitSeconds)
+    DL = Deadline::after(Opts.TimeLimitSeconds);
 
   // Negation no longer forces a full solve: negation-touching batches
   // run stratum-local DRed inside incrementalUpdate(). Only the first

@@ -76,10 +76,10 @@ class RoundExecutor;
 /// solve, the retraction closure and the seed plans (re-derive and `not P`
 /// insertion deltas) run sequentially in all configurations.
 ///
-/// SolverOptions caveats: TimeLimitSeconds/MaxIterations apply only to
-/// the initial (and fallback) full solves, not to incremental updates;
-/// Strategy::Naive affects only the initial solve (updates are always
-/// delta-driven).
+/// SolverOptions caveats: TimeLimitSeconds bounds every update() (see
+/// update(Deadline)), but MaxIterations applies only to the initial (and
+/// fallback) full solves, not to incremental updates; Strategy::Naive
+/// affects only the initial solve (updates are always delta-driven).
 class IncrementalSolver {
 public:
   explicit IncrementalSolver(const Program &P,
@@ -128,14 +128,16 @@ public:
   /// initial full solve.
   UpdateStats update() { return update(Deadline()); }
 
-  /// update() with a cancellation deadline. Expiry aborts the in-flight
-  /// work at the next per-row check (full/fallback solves get the
-  /// remaining budget as their time limit; delta rounds — sequential or
-  /// parallel — and re-derivation check the deadline per matched row). An
-  /// aborted update returns Status::Timeout and leaves the tables a sound
-  /// under-approximation that is *not* a fixpoint — the solver remembers
-  /// this (Degraded) and the next update() re-solves from scratch, so a
-  /// cancelled batch costs recovery work but never a wrong model.
+  /// update() with a cancellation deadline. SolverOptions::TimeLimitSeconds,
+  /// if set, bounds the update too; whichever expires first applies.
+  /// Expiry aborts the in-flight work at the next per-row check
+  /// (full/fallback solves get the remaining budget as their time limit;
+  /// delta rounds — sequential or parallel — and re-derivation check the
+  /// deadline per matched row). An aborted update returns Status::Timeout
+  /// and leaves the tables a sound under-approximation that is *not* a
+  /// fixpoint — the solver remembers this (Degraded) and the next update()
+  /// re-solves from scratch, so a cancelled batch costs recovery work but
+  /// never a wrong model.
   UpdateStats update(Deadline DL);
 
   /// Cumulative number of update() batches that fell back to a
@@ -239,6 +241,13 @@ private:
   };
 
   Value keyTupleOf(const Fact &Fa) const;
+  /// Adds the contribution \p LatVal of cell \p KeyT to FactStore; false
+  /// if it was already there.
+  bool storeAdd(PredId Pred, Value KeyT, Value LatVal);
+  /// Removes the contribution \p LatVal of cell \p KeyT from FactStore,
+  /// erasing the cell's entry once it has none left; false if it was not
+  /// there.
+  bool storeRetract(PredId Pred, Value KeyT, Value LatVal);
   void fullSolve(UpdateStats &U, Deadline DL);
   void incrementalUpdate(UpdateStats &U, Deadline DL);
   void noteChanged(PredId Pred, uint32_t Row);

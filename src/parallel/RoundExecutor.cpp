@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <set>
 #include <unordered_map>
 
 using namespace flix;
@@ -208,18 +207,17 @@ struct RoundExecutor::WorkerCtx {
   }
 
   /// Buckets are immutable during an eval phase, so the returned pointer
-  /// is a stable spill target. A miss means the static index analysis and
-  /// the plan compiler disagreed on a mask — counted, fatal under
-  /// StrictIndexCoverage, and answered with a full-scan fallback.
+  /// is a stable spill target. A miss means Solver::prepareIndexes and the
+  /// plan compiler disagreed on a mask — counted, fatal in debug builds,
+  /// and answered with a full-scan fallback in release builds.
   const Table::Bucket *probeBucket(const plan::Step &St,
                                    std::span<const Value> Proj) {
     if (const Table::Bucket *Bucket =
             sol().Tables[St.Pred]->probeExisting(St.Mask, Proj))
       return Bucket;
     ++Stats.IndexFallbacks;
-    assert(!sol().Opts.StrictIndexCoverage &&
-           "probeExisting miss: plan mask not pre-built by the static "
-           "index analysis");
+    assert(false && "probeExisting miss: plan mask not pre-built by "
+                    "Solver::prepareIndexes");
     return nullptr;
   }
 
@@ -406,119 +404,7 @@ void RoundExecutor::bind(Solver &Sol) {
   S = &Sol;
   Sol.Par = this;
   Record = Sol.Opts.TrackSupport || Sol.Opts.TrackProvenance;
-  prepareIndexes();
-}
-
-/// Workers never create indexes (probeExisting is read-only), so every
-/// index they could profit from must exist before the first eval phase.
-/// The wanted masks are read straight off the plans' Probe steps —
-/// covering whatever body order the planner chose, now or after a
-/// re-plan. The sequential solver instead builds these same indexes
-/// lazily on first probe.
-std::vector<std::pair<PredId, uint64_t>>
-RoundExecutor::computeWantedIndexes() const {
-  if (!S->Opts.UseIndexes)
-    return {};
-  std::set<std::pair<PredId, uint64_t>> Wanted;
-  std::vector<std::vector<uint64_t>> MasksByPred(S->Tables.size());
-  S->Plans->wantedIndexes(MasksByPred);
-  for (PredId Pred = 0; Pred < MasksByPred.size(); ++Pred)
-    for (uint64_t Mask : MasksByPred[Pred])
-      Wanted.insert({Pred, Mask});
-  for (auto [Pred, Mask] : S->P.indexHints())
-    Wanted.insert({Pred, Mask});
-  return {Wanted.begin(), Wanted.end()};
-}
-
-/// Builds the wanted indexes for the sharded merge through the pool in two
-/// phases: (1) one task per (pred, row-chunk) scans its chunk once and
-/// fills per-mask partial buckets; (2) one task per (pred, mask)
-/// concatenates that mask's partials (ordered by row range, so buckets
-/// stay ascending) into the pre-created Index slot. Distinct (pred, mask)
-/// merges touch disjoint Index objects, so phase 2 needs no locking; empty
-/// tables only get their (empty) slots, which Table::join then maintains
-/// incrementally as rows arrive from merges.
-void RoundExecutor::prepareIndexes() {
-  std::vector<std::pair<PredId, uint64_t>> Wanted = computeWantedIndexes();
-  // On a repeat call (after a re-plan) most indexes already exist —
-  // building one twice would corrupt it, so keep only the missing masks.
-  std::erase_if(Wanted, [&](const std::pair<PredId, uint64_t> &W) {
-    return S->Tables[W.first]->hasIndex(W.second);
-  });
-  if (Wanted.empty())
-    return;
-  // Build each index on the threads that will grow it. The recording
-  // merge joins on the coordinator, so its indexes are built there too:
-  // bucket storage then comes from the coordinator's heap arena and fills
-  // the holes its own solve left, instead of leaving them to slow every
-  // later allocation of the (single-threaded) update path.
-  if (Record) {
-    for (auto [Pred, Mask] : Wanted)
-      S->Tables[Pred]->prepareIndex(Mask);
-    return;
-  }
-
-  struct BuildJob {
-    PredId Pred;
-    std::vector<uint64_t> Masks;
-    uint32_t NumChunks, ChunkSize;
-    /// Partials[MaskIdx][Chunk]; rows [Chunk*ChunkSize, ...+ChunkSize).
-    std::vector<std::vector<Table::PartialIndex>> Partials;
-  };
-  std::vector<BuildJob> Jobs;
-  for (size_t I = 0; I < Wanted.size();) {
-    PredId Pred = Wanted[I].first;
-    BuildJob J{Pred, {}, 0, 0, {}};
-    for (; I < Wanted.size() && Wanted[I].first == Pred; ++I)
-      J.Masks.push_back(Wanted[I].second);
-    Table &T = *S->Tables[Pred];
-    T.reserveIndexSlots(
-        std::span<const uint64_t>(J.Masks.data(), J.Masks.size()));
-    uint32_t NumRows = static_cast<uint32_t>(T.size());
-    if (NumRows == 0)
-      continue; // slots exist; nothing to scan
-    // One chunk per worker unless the table is too small to amortize the
-    // per-task overhead.
-    constexpr uint32_t MinChunk = 1024;
-    J.NumChunks = std::min<uint32_t>(
-        NumWorkers, std::max<uint32_t>(1, NumRows / MinChunk));
-    J.ChunkSize = (NumRows + J.NumChunks - 1) / J.NumChunks;
-    J.Partials.assign(J.Masks.size(),
-                      std::vector<Table::PartialIndex>(J.NumChunks));
-    Jobs.push_back(std::move(J));
-  }
-
-  // Phase 1: (job, chunk) scan tasks.
-  std::vector<std::pair<uint32_t, uint32_t>> Scans;
-  for (uint32_t JI = 0; JI < Jobs.size(); ++JI)
-    for (uint32_t C = 0; C < Jobs[JI].NumChunks; ++C)
-      Scans.push_back({JI, C});
-  Pool->run(Scans.size(), [&](size_t I, unsigned) {
-    auto [JI, C] = Scans[I];
-    BuildJob &J = Jobs[JI];
-    const Table &T = *S->Tables[J.Pred];
-    uint32_t Begin = C * J.ChunkSize;
-    uint32_t End = std::min<uint32_t>(Begin + J.ChunkSize,
-                                      static_cast<uint32_t>(T.size()));
-    for (size_t M = 0; M < J.Masks.size(); ++M)
-      T.buildPartialIndex(J.Masks[M], Begin, End, J.Partials[M][C]);
-  });
-
-  // Phase 2: (job, mask) merge tasks.
-  std::vector<std::pair<uint32_t, uint32_t>> Merges;
-  for (uint32_t JI = 0; JI < Jobs.size(); ++JI)
-    for (uint32_t M = 0; M < Jobs[JI].Masks.size(); ++M)
-      Merges.push_back({JI, M});
-  Pool->run(Merges.size(), [&](size_t I, unsigned) {
-    auto [JI, M] = Merges[I];
-    BuildJob &J = Jobs[JI];
-    S->Tables[J.Pred]->buildIndexFromPartials(
-        J.Masks[M],
-        std::span<Table::PartialIndex>(J.Partials[M].data(),
-                                       J.Partials[M].size()));
-  });
-
-  S->Stats.IndexBuildTasks += Scans.size() + Merges.size();
+  Sol.prepareIndexes();
 }
 
 void RoundExecutor::addChunkedTasks(uint32_t RuleIdx, int32_t Driver,

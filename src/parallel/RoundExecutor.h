@@ -20,7 +20,9 @@
 ///      row chunk) tasks. Workers evaluate rule bodies through the shared
 ///      PlanExecutor against the tables as an immutable snapshot
 ///      (read-only probeExisting, no in-place update) and buffer their
-///      derivations. When one atom's index bucket or scan exceeds
+///      derivations. They never build an index: the Solver pre-builds
+///      every mask its plans probe on its own thread
+///      (Solver::prepareIndexes) before round 0 and after any re-plan. When one atom's index bucket or scan exceeds
 ///      SolverOptions::SpillThreshold rows, the worker captures its
 ///      bound-env prefix (and premise-stack prefix) into a sub-task and
 ///      spawns the tail onto its deque, so a single hot row's fan-out is
@@ -66,20 +68,13 @@ public:
   ~RoundExecutor() override;
 
   /// Re-attaches to \p S — the replacement of a solver the executor was
-  /// attached to — and pre-builds the indexes its plans probe.
+  /// attached to — and has it pre-build the indexes its plans probe
+  /// (Solver::prepareIndexes).
   void bind(Solver &S);
 
   unsigned numWorkers() const { return NumWorkers; }
 
   void evalRound(const std::vector<uint32_t> &RuleIds, bool Round0) override;
-
-  /// Pre-builds the wanted indexes: for the sharded merge through the
-  /// pool (per-(pred, row-chunk) partial scans, then per-(pred, mask)
-  /// merges via Table::buildIndexFromPartials), for the recording merge
-  /// on the coordinator that later grows them. Indexes that already exist
-  /// are skipped, so a call after a re-plan builds only newly wanted
-  /// masks.
-  void prepareIndexes() override;
 
 private:
   /// One unit of eval-phase work: evaluate rule RuleIdx with body element
@@ -94,10 +89,6 @@ private:
   struct Deriv;
   struct WorkerCtx;
 
-  /// Collects the (pred, mask) access paths the workers will probe (plus
-  /// index hints), read off the compiled plans' own Probe steps — so any
-  /// body order the cost-based planner picks is covered.
-  std::vector<std::pair<PredId, uint64_t>> computeWantedIndexes() const;
   void addChunkedTasks(uint32_t RuleIdx, int32_t Driver,
                        const std::vector<uint32_t> &Rows);
   void runEvalPhase();

@@ -203,7 +203,6 @@ Json Server::handleLoad(const Request &R) {
   SO.Solve = Opt.Solve;
   SO.VmOptLevel = Opt.VmOptLevel;
   SO.MaxPendingFacts = Opt.MaxPendingFactsPerDb;
-  SO.UpdateTimeLimitSeconds = Opt.UpdateTimeLimitSeconds;
   auto S = std::make_shared<Session>(Name, SO);
   ErrCode Code = ErrCode::CompileError;
   std::string Err;

@@ -60,12 +60,12 @@ struct ServerOptions {
   /// Per-database admission bound on staged-but-uncommitted fact rows.
   uint64_t MaxPendingFactsPerDb = uint64_t(1) << 20;
 
-  /// Solver options for every database's IncrementalSolver.
+  /// Solver options for every database's IncrementalSolver; its
+  /// TimeLimitSeconds is the per-update-batch solve budget (0 =
+  /// unbounded).
   SolverOptions Solve;
   /// VM optimization pipeline level every database compiles under.
   int VmOptLevel = 2;
-  /// Per-update-batch solve budget in seconds (0 = unbounded).
-  double UpdateTimeLimitSeconds = 0;
 };
 
 class Server {

@@ -111,13 +111,9 @@ bool Session::load(const std::string &Source, Deadline DL, ErrCode &Code,
   F.enableConcurrentInterning();
 
   // The initial solve is exclusive (the session is unpublished), so the
-  // request deadline can directly bound it — take the tighter of it and
-  // the configured per-batch budget.
-  Deadline UDL = DL;
-  if (Opt.UpdateTimeLimitSeconds > 0 &&
-      (!DL.active() || DL.remainingSeconds() > Opt.UpdateTimeLimitSeconds))
-    UDL = Deadline::after(Opt.UpdateTimeLimitSeconds);
-  UpdateStats U = IS->update(UDL);
+  // request deadline can directly bound it; the solver takes the tighter
+  // of it and the configured per-batch budget.
+  UpdateStats U = IS->update(DL);
   if (!U.ok()) {
     Code = U.St == SolveStats::Status::Timeout ? ErrCode::DeadlineExceeded
                                                : ErrCode::SolveError;
@@ -217,10 +213,7 @@ Session::GenOutcome Session::commitBatch(const std::vector<Fact> &Adds,
       IS->addLatFact(Fa.Pred, Key, Fa.LatValue);
   }
 
-  Deadline UDL = Opt.UpdateTimeLimitSeconds > 0
-                     ? Deadline::after(Opt.UpdateTimeLimitSeconds)
-                     : Deadline();
-  UOut = IS->update(UDL);
+  UOut = IS->update();
   O.Seconds = UOut.Seconds;
   O.FullResolve = UOut.FullResolve;
   if (!UOut.ok()) {

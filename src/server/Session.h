@@ -33,7 +33,7 @@
 ///     rejected with `overloaded` instead of queueing unboundedly.
 ///   * Deadlines. A follower stops waiting when its request deadline
 ///     expires (`deadline_exceeded`; its rows still commit with the
-///     batch). Options::UpdateTimeLimitSeconds bounds each update()
+///     batch). SolverOptions::TimeLimitSeconds bounds each update()
 ///     itself through the solver's cancellation deadline; a cancelled
 ///     batch leaves the session degraded and the next batch recovers
 ///     via a full solve.
@@ -65,15 +65,14 @@ public:
   struct Options {
     /// Solver options for the inner IncrementalSolver (NumThreads > 0
     /// parallelizes delta rounds inside one update; requests are still
-    /// serialized through the leader).
+    /// serialized through the leader; TimeLimitSeconds is the per-batch
+    /// solve budget, see the file comment).
     SolverOptions Solve;
     /// VM optimization pipeline level every database compiles under
     /// (flixd --vm-opt-level; FlixCompiler::setVmOptLevel).
     int VmOptLevel = 2;
     /// Admission bound: maximum staged-but-uncommitted fact rows.
     uint64_t MaxPendingFacts = uint64_t(1) << 20;
-    /// Per-batch solve budget (0 = unbounded); see the file comment.
-    double UpdateTimeLimitSeconds = 0;
   };
 
   Session(std::string Name, Options Opt);

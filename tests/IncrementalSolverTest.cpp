@@ -618,6 +618,56 @@ TEST_P(IncrementalDeadlineTest, DeadlineAbortRecoversConsistently) {
   expectMatchesScratch(IS, [&] { return C.build(); });
 }
 
+TEST_P(IncrementalDeadlineTest, TimeLimitBoundsEveryUpdate) {
+  // SolverOptions::TimeLimitSeconds bounds incremental updates too, not
+  // only full solves. Hit(x) <- A(x), B(y), C(z) costs |A|·|B|·|C| rule
+  // firings; the batch stages only 3K facts but opens a K^3 join, far more
+  // work than the limit allows, so the update stops with
+  // Status::Timeout. Retracting the batch lets the next update's degraded
+  // recovery finish inside the same limit.
+  constexpr int K = 200;
+  ValueFactory F;
+  Program P(F);
+  PredId A = P.relation("A", 1), B = P.relation("B", 1);
+  PredId C = P.relation("C", 1), Hit = P.relation("Hit", 1);
+  RuleBuilder()
+      .head(Hit, {"x"})
+      .atom(A, {"x"})
+      .atom(B, {"y"})
+      .atom(C, {"z"})
+      .addTo(P);
+  for (PredId Pr : {A, B, C})
+    P.addFact(Pr, {F.integer(1)});
+  SolverOptions O = opts();
+  O.TimeLimitSeconds = 0.1;
+  IncrementalSolver IS(P, O);
+  ASSERT_TRUE(IS.update().ok());
+
+  for (PredId Pr : {A, B, C})
+    for (int I = 10; I < 10 + K; ++I)
+      IS.addFact(Pr, {F.integer(I)});
+  UpdateStats U = IS.update();
+  EXPECT_EQ(U.St, SolveStats::Status::Timeout);
+  EXPECT_FALSE(U.FullResolve);
+
+  for (PredId Pr : {A, B, C})
+    for (int I = 10; I < 10 + K; ++I)
+      IS.retractFact(Pr, {F.integer(I)});
+  UpdateStats U2 = IS.update();
+  ASSERT_TRUE(U2.ok()) << U2.Error;
+  EXPECT_TRUE(U2.FullResolve);
+  EXPECT_EQ(U2.DegradedRecoveries, 1u);
+  EXPECT_TRUE(IS.contains(Hit, {F.integer(1)}));
+  EXPECT_FALSE(IS.contains(Hit, {F.integer(10)}));
+
+  // Small batches stay incremental under the limit.
+  IS.addFact(A, {F.integer(2)});
+  UpdateStats U3 = IS.update();
+  ASSERT_TRUE(U3.ok()) << U3.Error;
+  EXPECT_FALSE(U3.FullResolve);
+  EXPECT_TRUE(IS.contains(Hit, {F.integer(2)}));
+}
+
 TEST_P(IncrementalDifferentialTest, IcfgGenKillReachability) {
   IcfgProgram I = generateIcfg(99, 3, 10, 8, 2);
   IcfgCase C;

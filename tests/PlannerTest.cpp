@@ -15,7 +15,7 @@
 ///     all produce the model of the frozen-order sequential baseline
 ///     (⊔-confluence makes any valid join order yield the same minimal
 ///     model, so equality is exact);
-///   * a StrictIndexCoverage regression: flipping the written body order
+///   * an index-coverage regression: flipping the written body order
 ///     must not trip IndexFallbacks once plans (not an assumed order)
 ///     define the wanted indexes.
 ///
@@ -231,9 +231,8 @@ TEST(PlannerReplanTest, HysteresisSuppressesMarginalFlips) {
 TEST(PlannerReplanTest, WantedIndexesIsOrderIndependent) {
   // The same join written in two body orders: after cost-based planning
   // both compile to the same evaluation orders, so the masks the static
-  // index analyses must pre-build are identical. This is the
-  // StrictIndexCoverage satellite: wanted indexes are read off compiled
-  // plans, never off an assumed driver-first order.
+  // index analyses must pre-build are identical: wanted indexes are read
+  // off compiled plans, never off an assumed driver-first order.
   auto build = [](Program &P, bool Flipped) {
     PredId Src = P.relation("Src", 1);
     PredId Big = P.relation("Big", 2);
@@ -411,15 +410,15 @@ TEST(PlannerEquivalenceTest, CostPlannerReordersTheSkewedJoin) {
 }
 
 //===----------------------------------------------------------------------===//
-// StrictIndexCoverage under flipped written orders
+// Index coverage under flipped written orders
 //===----------------------------------------------------------------------===//
 
 TEST(PlannerStrictCoverageTest, FlippedBodyOrdersDontTripFallbacks) {
   // Both written orders of the 3-atom join, solved by the parallel
-  // engine under --strict-index-coverage semantics: every probe the
-  // cost-chosen plans perform must hit a pre-built index. A fallback
-  // here means the wanted-index analysis assumed an order the planner
-  // did not pick (debug builds would assert inside the workers).
+  // engine: every probe the cost-chosen plans perform must hit a
+  // pre-built index. A fallback here means the wanted-index analysis
+  // assumed an order the planner did not pick (debug builds assert
+  // inside the workers).
   for (bool Flipped : {false, true}) {
     ValueFactory F;
     Program P(F);
@@ -446,7 +445,6 @@ TEST(PlannerStrictCoverageTest, FlippedBodyOrdersDontTripFallbacks) {
 
     SolverOptions O;
     O.NumThreads = 4;
-    O.StrictIndexCoverage = true;
     O.ReplanThreshold = 1.0; // re-check every round: worst case for drift
     ParallelSolver S(P, O);
     SolveStats St = S.solve();

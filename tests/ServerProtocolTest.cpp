@@ -534,7 +534,7 @@ TEST(ServerCore, SnapshotsTrackChurnAcrossRebases) {
   for (int I = 0; I < 600; ++I)
     Source += "Spin(" + std::to_string(I) + ").\n";
   ServerOptions Opt;
-  Opt.UpdateTimeLimitSeconds = 1.0;
+  Opt.Solve.TimeLimitSeconds = 1.0;
   Server S(Opt);
   ASSERT_TRUE(replyOk(roundTrip(S, loadLine("c", Source.c_str()))));
   std::shared_ptr<Session> Sess = S.findDb("c");

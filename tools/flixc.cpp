@@ -20,8 +20,6 @@
 //   --spill-threshold <n>  split index buckets / scans longer than <n>
 //                      rows into stealable sub-tasks (parallel engine;
 //                      0 disables intra-rule splitting)
-//   --strict-index-coverage  assert (debug builds) that no worker probe
-//                      falls back to a full table scan
 //   --time-limit <s>   abort after <s> seconds
 //   --facts <dir>      load input facts from <dir>/<Pred>.facts files
 //                      (tab-separated, one tuple per line)
@@ -89,8 +87,6 @@ static void printUsage() {
       "sequential)\n"
       "  --spill-threshold <n>  intra-rule split threshold (parallel "
       "engine; 0 = off)\n"
-      "  --strict-index-coverage  assert full static index coverage "
-      "(debug builds)\n"
       "  --time-limit <s>   abort after <s> seconds\n"
       "  --facts <dir>      load input facts from <dir>/<Pred>.facts\n"
       "  --update-script <file>  replay incremental add/retract/update "
@@ -505,8 +501,6 @@ int main(int Argc, char **Argv) {
         return 1;
       }
       Opts.SpillThreshold = static_cast<uint32_t>(N);
-    } else if (Arg == "--strict-index-coverage") {
-      Opts.StrictIndexCoverage = true;
     } else if (Arg == "--update-script") {
       if (++I >= Argc) {
         std::fprintf(stderr, "error: --update-script needs a file\n");

@@ -139,7 +139,7 @@ int main(int argc, char **argv) {
       Opt.Solve.ReplanThreshold =
           parseFloatFlag("--replan-threshold", needValue(I), 0.0);
     } else if (A == "--update-time-limit") {
-      Opt.UpdateTimeLimitSeconds =
+      Opt.Solve.TimeLimitSeconds =
           parseFloatFlag("--update-time-limit", needValue(I), 0.0);
     } else if (A == "--max-connections") {
       Opt.MaxConnections =
