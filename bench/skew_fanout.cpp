@@ -23,7 +23,8 @@
 // shapes, re-plans must stay at zero).
 //
 // Options:
-//   --threads <csv>        worker counts to sweep (default 1,2,4,8)
+//   --threads <csv>        worker counts to sweep (default 1,2,4,8; 0 runs
+//                          the sequential engine)
 //   --spill <csv>          spill thresholds to sweep (default 0,1024)
 //   --json <file>          write one machine-readable record per run
 //   --planner-json <file>  write the planner-ablation records (BENCH_planner)
@@ -41,7 +42,7 @@
 
 #include "BenchUtil.h"
 
-#include "parallel/ParallelSolver.h"
+#include "parallel/Dispatch.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -322,9 +323,10 @@ int main(int Argc, char **Argv) {
         SolverOptions Opts;
         Opts.NumThreads = T;
         Opts.SpillThreshold = Spill;
-        ParallelSolver S(W.P, Opts);
-        St = S.solve();
-        Ok = St.ok() && S.table(W.Path).size() == ExpectedPaths;
+        Ok = solveWith(W.P, Opts, [&](const auto &S, const SolveStats &R) {
+          St = R;
+          return R.ok() && S.table(W.Path).size() == ExpectedPaths;
+        });
         return St.Seconds;
       });
       if (!Ok) {

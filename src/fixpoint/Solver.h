@@ -350,7 +350,8 @@ private:
 
   /// Queues row \p Row of \p Pred for the next delta round (at most once
   /// per round). Every writer of NextDelta goes through here: in-place
-  /// joins, both parallel merges and the incremental engine's seeding.
+  /// joins, the round executor's merge and the incremental engine's
+  /// seeding.
   /// Concurrent calls are safe for distinct predicates.
   void queueDelta(PredId Pred, uint32_t Row) {
     DeltaQueue &Q = NextDelta[Pred];

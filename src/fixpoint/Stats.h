@@ -100,7 +100,7 @@ namespace flix {
   X(uint64_t, ParallelSteals, "parallel_steals", "steals", Counter,            \
     "tasks obtained by work stealing")                                         \
   X(uint64_t, MergeCollisions, "merge_collisions", "merge collisions",         \
-    Counter, "same-cell derivations folded by the sharded merge")              \
+    Counter, "round-executor merge joins that left their cell unchanged")     \
   X(uint64_t, SpawnedSubtasks, "spawned_subtasks", "spawned subtasks",         \
     Counter,                                                                   \
     "intra-rule sub-tasks split off by workers (SpillThreshold)")              \

@@ -69,10 +69,10 @@ class RoundExecutor;
 /// on the same parallel round executor as the ParallelSolver
 /// (parallel/RoundExecutor.h), attached to the inner Solver as its round
 /// body: workers evaluate rule bodies read-only, spill hot scans into
-/// sub-tasks, and buffer each derivation with its premise rows; the
-/// executor's recording merge joins them — and records support /
-/// provenance — single-threaded after the round barrier, so the support
-/// index write path is race-free by construction. The initial full
+/// sub-tasks, and buffer each derivation that can change its cell with
+/// its premise rows; the executor's merge joins them — and records
+/// support / provenance — single-threaded after the round barrier, so the
+/// support index write path is race-free by construction. The initial full
 /// solve, the retraction closure and the seed plans (re-derive and `not P`
 /// insertion deltas) run sequentially in all configurations.
 ///

@@ -21,9 +21,10 @@
 /// made during a round become visible only at the round barrier; by
 /// confluence both schedules converge to the identical minimal model, and
 /// because values are hash-consed in one shared factory the final model is
-/// *value-identical* (same handles) for any thread count. With
-/// TrackProvenance the executor's recording merge writes each changed
-/// cell's Derivation, so explain() works as on the sequential solver.
+/// *value-identical* (same handles) for any thread count. The executor's
+/// merge joins the round's buffered derivations on the solver's thread;
+/// with TrackProvenance it writes each changed cell's Derivation there,
+/// so explain() works as on the sequential solver.
 ///
 /// Limits: Strategy::Naive falls back to semi-naive — same model,
 /// different iteration counts.

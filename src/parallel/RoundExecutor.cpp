@@ -7,39 +7,29 @@
 #include "parallel/RoundExecutor.h"
 
 #include "fixpoint/Plan.h"
+#include "support/HashIndex.h"
 #include "support/Hashing.h"
 #include "support/SmallVector.h"
 
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <unordered_map>
 
 using namespace flix;
 
-/// One buffered derivation: cell (Pred, Key) gains lattice value Lat.
+/// One buffered derivation: a match of plan Pl gives cell (Pl->Head.Pred,
+/// Key) lattice value Lat. When the Solver records, the match's premise
+/// rows and negated keys follow in the owning worker's Premises and
+/// NegKeys, up to PremEnd and NegEnd (each begins where the previous
+/// derivation's ends).
 struct RoundExecutor::Deriv {
-  PredId Pred;
+  const plan::RulePlan *Pl;
   Value Key; ///< interned key tuple
   Value Lat;
+  uint32_t PremEnd, NegEnd;
 };
 
 namespace {
-
-/// Map key for per-shard ⊔-compaction: one cell of one predicate.
-struct CellKey {
-  PredId Pred;
-  Value Key;
-  bool operator==(const CellKey &O) const {
-    return Pred == O.Pred && Key == O.Key;
-  }
-};
-
-struct CellKeyHash {
-  size_t operator()(const CellKey &C) const {
-    return hashValues(static_cast<uint64_t>(C.Pred), C.Key.hash());
-  }
-};
 
 // Deque payload encoding. Payloads below SpawnPayloadBit index the
 // coordinator's preloaded Tasks vector; payloads with the bit set name a
@@ -62,17 +52,6 @@ constexpr size_t SpawnSlotMask = (size_t(1) << SpawnWorkerShift) - 1;
 /// are buffered instead of joined in place, and the abort check consults
 /// a shared atomic flag so one worker's timeout stops all of them.
 struct RoundExecutor::WorkerCtx {
-  /// A derivation for the recording merge: the head cell content, the
-  /// plan that matched (plans are not replaced within a round), the
-  /// premise stack at the match and its negated keys — the arguments of
-  /// Solver::recordDerivation.
-  struct Recorded {
-    Deriv D;
-    const plan::RulePlan *Pl;
-    SmallVector<CellRef, 4> Premises;
-    Solver::NegKeyList NegKeys;
-  };
-
   /// A captured continuation of one in-flight rule evaluation: re-run the
   /// scan at plan step Pos over row range [Begin, End) — ids from *Rows
   /// (an index bucket, immutable during the phase) or, when Rows is null,
@@ -153,17 +132,20 @@ struct RoundExecutor::WorkerCtx {
 
   std::vector<Value> Env;
   std::vector<uint8_t> Bound;
-  /// Premise rows of the open match frames (recording merge only).
+  /// Premise rows of the open match frames (recording Solvers only).
   SmallVector<CellRef, 8> PremStack;
   const Task *Cur = nullptr;
 
   SpawnArena Arena;
 
-  /// Plain derivations, pre-sharded by hash(pred, key) so the sharded
-  /// merge can compact each shard without cross-shard synchronization.
-  std::vector<std::vector<Deriv>> Buffers;
-  /// Derivations for the recording merge, in derivation order.
-  std::vector<Recorded> RecordBuf;
+  /// This round's derivations, in derivation order, with the premise
+  /// rows and negated keys of each (recording Solvers only; see Deriv).
+  std::vector<Deriv> Derivs;
+  std::vector<CellRef> Premises;
+  Solver::NegKeyList NegKeys;
+  /// Derivs ids by hash(pred, key, value): drops a repeat of a buffered
+  /// derivation.
+  HashIndex Buffered;
 
   /// Persistent per-worker plan executor (cursor storage survives across
   /// tasks, so steady-state evaluation allocates nothing).
@@ -173,9 +155,7 @@ struct RoundExecutor::WorkerCtx {
   /// solver's stats by the coordinator after the round barrier.
   SolveStats Stats;
 
-  WorkerCtx(RoundExecutor &Ex, unsigned Id) : Ex(Ex), Id(Id) {
-    Buffers.resize(NumMergeShards);
-  }
+  WorkerCtx(RoundExecutor &Ex, unsigned Id) : Ex(Ex), Id(Id) {}
 
   Solver &sol() { return *Ex.S; }
 
@@ -191,7 +171,7 @@ struct RoundExecutor::WorkerCtx {
 
   //===--------------------------------------------------------------------===//
   // PlanExecutor engine policy (Plan.h): snapshot reads, buffered writes,
-  // sub-task spilling, premise capture for the recording merge.
+  // sub-task spilling, premise capture for recording Solvers.
   //===--------------------------------------------------------------------===//
 
   std::vector<Value> &env() { return Env; }
@@ -234,26 +214,44 @@ struct RoundExecutor::WorkerCtx {
       PremStack.pop_back();
   }
 
+  /// Buffers a derivation for the merge unless it cannot change its
+  /// cell: ⊥ (x ⊔ ⊥ = x), a value the snapshot row already holds (for a
+  /// relational head: a live row), or a repeat of one this worker
+  /// buffered this round. The merge would join each of those and find
+  /// its cell unchanged, so dropping them is exact: no changed join, no
+  /// support edge and no provenance is lost.
   void onDerived(const plan::RulePlan &Pl, Value KeyT, Value LatVal) {
     ++Stats.RuleFirings;
-    // x ⊔ ⊥ = x can never change a cell, so don't ship ⊥ derivations
-    // through the merge (the sequential Table::join drops them too).
-    if (!Pl.Head.Relational &&
-        LatVal == sol().P.predicate(Pl.Head.Pred).Lat->bot())
+    PredId Pred = Pl.Head.Pred;
+    const Table &T = *sol().Tables[Pred];
+    if (LatVal == T.botValue())
       return;
-    Deriv D{Pl.Head.Pred, KeyT, LatVal};
-    if (!Ex.Record) {
-      size_t Sh = hashValues(static_cast<uint64_t>(D.Pred), KeyT.hash()) &
-                  (NumMergeShards - 1);
-      Buffers[Sh].push_back(D);
+    uint32_t Row = T.lookupRow(KeyT);
+    if (Row != Table::NoRow && T.row(Row).Lat == LatVal)
       return;
+    uint32_t Id = static_cast<uint32_t>(Derivs.size());
+    uint64_t H =
+        hashValues(static_cast<uint64_t>(Pred), KeyT.hash(), LatVal.hash());
+    auto SameDeriv = [&](uint32_t I) {
+      const Deriv &D = Derivs[I];
+      return D.Key == KeyT && D.Lat == LatVal && D.Pl->Head.Pred == Pred;
+    };
+    if (Buffered.findOrInsert(H, SameDeriv, [Id] { return Id; }) != Id)
+      return;
+    if (Ex.Record) {
+      Premises.insert(Premises.end(), PremStack.begin(), PremStack.end());
+      sol().negatedKeys(Pl.RuleIdx, Env, NegKeys);
     }
-    Recorded &R = RecordBuf.emplace_back();
-    R.D = D;
-    R.Pl = &Pl;
-    for (CellRef C : PremStack)
-      R.Premises.push_back(C);
-    sol().negatedKeys(Pl.RuleIdx, Env, R.NegKeys);
+    Derivs.push_back({&Pl, KeyT, LatVal, static_cast<uint32_t>(Premises.size()),
+                      static_cast<uint32_t>(NegKeys.size())});
+  }
+
+  /// Empties the derivation buffer for the next round.
+  void clearDerivs() {
+    Derivs.clear();
+    Premises.clear();
+    NegKeys.clear();
+    Buffered.clear();
   }
 
   /// Driver rows of the running task (only reachable from runTask: spawned
@@ -285,9 +283,6 @@ struct RoundExecutor::WorkerCtx {
     Exec.runFrom(sol().Plans->plan(T.RuleIdx, T.Driver), T.Pos, T.Rows,
                  T.Begin, T.End);
   }
-
-  void compactShard(size_t Sh, std::vector<Deriv> &Out);
-  void joinPred(PredId Pred, const std::vector<Deriv> &Pending);
 };
 
 // Intra-rule spilling: splits the scan [Begin, End) at plan step
@@ -330,52 +325,6 @@ uint32_t RoundExecutor::WorkerCtx::maybeSpill(
   return B;
 }
 
-// Sharded merge, phase A: fold all workers' buffered derivations for
-// shard \p Sh into one derivation per cell via ⊔. Shards partition the
-// cell space, so tasks write disjoint outputs.
-void RoundExecutor::WorkerCtx::compactShard(size_t Sh,
-                                            std::vector<Deriv> &Out) {
-  std::unordered_map<CellKey, size_t, CellKeyHash> Cells;
-  uint64_t Seen = 0;
-  for (const std::unique_ptr<WorkerCtx> &W : Ex.Workers) {
-    for (const Deriv &D : W->Buffers[Sh]) {
-      // An aborted round's model is a sound under-approximation either
-      // way; without this check a derivation-heavy round could overshoot
-      // the deadline by the whole merge.
-      if ((++Seen & 0x3FF) == 0 && checkAbort())
-        return;
-      auto [It, IsNew] = Cells.try_emplace(CellKey{D.Pred, D.Key},
-                                           Out.size());
-      if (IsNew) {
-        Out.push_back(D);
-        continue;
-      }
-      Deriv &E = Out[It->second];
-      E.Lat = sol().Tables[D.Pred]->lattice().lub(E.Lat, D.Lat);
-      ++Stats.MergeCollisions;
-    }
-  }
-}
-
-// Sharded merge, phase B: join one predicate's compacted derivations into
-// its head table and record the strictly-increased rows as the next
-// delta. One task per predicate, so each table and NextDelta queue has a
-// single writer.
-void RoundExecutor::WorkerCtx::joinPred(PredId Pred,
-                                        const std::vector<Deriv> &Pending) {
-  Table &T = *sol().Tables[Pred];
-  uint64_t Seen = 0;
-  for (const Deriv &D : Pending) {
-    if ((++Seen & 0x3FF) == 0 && checkAbort())
-      break; // partial joins are fine: the run reports Timeout
-    Table::JoinResult JR = T.join(D.Key, D.Lat);
-    if (JR.Changed) {
-      ++Stats.FactsDerived;
-      sol().queueDelta(Pred, JR.RowId);
-    }
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Coordinator
 //===----------------------------------------------------------------------===//
@@ -388,10 +337,7 @@ RoundExecutor::RoundExecutor(Solver &Sol, unsigned NumWorkers)
   Sol.F.enableConcurrentInterning();
   Sol.Par = this;
   Record = Sol.Opts.TrackSupport || Sol.Opts.TrackProvenance;
-  size_t NumPreds = Sol.P.predicates().size();
-  AllRows.resize(NumPreds);
-  PendingByPred.resize(NumPreds);
-  CompactedShards.resize(NumMergeShards);
+  AllRows.resize(Sol.P.predicates().size());
   Pool = std::make_unique<ThreadPool>(this->NumWorkers);
   Workers.reserve(this->NumWorkers);
   for (unsigned W = 0; W < this->NumWorkers; ++W)
@@ -457,10 +403,7 @@ void RoundExecutor::evalRound(const std::vector<uint32_t> &RuleIds,
   AbortFlag.store(false, std::memory_order_relaxed);
   uint64_t StealsBefore = Pool->steals();
   runEvalPhase();
-  if (Record)
-    runRecordingMerge();
-  else
-    runShardedMerge();
+  runMerge();
 
   SolveStats &St = S->Stats;
   St.ParallelTasks += Tasks.size();
@@ -476,10 +419,12 @@ void RoundExecutor::evalRound(const std::vector<uint32_t> &RuleIds,
 }
 
 void RoundExecutor::runEvalPhase() {
-  // Recycle the spawn arenas (coordinator-only; the pool's phase mutex
-  // publishes the reset to the workers).
-  for (const std::unique_ptr<WorkerCtx> &W : Workers)
+  // Recycle the spawn arenas and derivation buffers (coordinator-only;
+  // the pool's phase mutex publishes the reset to the workers).
+  for (const std::unique_ptr<WorkerCtx> &W : Workers) {
     W->Arena.reset();
+    W->clearDerivs();
+  }
   Pool->run(Tasks.size(), [this](size_t Payload, unsigned W) {
     if (Payload & SpawnPayloadBit) {
       unsigned Owner = static_cast<unsigned>(
@@ -492,51 +437,41 @@ void RoundExecutor::runEvalPhase() {
   });
 }
 
-void RoundExecutor::runShardedMerge() {
-  // Phase A: per-shard ⊔-compaction of the workers' buffers.
-  Pool->run(NumMergeShards, [this](size_t Sh, unsigned W) {
-    Workers[W]->compactShard(Sh, CompactedShards[Sh]);
-  });
-  for (const std::unique_ptr<WorkerCtx> &W : Workers)
-    for (std::vector<Deriv> &B : W->Buffers)
-      B.clear();
-
-  // Regroup the shard outputs by head predicate (cheap: one move per
-  // derivation), then phase B: one parallel join task per predicate.
-  SmallVector<PredId, 16> MergePreds;
-  for (std::vector<Deriv> &Shard : CompactedShards) {
-    for (const Deriv &D : Shard) {
-      if (PendingByPred[D.Pred].empty())
-        MergePreds.push_back(D.Pred);
-      PendingByPred[D.Pred].push_back(D);
-    }
-    Shard.clear();
-  }
-  Pool->run(MergePreds.size(), [this, &MergePreds](size_t I, unsigned W) {
-    Workers[W]->joinPred(MergePreds[I], PendingByPred[MergePreds[I]]);
-  });
-  for (PredId Pred : MergePreds)
-    PendingByPred[Pred].clear();
-}
-
-// The recording merge: joins every buffered derivation single-threaded,
-// in worker order, and hands each changed join to the Solver's one
-// derivation recorder (Solver::recordDerivation). Every table,
-// support-index and provenance write stays outside the pool phases, so
-// the path is race-free by construction.
-void RoundExecutor::runRecordingMerge() {
+// The merge, after the barrier: joins every worker's buffered
+// derivations on this thread, in worker order, queues each changed row
+// for the next delta and hands its derivation to the Solver's one
+// recorder (Solver::recordDerivation) — the one the sequential engine
+// calls on its in-place joins, so support edges and explain() agree
+// across engines. Every table, support-index and provenance write stays
+// outside the pool phases, so the merge is race-free by construction.
+void RoundExecutor::runMerge() {
   Solver &Sol = *S;
+  uint64_t Joined = 0;
   for (const std::unique_ptr<WorkerCtx> &W : Workers) {
-    for (const WorkerCtx::Recorded &R : W->RecordBuf) {
-      Table::JoinResult JR = Sol.Tables[R.D.Pred]->join(R.D.Key, R.D.Lat);
-      if (!JR.Changed)
-        continue;
-      ++Sol.Stats.FactsDerived;
-      Sol.queueDelta(R.D.Pred, JR.RowId);
-      Sol.recordDerivation(*R.Pl, {R.D.Pred, JR.RowId},
-                           {R.Premises.data(), R.Premises.size()},
-                           {R.NegKeys.data(), R.NegKeys.size()});
+    uint32_t PremBegin = 0, NegBegin = 0;
+    for (const Deriv &D : W->Derivs) {
+      // An aborted round's model is a sound under-approximation either
+      // way; without this check a derivation-heavy round could overshoot
+      // the deadline by the whole merge.
+      if ((++Joined & 0x3FF) == 0 && Sol.DL.expired()) {
+        AbortFlag.store(true, std::memory_order_relaxed);
+        return;
+      }
+      PredId Pred = D.Pl->Head.Pred;
+      Table::JoinResult JR = Sol.Tables[Pred]->join(D.Key, D.Lat);
+      if (!JR.Changed) {
+        ++Sol.Stats.MergeCollisions;
+      } else {
+        ++Sol.Stats.FactsDerived;
+        Sol.queueDelta(Pred, JR.RowId);
+        if (Record)
+          Sol.recordDerivation(
+              *D.Pl, {Pred, JR.RowId},
+              {W->Premises.data() + PremBegin, D.PremEnd - PremBegin},
+              {W->NegKeys.data() + NegBegin, D.NegEnd - NegBegin});
+      }
+      PremBegin = D.PremEnd;
+      NegBegin = D.NegEnd;
     }
-    W->RecordBuf.clear();
   }
 }

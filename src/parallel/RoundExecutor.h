@@ -22,22 +22,28 @@
 ///      (read-only probeExisting, no in-place update) and buffer their
 ///      derivations. They never build an index: the Solver pre-builds
 ///      every mask its plans probe on its own thread
-///      (Solver::prepareIndexes) before round 0 and after any re-plan. When one atom's index bucket or scan exceeds
+///      (Solver::prepareIndexes) before round 0 and after any re-plan.
+///      When one atom's index bucket or scan exceeds
 ///      SolverOptions::SpillThreshold rows, the worker captures its
 ///      bound-env prefix (and premise-stack prefix) into a sub-task and
 ///      spawns the tail onto its deque, so a single hot row's fan-out is
 ///      itself stolen and split (SolveStats::SpawnedSubtasks / MaxFanout).
-///   2. *Merge,* after the barrier, in one of two forms:
-///      - the sharded ⊔-compaction merge for plain solves: per-shard
-///        compaction of same-cell derivations (MergeCollisions), then one
-///        parallel join task per head predicate;
-///      - the single-threaded recording merge when the Solver tracks
-///        support or provenance: workers then also copy the executor's
-///        premise stack at each match and its negated keys
-///        (Solver::negatedKeys), and the merge joins each derivation and
-///        hands every changed one to Solver::recordDerivation — the same
-///        recorder the sequential engine calls on its in-place joins, so
-///        support edges and explain() agree across engines.
+///      Before buffering, a worker drops a derivation that cannot change
+///      its cell (§3.7 puts a cell in ΔP only when its value strictly
+///      increases): ⊥, a value the snapshot row already holds, or a
+///      repeat of a (pred, key, value) it buffered this round. So a round
+///      whose firings mostly repeat a few cells buffers about one
+///      derivation per cell, not one per firing. When the Solver tracks
+///      support or provenance, workers also copy the executor's premise
+///      stack at each buffered match and its negated keys
+///      (Solver::negatedKeys).
+///   2. *Merge,* after the barrier, on the coordinator: every worker's
+///      buffer is joined in worker order, changed rows are queued as the
+///      next delta, and every changed join goes to
+///      Solver::recordDerivation — the recorder the sequential engine
+///      calls on its in-place joins, so support edges and explain()
+///      agree across engines. MergeCollisions counts the joins that left
+///      their cell unchanged.
 ///
 /// Derivations become visible only at the round barrier; by confluence
 /// the model equals the sequential solver's, and because values are
@@ -92,18 +98,13 @@ private:
   void addChunkedTasks(uint32_t RuleIdx, int32_t Driver,
                        const std::vector<uint32_t> &Rows);
   void runEvalPhase();
-  void runShardedMerge();
-  void runRecordingMerge();
+  void runMerge();
 
   Solver *S;
   unsigned NumWorkers;
-  /// Whether workers capture premises for the recording merge: the
-  /// attached Solver tracks support or provenance.
+  /// Whether workers capture premises and the merge records changed
+  /// joins: the attached Solver tracks support or provenance.
   bool Record = false;
-  /// Merge shards: cell (pred, key) is owned by shard
-  /// hash(pred, key) mod NumMergeShards. A multiple of plausible worker
-  /// counts so compaction load-balances.
-  static constexpr size_t NumMergeShards = 64;
 
   std::unique_ptr<ThreadPool> Pool;
   std::vector<std::unique_ptr<WorkerCtx>> Workers;
@@ -112,8 +113,6 @@ private:
   // Phase staging (coordinator-owned; immutable during phases).
   std::vector<Task> Tasks;
   std::vector<std::vector<uint32_t>> AllRows; ///< per-pred [0, size) ids
-  std::vector<std::vector<Deriv>> CompactedShards; ///< sharded merge A out
-  std::vector<std::vector<Deriv>> PendingByPred;   ///< sharded merge B in
 };
 
 } // namespace flix

@@ -72,6 +72,19 @@ public:
     ++Count;
   }
 
+  /// Removes every entry. The slot arrays are kept for reuse unless the
+  /// entries filled less than an eighth of them, so one large use does
+  /// not make every later clear() cost its size.
+  void clear() {
+    if (Count * 8 < capacity()) {
+      Hashes = {};
+      Ids = {};
+    } else {
+      std::fill(Ids.begin(), Ids.end(), NoId);
+    }
+    Count = 0;
+  }
+
   /// Grows the slot arrays so \p N entries fit without a rehash.
   void reserve(size_t N) {
     if (N)

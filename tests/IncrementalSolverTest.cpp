@@ -211,11 +211,11 @@ TEST(IncrementalSolverTest, UnknownRetractionAndDuplicateAddAreNoops) {
 
 TEST(IncrementalSolverTest, SupportEdgesStayBoundedAcrossUpdateCycles) {
   // The support-index writer (Solver::recordDerivation, for in-place
-  // joins and recording merges alike) keeps each cell's Dependents list
-  // sorted-unique, so repeating the same add/retract churn must not grow
-  // the index: re-deriving a cell through the same join re-records the
-  // same edge, which is dropped as a duplicate. Without dedup this count
-  // grows on every cycle.
+  // joins and the round executor's merge alike) keeps each cell's
+  // Dependents list sorted-unique, so repeating the same add/retract churn
+  // must not grow the index: re-deriving a cell through the same join
+  // re-records the same edge, which is dropped as a duplicate. Without
+  // dedup this count grows on every cycle.
   TcCase C;
   C.Edges = {{1, 2}, {2, 3}, {3, 4}, {4, 5}};
   Program P = C.build();
@@ -1473,6 +1473,104 @@ TEST_P(IncrementalDifferentialTest, RederiveHeadShapes) {
   // The churn must actually exercise re-derivation.
   EXPECT_GT(Deleted, 0u);
   EXPECT_GT(Rederived, 0u);
+}
+
+/// Head(x) <- A(x), B(y), C(z): K^3 firings per K-fact batch, but only K
+/// new cells. Lattice = false makes Head relational; Lattice = true gives
+/// it a MinCost column whose value depends on x alone, so every firing of
+/// one cell repeats the same value.
+struct CrossProductCase {
+  ValueFactory F;
+  MinCostLattice L{F};
+  bool Lattice = false;
+  PredId A = 0, B = 0, C = 0, Head = 0;
+  std::set<int> Facts = {1};
+
+  Program build() {
+    Program P(F);
+    A = P.relation("A", 1);
+    B = P.relation("B", 1);
+    C = P.relation("C", 1);
+    if (Lattice) {
+      Head = P.lattice("Head", 2, &L);
+      FnId Cost = P.function("cost", 1, FnRole::Transfer,
+                             [this](std::span<const Value> X) {
+                               return L.cost(X[0].asInt());
+                             });
+      RuleBuilder()
+          .headFn(Head, {rv("x")}, Cost, {rv("x")})
+          .atom(A, {"x"})
+          .atom(B, {"y"})
+          .atom(C, {"z"})
+          .addTo(P);
+    } else {
+      Head = P.relation("Head", 1);
+      RuleBuilder()
+          .head(Head, {"x"})
+          .atom(A, {"x"})
+          .atom(B, {"y"})
+          .atom(C, {"z"})
+          .addTo(P);
+    }
+    for (PredId Pr : {A, B, C})
+      for (int X : Facts)
+        P.addFact(Pr, {F.integer(X)});
+    return P;
+  }
+};
+
+TEST_P(IncrementalDifferentialTest, RepeatedFiringsMergeOncePerCell) {
+  // A worker buffers a derivation only if it can change its cell, so the
+  // merge joins about one derivation per new cell and worker, however
+  // many firings repeat it — and the support index still matches the
+  // in-place engine's.
+  constexpr int K = 12;
+  for (bool Lattice : {false, true}) {
+    SCOPED_TRACE(Lattice ? "lattice head" : "relational head");
+    CrossProductCase C, Seq;
+    C.Lattice = Seq.Lattice = Lattice;
+    Program P = C.build(), SeqP = Seq.build();
+    SolverOptions SeqOpts;
+    SeqOpts.NumThreads = 0;
+    IncrementalSolver IS(P, opts()), SeqIS(SeqP, SeqOpts);
+    ASSERT_TRUE(IS.update().ok());
+    ASSERT_TRUE(SeqIS.update().ok());
+
+    for (int X = 10; X < 10 + K; ++X) {
+      C.Facts.insert(X);
+      for (PredId Pr : {C.A, C.B, C.C}) {
+        IS.addFact(Pr, {C.F.integer(X)});
+        SeqIS.addFact(Pr, {Seq.F.integer(X)});
+      }
+    }
+    UpdateStats U = IS.update();
+    ASSERT_TRUE(U.ok());
+    ASSERT_TRUE(SeqIS.update().ok());
+    EXPECT_GE(U.RuleFirings, uint64_t(K) * K * K);
+    EXPECT_EQ(U.FactsDerived, uint64_t(K));
+    uint64_t Workers = std::max(1u, GetParam());
+    EXPECT_LE(U.MergeCollisions + U.FactsDerived, Workers * K);
+    EXPECT_EQ(IS.solver().supportEdgeCount(),
+              SeqIS.solver().supportEdgeCount());
+    expectMatchesScratch(IS, [&] { return C.build(); });
+
+    // Retracting one premise fact per relation over-deletes every Head
+    // cell whose recorded derivation used it; re-derive restores all but
+    // Head(10), and merge traffic stays bounded by the deleted cells. The
+    // support-edge count is not compared here: each engine records the
+    // witness its evaluation order meets first, and over-delete keeps the
+    // in-edges of deleted cells, so equal models may hold different
+    // counts.
+    C.Facts.erase(10);
+    for (PredId Pr : {C.A, C.B, C.C})
+      IS.retractFact(Pr, {C.F.integer(10)});
+    U = IS.update();
+    ASSERT_TRUE(U.ok());
+    EXPECT_FALSE(U.FullResolve);
+    EXPECT_EQ(U.CellsDeleted - U.CellsRederived, 4u); // A, B, C, Head(10)
+    EXPECT_LE(U.MergeCollisions + U.FactsDerived, Workers * U.CellsDeleted);
+    expectMatchesScratch(IS, [&] { return C.build(); });
+  }
 }
 
 std::string threadsName(const ::testing::TestParamInfo<unsigned> &Info) {

@@ -16,7 +16,7 @@
 /// example, all four paper case studies (Strong Update incl. the
 /// interpreted-FLIX-source pipeline, IFDS, IDE, shortest paths), several
 /// parallel solvers running concurrently against one shared factory, the
-/// timeout path, and provenance through the recording merge.
+/// timeout path, and provenance through the round executor's merge.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -169,7 +169,7 @@ TEST(ParallelSolverTest, NaiveStrategyFallsBackToSemiNaive) {
 }
 
 TEST(ParallelSolverTest, ProvenanceExplainsEveryDerivedRow) {
-  // With TrackProvenance the recording merge writes one Derivation per
+  // With TrackProvenance the executor's merge writes one Derivation per
   // changed cell. At any worker count every derived row must name a rule
   // with its head predicate, and every premise must be in the model at a
   // value ⊑ the premise cell's current value. The low spill threshold

@@ -6,6 +6,7 @@
 
 #include "support/Deadline.h"
 #include "support/Diagnostics.h"
+#include "support/HashIndex.h"
 #include "support/Hashing.h"
 #include "support/SmallVector.h"
 #include "support/SourceManager.h"
@@ -153,6 +154,30 @@ TEST(HashingTest, RangeMatchesValues) {
 //===----------------------------------------------------------------------===//
 // StringInterner
 //===----------------------------------------------------------------------===//
+
+//===----------------------------------------------------------------------===//
+// HashIndex
+//===----------------------------------------------------------------------===//
+
+TEST(HashIndexTest, ClearEmptiesAndStaysUsable) {
+  // Ids are their own keys; seven distinct hashes force collisions, so
+  // lookups must run the equality predicate. A large fill (cleared by
+  // resetting its slots) and a small one in large slot arrays (cleared by
+  // freeing them) take both clear() paths.
+  HashIndex Ix;
+  auto Eq = [](uint32_t Want) {
+    return [Want](uint32_t Id) { return Id == Want; };
+  };
+  for (uint32_t N : {1000u, 1000u, 3u, 3u}) {
+    for (uint32_t I = 0; I < N; ++I)
+      Ix.insert(hashMix(I % 7), I);
+    for (uint32_t I = 0; I < N; ++I)
+      EXPECT_EQ(Ix.find(hashMix(I % 7), Eq(I)), I);
+    Ix.clear();
+    for (uint32_t I = 0; I < N; ++I)
+      EXPECT_EQ(Ix.find(hashMix(I % 7), Eq(I)), HashIndex::NoId);
+  }
+}
 
 TEST(StringInternerTest, SameStringSameSymbol) {
   StringInterner SI;
