@@ -139,8 +139,9 @@ void Solver::evalRound(const std::vector<uint32_t> &RuleIds, bool Round0) {
     Par->evalRound(RuleIds, Round0);
     return;
   }
+  bool FullPass = Round0 || Opts.Strat == Strategy::Naive;
   for (uint32_t RI : RuleIds) {
-    if (Round0) {
+    if (FullPass) {
       if (Aborted)
         return;
       evalRule(RI, -1, {});
@@ -376,42 +377,49 @@ void Solver::prepareIndexes() {
       Tables[Pred]->prepareIndex(Mask);
 }
 
-void Solver::nextDeltaEpoch() {
-  if (++DeltaEpoch != 0)
-    return;
-  // Wrapped: no stamp may equal a future epoch by accident.
-  for (DeltaQueue &Q : NextDelta)
-    std::fill(Q.QueuedIn.begin(), Q.QueuedIn.end(), 0);
-  DeltaEpoch = 1;
-}
-
-void Solver::clearNextDelta() {
-  for (DeltaQueue &Q : NextDelta)
-    Q.Rows.clear();
-  nextDeltaEpoch();
-}
-
 bool Solver::promoteDelta() {
   bool AnyDelta = false;
   for (size_t PI = 0; PI < NextDelta.size(); ++PI) {
     std::vector<uint32_t> &D = Delta[PI];
-    D.clear();
-    D.swap(NextDelta[PI].Rows);
+    NextDelta[PI].moveTo(D);
     std::sort(D.begin(), D.end());
     AnyDelta |= !D.empty();
   }
-  nextDeltaEpoch();
   return AnyDelta;
 }
 
-void Solver::loadFacts() {
-  const std::vector<Fact> &Facts = FactsOverride ? *FactsOverride
-                                                 : P.facts();
-  for (const Fact &Fa : Facts) {
-    Value KeyT = F.tuple(std::span<const Value>(Fa.Key.data(),
-                                                Fa.Key.size()));
-    Tables[Fa.Pred]->join(KeyT, Fa.LatValue);
+void Solver::runRounds(const std::vector<uint32_t> &RuleIds,
+                       uint64_t IterBase) {
+  while (!Aborted && promoteDelta()) {
+    if (Opts.MaxIterations &&
+        Stats.Iterations - IterBase >= Opts.MaxIterations) {
+      Aborted = true;
+      Stats.St = SolveStats::Status::IterationLimit;
+      return;
+    }
+    // Adaptive re-plan at the round boundary: single-threaded here, and
+    // no evaluation is in flight, so swapping plans is safe. In-place
+    // rounds probe via Table::probe (lazy index build); a round body
+    // gets any newly wanted mask pre-built by replanPlans.
+    if (Opts.ReplanThreshold > 0)
+      replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
+    evalRound(RuleIds, /*Round0=*/false);
+    ++Stats.Iterations;
   }
+}
+
+void Solver::loadFacts() {
+  if (!Store) {
+    for (const Fact &Fa : P.facts())
+      Tables[Fa.Pred]->join(
+          F.tuple(std::span<const Value>(Fa.Key.data(), Fa.Key.size())),
+          Fa.LatValue);
+    return;
+  }
+  for (PredId Pred = 0; Pred < Store->size(); ++Pred)
+    for (const auto &[KeyT, Vals] : (*Store)[Pred])
+      for (Value LatVal : Vals)
+        Tables[Pred]->join(KeyT, LatVal);
 }
 
 SolveStats Solver::solve() {
@@ -456,54 +464,15 @@ SolveStats Solver::solve() {
   if (Par)
     prepareIndexes();
 
+  // Per stratum, round 0 evaluates every rule over the whole database;
+  // the round loop then runs to the stratum's fixpoint.
   for (uint32_t S = 0; S < St.numStrata() && !Aborted; ++S) {
     const std::vector<uint32_t> &RuleIds = St.RulesByStratum[S];
     if (RuleIds.empty())
       continue;
-
-    // Naive is a sequential ablation baseline; a parallel round body
-    // answers it semi-naively (same model, different iteration counts).
-    if (Opts.Strat == Strategy::Naive && !Par) {
-      // Re-evaluate every rule until a full pass derives nothing new.
-      uint64_t Before;
-      do {
-        Before = Stats.FactsDerived;
-        evalRound(RuleIds, /*Round0=*/true);
-        ++Stats.Iterations;
-        if (Opts.MaxIterations && Stats.Iterations >= Opts.MaxIterations) {
-          if (Before != Stats.FactsDerived) {
-            Stats.St = SolveStats::Status::IterationLimit;
-            return finish();
-          }
-          break;
-        }
-      } while (Before != Stats.FactsDerived && !Aborted);
-      clearNextDelta();
-      continue;
-    }
-
-    // Semi-naive. Round 0 is a full evaluation of the stratum's rules;
-    // subsequent rounds instantiate one body atom at a time from ΔP.
-    clearNextDelta();
     evalRound(RuleIds, /*Round0=*/true);
     ++Stats.Iterations;
-
-    while (!Aborted) {
-      if (!promoteDelta())
-        break;
-      if (Opts.MaxIterations && Stats.Iterations >= Opts.MaxIterations) {
-        Stats.St = SolveStats::Status::IterationLimit;
-        return finish();
-      }
-      // Adaptive re-plan at the round boundary: single-threaded here, and
-      // no evaluation is in flight, so swapping plans is safe. In-place
-      // rounds probe via Table::probe (lazy index build); a round body
-      // gets any newly wanted mask pre-built by replanPlans.
-      if (Opts.ReplanThreshold > 0)
-        replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
-      evalRound(RuleIds, /*Round0=*/false);
-      ++Stats.Iterations;
-    }
+    runRounds(RuleIds, /*IterBase=*/0);
   }
 
   return finish();

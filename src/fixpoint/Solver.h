@@ -16,12 +16,14 @@
 ///     re-evaluated once per body atom with that atom instantiated from
 ///     ΔP and the rest from the full tables.
 ///
-/// Both strategies evaluate rule bodies through compiled join plans
-/// (fixpoint/Plan.h) with automatic hash indexes on the bound-column
-/// patterns (§4.5). Join orders start as the written left-to-right order
-/// (the driver atom first) and are then chosen by a statistics-driven
-/// cost model; SolverOptions::CostBasedPlans = false freezes the written
-/// order as an ablation.
+/// Both strategies run one round loop (Solver::runRounds), which also
+/// serves the parallel engine and the incremental engine's updates: it
+/// stops when a round changes no cell. Rounds evaluate rule bodies
+/// through compiled join plans (fixpoint/Plan.h) with automatic hash
+/// indexes on the bound-column patterns (§4.5). Join orders start as the
+/// written left-to-right order (the driver atom first) and are then
+/// chosen by a statistics-driven cost model; SolverOptions::CostBasedPlans
+/// = false freezes the written order as an ablation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +36,7 @@
 #include "fixpoint/Table.h"
 #include "support/Deadline.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 
@@ -50,13 +53,18 @@ enum class Strategy { Naive, SemiNaive };
 
 /// Tunables for one solver run.
 struct SolverOptions {
+  /// Naive makes every sequential round a full pass over the stratum's
+  /// rules, in solves and incremental updates alike; the parallel round
+  /// executor always evaluates semi-naively (same model).
   Strategy Strat = Strategy::SemiNaive;
   /// Use lazily created secondary hash indexes for partially bound atoms;
   /// when false, every partially bound atom falls back to a full scan.
   bool UseIndexes = true;
   /// Abort with Status::Timeout after this many seconds (0 = unlimited).
   double TimeLimitSeconds = 0;
-  /// Abort after this many delta iterations (0 = unlimited).
+  /// Stop with Status::IterationLimit after this many rounds (0 =
+  /// unlimited): counted over a whole solve, and afresh for each
+  /// incremental update.
   uint64_t MaxIterations = 0;
   /// Record, for every cell, the rule instantiation that last increased
   /// it, enabling explain() after solving. Costs time and memory; off by
@@ -136,6 +144,58 @@ struct Derivation {
   };
   SmallVector<Premise, 4> Premises;
 };
+
+/// A set of one table's row ids, each listed once in insertion order,
+/// with O(1) membership and amortized O(1) clear: Stamp[Row] == Epoch
+/// marks a member, so emptying the set is one epoch increment. Stamps are
+/// 16 bits, so every 65,535th clear also zeroes them.
+class RowSet {
+public:
+  /// Adds \p Row of a table holding \p TableSize rows; false if it was
+  /// already in the set.
+  bool insert(uint32_t Row, size_t TableSize) {
+    if (Stamp.size() <= Row)
+      Stamp.resize(std::max<size_t>(TableSize, size_t(Row) + 1), 0);
+    if (Stamp[Row] == Epoch)
+      return false;
+    Stamp[Row] = Epoch;
+    Rows.push_back(Row);
+    return true;
+  }
+  bool contains(uint32_t Row) const {
+    return Row < Stamp.size() && Stamp[Row] == Epoch;
+  }
+  const std::vector<uint32_t> &rows() const { return Rows; }
+  void clear() {
+    Rows.clear();
+    nextEpoch();
+  }
+  /// Empties the set into \p Out, replacing Out's contents.
+  void moveTo(std::vector<uint32_t> &Out) {
+    Out.clear();
+    Out.swap(Rows);
+    nextEpoch();
+  }
+
+private:
+  void nextEpoch() {
+    if (++Epoch != 0)
+      return;
+    // Wrapped: no stamp may equal a future epoch by accident.
+    std::fill(Stamp.begin(), Stamp.end(), 0);
+    Epoch = 1;
+  }
+
+  std::vector<uint32_t> Rows;
+  std::vector<uint16_t> Stamp;
+  uint16_t Epoch = 1;
+};
+
+/// A mutable input fact set: per predicate, interned key tuple → the
+/// distinct lattice contributions added for that cell (boolean(true) for
+/// relational predicates).
+using StoredFacts =
+    std::vector<std::unordered_map<Value, SmallVector<Value, 2>>>;
 
 /// The body of one semi-naive round evaluated off the solver's own thread:
 /// the parallel round executor (parallel/RoundExecutor.h) implements it.
@@ -220,8 +280,9 @@ private:
   using NegKeyList = SmallVector<NegKey, 2>;
 
   void loadFacts();
-  /// One semi-naive round of \p RuleIds (see RoundBody::evalRound): on the
-  /// attached RoundBody if there is one, else in place on this thread.
+  /// One round of \p RuleIds (see RoundBody::evalRound): on the attached
+  /// RoundBody if there is one, else in place on this thread, where
+  /// Strategy::Naive makes every round a full pass.
   void evalRound(const std::vector<uint32_t> &RuleIds, bool Round0);
   /// Evaluates rule \p RI's plan for \p Driver once over \p DriverRows
   /// (see plan::PlanLibrary): -1 is plain evaluation (rows unused); a
@@ -331,45 +392,41 @@ private:
   /// capacity), so memoryFootprint() never walks them.
   size_t AuxBytes = 0;
 
-  /// When non-null, loadFacts() reads this fact set instead of
-  /// P.facts() — the incremental engine's materialized fact store.
-  const std::vector<Fact> *FactsOverride = nullptr;
+  /// When non-null, loadFacts() joins this store instead of P.facts():
+  /// the incremental engine's input facts, keys already interned.
+  const StoredFacts *Store = nullptr;
 
-  // Delta bookkeeping (SemiNaive).
+  // Delta bookkeeping.
   std::vector<std::vector<uint32_t>> Delta;
-  /// One predicate's next delta: the rows whose cell strictly increased
-  /// this round, each listed once. QueuedIn[Row] is the DeltaEpoch in
-  /// which the row was last queued, so a membership test is one compare
-  /// and starting a new round is one epoch increment.
-  struct DeltaQueue {
-    std::vector<uint32_t> Rows;
-    std::vector<uint32_t> QueuedIn;
-  };
-  std::vector<DeltaQueue> NextDelta;
-  uint32_t DeltaEpoch = 1;
+  /// Per predicate, the rows whose cell strictly increased this round.
+  std::vector<RowSet> NextDelta;
+  /// When non-null (the incremental engine attaches it once its full
+  /// solve is done), every row queueDelta queues is also recorded here:
+  /// the current update's changed rows, per predicate.
+  std::vector<RowSet> *Changed = nullptr;
 
   /// Queues row \p Row of \p Pred for the next delta round (at most once
-  /// per round). Every writer of NextDelta goes through here: in-place
-  /// joins, the round executor's merge and the incremental engine's
-  /// seeding.
+  /// per round) and records it in Changed. Every writer of NextDelta goes
+  /// through here: in-place joins, the round executor's merge and the
+  /// incremental engine's seeding.
   /// Concurrent calls are safe for distinct predicates.
   void queueDelta(PredId Pred, uint32_t Row) {
-    DeltaQueue &Q = NextDelta[Pred];
-    if (Q.QueuedIn.size() <= Row)
-      Q.QueuedIn.resize(Tables[Pred]->size(), 0);
-    if (Q.QueuedIn[Row] == DeltaEpoch)
-      return;
-    Q.QueuedIn[Row] = DeltaEpoch;
-    Q.Rows.push_back(Row);
+    size_t Size = Tables[Pred]->size();
+    if (NextDelta[Pred].insert(Row, Size) && Changed)
+      (*Changed)[Pred].insert(Row, Size);
   }
   /// Makes the queued rows the current Delta (sorted, for reproducible
   /// runs) and starts an empty next delta. Returns whether any predicate
   /// has a non-empty delta.
   bool promoteDelta();
-  /// Drops every queued row.
-  void clearNextDelta();
-  /// Advances DeltaEpoch, resetting the stamps if it wraps.
-  void nextDeltaEpoch();
+  /// The one round loop of every engine and strategy (§3.7): promotes
+  /// ΔP, and while it is non-empty re-plans at the round boundary and
+  /// evaluates one more round of \p RuleIds (evalRound). Stops with
+  /// Status::IterationLimit once MaxIterations rounds have run since the
+  /// Iterations count \p IterBase. solve() runs it after each stratum's
+  /// round 0; an incremental update runs it on each stratum's seeded
+  /// delta.
+  void runRounds(const std::vector<uint32_t> &RuleIds, uint64_t IterBase);
 
   /// The stratification computed by solve(), kept for the incremental
   /// engine's per-stratum update rounds.

@@ -9,6 +9,7 @@
 #include "fixpoint/Plan.h"
 #include "parallel/RoundExecutor.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 
@@ -137,36 +138,14 @@ void IncrementalSolver::retractFacts(
   }
 }
 
-std::vector<Fact> IncrementalSolver::currentFacts() const {
-  std::vector<Fact> Out;
-  for (PredId Pr = 0; Pr < FactStore.size(); ++Pr) {
-    for (const auto &[KeyT, Vals] : FactStore[Pr]) {
-      for (Value LV : Vals) {
-        Fact Fa;
-        Fa.Pred = Pr;
-        for (Value K : F.tupleElems(KeyT))
-          Fa.Key.push_back(K);
-        Fa.LatValue = LV;
-        Out.push_back(std::move(Fa));
-      }
-    }
-  }
-  return Out;
-}
-
 //===----------------------------------------------------------------------===//
 // update()
 //===----------------------------------------------------------------------===//
 
-void IncrementalSolver::noteChanged(PredId Pred, uint32_t Row) {
-  S->queueDelta(Pred, Row);
-  UpdateChanged[Pred].insert(Row, S->Tables[Pred]->size());
-}
-
 void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
-  // Apply staged mutations to the store only: a fresh solve reads the
-  // materialized store. Retractions first, then additions — a batch that
-  // both retracts and adds the same fact leaves it present.
+  // Apply staged mutations to the store only: a fresh solve loads the
+  // store. Retractions first, then additions — a batch that both
+  // retracts and adds the same fact leaves it present.
   for (const Fact &Fa : PendingRetracts)
     U.FactsRetracted += storeRetract(Fa.Pred, keyTupleOf(Fa), Fa.LatValue);
   PendingRetracts.clear();
@@ -174,7 +153,6 @@ void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
     U.FactsAdded += storeAdd(Fa.Pred, keyTupleOf(Fa), Fa.LatValue);
   PendingAdds.clear();
 
-  OverrideFacts = currentFacts();
   SolverOptions SO = Opts;
   SO.TrackSupport = true;
   SO.NumThreads = 0; // the inner Solver is sequential
@@ -183,13 +161,16 @@ void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
   if (DL.active())
     SO.TimeLimitSeconds = std::max(DL.remainingSeconds(), 1e-9);
   S = std::make_unique<Solver>(P, SO);
-  S->FactsOverride = &OverrideFacts;
+  S->Store = &FactStore;
   // The replaced solver's tables are rebuilt tombstone-free, so the
   // persistent pre-batch presence record must start empty too — this is
   // what keeps degraded recovery consistent after an aborted update.
   for (auto &Tomb : NegTombstones)
     Tomb.clear();
   S->solve();
+  // Only later updates report changed rows: this solve's would all be
+  // new.
+  S->Changed = &UpdateChanged;
   // Every predicate's table was rebuilt from nothing.
   U.ChangedPreds.clear();
   for (PredId Pr = 0; Pr < P.predicates().size(); ++Pr)
@@ -204,17 +185,17 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   Solver &Sol = *S;
   size_t NumPreds = P.predicates().size();
 
-  // The inner solver's run state must be clean for re-entry. Incremental
-  // updates are not subject to MaxIterations, but they do honor DL (the
-  // tighter of TimeLimitSeconds and the caller's deadline): every eval
-  // path (seed plans, and delta rounds in place or on the round executor)
-  // checks it per matched row and aborts with Status::Timeout, after
-  // which update() marks the state Degraded so the next batch recovers
-  // via a full solve.
+  // The inner solver's run state must be clean for re-entry. An update
+  // honors DL (the tighter of TimeLimitSeconds and the caller's
+  // deadline): every eval path (seed plans, and delta rounds in place or
+  // on the round executor) checks it per matched row and aborts with
+  // Status::Timeout. Its rounds also count against MaxIterations from
+  // IterBase. Either abort makes update() mark the state Degraded, so
+  // the next batch recovers via a full solve.
   Sol.Aborted = false;
   Sol.DL = DL;
   Sol.Stats.St = SolveStats::Status::Fixpoint;
-  Sol.clearNextDelta();
+  const uint64_t IterBase = Sol.Stats.Iterations;
 
   assert(Sol.Strata && "inner solver solved, stratification available");
   const Stratification &St = *Sol.Strata;
@@ -273,7 +254,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       for (Value LV : It->second) {
         Table::JoinResult JR = Sol.Tables[C.Pred]->join(KeyT, LV);
         if (JR.Changed)
-          noteChanged(C.Pred, JR.RowId);
+          Sol.queueDelta(C.Pred, JR.RowId);
       }
     }
   };
@@ -301,7 +282,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
     ++U.FactsAdded;
     Table::JoinResult JR = Sol.Tables[Fa.Pred]->join(KeyT, Fa.LatValue);
     if (JR.Changed) {
-      noteChanged(Fa.Pred, JR.RowId);
+      Sol.queueDelta(Fa.Pred, JR.RowId);
       if (Opts.TrackProvenance) // the last increase is the fact
         Sol.setProvenance(Fa.Pred, JR.RowId, Derivation());
     }
@@ -339,7 +320,7 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       if (Sol.Aborted)
         break;
       const std::vector<uint32_t> &Rows =
-          UpdateDeleted[P.rules()[RI].Head.Pred].Rows;
+          UpdateDeleted[P.rules()[RI].Head.Pred].rows();
       if (Rows.empty())
         continue;
       Sol.evalRule(RI, plan::HeadSlot, Rows);
@@ -368,27 +349,14 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
     // (b) Seed this stratum's rounds with every row changed so far in
     // this update — the incremental replacement for round-0 full
     // evaluation. Re-firing rows already processed by lower strata is
-    // sound (joins are idempotent) and cheap (deltas are small).
+    // sound (joins are idempotent) and cheap (deltas are small). The rows
+    // are in UpdateChanged already, so queueing them adds none there.
     for (PredId PI = 0; PI < NumPreds; ++PI)
-      for (uint32_t Row : UpdateChanged[PI].Rows)
+      for (uint32_t Row : UpdateChanged[PI].rows())
         Sol.queueDelta(PI, Row);
 
-    // (c) Semi-naive delta rounds restricted to this stratum's rules.
-    const std::vector<uint32_t> &RuleIds = St.RulesByStratum[Str];
-    while (!Sol.Aborted) {
-      if (!Sol.promoteDelta())
-        break;
-      for (size_t PI = 0; PI < NumPreds; ++PI)
-        for (uint32_t Row : Sol.Delta[PI])
-          UpdateChanged[PI].insert(Row, Sol.Tables[PI]->size());
-      ++Sol.Stats.Iterations;
-      // Round-boundary adaptive re-plan, same contract as the batch
-      // solvers: single-threaded here, and workers re-fetch plans by
-      // (rule, driver) each round, so swapping them in place is safe.
-      if (Opts.ReplanThreshold > 0)
-        Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
-      Sol.evalRound(RuleIds, /*Round0=*/false);
-    }
+    // (c) The solver's round loop, restricted to this stratum's rules.
+    Sol.runRounds(St.RulesByStratum[Str], IterBase);
 
     // (d) Stratum boundary: this stratum's negated predicates are now
     // final for the update (no higher-stratum rule writes them). Convert
@@ -436,9 +404,9 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       // Only touched rows can have flipped presence: every insertion or
       // revival goes through a changed join (-> UpdateChanged) and every
       // deletion through the over-delete reset (-> UpdateDeleted).
-      for (uint32_t Row : UpdateChanged[Pr].Rows)
+      for (uint32_t Row : UpdateChanged[Pr].rows())
         visit(Row);
-      for (uint32_t Row : UpdateDeleted[Pr].Rows)
+      for (uint32_t Row : UpdateDeleted[Pr].rows())
         if (!UpdateChanged[Pr].contains(Row))
           visit(Row);
     }
@@ -446,14 +414,8 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
       overDeleteBatch(NegSeeds);
   }
 
-  // An aborted update can leave changed rows queued for a round that
-  // never ran; they changed the tables all the same.
   for (PredId Pr = 0; Pr < NumPreds; ++Pr)
-    for (uint32_t Row : Sol.NextDelta[Pr].Rows)
-      UpdateChanged[Pr].insert(Row, Sol.Tables[Pr]->size());
-
-  for (PredId Pr = 0; Pr < NumPreds; ++Pr)
-    for (uint32_t Row : UpdateDeleted[Pr].Rows)
+    for (uint32_t Row : UpdateDeleted[Pr].rows())
       if (!Sol.Tables[Pr]->isTombstone(Row))
         ++U.CellsRederived;
 
@@ -462,7 +424,8 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   // too). Everything else is untouched and snapshot readers can keep
   // sharing their copies of it.
   for (PredId Pr = 0; Pr < NumPreds; ++Pr)
-    if (!UpdateChanged[Pr].Rows.empty() || !UpdateDeleted[Pr].Rows.empty())
+    if (!UpdateChanged[Pr].rows().empty() ||
+        !UpdateDeleted[Pr].rows().empty())
       U.ChangedPreds.push_back(Pr);
 }
 

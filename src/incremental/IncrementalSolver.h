@@ -45,9 +45,7 @@
 
 #include "fixpoint/Solver.h"
 
-#include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -76,10 +74,12 @@ class RoundExecutor;
 /// solve, the retraction closure and the seed plans (re-derive and `not P`
 /// insertion deltas) run sequentially in all configurations.
 ///
-/// SolverOptions caveats: TimeLimitSeconds bounds every update() (see
-/// update(Deadline)), but MaxIterations applies only to the initial (and
-/// fallback) full solves, not to incremental updates; Strategy::Naive
-/// affects only the initial solve (updates are always delta-driven).
+/// Every update runs, per stratum, the inner Solver's own round loop
+/// (Solver::runRounds) seeded with the rows the update changed, so
+/// SolverOptions apply to updates as to solves: TimeLimitSeconds bounds
+/// every update() (see update(Deadline)), MaxIterations bounds the rounds
+/// of each update (counted afresh per update), and Strategy::Naive makes
+/// each sequential round a full pass over the stratum.
 class IncrementalSolver {
 public:
   explicit IncrementalSolver(const Program &P,
@@ -200,46 +200,13 @@ public:
   /// first update() or a FullResolve), which replaces the inner solver and
   /// with it every row id.
   std::span<const uint32_t> changedRows(PredId Pred) const {
-    return UpdateChanged[Pred].Rows;
+    return UpdateChanged[Pred].rows();
   }
   std::span<const uint32_t> deletedRows(PredId Pred) const {
-    return UpdateDeleted[Pred].Rows;
+    return UpdateDeleted[Pred].rows();
   }
 
-  /// The current input fact set, materialized (e.g. for a from-scratch
-  /// differential check). Staged mutations are not included.
-  std::vector<Fact> currentFacts() const;
-
 private:
-  /// One predicate's rows touched by the current update, each listed
-  /// once in first-touch order, plus a per-row mark for O(1) membership.
-  /// Holds both the changed and the over-deleted rows.
-  struct RowSet {
-    std::vector<uint32_t> Rows;
-    std::vector<uint8_t> Marked;
-
-    bool contains(uint32_t Row) const {
-      return Row < Marked.size() && Marked[Row];
-    }
-    /// Adds \p Row of a table holding \p TableSize rows; false if it was
-    /// already in the set.
-    bool insert(uint32_t Row, size_t TableSize) {
-      if (Marked.size() <= Row)
-        Marked.resize(std::max<size_t>(TableSize, Row + 1), 0);
-      if (Marked[Row])
-        return false;
-      Marked[Row] = 1;
-      Rows.push_back(Row);
-      return true;
-    }
-    /// Empties the set in O(rows listed).
-    void clear() {
-      for (uint32_t Row : Rows)
-        Marked[Row] = 0;
-      Rows.clear();
-    }
-  };
-
   Value keyTupleOf(const Fact &Fa) const;
   /// Adds the contribution \p LatVal of cell \p KeyT to FactStore; false
   /// if it was already there.
@@ -250,7 +217,6 @@ private:
   bool storeRetract(PredId Pred, Value KeyT, Value LatVal);
   void fullSolve(UpdateStats &U, Deadline DL);
   void incrementalUpdate(UpdateStats &U, Deadline DL);
-  void noteChanged(PredId Pred, uint32_t Row);
 
   const Program &P;
   SolverOptions Opts;
@@ -263,17 +229,13 @@ private:
   /// next update() re-solves from scratch instead of patching it.
   bool Degraded = false;
 
-  /// The mutable input fact multiset: per predicate, key tuple → the
-  /// distinct lattice contributions added for that cell (boolean(true)
-  /// for relational predicates). The model is always the LFP of this
-  /// store plus the rules.
-  std::vector<std::unordered_map<Value, SmallVector<Value, 2>>> FactStore;
+  /// The mutable input fact multiset. The model is always the LFP of
+  /// this store plus the rules; full solves load it as it is
+  /// (Solver::Store).
+  StoredFacts FactStore;
 
   std::vector<Fact> PendingAdds;
   std::vector<Fact> PendingRetracts;
-  /// Materialization of FactStore handed to the inner Solver through
-  /// Solver::FactsOverride for full solves; kept alive for its lifetime.
-  std::vector<Fact> OverrideFacts;
 
   /// Rows of each negated predicate that are tombstoned (row id exists
   /// but the cell is logically absent) as of the end of the last
@@ -285,8 +247,10 @@ private:
   /// tables).
   std::vector<std::unordered_set<uint32_t>> NegTombstones;
 
-  /// Rows changed so far in the current update(), per predicate; seeds
-  /// every stratum's delta rounds (replacing full round-0 evaluation).
+  /// Rows changed so far in the current update(), per predicate: the
+  /// inner solver's Solver::Changed, so every row it queues for a delta
+  /// round lands here. Seeds every stratum's delta rounds (replacing full
+  /// round-0 evaluation).
   std::vector<RowSet> UpdateChanged;
   /// Rows over-deleted by the current update(), per predicate; the
   /// re-derive pass of each stratum scans them.

@@ -668,7 +668,61 @@ TEST_P(IncrementalDeadlineTest, TimeLimitBoundsEveryUpdate) {
   EXPECT_TRUE(IS.contains(Hit, {F.integer(2)}));
 }
 
-TEST_P(IncrementalDifferentialTest, IcfgGenKillReachability) {
+TEST_P(IncrementalDeadlineTest, IterationLimitBoundsEveryUpdate) {
+  // SolverOptions::MaxIterations bounds every update, counted afresh per
+  // update: the initial solve needs 2 rounds, but a staged 40-edge chain
+  // needs ~40 rounds of Path derivation and stops at the limit with
+  // Status::IterationLimit. The tables then hold a sound
+  // under-approximation; retracting the chain lets the next update's
+  // degraded recovery (a full solve, bounded the same way) rebuild the
+  // model.
+  TcCase C;
+  C.Edges = {{1, 2}};
+  Program P = C.build();
+  SolverOptions O = opts();
+  O.MaxIterations = 10;
+  IncrementalSolver IS(P, O);
+  ASSERT_TRUE(IS.update().ok());
+
+  // Staged back to front: in-place rounds then cannot extend a path
+  // through an edge they have not reached yet, so every engine needs
+  // about one round per path length.
+  constexpr int Chain = 40;
+  for (int I = 100 + Chain - 1; I >= 100; --I) {
+    IS.addFact(C.Edge, {C.F.integer(I), C.F.integer(I + 1)});
+    C.Edges.insert({I, I + 1});
+  }
+  UpdateStats U = IS.update();
+  EXPECT_EQ(U.St, SolveStats::Status::IterationLimit);
+  EXPECT_FALSE(U.FullResolve);
+  EXPECT_EQ(U.Iterations, O.MaxIterations);
+  // Every Path cell the stopped update holds is in the full model.
+  Program SP = C.build();
+  Solver SS(SP);
+  ASSERT_TRUE(SS.solve().ok());
+  size_t Held = 0;
+  for (const std::vector<Value> &Row : IS.tuples(C.Path)) {
+    EXPECT_TRUE(SS.contains(C.Path, Row)) << C.F.toString(Row[0]) << " -> "
+                                          << C.F.toString(Row[1]);
+    ++Held;
+  }
+  EXPECT_LT(Held, SS.table(C.Path).liveSize());
+
+  for (int I = 100; I < 100 + Chain; ++I) {
+    IS.retractFact(C.Edge, {C.F.integer(I), C.F.integer(I + 1)});
+    C.Edges.erase({I, I + 1});
+  }
+  UpdateStats U2 = IS.update();
+  ASSERT_TRUE(U2.ok()) << U2.Error;
+  EXPECT_TRUE(U2.FullResolve);
+  EXPECT_EQ(U2.DegradedRecoveries, 1u);
+  expectMatchesScratch(IS, [&] { return C.build(); });
+}
+
+/// Random Cfg/Gen add and retract churn with Kill churn under negation
+/// over a generated ICFG; after every update the model must equal a
+/// from-scratch solve.
+void icfgGenKillChurn(const SolverOptions &Opts) {
   IcfgProgram I = generateIcfg(99, 3, 10, 8, 2);
   IcfgCase C;
   for (auto [A, B] : I.CfgEdges)
@@ -681,7 +735,7 @@ TEST_P(IncrementalDifferentialTest, IcfgGenKillReachability) {
   }
 
   Program P = C.build();
-  IncrementalSolver IS(P, opts());
+  IncrementalSolver IS(P, Opts);
   ASSERT_TRUE(IS.update().ok());
   expectMatchesScratch(IS, [&] { return C.build(); });
 
@@ -741,6 +795,18 @@ TEST_P(IncrementalDifferentialTest, IcfgGenKillReachability) {
     expectMatchesScratch(IS, [&] { return C.build(); });
   }
   EXPECT_EQ(IS.negationFallbacks(), 0u);
+}
+
+TEST_P(IncrementalDifferentialTest, IcfgGenKillReachability) {
+  icfgGenKillChurn(opts());
+}
+
+TEST(IncrementalSolverTest, NaiveUpdatesMatchScratch) {
+  // Strategy::Naive makes every round of an update a full pass over the
+  // stratum, as in a solve; the churn must still land on the same model.
+  SolverOptions O;
+  O.Strat = Strategy::Naive;
+  icfgGenKillChurn(O);
 }
 
 TEST_P(IncrementalDifferentialTest, MaintainedMemoryBytesMatchRecount) {

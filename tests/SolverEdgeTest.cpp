@@ -12,14 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 
 using namespace flix;
 
 namespace {
 
-TEST(SolverEdgeTest, IterationLimitReported) {
-  ValueFactory F;
-  Program P(F);
+/// Transitive closure over a 50-edge chain: one round per path length.
+void buildChainClosure(ValueFactory &F, Program &P) {
   PredId Edge = P.relation("Edge", 2);
   PredId Path = P.relation("Path", 2);
   RuleBuilder().head(Path, {"x", "y"}).atom(Edge, {"x", "y"}).addTo(P);
@@ -30,13 +30,89 @@ TEST(SolverEdgeTest, IterationLimitReported) {
       .addTo(P);
   for (int I = 0; I < 50; ++I)
     P.addFact(Edge, {F.integer(I), F.integer(I + 1)});
-  SolverOptions Opts;
-  Opts.MaxIterations = 2;
-  Solver S(P, Opts);
-  SolveStats St = S.solve();
-  EXPECT_EQ(St.St, SolveStats::Status::IterationLimit);
-  // Partial results are still a sound under-approximation.
-  EXPECT_TRUE(S.contains(Path, {F.integer(0), F.integer(1)}));
+}
+
+/// Every strategy and engine runs the Solver's one round loop, so
+/// MaxIterations bounds them all alike.
+constexpr std::array<std::pair<Strategy, unsigned>, 4> LimitConfigs = {{
+    {Strategy::Naive, 0},
+    {Strategy::SemiNaive, 0},
+    {Strategy::Naive, 2},
+    {Strategy::SemiNaive, 2},
+}};
+
+std::string configName(Strategy Strat, unsigned Threads) {
+  return std::string(Strat == Strategy::Naive ? "Naive" : "SemiNaive") +
+         " threads" + std::to_string(Threads);
+}
+
+TEST(SolverEdgeTest, IterationLimitReported) {
+  for (auto [Strat, Threads] : LimitConfigs) {
+    SCOPED_TRACE(configName(Strat, Threads));
+    ValueFactory F;
+    Program P(F);
+    buildChainClosure(F, P);
+    SolverOptions Opts;
+    Opts.Strat = Strat;
+    Opts.NumThreads = Threads;
+    Opts.MaxIterations = 2;
+    solveWith(P, Opts, [&](const auto &S, const SolveStats &St) {
+      EXPECT_EQ(St.St, SolveStats::Status::IterationLimit);
+      // Partial results are still a sound under-approximation.
+      EXPECT_TRUE(S.contains(1, {F.integer(0), F.integer(1)}));
+      EXPECT_FALSE(S.contains(1, {F.integer(0), F.integer(50)}));
+      return 0;
+    });
+  }
+}
+
+TEST(SolverEdgeTest, IterationLimitBoundary) {
+  // k rounds reach the fixpoint, the last of them changing nothing: a
+  // limit of k lets the solve finish, a limit of k - 1 stops it one
+  // productive round short.
+  for (auto [Strat, Threads] : LimitConfigs) {
+    SCOPED_TRACE(configName(Strat, Threads));
+    auto run = [&, Strat = Strat, Threads = Threads](uint64_t Limit) {
+      ValueFactory F;
+      Program P(F);
+      buildChainClosure(F, P);
+      SolverOptions Opts;
+      Opts.Strat = Strat;
+      Opts.NumThreads = Threads;
+      Opts.MaxIterations = Limit;
+      return solveWith(P, Opts, [](const auto &, const SolveStats &St) {
+        return St;
+      });
+    };
+    SolveStats Free = run(0);
+    ASSERT_TRUE(Free.ok());
+    uint64_t K = Free.Iterations;
+    ASSERT_GT(K, 2u);
+    SolveStats AtK = run(K);
+    EXPECT_EQ(AtK.St, SolveStats::Status::Fixpoint);
+    EXPECT_EQ(AtK.Iterations, K);
+    SolveStats Short = run(K - 1);
+    EXPECT_EQ(Short.St, SolveStats::Status::IterationLimit);
+    EXPECT_EQ(Short.Iterations, K - 1);
+  }
+}
+
+TEST(SolverEdgeTest, RowSetStaysExactAcrossEpochWrap) {
+  // Clearing bumps a 16-bit epoch; when it wraps, the stamps are zeroed
+  // so no row left over from an old epoch reads as a member.
+  RowSet S;
+  ASSERT_TRUE(S.insert(3, 8));
+  for (uint32_t Clear = 0; Clear < 70000; ++Clear) {
+    S.clear();
+    ASSERT_FALSE(S.contains(3)) << "after clear " << Clear;
+    ASSERT_TRUE(S.insert(Clear % 2 ? 5 : 7, 8));
+    ASSERT_FALSE(S.insert(Clear % 2 ? 5 : 7, 8));
+  }
+  std::vector<uint32_t> Out = {42};
+  S.moveTo(Out);
+  EXPECT_EQ(Out, std::vector<uint32_t>{5});
+  EXPECT_TRUE(S.rows().empty());
+  EXPECT_FALSE(S.contains(5));
 }
 
 TEST(SolverEdgeTest, BinderReturningEmptySet) {

@@ -257,6 +257,58 @@ static void printPredicate(const Program &P, const SolverT &S, PredId Id) {
   }
 }
 
+/// Prints the model the way every solve path does: the --print
+/// predicates, else (without --json) every predicate with at most 50
+/// live rows and the row count of the others, then the --explain
+/// derivation trees. Returns the process exit code.
+template <typename SolverT>
+static int printModel(FlixCompiler &C, const SolverT &S,
+                      const std::vector<std::string> &PrintPreds,
+                      const std::vector<std::string> &ExplainPreds,
+                      bool Json) {
+  const Program &P = C.program();
+  if (!PrintPreds.empty()) {
+    for (const std::string &Name : PrintPreds) {
+      auto Id = C.predicate(Name);
+      if (!Id) {
+        std::fprintf(stderr, "error: unknown predicate '%s'\n",
+                     Name.c_str());
+        return 1;
+      }
+      printPredicate(P, S, *Id);
+    }
+  } else if (!Json) {
+    for (PredId Id = 0; Id < P.predicates().size(); ++Id) {
+      if (S.table(Id).liveSize() <= 50)
+        printPredicate(P, S, Id);
+      else
+        std::printf("%s (%zu rows, use --print %s to list)\n",
+                    P.predicate(Id).Name.c_str(), S.table(Id).liveSize(),
+                    P.predicate(Id).Name.c_str());
+    }
+  }
+
+  for (const std::string &Name : ExplainPreds) {
+    auto Id = C.predicate(Name);
+    if (!Id) {
+      std::fprintf(stderr, "error: unknown predicate '%s'\n", Name.c_str());
+      return 1;
+    }
+    std::printf("derivations of %s:\n", Name.c_str());
+    size_t Shown = 0;
+    for (const auto &Row : S.tuples(*Id)) {
+      std::span<const Value> Key(Row.data(), P.predicate(*Id).keyArity());
+      std::printf("%s", S.explainString(*Id, Key).c_str());
+      if (++Shown >= 20) {
+        std::printf("  ... (%zu more rows)\n",
+                    S.table(*Id).liveSize() - Shown);
+        break;
+      }
+    }
+  }
+  return 0;
+}
+
 static const char *statusName(SolveStats::Status St) {
   switch (St) {
   case SolveStats::Status::Fixpoint:
@@ -397,47 +449,7 @@ static int runUpdateScript(FlixCompiler &C, ValueFactory &F,
   }
   if (IS.pendingMutations() > 0 && !runUpdate())
     return 1;
-
-  if (!PrintPreds.empty()) {
-    for (const std::string &Name : PrintPreds) {
-      auto Id = C.predicate(Name);
-      if (!Id) {
-        std::fprintf(stderr, "error: unknown predicate '%s'\n",
-                     Name.c_str());
-        return 1;
-      }
-      printPredicate(P, IS, *Id);
-    }
-  } else if (!Json) {
-    for (PredId Id = 0; Id < P.predicates().size(); ++Id) {
-      if (IS.table(Id).liveSize() <= 50)
-        printPredicate(P, IS, Id);
-      else
-        std::printf("%s (%zu rows, use --print %s to list)\n",
-                    P.predicate(Id).Name.c_str(), IS.table(Id).liveSize(),
-                    P.predicate(Id).Name.c_str());
-    }
-  }
-
-  for (const std::string &Name : ExplainPreds) {
-    auto Id = C.predicate(Name);
-    if (!Id) {
-      std::fprintf(stderr, "error: unknown predicate '%s'\n", Name.c_str());
-      return 1;
-    }
-    std::printf("derivations of %s:\n", Name.c_str());
-    size_t Shown = 0;
-    for (const auto &Row : IS.tuples(*Id)) {
-      std::span<const Value> Key(Row.data(), P.predicate(*Id).keyArity());
-      std::printf("%s", IS.explainString(*Id, Key).c_str());
-      if (++Shown >= 20) {
-        std::printf("  ... (%zu more rows)\n",
-                    IS.table(*Id).liveSize() - Shown);
-        break;
-      }
-    }
-  }
-  return 0;
+  return printModel(C, IS, PrintPreds, ExplainPreds, Json);
 }
 
 int main(int Argc, char **Argv) {
@@ -611,48 +623,8 @@ int main(int Argc, char **Argv) {
       return 1;
     }
 
-    const Program &P = C.program();
-    if (!PrintPreds.empty()) {
-      for (const std::string &Name : PrintPreds) {
-        auto Id = C.predicate(Name);
-        if (!Id) {
-          std::fprintf(stderr, "error: unknown predicate '%s'\n",
-                       Name.c_str());
-          return 1;
-        }
-        printPredicate(P, S, *Id);
-      }
-    } else if (!Json) {
-      for (PredId Id = 0; Id < P.predicates().size(); ++Id) {
-        if (S.table(Id).size() <= 50)
-          printPredicate(P, S, Id);
-        else
-          std::printf("%s (%zu rows, use --print %s to list)\n",
-                      P.predicate(Id).Name.c_str(), S.table(Id).size(),
-                      P.predicate(Id).Name.c_str());
-      }
-    }
-
-    for (const std::string &Name : ExplainPreds) {
-      auto Id = C.predicate(Name);
-      if (!Id) {
-        std::fprintf(stderr, "error: unknown predicate '%s'\n",
-                     Name.c_str());
-        return 1;
-      }
-      std::printf("derivations of %s:\n", Name.c_str());
-      size_t Shown = 0;
-      for (const auto &Row : S.tuples(*Id)) {
-        std::span<const Value> Key(Row.data(),
-                                   P.predicate(*Id).keyArity());
-        std::printf("%s", S.explainString(*Id, Key).c_str());
-        if (++Shown >= 20) {
-          std::printf("  ... (%zu more rows)\n",
-                      S.table(*Id).size() - Shown);
-          break;
-        }
-      }
-    }
+    if (int Rc = printModel(C, S, PrintPreds, ExplainPreds, Json))
+      return Rc;
 
     if (Stats)
       std::printf("\nstats: %s\n", renderStats(St, StatsFormat::Text).c_str());
