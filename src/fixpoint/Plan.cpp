@@ -7,6 +7,7 @@
 #include "fixpoint/Plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -157,35 +158,31 @@ AccessEstimate flix::plan::estimateAccess(const PredStats &St, uint64_t Mask,
   if (Mask == 0 || !UseIndexes)
     return {N, N}; // full scan: every row is a candidate
   if (const Table::IndexStats *IS = St.forMask(Mask)) {
-    // Average bucket size of the existing index: distinct projected keys
-    // are exactly the bucket count the table maintains.
+    // Expected bucket size when probe keys follow the table's own key
+    // distribution: a bucket of b rows is hit with probability b/N and
+    // yields b rows, so Σ b²/N. Σ b² >= N²/buckets, so a table's own
+    // statistics never price below the average bucket; the max keeps
+    // statistics without SumSq at that average.
     double Avg = N / static_cast<double>(std::max<size_t>(IS->Buckets, 1));
+    Avg = std::max(Avg, static_cast<double>(IS->SumSq) / N);
     return {std::max(1.0, Avg), Avg};
   }
-  // No index (yet) for this mask: assume each bound column cuts the
-  // candidate set by ~sqrt(N). Selective enough that probing a large
-  // relation on a bound key beats scanning it (the old fixed 10% guess
-  // made a 20k-row probe look like a 2k-row fanout, drowning real
-  // wins), pessimistic enough that a measured index beats the guess.
   double Est = N;
-  for (uint64_t M = Mask; M; M &= M - 1)
-    Est /= std::sqrt(N);
-  return {std::max(1.0, Est), Est};
-}
-
-void flix::plan::gatherStats(std::span<const std::unique_ptr<Table>> Tables,
-                             StatsVec &Out) {
-  Out.clear();
-  Out.resize(Tables.size());
-  for (size_t I = 0; I < Tables.size(); ++I) {
-    if (!Tables[I])
-      continue;
-    Out[I].LiveRows = static_cast<double>(Tables[I]->liveSize());
-    std::vector<Table::IndexStats> Idx;
-    Tables[I]->collectIndexStats(Idx);
-    for (const Table::IndexStats &S : Idx)
-      Out[I].Indexes.push_back(S);
+  if (!St.ColCollision.empty()) {
+    // Static predicate without an index on this mask: its sampled
+    // per-column collision probabilities, columns taken as independent.
+    for (uint64_t M = Mask; M; M &= M - 1)
+      Est *= St.ColCollision[static_cast<size_t>(std::countr_zero(M))];
+  } else {
+    // Derived predicate without an index on this mask: nothing measured,
+    // so assume each bound column cuts the candidate set by ~sqrt(N).
+    // Selective enough that probing a large relation on a bound key
+    // beats scanning it, pessimistic enough that a measured index beats
+    // the guess.
+    for (uint64_t M = Mask; M; M &= M - 1)
+      Est /= std::sqrt(N);
   }
+  return {std::max(1.0, Est), Est};
 }
 
 double flix::plan::orderCost(const Program &P, const Rule &R, int Driver,
@@ -552,6 +549,16 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
   return Pl;
 }
 
+/// Whether \p Only names slot \p Driver of \p R.
+bool canRun(const RunnablePlans &Only, const Rule &R, int Driver) {
+  if (Driver == -1)
+    return Only.Plain;
+  if (isSeedSlot(R, Driver))
+    return Only.Seeds;
+  PredId Pred = std::get<BodyAtom>(R.Body[Driver]).Pred;
+  return Pred < Only.Delta.size() && !Only.Delta[Pred].empty();
+}
+
 /// One plan's replan decision: recompiles \p Pl (of rule \p R, keeping
 /// its driver) with the chosen order when its current cost exceeds
 /// Threshold × the best candidate's. Refreshes the stored estimates either
@@ -589,6 +596,63 @@ bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
 
 } // namespace
 
+StatsCollector::StatsCollector(const Program &P,
+                               const std::vector<Rule> &Rules, bool Seeds) {
+  PerPred.resize(P.predicates().size());
+  for (Sampled &S : PerPred)
+    S.Static = true;
+  for (const Rule &R : Rules)
+    PerPred[R.Head.Pred].Static = false;
+  for (const Rule &R : Rules) {
+    // Variables a seed plan of R may front (its pre-bound set).
+    std::vector<bool> SeedBound(R.NumVars, false);
+    if (Seeds)
+      for (int Driver = HeadSlot; Driver < static_cast<int>(R.Body.size());
+           ++Driver)
+        for (const Term &T : seedTerms(P, R, Driver))
+          if (T.isVar())
+            SeedBound[T.Variable] = true;
+    for (size_t AI = 0; AI < R.Body.size(); ++AI) {
+      const auto *A = std::get_if<BodyAtom>(&R.Body[AI]);
+      if (!A || A->Negated || !PerPred[A->Pred].Static)
+        continue;
+      std::vector<bool> Bindable = SeedBound;
+      for (size_t EI = 0; EI < R.Body.size(); ++EI)
+        if (EI != AI)
+          bindElem(R.Body[EI], Bindable);
+      for (unsigned C = 0, KA = P.predicate(A->Pred).keyArity(); C < KA; ++C)
+        if (!A->Terms[C].isVar() || Bindable[A->Terms[C].Variable])
+          PerPred[A->Pred].Cols |= uint64_t(1) << C;
+    }
+  }
+}
+
+void StatsCollector::gather(std::span<const std::unique_ptr<Table>> Tables,
+                            StatsVec &Out) {
+  Out.clear();
+  Out.resize(Tables.size());
+  std::vector<Table::IndexStats> Idx;
+  for (size_t I = 0; I < Tables.size(); ++I) {
+    const Table &T = *Tables[I];
+    double Live = static_cast<double>(T.liveSize());
+    Out[I].LiveRows = Live;
+    Idx.clear();
+    T.collectIndexStats(Idx);
+    for (const Table::IndexStats &S : Idx)
+      Out[I].Indexes.push_back(S);
+    Sampled &S = PerPred[I];
+    if (!S.Static)
+      continue;
+    if (!S.Taken || Live > RecountFactor * S.TakenAt ||
+        Live * RecountFactor < S.TakenAt) {
+      T.sampleCollisions(S.Cols, SampleRows, S.Collision);
+      S.Taken = true;
+      S.TakenAt = Live;
+    }
+    Out[I].ColCollision = S.Collision;
+  }
+}
+
 PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Rules,
                          bool UseIndexes, bool Seeds)
     : Prog(&P), Rules(&Rules), UseIndexes(UseIndexes) {
@@ -611,7 +675,8 @@ PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Rules,
 }
 
 PlanLibrary::ReplanResult
-PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold) {
+PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold,
+                             const RunnablePlans *Only) {
   ReplanResult Res;
   // Drift between this snapshot and the previous one: how far the shapes
   // the current plans were estimated against have moved
@@ -624,11 +689,17 @@ PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold) {
   Res.RowsDivergence = static_cast<uint64_t>(Div);
   LastStats = Stats;
 
-  for (uint32_t RI = 0; RI < Rules->size(); ++RI)
-    for (RulePlan &Pl : PerRule[RI])
-      if (Pl.Valid)
-        Res.Replanned += replanOne(*Prog, UseIndexes, Pl, (*Rules)[RI],
-                                   Stats, Threshold);
+  for (uint32_t RI = 0; RI < Rules->size(); ++RI) {
+    const Rule &R = (*Rules)[RI];
+    for (RulePlan &Pl : PerRule[RI]) {
+      if (!Pl.Valid)
+        continue;
+      if (Only && !canRun(*Only, R, Pl.Driver))
+        continue;
+      Res.Replanned +=
+          replanOne(*Prog, UseIndexes, Pl, R, Stats, Threshold);
+    }
+  }
   if (Res.Replanned)
     recountDerived();
   return Res;
@@ -651,9 +722,9 @@ void PlanLibrary::recountDerived() {
 
 void PlanLibrary::wantedIndexes(
     std::vector<std::vector<uint64_t>> &MasksByPred) const {
-  for (const std::vector<RulePlan> &Slots : PerRule)
-    for (const RulePlan &Pl : Slots) {
-      if (!Pl.Valid)
+  for (uint32_t RI = 0; RI < PerRule.size(); ++RI)
+    for (const RulePlan &Pl : PerRule[RI]) {
+      if (!Pl.Valid || isSeedSlot((*Rules)[RI], Pl.Driver))
         continue;
       for (const Step &S : Pl.Steps)
         if (S.Kind == StepKind::Probe)

@@ -97,6 +97,9 @@ Solver::Solver(const Program &P, SolverOptions Opts)
   // insertion deltas, which need the support index anyway.
   Plans = std::make_unique<plan::PlanLibrary>(P, P.rules(), Opts.UseIndexes,
                                               /*Seeds=*/Opts.TrackSupport);
+  if (Opts.CostBasedPlans)
+    PlanStats = std::make_unique<plan::StatsCollector>(
+        P, P.rules(), /*Seeds=*/Opts.TrackSupport);
   Engine = std::make_unique<PlanEngine>(*this);
   if (Opts.EnableMemo)
     Memo = std::make_unique<plan::ExternMemo>();
@@ -355,12 +358,14 @@ void Solver::sampleStats() {
   Stats.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
 }
 
-void Solver::replanPlans(double Threshold, bool CountEvents) {
+void Solver::replanPlans(double Threshold, bool CountEvents,
+                         const plan::RunnablePlans *Only) {
   if (!Opts.CostBasedPlans)
     return;
   plan::StatsVec St;
-  plan::gatherStats({Tables.data(), Tables.size()}, St);
-  plan::PlanLibrary::ReplanResult R = Plans->replanFromStats(St, Threshold);
+  PlanStats->gather({Tables.data(), Tables.size()}, St);
+  plan::PlanLibrary::ReplanResult R =
+      Plans->replanFromStats(St, Threshold, Only);
   if (CountEvents) {
     Stats.ReplanEvents += R.Replanned;
     Stats.EstimatedVsActualRows += R.RowsDivergence;
@@ -398,11 +403,17 @@ void Solver::runRounds(const std::vector<uint32_t> &RuleIds,
       return;
     }
     // Adaptive re-plan at the round boundary: single-threaded here, and
-    // no evaluation is in flight, so swapping plans is safe. In-place
-    // rounds probe via Table::probe (lazy index build); a round body
-    // gets any newly wanted mask pre-built by replanPlans.
+    // no evaluation is in flight, so swapping plans is safe. Only the
+    // plans that can run from here are checked: those driven by an atom
+    // with delta rows this round, and the Driver -1 plans while a round 0
+    // or a naive in-place pass is ahead. In-place rounds probe via
+    // Table::probe (lazy index build); a round body gets any newly wanted
+    // mask pre-built by replanPlans.
+    plan::RunnablePlans Next;
+    Next.Plain = Solving || (!Par && Opts.Strat == Strategy::Naive);
+    Next.Delta = Delta;
     if (Opts.ReplanThreshold > 0)
-      replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
+      replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true, &Next);
     evalRound(RuleIds, /*Round0=*/false);
     ++Stats.Iterations;
   }
@@ -458,7 +469,7 @@ SolveStats Solver::solve() {
   // Initial cost-based order choice: plans were compiled against empty
   // tables, so the first useful statistics exist only now. Threshold 1.0
   // adopts any strict improvement; not counted as an adaptive replan.
-  replanPlans(1.0, /*CountEvents=*/false);
+  replanPlans(1.0, /*CountEvents=*/false, /*Only=*/nullptr);
   // A round body probes read-only, so the indexes its plans want must
   // exist before round 0; fact loading maintained none of them.
   if (Par)
@@ -466,6 +477,7 @@ SolveStats Solver::solve() {
 
   // Per stratum, round 0 evaluates every rule over the whole database;
   // the round loop then runs to the stratum's fixpoint.
+  Solving = true;
   for (uint32_t S = 0; S < St.numStrata() && !Aborted; ++S) {
     const std::vector<uint32_t> &RuleIds = St.RulesByStratum[S];
     if (RuleIds.empty())
@@ -474,6 +486,7 @@ SolveStats Solver::solve() {
     ++Stats.Iterations;
     runRounds(RuleIds, /*IterBase=*/0);
   }
+  Solving = false;
 
   return finish();
 }

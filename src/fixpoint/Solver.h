@@ -45,7 +45,9 @@ namespace flix {
 namespace plan {
 class PlanLibrary;
 class ExternMemo;
+class StatsCollector;
 struct RulePlan;
+struct RunnablePlans;
 } // namespace plan
 
 /// Evaluation strategy (see file comment).
@@ -329,19 +331,22 @@ private:
   /// read off the Program. Called when solve() returns and by the
   /// incremental engine after every update.
   void sampleStats();
-  /// Cost-based (re)planning: snapshots table statistics and re-plans via
-  /// PlanLibrary::replanFromStats. \p Threshold 1.0 adopts any strict
-  /// improvement (the initial post-loadFacts choice); larger values are
-  /// the adaptive between-round hysteresis. \p CountEvents selects
-  /// whether replans land in SolveStats::ReplanEvents (adaptive checks
-  /// only). No-op unless CostBasedPlans is set.
+  /// Cost-based (re)planning: snapshots table statistics (PlanStats) and
+  /// re-plans via PlanLibrary::replanFromStats. \p Threshold 1.0 adopts
+  /// any strict improvement (the initial post-loadFacts choice); larger
+  /// values are the adaptive hysteresis. \p CountEvents selects whether
+  /// replans land in SolveStats::ReplanEvents (adaptive checks only).
+  /// Every plan is checked, or with \p Only just the plans that can run
+  /// next. No-op unless CostBasedPlans is set.
   /// Called only at single-threaded points (solve start, round
-  /// boundaries) — also by the incremental engine between delta rounds.
-  /// A changed plan may probe new masks, so with a RoundBody attached
-  /// they are pre-built (prepareIndexes) before the next round.
-  void replanPlans(double Threshold, bool CountEvents);
+  /// boundaries, the start of an incremental update). A changed plan may
+  /// probe new masks, so with a RoundBody attached they are pre-built
+  /// (prepareIndexes) before the next round.
+  void replanPlans(double Threshold, bool CountEvents,
+                   const plan::RunnablePlans *Only);
   /// Builds, with Table::prepareIndex on this thread, every (pred, mask)
-  /// index a compiled plan probes (PlanLibrary::wantedIndexes). A
+  /// index a plan the round body runs probes (PlanLibrary::wantedIndexes;
+  /// seed plans run in place and build theirs on first probe). A
   /// RoundBody's workers probe read-only (Table::probeExisting), so this
   /// runs whenever one is attached: at solve start, after a re-plan that
   /// changed a plan, and when one attaches to a solved Solver. Indexes
@@ -358,6 +363,9 @@ private:
   /// Compiled join plans of P.rules() and the extern memo cache (when
   /// EnableMemo); see src/fixpoint/Plan.h.
   std::unique_ptr<plan::PlanLibrary> Plans;
+  /// The statistics replanPlans plans against; keeps the static
+  /// predicates' column samples between snapshots.
+  std::unique_ptr<plan::StatsCollector> PlanStats;
   std::unique_ptr<PlanEngine> Engine; ///< runs Plans (runPlan)
   std::unique_ptr<plan::ExternMemo> Memo;
 
@@ -420,8 +428,9 @@ private:
   /// has a non-empty delta.
   bool promoteDelta();
   /// The one round loop of every engine and strategy (§3.7): promotes
-  /// ΔP, and while it is non-empty re-plans at the round boundary and
-  /// evaluates one more round of \p RuleIds (evalRound). Stops with
+  /// ΔP, and while it is non-empty re-plans, at the round boundary, the
+  /// plans that round can run, and evaluates one more round of
+  /// \p RuleIds (evalRound). Stops with
   /// Status::IterationLimit once MaxIterations rounds have run since the
   /// Iterations count \p IterBase. solve() runs it after each stratum's
   /// round 0; an incremental update runs it on each stratum's seeded
@@ -439,6 +448,9 @@ private:
   SolveStats Stats;
   uint64_t IcHitsAtStart = 0; ///< P.vmIcHits() when solve() started
   bool Solved = false;
+  /// solve() is running its strata, so a round 0 (the Driver -1 plans)
+  /// may be ahead.
+  bool Solving = false;
   bool Aborted = false;
   Deadline DL;
 };

@@ -75,6 +75,7 @@ void Table::append(Index &Ix, uint64_t H, uint32_t Id) {
   if (Bk.capacity() != OldCap)
     Ix.Bytes += (Bk.capacity() - OldCap) * sizeof(uint32_t);
   Ix.MaxBucket = std::max(Ix.MaxBucket, Bk.size());
+  Ix.SumSq += 2 * Bk.size() - 1; // (b+1)² - b²
 }
 
 Table::JoinResult Table::join(Value KeyTuple, Value LatVal) {
@@ -157,7 +158,7 @@ bool Table::indexStats(uint64_t Mask, IndexStats &Out) const {
   for (const Index &Ix : Indexes) {
     if (Ix.Mask != Mask)
       continue;
-    Out = {Ix.Mask, Ix.Buckets.size(), Ix.MaxBucket};
+    Out = {Ix.Mask, Ix.Buckets.size(), Ix.MaxBucket, Ix.SumSq};
     return true;
   }
   return false;
@@ -165,7 +166,7 @@ bool Table::indexStats(uint64_t Mask, IndexStats &Out) const {
 
 void Table::collectIndexStats(std::vector<IndexStats> &Out) const {
   for (const Index &Ix : Indexes)
-    Out.push_back({Ix.Mask, Ix.Buckets.size(), Ix.MaxBucket});
+    Out.push_back({Ix.Mask, Ix.Buckets.size(), Ix.MaxBucket, Ix.SumSq});
 }
 
 const Table::Bucket &Table::probe(uint64_t BoundMask,
@@ -189,6 +190,50 @@ const Table::Bucket *Table::probeExisting(uint64_t BoundMask,
     return B ? B : &EmptyBucket;
   }
   return nullptr;
+}
+
+void Table::sampleCollisions(uint64_t Cols, size_t MaxSample,
+                             SmallVector<double, 4> &Out) const {
+  Out.clear();
+  Out.resize(KeyArity, 1.0);
+  double N = static_cast<double>(liveSize());
+  if (!Cols || N < 2 || MaxSample < 2)
+    return;
+  // Row K·Stride mod size for K < MaxSample: distinct rows (the prime
+  // stride is invertible modulo any table size below it), the whole table
+  // when it is small, and spread so that a key pattern periodic in the
+  // row id does not alias with the sample.
+  constexpr uint64_t Stride = 2654435761u;
+  uint64_t Size = Rows.size();
+  std::vector<uint32_t> Sample;
+  for (uint64_t K = 0; K < std::min<uint64_t>(Size, MaxSample); ++K) {
+    uint32_t Id = static_cast<uint32_t>(K * Stride % Size);
+    if (!isTombstone(Id))
+      Sample.push_back(Id);
+  }
+  double S = static_cast<double>(Sample.size());
+  if (S < 2)
+    return;
+  std::vector<Value> Col(Sample.size());
+  for (unsigned C = 0; C < KeyArity; ++C) {
+    if (!(Cols & (uint64_t(1) << C)))
+      continue;
+    for (size_t I = 0; I < Sample.size(); ++I)
+      Col[I] = rowKey(Sample[I])[C];
+    std::sort(Col.begin(), Col.end());
+    double SumSq = 0; // Σ count² over the sample's distinct values
+    for (size_t I = 0, J; I < Col.size(); I = J) {
+      for (J = I + 1; J < Col.size() && Col[J] == Col[I]; ++J)
+        ;
+      SumSq += double(J - I) * double(J - I);
+    }
+    // Q: the chance that two distinct sampled rows agree, an unbiased
+    // estimate of the same for two distinct table rows. Then
+    // Σ count²/N² = Q + (1 - Q)/N, exact when the sample is the table;
+    // a column unique in the sample reads 1/N, not 1/sample size.
+    double Q = (SumSq - S) / (S * (S - 1));
+    Out[C] = Q + (1 - Q) / N;
+  }
 }
 
 size_t Table::memoryBytes() const {

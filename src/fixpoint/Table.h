@@ -28,6 +28,7 @@
 
 #include "runtime/Lattice.h"
 #include "support/HashIndex.h"
+#include "support/SmallVector.h"
 
 #include <deque>
 #include <vector>
@@ -134,21 +135,35 @@ public:
   size_t numIndexes() const { return Indexes.size(); }
 
   /// Cheap maintained statistics of one secondary index, read by the
-  /// cost-based planner (Plan.cpp): the number of distinct projected keys
-  /// and the largest bucket's row count. Both are maintained as rows are
-  /// appended, so reading them costs nothing.
+  /// cost-based planner (Plan.cpp): the number of distinct projected keys,
+  /// the largest bucket's row count and Σ bucket size², the skew measure
+  /// plan::estimateAccess prices probes with. All are maintained in O(1)
+  /// as rows are appended, so reading them costs nothing. Tombstoned rows
+  /// stay counted: they stay in their buckets, and probes walk them.
   struct IndexStats {
     uint64_t Mask;
-    size_t Buckets;   ///< distinct projected keys (bucket count)
-    size_t MaxBucket; ///< rows in the largest bucket
+    size_t Buckets;     ///< distinct projected keys (bucket count)
+    size_t MaxBucket;   ///< rows in the largest bucket
+    uint64_t SumSq = 0; ///< Σ over buckets of (rows in the bucket)²
   };
 
   /// Statistics for the index on \p Mask, or false if no such index
-  /// exists yet (the planner then falls back to an arity-based guess).
+  /// exists yet (the planner then prices the mask from column samples
+  /// for a static predicate, or with its sqrt(N) guess).
   bool indexStats(uint64_t Mask, IndexStats &Out) const;
 
   /// Appends statistics for every existing secondary index to \p Out.
   void collectIndexStats(std::vector<IndexStats> &Out) const;
+
+  /// Per key column, the probability that two live rows agree on it
+  /// (Σ over the column's values of count² / N², N live rows), estimated
+  /// from a strided sample of at most \p MaxSample rows, tombstones
+  /// skipped; exact when the table has at most \p MaxSample rows. Only the
+  /// columns in \p Cols are sampled; the others read 1 (no selectivity
+  /// known). Costs O(MaxSample log MaxSample) per sampled column,
+  /// whatever the table's size.
+  void sampleCollisions(uint64_t Cols, size_t MaxSample,
+                        SmallVector<double, 4> &Out) const;
 
   /// Approximate heap bytes used by rows and indexes. Index cost is
   /// tracked at bucket-vector granularity including unused capacity from
@@ -164,9 +179,10 @@ private:
     /// Capacity-aware byte estimate of Buckets (vector objects and
     /// capacity), maintained by append().
     size_t Bytes = 0;
-    /// Rows in the largest bucket, maintained by append(); read by
-    /// indexStats() for the cost model.
+    /// Rows in the largest bucket and Σ bucket size², maintained by
+    /// append(); read by indexStats() for the cost model.
     size_t MaxBucket = 0;
+    uint64_t SumSq = 0;
   };
 
   /// Structural hash of the \p Mask columns of \p KeyElems: hashSeq of the

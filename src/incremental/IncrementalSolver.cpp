@@ -297,12 +297,16 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
     Sol.prepareIndexes();
   }
 
-  // Adaptive re-plan against the batch-mutated tables before derivation
-  // starts: an update stream can drift table shapes far from what the
-  // initial solve planned for. Runs between rounds (no evaluation in
-  // flight); replanPlans pre-builds any mask a changed plan now probes.
+  // Adaptive re-plan of the seed plans against the batch-mutated tables
+  // before they run: an update stream can drift table shapes far from
+  // what the initial solve planned for. The delta-driven plans are
+  // checked at the round boundaries of runRounds, once their driver has
+  // delta rows. No evaluation is in flight; replanPlans pre-builds any
+  // mask a changed plan now probes.
+  plan::RunnablePlans SeedPlans;
+  SeedPlans.Seeds = true;
   if (Opts.ReplanThreshold > 0)
-    Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true);
+    Sol.replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true, &SeedPlans);
 
   // Rows that net-left a negated predicate's table this update, filled
   // at that predicate's stratum boundary (d) and consumed as insertion

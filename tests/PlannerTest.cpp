@@ -7,9 +7,11 @@
 /// Tests for the cost-based adaptive join planner (DESIGN.md §16):
 ///
 ///   * cost-model unit tests on hand-built statistics — access-path
-///     selectivity math, order dominance, deterministic tie-breaking;
+///     selectivity math, skewed indexes (Σ bucket²), static column
+///     samples, order dominance, deterministic tie-breaking;
 ///   * PlanLibrary re-planning — initial cost-based choose, idempotence,
-///     adaptive hysteresis, wantedIndexes order-independence;
+///     adaptive hysteresis, checks limited to the plans that can run,
+///     wantedIndexes order-independence;
 ///   * a randomized plan-equivalence harness on skewed / fan-out
 ///     workloads: {greedy, cost-based, adaptive} × {0, 1, 8} threads must
 ///     all produce the model of the frozen-order sequential baseline
@@ -23,6 +25,7 @@
 
 #include "fixpoint/Plan.h"
 #include "parallel/Dispatch.h"
+#include "runtime/Lattices.h"
 
 #include <gtest/gtest.h>
 
@@ -77,6 +80,205 @@ TEST(PlannerCostModelTest, EstimateAccessSelectivity) {
   EXPECT_DOUBLE_EQ(E.Fanout, 1.0);
   E = estimateAccess(Empty, 0, Full, true);
   EXPECT_DOUBLE_EQ(E.Fanout, 1.0);
+}
+
+TEST(PlannerCostModelTest, EstimateAccessSeesSkew) {
+  PredStats St;
+  St.LiveRows = 1000;
+  uint64_t Full = 0b11;
+
+  // 100 buckets, one heavy: 901 rows in one bucket, 99 singletons. A
+  // probe key drawn from the table's own keys lands in the heavy bucket
+  // 90% of the time, so the expected bucket is Σ b²/N, not N/buckets.
+  uint64_t SumSq = 901ull * 901 + 99;
+  St.Indexes.push_back({0b01, /*Buckets=*/100, /*MaxBucket=*/901, SumSq});
+  AccessEstimate E = estimateAccess(St, 0b01, Full, /*UseIndexes=*/true);
+  EXPECT_DOUBLE_EQ(E.Fanout, double(SumSq) / 1000);
+  EXPECT_DOUBLE_EQ(E.Cost, double(SumSq) / 1000);
+
+  // Uniform buckets: Σ b²/N is the average itself.
+  St.Indexes[0] = {0b01, 100, 10, 100ull * 10 * 10};
+  E = estimateAccess(St, 0b01, Full, true);
+  EXPECT_DOUBLE_EQ(E.Fanout, 10.0);
+
+  // Never below N/buckets, whatever SumSq reads.
+  St.Indexes[0] = {0b01, 100, 10, /*SumSq=*/1};
+  E = estimateAccess(St, 0b01, Full, true);
+  EXPECT_DOUBLE_EQ(E.Fanout, 10.0);
+
+  // Full-key lookups stay at fanout 1, skew or not.
+  E = estimateAccess(St, Full, Full, true);
+  EXPECT_DOUBLE_EQ(E.Fanout, 1.0);
+}
+
+TEST(PlannerCostModelTest, StaticColumnStatsReplaceGuess) {
+  uint64_t Full = 0b111;
+  PredStats Static;
+  Static.LiveRows = 1000;
+  Static.ColCollision = {0.01, 0.5, 1.0};
+
+  // No index on the mask: N · Π p_c over the bound columns.
+  AccessEstimate E = estimateAccess(Static, 0b001, Full, true);
+  EXPECT_DOUBLE_EQ(E.Fanout, 10.0);
+  E = estimateAccess(Static, 0b010, Full, true);
+  EXPECT_DOUBLE_EQ(E.Fanout, 500.0);
+  E = estimateAccess(Static, 0b011, Full, true);
+  EXPECT_DOUBLE_EQ(E.Fanout, 5.0);
+  // A unique column reads 1/N: one row, and the cost never drops below 1.
+  Static.ColCollision[0] = 1.0 / 1000;
+  E = estimateAccess(Static, 0b001, Full, true);
+  EXPECT_NEAR(E.Fanout, 1.0, 1e-9);
+  EXPECT_DOUBLE_EQ(E.Cost, 1.0);
+
+  // An index on the mask wins over the column samples.
+  Static.Indexes.push_back({0b010, /*Buckets=*/4, /*MaxBucket=*/250,
+                            /*SumSq=*/4ull * 250 * 250});
+  E = estimateAccess(Static, 0b010, Full, true);
+  EXPECT_DOUBLE_EQ(E.Fanout, 250.0);
+
+  // A derived predicate (no column samples) keeps the sqrt(N) guess.
+  PredStats Derived;
+  Derived.LiveRows = 1000;
+  E = estimateAccess(Derived, 0b001, Full, true);
+  EXPECT_NEAR(E.Fanout, 1000.0 / std::sqrt(1000.0), 1e-9);
+  E = estimateAccess(Derived, 0b011, Full, true);
+  EXPECT_NEAR(E.Fanout, 1.0, 1e-9);
+
+  // Indexes disabled: a scan, column samples or not.
+  E = estimateAccess(Static, 0b001, Full, /*UseIndexes=*/false);
+  EXPECT_DOUBLE_EQ(E.Fanout, 1000.0);
+}
+
+/// Figure 5's SummaryEdge rule (perfbench ifds_trivial's fourth rule):
+///   SummaryEdge(call, d4, d5) :- CallGraph(call, target),
+///       StartNode(target, start), EndNode(target, end),
+///       EshCallStart(call, d4, target, d1), PathEdge(d1, end, d2),
+///       d5 <- eshEndReturn(target, d2, call).
+struct SummaryEdgeCase {
+  ValueFactory F;
+  Program P{F};
+  PredId CallGraph, StartNode, EndNode, PathEdge, SummaryEdge, EshCallStart;
+  static constexpr uint32_t EndNodeIdx = 2, EshCallStartIdx = 3,
+                            PathEdgeIdx = 4;
+
+  SummaryEdgeCase() {
+    CallGraph = P.relation("CallGraph", 2);
+    StartNode = P.relation("StartNode", 2);
+    EndNode = P.relation("EndNode", 2);
+    PathEdge = P.relation("PathEdge", 3);
+    SummaryEdge = P.relation("SummaryEdge", 3);
+    EshCallStart = P.relation("EshCallStart", 4);
+    FnId EndReturn =
+        P.function("eshEndReturn", 3, FnRole::Binder,
+                   [this](std::span<const Value>) { return F.set({}); });
+    RuleBuilder()
+        .head(SummaryEdge, {"call", "d4", "d5"})
+        .atom(CallGraph, {"call", "target"})
+        .atom(StartNode, {"target", "start"})
+        .atom(EndNode, {"target", "end"})
+        .atom(EshCallStart, {"call", "d4", "target", "d1"})
+        .atom(PathEdge, {"d1", "end", "d2"})
+        .bind({"d5"}, EndReturn, {"target", "d2", "call"})
+        .addTo(P);
+  }
+
+  /// Statistics mirroring trivial-flow IFDS on the antlr preset: 52
+  /// procedures; EshCallStart holds 384 rows whose d1 index has 146
+  /// buckets, the zero-fact bucket holding all but 145 of them;
+  /// PathEdge is large. \p SeeSkew false drops what the skew-blind
+  /// model never had: SumSq and the static column samples.
+  StatsVec stats(bool SeeSkew) const {
+    StatsVec S(P.predicates().size());
+    auto Static = [&](PredId Pr, double Rows, double P0, double P1) {
+      S[Pr].LiveRows = Rows;
+      if (SeeSkew)
+        S[Pr].ColCollision = {P0, P1};
+    };
+    Static(CallGraph, 300, 1.0 / 300, 1.0 / 52);
+    Static(StartNode, 52, 1.0 / 52, 1.0 / 52);
+    Static(EndNode, 52, 1.0 / 52, 1.0 / 52);
+    S[EshCallStart].LiveRows = 384;
+    S[EshCallStart].Indexes.push_back(
+        {0b1000, /*Buckets=*/146, /*MaxBucket=*/239,
+         /*SumSq=*/SeeSkew ? 239ull * 239 + 145 : 0});
+    S[PathEdge].LiveRows = 20000;
+    S[SummaryEdge].LiveRows = 2000;
+    return S;
+  }
+};
+
+TEST(PlannerCostModelTest, SkewedProbeLosesToStaticLookup) {
+  SummaryEdgeCase C;
+  const Rule &R = C.P.rules()[0];
+  std::vector<bool> PreBound(R.NumVars, false);
+  int Driver = int(SummaryEdgeCase::PathEdgeIdx);
+
+  // Driven by ΔPathEdge (d1, end, d2 bound): EndNode probed on `end`
+  // yields about one row; EshCallStart probed on d1 yields the heavy
+  // zero-fact bucket. EndNode must come directly after the driver.
+  SmallVector<uint32_t, 8> Got =
+      chooseOrder(C.P, R, Driver, C.stats(true), true, PreBound);
+  ASSERT_EQ(Got.size(), R.Body.size());
+  EXPECT_EQ(Got[0], SummaryEdgeCase::PathEdgeIdx);
+  EXPECT_EQ(Got[1], SummaryEdgeCase::EndNodeIdx);
+
+  // The skew-blind statistics (bucket average 2.6, sqrt(N) for the
+  // unindexed EndNode) open with the EshCallStart probe instead.
+  Got = chooseOrder(C.P, R, Driver, C.stats(false), true, PreBound);
+  ASSERT_EQ(Got.size(), R.Body.size());
+  EXPECT_EQ(Got[1], SummaryEdgeCase::EshCallStartIdx);
+}
+
+TEST(PlannerCostModelTest, StatsCollectorSamplesStaticColumnsOnDrift) {
+  // Path(x, y) :- Edge(x, y).  Path(x, z) :- Path(x, y), Edge(y, z).
+  // Edge is static; only its column 0 can be found bound (y, bound by
+  // Path) unless seed plans front the head's x and z.
+  ValueFactory F;
+  Program P(F);
+  PredId Edge = P.relation("Edge", 2);
+  PredId Path = P.relation("Path", 2);
+  RuleBuilder().head(Path, {"x", "y"}).atom(Edge, {"x", "y"}).addTo(P);
+  RuleBuilder()
+      .head(Path, {"x", "z"})
+      .atom(Path, {"x", "y"})
+      .atom(Edge, {"y", "z"})
+      .addTo(P);
+  BoolLattice BL(F);
+  std::vector<std::unique_ptr<Table>> Tables;
+  for (size_t I = 0; I < P.predicates().size(); ++I)
+    Tables.push_back(std::make_unique<Table>(2, BL, F));
+  auto addEdges = [&](int From, int To, int Keys) {
+    for (int I = From; I < To; ++I)
+      Tables[Edge]->join(F.tuple({F.integer(I % Keys), F.integer(I)}),
+                         BL.top());
+  };
+  // Tables stay within one sample, so the sampled values are exact.
+  static_assert(StatsCollector::SampleRows >= 81);
+  addEdges(0, 40, 4); // column 0: 4 keys of 10 rows, p = 1/4
+  Tables[Path]->join(F.tuple({F.integer(0), F.integer(1)}), BL.top());
+
+  StatsCollector Plain(P, P.rules(), /*Seeds=*/false);
+  StatsCollector Seeded(P, P.rules(), /*Seeds=*/true);
+  StatsVec St;
+  Plain.gather({Tables.data(), Tables.size()}, St);
+  EXPECT_TRUE(St[Path].ColCollision.empty()) << "derived: nothing sampled";
+  ASSERT_EQ(St[Edge].ColCollision.size(), 2u);
+  EXPECT_NEAR(St[Edge].ColCollision[0], 0.25, 1e-12);
+  EXPECT_DOUBLE_EQ(St[Edge].ColCollision[1], 1.0) << "never bound";
+  Seeded.gather({Tables.data(), Tables.size()}, St);
+  EXPECT_NEAR(St[Edge].ColCollision[1], 1.0 / 40, 1e-12) << "seed-bound z";
+
+  // Growth below RecountFactor keeps the last sample; past it, the
+  // sample is re-taken (one key now holds most rows).
+  addEdges(40, 60, 1);
+  Plain.gather({Tables.data(), Tables.size()}, St);
+  EXPECT_DOUBLE_EQ(St[Edge].LiveRows, 60.0);
+  EXPECT_NEAR(St[Edge].ColCollision[0], 0.25, 1e-12);
+  addEdges(60, 81, 1);
+  Plain.gather({Tables.data(), Tables.size()}, St);
+  double Zero = 10.0 + 41.0; // rows with column 0 == 0
+  EXPECT_NEAR(St[Edge].ColCollision[0],
+              (Zero * Zero + 3 * 10.0 * 10.0) / (81.0 * 81.0), 1e-12);
 }
 
 /// The planner's canonical win: a body written selective-atom-last.
@@ -226,6 +428,44 @@ TEST(PlannerReplanTest, HysteresisSuppressesMarginalFlips) {
   PlanLibrary::ReplanResult R = L.replanFromStats(C.stats(1.3e6), 4.0);
   EXPECT_EQ(R.Replanned, 0u);
   EXPECT_EQ(R.RowsDivergence, uint64_t(0.3e6));
+}
+
+TEST(PlannerReplanTest, RunnableChecksSkipPlansThatCannotRun) {
+  // Out(s, b) :- Src(s), Big(a, b), Sel(s, a), compiled with seed plans.
+  // Under stats(1e6) the Driver -1, Src-driven, Big-driven and head-slot
+  // plans all have better orders than the written one.
+  MisorderedJoinCase C;
+  std::vector<Rule> Rules = C.P.rules();
+  StatsVec St = C.stats(1e6);
+  auto order = [](const RulePlan &Pl) { return Pl.BodyOrder; };
+  PlanLibrary Written(C.P, Rules, true, /*Seeds=*/true);
+  PlanLibrary L(C.P, Rules, true, /*Seeds=*/true);
+
+  // An update's start: only the seed plans can run.
+  RunnablePlans Seeds;
+  Seeds.Seeds = true;
+  EXPECT_EQ(L.replanFromStats(St, 1.0, &Seeds).Replanned, 1u);
+  EXPECT_NE(order(L.plan(0, HeadSlot)), order(Written.plan(0, HeadSlot)));
+  EXPECT_EQ(order(L.plan(0, -1)), order(Written.plan(0, -1)));
+
+  // A round boundary: the plans whose positive driver has delta rows,
+  // plus the Driver -1 plans while a round 0 is ahead.
+  std::vector<std::vector<uint32_t>> Delta(C.P.predicates().size());
+  RunnablePlans Round;
+  Round.Delta = Delta;
+  EXPECT_EQ(L.replanFromStats(St, 1.0, &Round).Replanned, 0u);
+  Delta[C.Src] = {0};
+  EXPECT_EQ(L.replanFromStats(St, 1.0, &Round).Replanned, 1u);
+  EXPECT_EQ(L.plan(0, 0).BodyOrder[2], 1u) << "Big must move last";
+  EXPECT_EQ(order(L.plan(0, 1)), order(Written.plan(0, 1)));
+  EXPECT_EQ(order(L.plan(0, -1)), order(Written.plan(0, -1)));
+  Round.Plain = true;
+  EXPECT_EQ(L.replanFromStats(St, 1.0, &Round).Replanned, 1u);
+  EXPECT_NE(order(L.plan(0, -1)), order(Written.plan(0, -1)));
+
+  // The initial choose checks every plan: the Big-driven one is left.
+  EXPECT_EQ(L.replanFromStats(St, 1.0).Replanned, 1u);
+  EXPECT_NE(order(L.plan(0, 1)), order(Written.plan(0, 1)));
 }
 
 TEST(PlannerReplanTest, WantedIndexesIsOrderIndependent) {

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <random>
 #include <set>
 
@@ -107,6 +108,85 @@ TEST_F(TableTest, ProbeMissReturnsEmpty) {
   Table T(2, L, F);
   T.join(key(1, 1), L.odd());
   EXPECT_TRUE(T.probe(0b01, proj(9)).empty());
+}
+
+/// Σ over the \p Mask buckets of T of (rows in the bucket)², tombstoned
+/// rows included, by brute force over every row.
+uint64_t bruteSumSq(const Table &T, uint64_t Mask) {
+  std::map<std::vector<Value>, uint64_t> Count;
+  for (uint32_t Id = 0; Id < T.size(); ++Id) {
+    std::vector<Value> Proj;
+    for (size_t C = 0; C < T.keyArity(); ++C)
+      if (Mask & (uint64_t(1) << C))
+        Proj.push_back(T.rowKey(Id)[C]);
+    ++Count[Proj];
+  }
+  uint64_t Sum = 0;
+  for (const auto &[Proj, N] : Count)
+    Sum += N * N;
+  return Sum;
+}
+
+TEST_F(TableTest, IndexStatsSumSqIsSumOfBucketSquares) {
+  // Skewed keys: column 0 is 0 for half the rows, so its index has one
+  // heavy bucket. SumSq must equal Σ bucket² for an index built before
+  // the rows (maintained by appends), one built over existing rows
+  // (prepareIndex), and after tombstones, which stay in their buckets.
+  Table T(2, L, F);
+  T.prepareIndex(0b01);
+  std::mt19937 Rng(3);
+  for (int I = 0; I < 400; ++I)
+    T.join(key(I % 2 ? 0 : int(Rng() % 50), int(Rng() % 30)), L.odd());
+  Table::IndexStats S;
+  ASSERT_TRUE(T.indexStats(0b01, S));
+  EXPECT_EQ(S.SumSq, bruteSumSq(T, 0b01));
+  EXPECT_GT(S.SumSq, uint64_t(T.size()) * T.size() / S.Buckets)
+      << "one heavy bucket puts Σ bucket² above the uniform N²/buckets";
+
+  T.prepareIndex(0b10);
+  ASSERT_TRUE(T.indexStats(0b10, S));
+  EXPECT_EQ(S.SumSq, bruteSumSq(T, 0b10));
+
+  for (uint32_t Id = 0; Id < T.size(); Id += 3)
+    T.resetRow(Id);
+  for (int I = 0; I < 50; ++I)
+    T.join(key(0, 100 + I), L.odd());
+  ASSERT_LT(T.liveSize(), T.size());
+  for (uint64_t Mask : {0b01, 0b10}) {
+    ASSERT_TRUE(T.indexStats(Mask, S));
+    EXPECT_EQ(S.SumSq, bruteSumSq(T, Mask)) << "mask " << Mask;
+  }
+  std::vector<Table::IndexStats> All;
+  T.collectIndexStats(All);
+  ASSERT_EQ(All.size(), 2u);
+  EXPECT_EQ(All[1].SumSq, bruteSumSq(T, All[1].Mask));
+}
+
+TEST_F(TableTest, SampleCollisionsExactWhenTheSampleIsTheTable) {
+  // 6 live rows: column 0 takes 1,1,1,2,2,3 (Σ count² = 9 + 4 + 1 = 14),
+  // column 1 is unique. A tombstoned row is not sampled, and an
+  // unrequested column reads 1.
+  Table T(2, L, F);
+  int Col0[] = {1, 1, 1, 2, 2, 3};
+  for (int I = 0; I < 6; ++I)
+    T.join(key(Col0[I], I), L.odd());
+  T.resetRow(T.join(key(1, 99), L.odd()).RowId);
+  SmallVector<double, 4> P;
+  T.sampleCollisions(0b11, /*MaxSample=*/512, P);
+  ASSERT_EQ(P.size(), 2u);
+  EXPECT_NEAR(P[0], 14.0 / 36.0, 1e-12);
+  EXPECT_NEAR(P[1], 1.0 / 6.0, 1e-12);
+  T.sampleCollisions(0b01, 512, P);
+  EXPECT_DOUBLE_EQ(P[1], 1.0);
+
+  // A strided sample of a large table: a unique column still reads about
+  // 1/N, not 1/(sample size), and a two-valued column about 1/2.
+  Table Big(2, L, F);
+  for (int I = 0; I < 20000; ++I)
+    Big.join(key(I, I % 2), L.odd());
+  Big.sampleCollisions(0b11, 512, P);
+  EXPECT_NEAR(P[0], 1.0 / 20000, 1e-9);
+  EXPECT_NEAR(P[1], 0.5, 0.01);
 }
 
 TEST_F(TableTest, MemoryAccountingGrows) {
