@@ -19,16 +19,16 @@
 // Five representative functions: the paper's parity lub (tag dispatch),
 // the parity transfer function sum (nested match + equality), a deep
 // arithmetic/let/if expression, recursive fib(12) (call-frame traffic),
-// and poly2 (a non-recursive cross-call, the bytecode inliner's
-// showcase). Values are cross-checked between engines on every lane.
+// and poly2 (a non-recursive cross-call). Values are cross-checked
+// between engines on every lane.
 //
-// Every (function x pipeline level {0, 2}) pair gets its own row and
-// JSON record, tagged with the dispatch strategy this binary was built
-// with ("threaded" computed-goto vs. the portable "switch" loop,
-// -DFLIX_VM_THREADED) — BENCH_vm.json is regenerated from both builds.
+// Every function gets one row and one JSON record, tagged with the
+// dispatch strategy this binary was built with ("threaded" computed-goto
+// vs. the portable "switch" loop, -DFLIX_VM_THREADED) — BENCH_vm.json is
+// regenerated from both builds.
 //
 // Options:
-//   --json <file>             one record per (function, opt level)
+//   --json <file>             one record per function
 //
 // Environment overrides:
 //   FLIX_VM_DISPATCH_ITERS    timed iterations per lane (default 200000;
@@ -143,85 +143,66 @@ int main(int Argc, char **Argv) {
   };
 
   std::printf("VM dispatch microbenchmark (ns per call, %ld iterations, "
-              "%s dispatch; EXPERIMENTS.md A7/A9)\n\n",
+              "%s dispatch; EXPERIMENTS.md A7/A17)\n\n",
               Iters, Dispatch);
-  std::printf("%-8s %5s %12s %12s %12s %10s %10s\n", "Function", "opt",
-              "interp", "vm", "memo-hit", "vm-spdup", "memo-spdup");
-  std::printf("%.*s\n", 76,
+  std::printf("%-8s %12s %12s %12s %10s %10s\n", "Function", "interp", "vm",
+              "memo-hit", "vm-spdup", "memo-spdup");
+  std::printf("%.*s\n", 70,
               "------------------------------------------------------------"
               "--------------------");
 
+  FlixCompiler C(F);
+  if (!C.compile(ModuleSrc, "vm-dispatch.flix")) {
+    std::fprintf(stderr, "compile failed:\n%s", C.diagnostics().c_str());
+    return 1;
+  }
+
   JsonReport Json;
   bool AllOk = true;
-  for (int OptLevel : {0, 2}) {
-    FlixCompiler C(F);
-    C.setVmOptLevel(OptLevel);
-    if (!C.compile(ModuleSrc, "vm-dispatch.flix")) {
-      std::fprintf(stderr, "compile failed:\n%s", C.diagnostics().c_str());
+  for (const Case &K : Cases) {
+    Interp &I = C.interp();
+    std::optional<uint32_t> Ix = C.vmFunctionIndex(K.Name);
+    if (!Ix) {
+      std::fprintf(stderr, "error: %s has no VM body\n", K.Name);
       return 1;
     }
-    const auto &Pipe = C.program().vmPipelineCounters();
+    std::span<const Value> Args(K.Args);
 
-    for (const Case &K : Cases) {
-      Interp &I = C.interp();
-      std::optional<uint32_t> Ix = C.vmFunctionIndex(K.Name);
-      if (!Ix) {
-        std::fprintf(stderr, "error: %s has no VM body\n", K.Name);
-        return 1;
-      }
-      std::span<const Value> Args(K.Args);
+    Value FromInterp = I.call(K.Name, Args);
+    Value FromVm = C.vm()->call(*Ix, Args);
+    bool Ok = FromInterp == FromVm && !I.hasError();
+    AllOk &= Ok;
 
-      Value FromInterp = I.call(K.Name, Args);
-      Value FromVm = C.vm()->call(*Ix, Args);
-      bool Ok = FromInterp == FromVm && !I.hasError();
-      AllOk &= Ok;
+    double NsInterp = nsPerCall(K.Iters, [&] { return I.call(K.Name, Args); });
+    double NsVm = nsPerCall(K.Iters, [&] { return C.vm()->call(*Ix, Args); });
+    // A warm extern-memo hit on the same pure call, keyed the way the
+    // solver keys it.
+    plan::ExternMemo Memo;
+    double NsMemo = nsPerCall(K.Iters, [&] {
+      return Memo.call(0, Args, [&] { return C.vm()->call(*Ix, Args); });
+    });
 
-      double NsInterp =
-          nsPerCall(K.Iters, [&] { return I.call(K.Name, Args); });
-      double NsVm =
-          nsPerCall(K.Iters, [&] { return C.vm()->call(*Ix, Args); });
-      // A warm extern-memo hit on the same pure call, keyed the way the
-      // solver keys it.
-      plan::ExternMemo Memo;
-      double NsMemo = nsPerCall(K.Iters, [&] {
-        return Memo.call(0, Args, [&] { return C.vm()->call(*Ix, Args); });
-      });
+    double VmSpeedup = NsInterp / std::max(NsVm, 1e-9);
+    double MemoSpeedup = NsInterp / std::max(NsMemo, 1e-9);
+    std::printf("%-8s %12.1f %12.1f %12.1f %9.1fx %9.1fx%s\n", K.Name,
+                NsInterp, NsVm, NsMemo, VmSpeedup, MemoSpeedup,
+                Ok ? "" : "  ENGINES DISAGREE");
+    std::fflush(stdout);
 
-      double VmSpeedup = NsInterp / std::max(NsVm, 1e-9);
-      double MemoSpeedup = NsInterp / std::max(NsMemo, 1e-9);
-      std::printf("%-8s %5d %12.1f %12.1f %12.1f %9.1fx %9.1fx%s\n", K.Name,
-                  OptLevel, NsInterp, NsVm, NsMemo, VmSpeedup, MemoSpeedup,
-                  Ok ? "" : "  ENGINES DISAGREE");
-      std::fflush(stdout);
-
-      if (!JsonPath.empty()) {
-        Json.begin();
-        Json.str("bench", "vm_dispatch")
-            .str("fn", K.Name)
-            .str("dispatch", Dispatch)
-            .integer("vm_opt_level", OptLevel)
-            .integer("iters", K.Iters)
-            .num("ns_interp", NsInterp)
-            .num("ns_vm", NsVm)
-            .num("ns_memo_hit", NsMemo)
-            .num("speedup_vm", VmSpeedup)
-            .num("speedup_memo", MemoSpeedup)
-            .integer("vm_inlined_calls",
-                     static_cast<long long>(Pipe.InlinedCalls))
-            .integer("vm_superword_hits",
-                     static_cast<long long>(Pipe.SuperwordHits))
-            .integer("vm_passes_removed_insns",
-                     static_cast<long long>(Pipe.RemovedInsns))
-            .boolean("ok", Ok);
-        Json.end();
-      }
+    if (!JsonPath.empty()) {
+      Json.begin();
+      Json.str("bench", "vm_dispatch")
+          .str("fn", K.Name)
+          .str("dispatch", Dispatch)
+          .integer("iters", K.Iters)
+          .num("ns_interp", NsInterp)
+          .num("ns_vm", NsVm)
+          .num("ns_memo_hit", NsMemo)
+          .num("speedup_vm", VmSpeedup)
+          .num("speedup_memo", MemoSpeedup)
+          .boolean("ok", Ok);
+      Json.end();
     }
-    std::printf("  [opt %d: %llu calls inlined, %llu superwords fused, "
-                "%llu instructions removed]\n",
-                OptLevel,
-                static_cast<unsigned long long>(Pipe.InlinedCalls),
-                static_cast<unsigned long long>(Pipe.SuperwordHits),
-                static_cast<unsigned long long>(Pipe.RemovedInsns));
   }
   std::printf("\n");
 

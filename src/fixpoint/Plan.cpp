@@ -561,8 +561,7 @@ bool canRun(const RunnablePlans &Only, const Rule &R, int Driver) {
 
 /// One plan's replan decision: recompiles \p Pl (of rule \p R, keeping
 /// its driver) with the chosen order when its current cost exceeds
-/// Threshold × the best candidate's. Refreshes the stored estimates either
-/// way, so the next check compares against this snapshot.
+/// Threshold × the best candidate's.
 bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
                const Rule &R, const StatsVec &Stats, double Threshold) {
   int Pinned = pinnedElem(Pl.Driver);
@@ -572,25 +571,17 @@ bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
   std::span<const uint32_t> BestView(Best.data(), Best.size());
   std::span<const uint32_t> CurView(Pl.BodyOrder.data(),
                                     Pl.BodyOrder.size());
+  if (sameOrder(BestView, CurView))
+    return false;
   AccessEstimate CurE =
       orderEstimate(P, R, Pinned, CurView, Stats, UseIndexes, PreBound);
-  if (sameOrder(BestView, CurView)) {
-    Pl.EstCost = CurE.Cost;
-    Pl.EstRows = CurE.Fanout;
-    return false;
-  }
   AccessEstimate BestE =
       orderEstimate(P, R, Pinned, BestView, Stats, UseIndexes, PreBound);
   // Hysteresis: keep the current plan unless it is Threshold× worse than
   // the best candidate (1e-9 guards float ties).
-  if (CurE.Cost <= Threshold * BestE.Cost + 1e-9) {
-    Pl.EstCost = CurE.Cost;
-    Pl.EstRows = CurE.Fanout;
+  if (CurE.Cost <= Threshold * BestE.Cost + 1e-9)
     return false;
-  }
   Pl = compilePlan(P, R, Pl.RuleIdx, Pl.Driver, UseIndexes, BestView);
-  Pl.EstCost = BestE.Cost;
-  Pl.EstRows = BestE.Fanout;
   return true;
 }
 

@@ -199,11 +199,6 @@ struct RulePlan {
   /// Per positive-atom step (premise stack order), the atom's rank among
   /// the rule's positive atoms: its premise slot in body order.
   SmallVector<uint32_t, 4> PremiseSlots;
-  /// Cost-model estimates recorded at the last (re)plan: total step cost
-  /// and expected full-match rows. Fed back into SolveStats as
-  /// EstimatedVsActualRows drift at the next adaptive check.
-  double EstCost = 0;
-  double EstRows = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -674,9 +669,7 @@ private:
 
   void initCursor(const RulePlan &Pl, const Step &S, Cursor &C,
                   uint32_t StepIdx) {
-    if (C.HasPremise) { // stale from an aborted deeper pass
-      C.HasPremise = false;
-    }
+    C.HasPremise = false; // may be stale from an aborted deeper pass
     C.Trail.Saved.clear();
     C.RowList = nullptr;
     C.Idx = C.End = 0;

@@ -201,18 +201,6 @@ public:
   /// Cumulative VM inline-cache hits, or 0 when no VM is attached.
   uint64_t vmIcHits() const { return VmIcHits ? VmIcHits() : 0; }
 
-  /// Static counters from the VM's bytecode optimization pipeline
-  /// (vm/Passes.h), fixed at compile time: calls inlined, compare+branch
-  /// pairs fused into superwords, and instructions removed by the
-  /// passes. All zero when no VM is attached or the pipeline is off.
-  struct VmPipelineCounters {
-    uint64_t InlinedCalls = 0;
-    uint64_t SuperwordHits = 0;
-    uint64_t RemovedInsns = 0;
-  };
-  void setVmPipelineCounters(VmPipelineCounters C) { VmPipeline = C; }
-  const VmPipelineCounters &vmPipelineCounters() const { return VmPipeline; }
-
   /// Adds a finished rule. Asserts basic well-formedness (arities, var
   /// ranges); full validation happens in validate().
   void addRule(Rule R);
@@ -264,7 +252,6 @@ private:
   std::vector<Fact> Facts;
   std::vector<std::pair<PredId, uint64_t>> IndexHints;
   std::function<uint64_t()> VmIcHits;
-  VmPipelineCounters VmPipeline;
 };
 
 /// Convenience builder for rules in the C++ API. Variables are referred to

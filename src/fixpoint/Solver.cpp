@@ -353,9 +353,6 @@ void Solver::sampleStats() {
     Stats.MemoMisses = Memo->misses();
   }
   Stats.VmInlineCacheHits = P.vmIcHits() - IcHitsAtStart;
-  Stats.VmInlinedCalls = P.vmPipelineCounters().InlinedCalls;
-  Stats.VmSuperwordHits = P.vmPipelineCounters().SuperwordHits;
-  Stats.VmPassesRemovedInsns = P.vmPipelineCounters().RemovedInsns;
 }
 
 void Solver::replanPlans(double Threshold, bool CountEvents,

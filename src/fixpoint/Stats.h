@@ -18,13 +18,11 @@
 ///   Kind     accumulate (fold)   since(Before) (one update's share)
 ///   Counter  sum                 difference
 ///   Gauge    maximum             absolute value now
-///   Static   maximum             absolute value now
 ///
 /// Counters are work that only grows during a run. Gauges are samples of
 /// engine state: the footprint, plan totals, the memo cache's lifetime
 /// hits and misses, the lifetime escape-hatch counts and the largest
-/// sub-task fan-out, which is why the fold keeps the maximum. Statics
-/// are fixed when the program compiled (the VM pipeline counts).
+/// sub-task fan-out, which is why the fold keeps the maximum.
 ///
 /// Rows are listed in the order the text report prints them.
 ///
@@ -88,13 +86,6 @@ namespace flix {
     Counter,                                                                   \
     "extern dispatches that wanted the VM but had no compiled body; the "      \
     "standard suites assert 0")                                                \
-  X(uint64_t, VmInlinedCalls, "vm_inlined_calls", "calls inlined", Static,     \
-    "CallFn sites the VM pipeline spliced inline")                             \
-  X(uint64_t, VmSuperwordHits, "vm_superword_hits", "superwords fused",        \
-    Static, "compare+branch pairs the VM pipeline fused")                      \
-  X(uint64_t, VmPassesRemovedInsns, "vm_passes_removed_insns",                 \
-    "instructions removed", Static,                                            \
-    "instructions the VM pipeline's passes removed")                           \
   X(uint64_t, ParallelTasks, "parallel_tasks", "parallel tasks", Counter,      \
     "(rule, driver, chunk) tasks executed by the round executor")              \
   X(uint64_t, ParallelSteals, "parallel_steals", "steals", Counter,            \
@@ -122,7 +113,7 @@ namespace flix {
     "seed-plan runs: one per rule re-deriving its head, one per negated "      \
     "occurrence driven by rows that left the table")
 
-enum class StatKind : uint8_t { Counter, Gauge, Static };
+enum class StatKind : uint8_t { Counter, Gauge };
 
 /// The columns of one registry row that reports read.
 struct StatInfo {

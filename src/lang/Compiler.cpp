@@ -467,7 +467,6 @@ bool FlixCompiler::compile(std::string Source, std::string BufferName) {
   if (UseVm) {
     VmMod = std::make_unique<vm::VmModule>();
     VmComp = std::make_unique<vm::VmCompiler>(CM, F, &SM, *VmMod);
-    VmComp->setOptLevel(VmOptLevel);
     // Faults funnel into the interpreter's first-fault slot so
     // interp().hasError() observes either engine.
     TheVm = std::make_unique<vm::Vm>(
@@ -490,12 +489,6 @@ bool FlixCompiler::compile(std::string Source, std::string BufferName) {
     for (auto &[Name, Fn] : VmNatives)
       TheVm->registerNative(Name, Fn);
   VmNatives.clear();
-  // The optimization pipeline ran during lowering (defs and wrappers);
-  // publish its final per-module counters for SolveStats.
-  if (VmMod)
-    Prog->setVmPipelineCounters({VmMod->Pipeline.InlinedCalls,
-                                 VmMod->Pipeline.SuperwordHits,
-                                 VmMod->Pipeline.RemovedInsns});
   return true;
 }
 

@@ -57,13 +57,6 @@ public:
   /// interpreter and no VM is constructed.
   void setUseVm(bool Enabled) { UseVm = Enabled; }
 
-  /// Selects the VM optimization pipeline level (`flixc
-  /// --vm-opt-level`): 0 = off, 1 = local passes, 2 = inlining plus
-  /// local passes (the default). Must be called before compile(); has
-  /// no effect when the VM is disabled.
-  void setVmOptLevel(int Level) { VmOptLevel = Level; }
-  int vmOptLevel() const { return VmOptLevel; }
-
   /// The bytecode VM, or nullptr when disabled or before compile().
   vm::Vm *vm() { return TheVm.get(); }
 
@@ -116,7 +109,6 @@ private:
   /// compiles the module, so pre-compile registrations park here.
   std::vector<std::pair<std::string, NativeFn>> VmNatives;
   bool UseVm = true;
-  int VmOptLevel = 2;
   std::unique_ptr<vm::VmModule> VmMod;
   std::unique_ptr<vm::VmCompiler> VmComp;
   std::unique_ptr<vm::Vm> TheVm;

@@ -381,8 +381,10 @@ void RoundExecutor::evalRound(const std::vector<uint32_t> &RuleIds,
         Tasks.push_back({RI, -1, 0, 0, nullptr});
         continue;
       }
-      // Leading positive atom: drive it over all current rows, chunked.
-      // Driver-first with the first atom is exactly left-to-right order.
+      // Round 0 drives the leading positive atom over all current rows,
+      // chunked. Its plan orders the rest of the body by cost, not left
+      // to right; ⊔-confluence still gives the model of the sequential
+      // Driver -1 pass.
       std::vector<uint32_t> &Rows = AllRows[A->Pred];
       Rows.resize(S->Tables[A->Pred]->size());
       std::iota(Rows.begin(), Rows.end(), 0u);

@@ -201,7 +201,6 @@ Json Server::handleLoad(const Request &R) {
 
   Session::Options SO;
   SO.Solve = Opt.Solve;
-  SO.VmOptLevel = Opt.VmOptLevel;
   SO.MaxPendingFacts = Opt.MaxPendingFactsPerDb;
   auto S = std::make_shared<Session>(Name, SO);
   ErrCode Code = ErrCode::CompileError;

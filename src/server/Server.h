@@ -64,8 +64,6 @@ struct ServerOptions {
   /// TimeLimitSeconds is the per-update-batch solve budget (0 =
   /// unbounded).
   SolverOptions Solve;
-  /// VM optimization pipeline level every database compiles under.
-  int VmOptLevel = 2;
 };
 
 class Server {

@@ -96,10 +96,9 @@ Session::~Session() = default;
 bool Session::load(const std::string &Source, Deadline DL, ErrCode &Code,
                    std::string &Err) {
   Compiler = std::make_unique<FlixCompiler>(F);
-  // Honor the daemon's engine flags (flixd --no-vm / --vm-opt-level) in
-  // every database this server compiles.
+  // Honor the daemon's --no-vm flag in every database this server
+  // compiles.
   Compiler->setUseVm(Opt.Solve.UseVm);
-  Compiler->setVmOptLevel(Opt.VmOptLevel);
   if (!Compiler->compile(Source, DbName + ".flix")) {
     Code = ErrCode::CompileError;
     Err = Compiler->diagnostics();

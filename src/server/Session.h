@@ -68,9 +68,6 @@ public:
     /// serialized through the leader; TimeLimitSeconds is the per-batch
     /// solve budget, see the file comment).
     SolverOptions Solve;
-    /// VM optimization pipeline level every database compiles under
-    /// (flixd --vm-opt-level; FlixCompiler::setVmOptLevel).
-    int VmOptLevel = 2;
     /// Admission bound: maximum staged-but-uncommitted fact rows.
     uint64_t MaxPendingFacts = uint64_t(1) << 20;
   };

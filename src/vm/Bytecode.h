@@ -119,23 +119,6 @@ enum class Op : uint8_t {
   LeqPrologue, ///< r0==r1 | r0==⊥ | r1==⊤ → return true
   LubPrologue, ///< r0==r1→r0; ⊥ is identity; ⊤ absorbs
   GlbPrologue, ///< r0==r1→r0; ⊤ is identity; ⊥ absorbs
-
-  // -- superwords (vm/Passes.cpp peephole; see FusedCmp helpers below) -
-  FusedCmpJump,    ///< if ((R[A] cmp R[B]) == sense) pc = Imm; C packs
-                   ///< the comparison kind and jump sense. Faults like
-                   ///< the original compare on non-Int operands.
-  FusedCmpImmJump, ///< same with the Int immediate bit_cast into B
-
-  // -- inline frames (vm/Passes.cpp bytecode inliner) -----------------
-  // Bracket an inlined callee body so the call-depth accounting — and
-  // therefore the depth-overflow diagnostic — stays byte-identical to
-  // the interpreter even though no frame is pushed.
-  EnterInline, ///< fault "call depth exceeded in Functions[B]..." when
-               ///< the depth limit is hit, else ++depth
-  LeaveInline, ///< --depth
-
-  // -- pipeline scratch -----------------------------------------------
-  Nop, ///< pass-deleted slot; removed by compaction, executes as no-op
 };
 
 /// X-macro listing every opcode exactly once, in enum order. The
@@ -154,21 +137,7 @@ enum class Op : uint8_t {
   X(GetPayload) X(GetTupleElem)                                                \
   X(MakeTag) X(MakeTuple) X(MakeSet)                                           \
   X(CallFn) X(CallNative) X(FailNoMatch)                                       \
-  X(LeqPrologue) X(LubPrologue) X(GlbPrologue)                                 \
-  X(FusedCmpJump) X(FusedCmpImmJump) X(EnterInline) X(LeaveInline) X(Nop)
-
-/// Comparison kind packed into the C operand of the fused
-/// compare+branch superwords, together with the jump sense.
-enum class CmpKind : uint16_t { Lt, Le, Gt, Ge, Eq, Ne };
-
-/// C operand encoding for FusedCmpJump/FusedCmpImmJump: bit 3 is the
-/// jump sense (1 = jump when the comparison holds, 0 = jump when it
-/// does not), bits 0..2 the CmpKind.
-inline uint16_t packFusedCmp(CmpKind Kind, bool JumpIfHolds) {
-  return uint16_t((JumpIfHolds ? 8u : 0u) | uint16_t(Kind));
-}
-inline CmpKind fusedCmpKind(uint16_t C) { return CmpKind(C & 7u); }
-inline bool fusedJumpIfHolds(uint16_t C) { return (C & 8u) != 0; }
+  X(LeqPrologue) X(LubPrologue) X(GlbPrologue)
 
 /// One fixed-width instruction. A/B/C are register numbers, counts,
 /// constant-pool slots or symbol ids depending on the opcode; Imm is a
@@ -208,16 +177,6 @@ struct VmFunction {
   std::vector<uint32_t> Callees;
 };
 
-/// What the optimization pipeline (vm/Passes.cpp) did to a module.
-/// Static per compiled module — the passes run once, at compile time —
-/// so every solve over the module reports the same numbers.
-struct VmPipelineStats {
-  uint64_t InlinedCalls = 0;   ///< CallFn sites replaced by inline bodies
-  uint64_t SuperwordHits = 0;  ///< compare+branch pairs fused
-  uint64_t RemovedInsns = 0;   ///< instructions removed by SCCP/CSE/DCE/
-                               ///< jump threading
-};
-
 /// A compiled module: every def of a CheckedModule plus one anonymous
 /// function per rule wrapper (filter/binder/transfer). Immutable after
 /// compilation except the inline-cache words, which are monotone
@@ -236,9 +195,6 @@ struct VmModule {
   /// deque so cache words allocated during compilation never move —
   /// executing threads hold stable references.
   std::deque<std::atomic<uint64_t>> Caches;
-
-  /// Filled by vm/Passes.cpp when the pipeline runs (opt level > 0).
-  VmPipelineStats Pipeline;
 
   static constexpr uint64_t EmptyCache = ~uint64_t{0};
 };

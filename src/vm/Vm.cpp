@@ -65,7 +65,7 @@ constexpr bool opListMatchesEnum() {
   return true;
 }
 static_assert(opListMatchesEnum() &&
-                  static_cast<size_t>(Op::Nop) + 1 == NumOps,
+                  static_cast<size_t>(Op::GlbPrologue) + 1 == NumOps,
               "FLIX_VM_OPLIST must list every opcode in enum order");
 
 /// Per-thread register stack. Frames are slices [Base, Base+NumRegs);
@@ -432,88 +432,6 @@ Value Vm::run(const VmFunction &Fn, size_t FrameBase, ExecState &St) {
         if (A == Bot || B == Bot)
           return Bot;
       }
-      VM_NEXT();
-
-      VM_CASE(FusedCmpJump) {
-        Value L = R[I->A], Rv = R[I->B];
-        CmpKind Kind = fusedCmpKind(I->C);
-        bool Holds;
-        if (Kind == CmpKind::Eq) {
-          Holds = L == Rv;
-        } else if (Kind == CmpKind::Ne) {
-          Holds = L != Rv;
-        } else {
-          if (!L.isInt() || !Rv.isInt())
-            return fault(St, "arithmetic on non-Int values");
-          int64_t A = L.asInt(), B = Rv.asInt();
-          switch (Kind) {
-          case CmpKind::Lt:
-            Holds = A < B;
-            break;
-          case CmpKind::Le:
-            Holds = A <= B;
-            break;
-          case CmpKind::Gt:
-            Holds = A > B;
-            break;
-          default:
-            Holds = A >= B;
-            break;
-          }
-        }
-        if (Holds == fusedJumpIfHolds(I->C))
-          Pc = I->Imm;
-      }
-      VM_NEXT();
-      VM_CASE(FusedCmpImmJump) {
-        Value V = R[I->A];
-        int64_t Imm = static_cast<int32_t>(I->B);
-        CmpKind Kind = fusedCmpKind(I->C);
-        bool Holds;
-        if (Kind == CmpKind::Eq) {
-          Holds = V.isInt() && V.asInt() == Imm;
-        } else if (Kind == CmpKind::Ne) {
-          Holds = !V.isInt() || V.asInt() != Imm;
-        } else {
-          if (!V.isInt())
-            return fault(St, "arithmetic on non-Int values");
-          int64_t A = V.asInt();
-          switch (Kind) {
-          case CmpKind::Lt:
-            Holds = A < Imm;
-            break;
-          case CmpKind::Le:
-            Holds = A <= Imm;
-            break;
-          case CmpKind::Gt:
-            Holds = A > Imm;
-            break;
-          default:
-            Holds = A >= Imm;
-            break;
-          }
-        }
-        if (Holds == fusedJumpIfHolds(I->C))
-          Pc = I->Imm;
-      }
-      VM_NEXT();
-
-      // Inline-frame markers: keep the depth accounting — and so the
-      // overflow diagnostic — byte-identical to a real call without
-      // pushing a frame. A fault inside the inlined body unwinds the
-      // whole top-level call, so a skipped LeaveInline is harmless.
-      VM_CASE(EnterInline) {
-        if (St.Depth >= MaxCallDepth)
-          return fault(St, "call depth exceeded in " +
-                               M.Functions[I->B].DepthErrWhere +
-                               " (runaway recursion?)");
-        ++St.Depth;
-      }
-      VM_NEXT();
-      VM_CASE(LeaveInline) { --St.Depth; }
-      VM_NEXT();
-
-      VM_CASE(Nop) {}
       VM_NEXT();
 
 #if !FLIX_VM_USE_THREADED

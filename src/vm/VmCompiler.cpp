@@ -7,7 +7,6 @@
 #include "vm/VmCompiler.h"
 
 #include "support/SmallVector.h"
-#include "vm/Passes.h"
 
 #include <cassert>
 
@@ -793,10 +792,6 @@ size_t VmCompiler::compileDefs() {
   size_t NumOk = 0;
   for (const VmFunction &Fn : M.Functions)
     NumOk += Fn.Ok;
-
-  // The optimization pipeline runs after the closure so the inliner
-  // only ever splices bodies whose whole call tree compiled.
-  optimizeModule(M, F, OptLevel);
   return NumOk;
 }
 
@@ -837,9 +832,6 @@ VmCompiler::compileWrapper(const std::string &Name,
     Fn.Ok &= usable(C);
   if (!Fn.Ok)
     return std::nullopt;
-  // Defs are already optimized, so the wrapper's callees are final and
-  // it can be piped through the same passes on its own.
-  optimizeFunction(M, Ix, F, OptLevel);
   return Ix;
 }
 

@@ -47,11 +47,6 @@ public:
   void markLatticeOp(const std::string &Fn, LatRole Role, Value Bot,
                      Value Top);
 
-  /// Selects the vm/Passes.h pipeline level applied to compiled code:
-  /// 0 = off, 1 = local passes, 2 = inlining + local passes (default).
-  /// Call before compileDefs().
-  void setOptLevel(int Level) { OptLevel = Level; }
-
   /// Compiles every def of the checked module and resolves the
   /// usability closure (a function is usable iff its body and all its
   /// CallFn callees compiled). Returns the number of usable functions.
@@ -92,7 +87,6 @@ private:
   std::map<std::string, uint32_t> FnIndex;     ///< def name → function ix
   std::map<std::string, uint32_t> NativeIndex; ///< ext name → native slot
   bool DefsDone = false;
-  int OptLevel = 2;
 };
 
 } // namespace flix::vm

@@ -82,11 +82,9 @@ private:
     Done.push_back(std::move(Fn));
   }
 
-  /// Small single-parameter helpers (h0..h3). Each body is one
+  /// Small single-parameter helpers (r0..r3). Each body is one
   /// compare-against-literal branch — the canonical CmpXxImm +
-  /// JumpIfFalse pair the superword pass fuses — and stays far under
-  /// the inliner's callee budget, so every call site of these is an
-  /// inlining candidate.
+  /// JumpIfFalse pair — and every random def may call them.
   void emitHelpers(RandomExprModule &M) {
     static const char *const Cmps[] = {"<", "<=", ">", ">=", "==", "!="};
     for (int H = 0; H < 4; ++H) {
@@ -102,17 +100,15 @@ private:
   }
 
   /// One controlled self-recursive def, terminating on the small
-  /// argument magnitudes the grammar produces. The inliner must refuse
-  /// it (recursion exclusion), and calls that do run deep exercise the
-  /// call-depth diagnostic on both engines identically.
+  /// argument magnitudes the grammar produces. Calls that do run deep
+  /// exercise the call-depth diagnostic on both engines identically.
   void emitRecursive(RandomExprModule &M) {
     addIntDef(M, "rec0", "(if (p0 <= 0) 0 else (rec0(p0 - 1) + 1))");
   }
 
   /// A deep non-recursive call chain c0 → c1 → ... → c7: calling the
-  /// last link traverses eight frames, and under optimization the
-  /// inliner splices links until its nesting budget stops it — the
-  /// differential harness then checks identity across that boundary.
+  /// last link traverses eight frames, and the differential harness
+  /// checks identity through every one of them.
   void emitChain(RandomExprModule &M) {
     addIntDef(M, "c0", "(if (p0 <= 0) 0 else (p0 + 1))");
     for (int K = 1; K < 8; ++K)

@@ -13,11 +13,10 @@
 /// short-circuit, unary operators, if/let, matches over enum tags, tuples
 /// and integer literals (sometimes deliberately non-exhaustive), and
 /// calls to earlier defs. Every module also leads with a fixed cast of
-/// optimizer-relevant shapes whose constants the seed varies: four tiny
-/// compare-and-branch helpers (superword-fusion and inlining targets),
-/// one controlled self-recursive def (the inliner must refuse it; deep
-/// calls reach the call-depth diagnostic), and an eight-link call chain
-/// (inline-nesting budget boundary). Random calls only ever point
+/// shapes whose constants the seed varies: four tiny compare-and-branch
+/// helpers (the VM's immediate-compare forms), one controlled
+/// self-recursive def (deep calls reach the call-depth diagnostic), and
+/// an eight-link call chain (nested frames). Random calls only ever point
 /// backwards, so the reachable faults are division or remainder by
 /// zero, a missed match case, and call-depth overflow through the
 /// recursive def — each checked for message identity by the

@@ -114,47 +114,30 @@ void checkCall(FlixCompiler &C, const RandomExprFn &Fn, uint32_t VmIx,
 
 TEST(VmDifferentialTest, RandomExprEngineIdentity) {
   int FaultCount = 0;
-  uint64_t InlinedAtO2 = 0, SuperwordsAtO2 = 0;
-  // Same seeds (hence same modules and same argument vectors) at
-  // pipeline level 0 (PR7-identical bytecode) and level 2 (inlining +
-  // local passes): the optimizer must be observationally invisible.
-  for (int OptLevel : {0, 2}) {
-    for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
-      RandomExprModule M = generateRandomExprModule(Seed, 6, 4);
-      ValueFactory F;
-      FlixCompiler C(F);
-      C.setVmOptLevel(OptLevel);
-      ASSERT_TRUE(C.compile(M.Source, "random-expr.flix"))
-          << "seed " << Seed << ":\n"
-          << C.diagnostics() << "\n"
-          << M.Source;
-      ASSERT_NE(C.vm(), nullptr);
-      const auto &Pipe = C.program().vmPipelineCounters();
-      if (OptLevel == 0) {
-        EXPECT_EQ(Pipe.InlinedCalls, 0u) << "seed " << Seed;
-        EXPECT_EQ(Pipe.SuperwordHits, 0u) << "seed " << Seed;
-        EXPECT_EQ(Pipe.RemovedInsns, 0u) << "seed " << Seed;
-      } else {
-        InlinedAtO2 += Pipe.InlinedCalls;
-        SuperwordsAtO2 += Pipe.SuperwordHits;
-      }
-      ArgRng R(Seed * 0x9e3779b97f4a7c15ull);
-      for (const RandomExprFn &Fn : M.Fns) {
-        std::optional<uint32_t> Ix = C.vmFunctionIndex(Fn.Name);
-        // The generated grammar stays inside the compilable fragment, so a
-        // missing VM body is a compiler bug, not an acceptable fallback.
-        ASSERT_TRUE(Ix.has_value()) << "seed " << Seed << " fn " << Fn.Name;
-        for (int Trial = 0; Trial < 8; ++Trial) {
-          std::vector<Value> Args;
-          for (RandomExprType T : Fn.Params)
-            Args.push_back(randomArg(F, R, T));
-          std::string Ctx = "O" + std::to_string(OptLevel) + " seed " +
-                            std::to_string(Seed) + " fn " + Fn.Name +
-                            " trial " + std::to_string(Trial);
-          checkCall(C, Fn, *Ix, Args, Ctx, FaultCount);
-          if (::testing::Test::HasFatalFailure())
-            return;
-        }
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    RandomExprModule M = generateRandomExprModule(Seed, 6, 4);
+    ValueFactory F;
+    FlixCompiler C(F);
+    ASSERT_TRUE(C.compile(M.Source, "random-expr.flix"))
+        << "seed " << Seed << ":\n"
+        << C.diagnostics() << "\n"
+        << M.Source;
+    ASSERT_NE(C.vm(), nullptr);
+    ArgRng R(Seed * 0x9e3779b97f4a7c15ull);
+    for (const RandomExprFn &Fn : M.Fns) {
+      std::optional<uint32_t> Ix = C.vmFunctionIndex(Fn.Name);
+      // The generated grammar stays inside the compilable fragment, so a
+      // missing VM body is a compiler bug, not an acceptable fallback.
+      ASSERT_TRUE(Ix.has_value()) << "seed " << Seed << " fn " << Fn.Name;
+      for (int Trial = 0; Trial < 8; ++Trial) {
+        std::vector<Value> Args;
+        for (RandomExprType T : Fn.Params)
+          Args.push_back(randomArg(F, R, T));
+        std::string Ctx = "seed " + std::to_string(Seed) + " fn " + Fn.Name +
+                          " trial " + std::to_string(Trial);
+        checkCall(C, Fn, *Ix, Args, Ctx, FaultCount);
+        if (::testing::Test::HasFatalFailure())
+          return;
       }
     }
   }
@@ -162,50 +145,42 @@ TEST(VmDifferentialTest, RandomExprEngineIdentity) {
   // fault path is exercised — a zero here means the generator regressed
   // into the happy path only.
   EXPECT_GT(FaultCount, 0);
-  // The generator's fixed cast guarantees both headline optimizations
-  // actually fired somewhere in the 40 modules.
-  EXPECT_GT(InlinedAtO2, 0u);
-  EXPECT_GT(SuperwordsAtO2, 0u);
 }
 
 TEST(VmDifferentialTest, DepthOverflowDiagnosticIdentity) {
-  for (int OptLevel : {0, 2}) {
-    ValueFactory F;
-    FlixCompiler C(F);
-    C.setVmOptLevel(OptLevel);
-    ASSERT_TRUE(C.compile("def loop(x: Int): Int = loop(x + 1)\n",
-                          "overflow.flix"))
-        << C.diagnostics();
-    std::optional<uint32_t> Ix = C.vmFunctionIndex("loop");
-    ASSERT_TRUE(Ix.has_value());
-    Value A[1] = {F.integer(0)};
+  ValueFactory F;
+  FlixCompiler C(F);
+  ASSERT_TRUE(C.compile("def loop(x: Int): Int = loop(x + 1)\n",
+                        "overflow.flix"))
+      << C.diagnostics();
+  std::optional<uint32_t> Ix = C.vmFunctionIndex("loop");
+  ASSERT_TRUE(Ix.has_value());
+  Value A[1] = {F.integer(0)};
 
-    Interp &I = C.interp();
-    I.clearError();
-    I.call("loop", A);
-    ASSERT_TRUE(I.hasError());
-    std::string InterpMsg = I.error();
+  Interp &I = C.interp();
+  I.clearError();
+  I.call("loop", A);
+  ASSERT_TRUE(I.hasError());
+  std::string InterpMsg = I.error();
 
-    I.clearError();
-    C.vm()->call(*Ix, A);
-    ASSERT_TRUE(I.hasError());
-    std::string VmMsg = I.error();
+  I.clearError();
+  C.vm()->call(*Ix, A);
+  ASSERT_TRUE(I.hasError());
+  std::string VmMsg = I.error();
 
-    // Identical diagnostic, function name and source span included.
-    EXPECT_EQ(InterpMsg, VmMsg) << "opt level " << OptLevel;
-    EXPECT_NE(InterpMsg.find("call depth exceeded in 'loop'"),
-              std::string::npos)
-        << InterpMsg;
-    EXPECT_NE(InterpMsg.find("overflow.flix:1:"), std::string::npos)
-        << InterpMsg;
-  }
+  // Identical diagnostic, function name and source span included.
+  EXPECT_EQ(InterpMsg, VmMsg);
+  EXPECT_NE(InterpMsg.find("call depth exceeded in 'loop'"),
+            std::string::npos)
+      << InterpMsg;
+  EXPECT_NE(InterpMsg.find("overflow.flix:1:"), std::string::npos)
+      << InterpMsg;
 }
 
-TEST(VmDifferentialTest, InlineBudgetAndRecursion) {
-  // A self-recursive callee must never be inlined, a callee past the
-  // instruction budget must never be inlined, and a call-depth overflow
-  // that unwinds *through* an inlined helper must carry the same
-  // diagnostic as the interpreter.
+TEST(VmDifferentialTest, RecursionAndDepthOverflowIdentity) {
+  // Self-recursion and a long straight-line callee body must compute the
+  // interpreter's values, and a call-depth overflow that unwinds through
+  // mutual recursion must carry the interpreter's diagnostic.
   {
     ValueFactory F;
     FlixCompiler C(F);
@@ -214,7 +189,6 @@ TEST(VmDifferentialTest, InlineBudgetAndRecursion) {
                           "def use(y: Int): Int = down(y) + down(y - 1)\n",
                           "rec.flix"))
         << C.diagnostics();
-    EXPECT_EQ(C.program().vmPipelineCounters().InlinedCalls, 0u);
     std::optional<uint32_t> Ix = C.vmFunctionIndex("use");
     ASSERT_TRUE(Ix.has_value());
     Value A[1] = {F.integer(9)};
@@ -222,9 +196,8 @@ TEST(VmDifferentialTest, InlineBudgetAndRecursion) {
     EXPECT_FALSE(C.interp().hasError());
   }
   {
-    // 80 chained additions of the parameter: none fold (the operand is
-    // unknown) and none die (each feeds the next), so the callee body
-    // stays past the 48-instruction inline budget.
+    // 80 chained additions of the parameter: a long callee body whose
+    // every instruction depends on the argument.
     std::string Big = "def big(x: Int): Int = x";
     for (int I = 0; I < 80; ++I)
       Big += " + x";
@@ -232,31 +205,22 @@ TEST(VmDifferentialTest, InlineBudgetAndRecursion) {
     ValueFactory F;
     FlixCompiler C(F);
     ASSERT_TRUE(C.compile(Big, "big.flix")) << C.diagnostics();
-    EXPECT_EQ(C.program().vmPipelineCounters().InlinedCalls, 0u);
     std::optional<uint32_t> Ix = C.vmFunctionIndex("use");
     ASSERT_TRUE(Ix.has_value());
     Value A[1] = {F.integer(3)};
     EXPECT_EQ(C.vm()->call(*Ix, A), C.interp().call("use", A));
     EXPECT_FALSE(C.interp().hasError());
   }
-  for (int OptLevel : {0, 2}) {
-    // ping/pong sit on a call-graph cycle (excluded from inlining);
-    // bump does not and gets spliced into both at level 2. The infinite
-    // mutual recursion must then fault with a diagnostic identical to
-    // the interpreter's, inlined frames notwithstanding.
+  {
+    // ping/pong recurse forever through the helper bump; the overflow
+    // must fault with a diagnostic identical to the interpreter's.
     ValueFactory F;
     FlixCompiler C(F);
-    C.setVmOptLevel(OptLevel);
     ASSERT_TRUE(C.compile("def bump(x: Int): Int = x - 1\n"
                           "def ping(x: Int): Int = pong(bump(x))\n"
                           "def pong(x: Int): Int = ping(bump(x))\n",
                           "mutual.flix"))
         << C.diagnostics();
-    const auto &Pipe = C.program().vmPipelineCounters();
-    if (OptLevel == 2)
-      EXPECT_GE(Pipe.InlinedCalls, 2u); // bump into ping and into pong
-    else
-      EXPECT_EQ(Pipe.InlinedCalls, 0u);
     std::optional<uint32_t> Ix = C.vmFunctionIndex("ping");
     ASSERT_TRUE(Ix.has_value());
     Value A[1] = {F.integer(0)};
@@ -273,7 +237,7 @@ TEST(VmDifferentialTest, InlineBudgetAndRecursion) {
     std::string VmMsg = I.error();
     I.clearError();
 
-    EXPECT_EQ(InterpMsg, VmMsg) << "opt level " << OptLevel;
+    EXPECT_EQ(InterpMsg, VmMsg);
     EXPECT_NE(InterpMsg.find("call depth exceeded"), std::string::npos)
         << InterpMsg;
   }

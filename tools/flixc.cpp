@@ -77,8 +77,6 @@ static void printUsage() {
       "  --no-memo          disable the pure-function memo cache\n"
       "  --no-vm            interpret FLIX functions (disable the bytecode "
       "VM)\n"
-      "  --vm-opt-level <n> bytecode optimization pipeline: 0 = off, "
-      "1 = local passes, 2 = inlining + local passes (default 2)\n"
       "  --no-cost-plans    freeze written (driver-first) join orders "
       "(disable the cost-based planner)\n"
       "  --replan-threshold <x>  adaptive re-plan hysteresis factor "
@@ -454,7 +452,6 @@ static int runUpdateScript(FlixCompiler &C, ValueFactory &F,
 
 int main(int Argc, char **Argv) {
   SolverOptions Opts;
-  int VmOptLevel = 2;
   bool DumpProgram = false;
   bool Stats = false;
   bool Json = false;
@@ -474,13 +471,6 @@ int main(int Argc, char **Argv) {
       Opts.EnableMemo = false;
     } else if (Arg == "--no-vm") {
       Opts.UseVm = false;
-    } else if (Arg == "--vm-opt-level") {
-      if (++I >= Argc) {
-        std::fprintf(stderr, "error: --vm-opt-level needs a value\n");
-        return 1;
-      }
-      VmOptLevel =
-          static_cast<int>(parseIntFlag("--vm-opt-level", Argv[I], 0, 2));
     } else if (Arg == "--no-cost-plans") {
       Opts.CostBasedPlans = false;
     } else if (Arg == "--replan-threshold") {
@@ -580,7 +570,6 @@ int main(int Argc, char **Argv) {
   ValueFactory F;
   FlixCompiler C(F);
   C.setUseVm(Opts.UseVm);
-  C.setVmOptLevel(VmOptLevel);
   if (!C.compile(Buf.str(), InputPath)) {
     std::fprintf(stderr, "%s", C.diagnostics().c_str());
     return 1;
@@ -630,10 +619,10 @@ int main(int Argc, char **Argv) {
       std::printf("\nstats: %s\n", renderStats(St, StatsFormat::Text).c_str());
     if (Json)
       std::printf("{\"status\": \"%s\", \"threads\": %u, \"memo\": %s, "
-                  "\"vm\": %s, \"vm_opt_level\": %d, %s}\n",
+                  "\"vm\": %s, %s}\n",
                   statusName(St.St), Opts.NumThreads,
                   Opts.EnableMemo ? "true" : "false",
-                  Opts.UseVm ? "true" : "false", C.vmOptLevel(),
+                  Opts.UseVm ? "true" : "false",
                   renderStats(St, StatsFormat::Json).c_str());
     return 0;
   });

@@ -45,9 +45,6 @@ static void printUsage() {
       "  --threads N           solver threads per update batch\n"
       "  --no-vm               interpret FLIX functions (disable the\n"
       "                        bytecode VM)\n"
-      "  --vm-opt-level N      bytecode optimization pipeline: 0 = off,\n"
-      "                        1 = local passes, 2 = inlining + local\n"
-      "                        passes (default 2)\n"
       "  --no-cost-plans       freeze driver-first join orders\n"
       "  --replan-threshold X  adaptive re-plan hysteresis factor\n"
       "                        (0 disables between-round re-planning)\n"
@@ -130,9 +127,6 @@ int main(int argc, char **argv) {
           unsigned(parseIntFlag("--threads", needValue(I), 0, 1024));
     } else if (A == "--no-vm") {
       Opt.Solve.UseVm = false;
-    } else if (A == "--vm-opt-level") {
-      Opt.VmOptLevel =
-          int(parseIntFlag("--vm-opt-level", needValue(I), 0, 2));
     } else if (A == "--no-cost-plans") {
       Opt.Solve.CostBasedPlans = false;
     } else if (A == "--replan-threshold") {
