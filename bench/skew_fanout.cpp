@@ -42,7 +42,7 @@
 
 #include "BenchUtil.h"
 
-#include "parallel/Dispatch.h"
+#include "fixpoint/Solver.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -323,10 +323,9 @@ int main(int Argc, char **Argv) {
         SolverOptions Opts;
         Opts.NumThreads = T;
         Opts.SpillThreshold = Spill;
-        Ok = solveWith(W.P, Opts, [&](const auto &S, const SolveStats &R) {
-          St = R;
-          return R.ok() && S.table(W.Path).size() == ExpectedPaths;
-        });
+        Solver S(W.P, Opts);
+        St = S.solve();
+        Ok = St.ok() && S.table(W.Path).size() == ExpectedPaths;
         return St.Seconds;
       });
       if (!Ok) {

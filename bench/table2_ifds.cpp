@@ -56,8 +56,8 @@
 #include "BenchUtil.h"
 
 #include "analyses/Ifds.h"
+#include "fixpoint/Solver.h"
 #include "lang/Compiler.h"
-#include "parallel/Dispatch.h"
 #include "workload/IcfgWorkload.h"
 
 #include <algorithm>
@@ -396,22 +396,20 @@ VmRunOutcome runVmEngineConfig(const IcfgProgram &G, bool UseVm,
   SolverOptions Opts;
   Opts.UseVm = UseVm;
   Opts.EnableMemo = Memo;
-  return solveWith(C.program(), Opts,
-                   [&](const auto &S, const SolveStats &St) {
-    Out.Seconds = St.Seconds;
-    Out.RuleFirings = St.RuleFirings;
-    Out.VmCalls = St.VmCalls;
-    Out.IcHits = St.VmInlineCacheHits;
-    Out.Fallbacks = St.InterpFallbacks;
-    Out.Ok = St.St == SolveStats::Status::Fixpoint &&
-             !C.interp().hasError();
-    if (Out.Ok)
-      for (const auto &Row : S.tuples(*C.predicate("Out")))
-        Out.Model.insert(std::to_string(Row[0].asInt()) + "," +
-                         std::to_string(Row[1].asInt()) + "," +
-                         F.toString(Row[2]));
-    return Out;
-  });
+  Solver S(C.program(), Opts);
+  SolveStats St = S.solve();
+  Out.Seconds = St.Seconds;
+  Out.RuleFirings = St.RuleFirings;
+  Out.VmCalls = St.VmCalls;
+  Out.IcHits = St.VmInlineCacheHits;
+  Out.Fallbacks = St.InterpFallbacks;
+  Out.Ok = St.St == SolveStats::Status::Fixpoint && !C.interp().hasError();
+  if (Out.Ok)
+    for (const auto &Row : S.tuples(*C.predicate("Out")))
+      Out.Model.insert(std::to_string(Row[0].asInt()) + "," +
+                       std::to_string(Row[1].asInt()) + "," +
+                       F.toString(Row[2]));
+  return Out;
 }
 
 /// The four engine configurations, interpreter first (the baseline).

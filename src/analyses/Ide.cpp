@@ -6,7 +6,7 @@
 
 #include "analyses/Ide.h"
 
-#include "parallel/Dispatch.h"
+#include "fixpoint/Solver.h"
 
 using namespace flix;
 
@@ -183,36 +183,36 @@ IdeResult flix::runIdeFlix(const IdeProblem &In, SolverOptions Opts) {
     P.addLatFact(ResultProc, {N(Seed.Proc), N(Seed.Fact)}, V);
   }
 
-  return solveWith(P, Opts, [&](const auto &S, const SolveStats &St) {
-    IdeResult R;
-    R.Seconds = St.Seconds;
-    R.Stats = St;
-    if (!St.ok()) {
-      R.Error = St.Error.empty() ? "solver did not reach a fixpoint"
-                                 : St.Error;
-      return R;
-    }
-    R.Ok = true;
-    R.NumJumpFns = S.table(JumpFn).size();
-    R.NumSummaries = S.table(SummaryFn).size();
-    for (const auto &Row : S.tuples(JumpFn)) {
-      if (Row[3] == TL.bot())
-        continue;
-      R.Reachable.insert({static_cast<int>(Row[1].asInt()),
-                          static_cast<int>(Row[2].asInt())});
-    }
-    for (const auto &Row : S.tuples(Result)) {
-      Value V = Row[2];
-      std::string Rendered;
-      if (V == CL.bot())
-        Rendered = "Bot";
-      else if (V == CL.top())
-        Rendered = "Top";
-      else
-        Rendered = std::to_string(CL.constantValue(V));
-      R.Values[{static_cast<int>(Row[0].asInt()),
-                static_cast<int>(Row[1].asInt())}] = Rendered;
-    }
+  Solver S(P, Opts);
+  SolveStats St = S.solve();
+  IdeResult R;
+  R.Seconds = St.Seconds;
+  R.Stats = St;
+  if (!St.ok()) {
+    R.Error = St.Error.empty() ? "solver did not reach a fixpoint"
+                               : St.Error;
     return R;
-  });
+  }
+  R.Ok = true;
+  R.NumJumpFns = S.table(JumpFn).size();
+  R.NumSummaries = S.table(SummaryFn).size();
+  for (const auto &Row : S.tuples(JumpFn)) {
+    if (Row[3] == TL.bot())
+      continue;
+    R.Reachable.insert({static_cast<int>(Row[1].asInt()),
+                        static_cast<int>(Row[2].asInt())});
+  }
+  for (const auto &Row : S.tuples(Result)) {
+    Value V = Row[2];
+    std::string Rendered;
+    if (V == CL.bot())
+      Rendered = "Bot";
+    else if (V == CL.top())
+      Rendered = "Top";
+    else
+      Rendered = std::to_string(CL.constantValue(V));
+    R.Values[{static_cast<int>(Row[0].asInt()),
+              static_cast<int>(Row[1].asInt())}] = Rendered;
+  }
+  return R;
 }

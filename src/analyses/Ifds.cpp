@@ -6,7 +6,7 @@
 
 #include "analyses/Ifds.h"
 
-#include "parallel/Dispatch.h"
+#include "fixpoint/Solver.h"
 
 #include <algorithm>
 #include <array>
@@ -138,23 +138,23 @@ IfdsResult flix::runIfdsFlix(const IfdsProblem &In, SolverOptions Opts) {
   for (auto [Node, D] : In.Seeds)
     P.addFact(PathEdge, {N(D), N(Node), N(D)});
 
-  return solveWith(P, Opts, [&](const auto &S, const SolveStats &St) {
-    IfdsResult R;
-    R.Seconds = St.Seconds;
-    R.Stats = St;
-    if (!St.ok()) {
-      R.Error = St.Error.empty() ? "solver did not reach a fixpoint"
-                                 : St.Error;
-      return R;
-    }
-    R.Ok = true;
-    R.NumPathEdges = S.table(PathEdge).size();
-    R.NumSummaries = S.table(SummaryEdge).size();
-    for (const auto &Row : S.tuples(Result))
-      R.Result.insert({static_cast<int>(Row[0].asInt()),
-                       static_cast<int>(Row[1].asInt())});
+  Solver S(P, Opts);
+  SolveStats St = S.solve();
+  IfdsResult R;
+  R.Seconds = St.Seconds;
+  R.Stats = St;
+  if (!St.ok()) {
+    R.Error = St.Error.empty() ? "solver did not reach a fixpoint"
+                               : St.Error;
     return R;
-  });
+  }
+  R.Ok = true;
+  R.NumPathEdges = S.table(PathEdge).size();
+  R.NumSummaries = S.table(SummaryEdge).size();
+  for (const auto &Row : S.tuples(Result))
+    R.Result.insert({static_cast<int>(Row[0].asInt()),
+                     static_cast<int>(Row[1].asInt())});
+  return R;
 }
 
 //===----------------------------------------------------------------------===//

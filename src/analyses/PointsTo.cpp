@@ -6,7 +6,7 @@
 
 #include "analyses/PointsTo.h"
 
-#include "parallel/Dispatch.h"
+#include "fixpoint/Solver.h"
 
 #include <array>
 
@@ -75,19 +75,19 @@ PointsToResult flix::runPointsTo(const PointsToInput &In,
     P.addFact(Ids.Store,
               {F.string(S.Base), F.string(S.Field), F.string(S.From)});
 
-  return solveWith(P, Opts, [&](const auto &S, const SolveStats &St) {
-    PointsToResult R;
-    R.Stats = St;
-    if (!R.Stats.ok())
-      return R;
-
-    for (const auto &Row : S.tuples(Ids.VarPointsTo))
-      R.VarPointsTo.emplace_back(F.strings().text(Row[0].asStr()),
-                                 F.strings().text(Row[1].asStr()));
-    for (const auto &Row : S.tuples(Ids.HeapPointsTo))
-      R.HeapPointsTo.push_back({F.strings().text(Row[0].asStr()),
-                                F.strings().text(Row[1].asStr()),
-                                F.strings().text(Row[2].asStr())});
+  Solver S(P, Opts);
+  SolveStats St = S.solve();
+  PointsToResult R;
+  R.Stats = St;
+  if (!R.Stats.ok())
     return R;
-  });
+
+  for (const auto &Row : S.tuples(Ids.VarPointsTo))
+    R.VarPointsTo.emplace_back(F.strings().text(Row[0].asStr()),
+                               F.strings().text(Row[1].asStr()));
+  for (const auto &Row : S.tuples(Ids.HeapPointsTo))
+    R.HeapPointsTo.push_back({F.strings().text(Row[0].asStr()),
+                              F.strings().text(Row[1].asStr()),
+                              F.strings().text(Row[2].asStr())});
+  return R;
 }

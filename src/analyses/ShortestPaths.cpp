@@ -6,7 +6,7 @@
 
 #include "analyses/ShortestPaths.h"
 
-#include "parallel/Dispatch.h"
+#include "fixpoint/Solver.h"
 #include "runtime/Lattices.h"
 
 #include <chrono>
@@ -41,21 +41,21 @@ SsspResult flix::runShortestPathsFlix(const WeightedGraph &G, int Source,
     P.addFact(Edge, {N(E[0]), N(E[1]), N(E[2])});
   P.addLatFact(Dist, {N(Source)}, L.cost(0));
 
-  return solveWith(P, Opts, [&](const auto &S, const SolveStats &St) {
-    SsspResult R;
-    R.Seconds = St.Seconds;
-    R.FactsDerived = St.FactsDerived;
-    if (!St.ok())
-      return R;
-    R.Ok = true;
-    R.Dist.assign(G.NumNodes, -1);
-    for (const auto &Row : S.tuples(Dist)) {
-      Value V = Row[1];
-      if (!L.isInfinity(V))
-        R.Dist[Row[0].asInt()] = V.asInt();
-    }
+  Solver S(P, Opts);
+  SolveStats St = S.solve();
+  SsspResult R;
+  R.Seconds = St.Seconds;
+  R.FactsDerived = St.FactsDerived;
+  if (!St.ok())
     return R;
-  });
+  R.Ok = true;
+  R.Dist.assign(G.NumNodes, -1);
+  for (const auto &Row : S.tuples(Dist)) {
+    Value V = Row[1];
+    if (!L.isInfinity(V))
+      R.Dist[Row[0].asInt()] = V.asInt();
+  }
+  return R;
 }
 
 SsspResult flix::runDijkstra(const WeightedGraph &G, int Source) {
@@ -152,14 +152,14 @@ std::vector<int64_t> flix::runAllPairsFlix(const WeightedGraph &G,
 
   std::vector<int64_t> Out(static_cast<size_t>(G.NumNodes) * G.NumNodes,
                            -1);
-  return solveWith(P, Opts, [&](const auto &S, const SolveStats &St) {
-    if (!St.ok())
-      return Out;
-    for (const auto &Row : S.tuples(Dist)) {
-      Value V = Row[2];
-      if (!L.isInfinity(V))
-        Out[Row[0].asInt() * G.NumNodes + Row[1].asInt()] = V.asInt();
-    }
+  Solver S(P, Opts);
+  SolveStats St = S.solve();
+  if (!St.ok())
     return Out;
-  });
+  for (const auto &Row : S.tuples(Dist)) {
+    Value V = Row[2];
+    if (!L.isInfinity(V))
+      Out[Row[0].asInt() * G.NumNodes + Row[1].asInt()] = V.asInt();
+  }
+  return Out;
 }

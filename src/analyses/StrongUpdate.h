@@ -102,8 +102,8 @@ struct StrongUpdateResult {
 };
 
 /// Figure 4 over the native SULattice through the C++ API. The full
-/// SolverOptions overload honors NumThreads (dispatching to the parallel
-/// engine); the convenience overload keeps the historical signature.
+/// SolverOptions overload honors NumThreads (rounds on the round
+/// executor); the convenience overload keeps the historical signature.
 StrongUpdateResult runStrongUpdateFlix(const PointerProgram &In,
                                        const SolverOptions &Opts);
 StrongUpdateResult runStrongUpdateFlix(const PointerProgram &In,
@@ -113,7 +113,7 @@ StrongUpdateResult runStrongUpdateFlix(const PointerProgram &In,
 /// Figure 4 as FLIX source through the full pipeline (lexer → parser →
 /// type checker → interpreted lattice ops → semi-naive solver). With
 /// Opts.NumThreads > 0 the interpreter is switched to thread-safe mode
-/// and the parallel engine is used.
+/// and the solver's rounds run on its round executor.
 StrongUpdateResult runStrongUpdateFlixSource(const PointerProgram &In,
                                              const SolverOptions &Opts);
 StrongUpdateResult

@@ -6,8 +6,8 @@
 
 #include "analyses/StrongUpdate.h"
 
+#include "fixpoint/Solver.h"
 #include "lang/Compiler.h"
-#include "parallel/Dispatch.h"
 #include "runtime/Lattices.h"
 
 using namespace flix;
@@ -34,10 +34,8 @@ void fillStatus(StrongUpdateResult &R, const SolveStats &St) {
   }
 }
 
-/// Reads Pt/PtH relations (Int columns) back into result sets. Generic
-/// over the sequential and parallel solvers.
-template <typename SolverT>
-void extractPointsTo(StrongUpdateResult &R, const SolverT &S, PredId Pt,
+/// Reads Pt/PtH relations (Int columns) back into result sets.
+void extractPointsTo(StrongUpdateResult &R, const Solver &S, PredId Pt,
                      PredId PtH, const PointerProgram &In) {
   R.Pt.assign(In.NumVars, {});
   R.PtH.assign(In.NumObjs, {});
@@ -150,13 +148,13 @@ StrongUpdateResult flix::runStrongUpdateFlix(const PointerProgram &In,
   for (auto [L, A] : In.InitTop)
     P.addLatFact(SUAfter, {N(L), N(A)}, SU.top());
 
-  return solveWith(P, Opts, [&](const auto &S, const SolveStats &St) {
-    StrongUpdateResult R;
-    fillStatus(R, St);
-    if (R.ok())
-      extractPointsTo(R, S, Pt, PtH, In);
-    return R;
-  });
+  Solver S(P, Opts);
+  SolveStats St = S.solve();
+  StrongUpdateResult R;
+  fillStatus(R, St);
+  if (R.ok())
+    extractPointsTo(R, S, Pt, PtH, In);
+  return R;
 }
 
 std::string flix::strongUpdateFlixSource() {
@@ -277,17 +275,16 @@ flix::runStrongUpdateFlixSource(const PointerProgram &In,
 
   // All lattice operations and externals of a compiled program run
   // through the interpreter, which is intrinsically thread-safe (Interp.h)
-  // — the parallel solver's workers call into it with no outer lock.
-  return solveWith(C.program(), Opts,
-                   [&](const auto &S, const SolveStats &St) {
-    fillStatus(R, St);
-    if (C.interp().hasError()) {
-      R.St = StrongUpdateResult::Status::Error;
-      R.Error = C.interp().error();
-      return R;
-    }
-    if (R.ok())
-      extractPointsTo(R, S, *C.predicate("Pt"), *C.predicate("PtH"), In);
+  // — the round executor's workers call into it with no outer lock.
+  Solver S(C.program(), Opts);
+  SolveStats St = S.solve();
+  fillStatus(R, St);
+  if (C.interp().hasError()) {
+    R.St = StrongUpdateResult::Status::Error;
+    R.Error = C.interp().error();
     return R;
-  });
+  }
+  if (R.ok())
+    extractPointsTo(R, S, *C.predicate("Pt"), *C.predicate("PtH"), In);
+  return R;
 }

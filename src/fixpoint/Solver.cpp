@@ -7,13 +7,15 @@
 #include "fixpoint/Solver.h"
 
 #include "fixpoint/Plan.h"
+#include "parallel/RoundExecutor.h"
 
 #include <algorithm>
 #include <cassert>
 
 using namespace flix;
 
-/// The sequential Solver's policy for the shared plan executor: in-place
+/// The Solver's in-place policy for the shared plan executor (rounds
+/// without a round executor, and the incremental engine's seed plans):
 /// joins with immediate delta updates, live buckets read up to their
 /// probe-time size (recursive derivations grow buckets mid-iteration), no
 /// spilling. When the solver records support or provenance it keeps the
@@ -114,6 +116,8 @@ Solver::Solver(const Program &P, SolverOptions Opts)
   for (auto [Pred, Mask] : P.indexHints())
     if (Opts.UseIndexes)
       Tables[Pred]->prepareIndex(Mask);
+  if (Opts.NumThreads > 0)
+    Exec = std::make_unique<RoundExecutor>(*this, Opts.NumThreads);
 }
 
 Solver::~Solver() = default;
@@ -138,8 +142,8 @@ bool Solver::checkDeadline() {
 void Solver::runPlan(const plan::RulePlan &Pl) { Engine->Exec.run(Pl); }
 
 void Solver::evalRound(const std::vector<uint32_t> &RuleIds, bool Round0) {
-  if (Par) {
-    Par->evalRound(RuleIds, Round0);
+  if (Exec) {
+    Exec->evalRound(RuleIds, Round0);
     return;
   }
   bool FullPass = Round0 || Opts.Strat == Strategy::Naive;
@@ -367,7 +371,7 @@ void Solver::replanPlans(double Threshold, bool CountEvents,
     Stats.ReplanEvents += R.Replanned;
     Stats.EstimatedVsActualRows += R.RowsDivergence;
   }
-  if (Par && R.Replanned)
+  if (Exec && R.Replanned)
     prepareIndexes();
 }
 
@@ -404,10 +408,10 @@ void Solver::runRounds(const std::vector<uint32_t> &RuleIds,
     // plans that can run from here are checked: those driven by an atom
     // with delta rows this round, and the Driver -1 plans while a round 0
     // or a naive in-place pass is ahead. In-place rounds probe via
-    // Table::probe (lazy index build); a round body gets any newly wanted
-    // mask pre-built by replanPlans.
+    // Table::probe (lazy index build); the round executor gets any newly
+    // wanted mask pre-built by replanPlans.
     plan::RunnablePlans Next;
-    Next.Plain = Solving || (!Par && Opts.Strat == Strategy::Naive);
+    Next.Plain = Solving || (!Exec && Opts.Strat == Strategy::Naive);
     Next.Delta = Delta;
     if (Opts.ReplanThreshold > 0)
       replanPlans(Opts.ReplanThreshold, /*CountEvents=*/true, &Next);
@@ -467,9 +471,9 @@ SolveStats Solver::solve() {
   // tables, so the first useful statistics exist only now. Threshold 1.0
   // adopts any strict improvement; not counted as an adaptive replan.
   replanPlans(1.0, /*CountEvents=*/false, /*Only=*/nullptr);
-  // A round body probes read-only, so the indexes its plans want must
-  // exist before round 0; fact loading maintained none of them.
-  if (Par)
+  // The round executor probes read-only, so the indexes its plans want
+  // must exist before round 0; fact loading maintained none of them.
+  if (Exec)
     prepareIndexes();
 
   // Per stratum, round 0 evaluates every rule over the whole database;

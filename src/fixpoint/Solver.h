@@ -16,9 +16,9 @@
 ///     re-evaluated once per body atom with that atom instantiated from
 ///     ΔP and the rest from the full tables.
 ///
-/// Both strategies run one round loop (Solver::runRounds), which also
-/// serves the parallel engine and the incremental engine's updates: it
-/// stops when a round changes no cell. Rounds evaluate rule bodies
+/// Both strategies run one round loop (Solver::runRounds), in place or on
+/// the round executor; it also serves the incremental engine's updates
+/// and stops when a round changes no cell. Rounds evaluate rule bodies
 /// through compiled join plans (fixpoint/Plan.h) with automatic hash
 /// indexes on the bound-column patterns (§4.5). Join orders start as the
 /// written left-to-right order (the driver atom first) and are then
@@ -50,14 +50,16 @@ struct RulePlan;
 struct RunnablePlans;
 } // namespace plan
 
+class RoundExecutor;
+
 /// Evaluation strategy (see file comment).
 enum class Strategy { Naive, SemiNaive };
 
 /// Tunables for one solver run.
 struct SolverOptions {
-  /// Naive makes every sequential round a full pass over the stratum's
-  /// rules, in solves and incremental updates alike; the parallel round
-  /// executor always evaluates semi-naively (same model).
+  /// Naive makes every in-place round a full pass over the stratum's
+  /// rules, in solves and incremental updates alike; the round executor
+  /// (NumThreads > 0) always evaluates semi-naively (same model).
   Strategy Strat = Strategy::SemiNaive;
   /// Use lazily created secondary hash indexes for partially bound atoms;
   /// when false, every partially bound atom falls back to a full scan.
@@ -80,9 +82,11 @@ struct SolverOptions {
   /// plans its re-derive and `not P` insertion deltas run
   /// (plan::PlanLibrary). Set by IncrementalSolver; off by default.
   bool TrackSupport = false;
-  /// Worker threads for the ParallelSolver (src/parallel). 0 selects the
-  /// sequential path (this class); the sequential Solver itself
-  /// ignores the field. Callers that accept SolverOptions dispatch on it.
+  /// Worker threads of the solver's round executor
+  /// (parallel/RoundExecutor.h), which the Solver creates and owns when
+  /// this is > 0: every round of its solves and incremental updates then
+  /// runs on that many workers. 0 evaluates every round in place on the
+  /// calling thread. Same minimal model either way (§3.4).
   unsigned NumThreads = 0;
   /// Intra-rule join parallelism (parallel rounds only): when one atom's
   /// index bucket or full scan has more than this many remaining rows,
@@ -199,24 +203,14 @@ private:
 using StoredFacts =
     std::vector<std::unordered_map<Value, SmallVector<Value, 2>>>;
 
-/// The body of one semi-naive round evaluated off the solver's own thread:
-/// the parallel round executor (parallel/RoundExecutor.h) implements it.
-/// A Solver with one attached runs its stratum and round loop unchanged
-/// and hands every round to it instead of evaluating in place; the Solver
-/// pre-builds the indexes its read-only probes need
-/// (Solver::prepareIndexes).
-class RoundBody {
-public:
-  virtual ~RoundBody() = default;
-  /// Evaluates \p RuleIds once — every rule over the whole database when
-  /// \p Round0, else driven by each positive body atom's Solver::Delta —
-  /// and joins the derivations into the tables, filling NextDelta.
-  virtual void evalRound(const std::vector<uint32_t> &RuleIds,
-                         bool Round0) = 0;
-};
-
 /// Solves one Program. The solver owns the predicate tables; query them
-/// through the accessors after solve() returns.
+/// through the accessors after solve() returns. With
+/// SolverOptions::NumThreads > 0 it also owns a RoundExecutor and hands
+/// every round of its round loop to it; derivations then become visible
+/// at the round barrier instead of in place, and by ⊔-confluence (§3.4)
+/// the model is the same, value-identical for any thread count. External
+/// functions must then be thread-safe; the FLIX interpreter and the
+/// bytecode VM both are.
 class Solver {
 public:
   explicit Solver(const Program &P, SolverOptions Opts = SolverOptions());
@@ -282,9 +276,11 @@ private:
   using NegKeyList = SmallVector<NegKey, 2>;
 
   void loadFacts();
-  /// One round of \p RuleIds (see RoundBody::evalRound): on the attached
-  /// RoundBody if there is one, else in place on this thread, where
-  /// Strategy::Naive makes every round a full pass.
+  /// One round of \p RuleIds — every rule over the whole database when
+  /// \p Round0, else driven by each positive body atom's Delta — joined
+  /// into the tables, filling NextDelta: on the round executor if there
+  /// is one, else in place on this thread, where Strategy::Naive makes
+  /// every round a full pass.
   void evalRound(const std::vector<uint32_t> &RuleIds, bool Round0);
   /// Evaluates rule \p RI's plan for \p Driver once over \p DriverRows
   /// (see plan::PlanLibrary): -1 is plain evaluation (rows unused); a
@@ -340,18 +336,18 @@ private:
   /// next. No-op unless CostBasedPlans is set.
   /// Called only at single-threaded points (solve start, round
   /// boundaries, the start of an incremental update). A changed plan may
-  /// probe new masks, so with a RoundBody attached they are pre-built
+  /// probe new masks, so with a round executor they are pre-built
   /// (prepareIndexes) before the next round.
   void replanPlans(double Threshold, bool CountEvents,
                    const plan::RunnablePlans *Only);
   /// Builds, with Table::prepareIndex on this thread, every (pred, mask)
-  /// index a plan the round body runs probes (PlanLibrary::wantedIndexes;
-  /// seed plans run in place and build theirs on first probe). A
-  /// RoundBody's workers probe read-only (Table::probeExisting), so this
-  /// runs whenever one is attached: at solve start, after a re-plan that
-  /// changed a plan, and when one attaches to a solved Solver. Indexes
-  /// that exist are left alone. The sequential engine instead builds the
-  /// same indexes lazily, on first probe.
+  /// index a plan the round executor runs probes
+  /// (PlanLibrary::wantedIndexes; seed plans run in place and build
+  /// theirs on first probe). The executor's workers probe read-only
+  /// (Table::probeExisting), so with an executor this runs at solve
+  /// start and after a re-plan that changed a plan. Indexes that exist
+  /// are left alone. In-place rounds instead build the same indexes
+  /// lazily, on first probe.
   void prepareIndexes();
 
   const Program &P;
@@ -441,9 +437,6 @@ private:
   /// engine's per-stratum update rounds.
   std::optional<Stratification> Strata;
 
-  /// Parallel round body (not owned); null evaluates rounds in place.
-  RoundBody *Par = nullptr;
-
   // Run state.
   SolveStats Stats;
   uint64_t IcHitsAtStart = 0; ///< P.vmIcHits() when solve() started
@@ -453,6 +446,11 @@ private:
   bool Solving = false;
   bool Aborted = false;
   Deadline DL;
+
+  /// Runs every round when NumThreads > 0; null evaluates rounds in
+  /// place. Declared last, so its workers stop before any state they
+  /// read is destroyed.
+  std::unique_ptr<RoundExecutor> Exec;
 };
 
 } // namespace flix

@@ -7,7 +7,6 @@
 #include "incremental/IncrementalSolver.h"
 
 #include "fixpoint/Plan.h"
-#include "parallel/RoundExecutor.h"
 
 #include <algorithm>
 #include <cassert>
@@ -155,7 +154,6 @@ void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
 
   SolverOptions SO = Opts;
   SO.TrackSupport = true;
-  SO.NumThreads = 0; // the inner Solver is sequential
   // DL already folds in the configured time limit (update()); its
   // remaining budget becomes this solve's limit.
   if (DL.active())
@@ -175,10 +173,6 @@ void IncrementalSolver::fullSolve(UpdateStats &U, Deadline DL) {
   U.ChangedPreds.clear();
   for (PredId Pr = 0; Pr < P.predicates().size(); ++Pr)
     U.ChangedPreds.push_back(Pr);
-  // The parallel round executor re-attaches to the replacement solver
-  // (only after its solve: the full solve itself stays sequential).
-  if (Exec)
-    Exec->bind(*S);
 }
 
 void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
@@ -290,13 +284,6 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   PendingAdds.clear();
 
   //--- Phase D: re-derive + delta rounds, stratum by stratum ------------
-  // Delta rounds run on the parallel round executor when threads are
-  // configured; it is created on the first incremental update.
-  if (Opts.NumThreads > 0 && !Exec) {
-    Exec = std::make_unique<RoundExecutor>(Sol, Opts.NumThreads);
-    Sol.prepareIndexes();
-  }
-
   // Adaptive re-plan of the seed plans against the batch-mutated tables
   // before they run: an update stream can drift table shapes far from
   // what the initial solve planned for. The delta-driven plans are

@@ -51,11 +51,9 @@
 
 namespace flix {
 
-class RoundExecutor;
-
-/// Wraps the sequential semi-naive Solver with a mutable input-fact store
-/// and an update() that advances the model to the new fact set's least
-/// fixed point without recomputing it from scratch.
+/// Wraps the semi-naive Solver with a mutable input-fact store and an
+/// update() that advances the model to the new fact set's least fixed
+/// point without recomputing it from scratch.
 ///
 /// Usage: construct over a Program (its facts seed the store), optionally
 /// stage more adds/retracts, then call update() — the first call runs the
@@ -63,23 +61,23 @@ class RoundExecutor;
 /// query API below reflects the current model. Staged mutations are
 /// buffered until the next update().
 ///
-/// With SolverOptions::NumThreads > 0 the delta rounds of an update run
-/// on the same parallel round executor as the ParallelSolver
-/// (parallel/RoundExecutor.h), attached to the inner Solver as its round
-/// body: workers evaluate rule bodies read-only, spill hot scans into
-/// sub-tasks, and buffer each derivation that can change its cell with
-/// its premise rows; the executor's merge joins them — and records
-/// support / provenance — single-threaded after the round barrier, so the
-/// support index write path is race-free by construction. The initial full
-/// solve, the retraction closure and the seed plans (re-derive and `not P`
-/// insertion deltas) run sequentially in all configurations.
+/// With SolverOptions::NumThreads > 0 the inner Solver owns a parallel
+/// round executor (parallel/RoundExecutor.h) and runs every round on it:
+/// those of the initial full solve, of each degraded-recovery solve and
+/// of every update's delta rounds. Workers evaluate rule bodies
+/// read-only, spill hot scans into sub-tasks, and buffer each derivation
+/// that can change its cell with its premise rows; the executor's merge
+/// joins them — and records support / provenance — single-threaded after
+/// the round barrier, so the support index write path is race-free by
+/// construction. The retraction closure and the seed plans (re-derive and
+/// `not P` insertion deltas) run in place on the calling thread.
 ///
 /// Every update runs, per stratum, the inner Solver's own round loop
 /// (Solver::runRounds) seeded with the rows the update changed, so
 /// SolverOptions apply to updates as to solves: TimeLimitSeconds bounds
 /// every update() (see update(Deadline)), MaxIterations bounds the rounds
 /// of each update (counted afresh per update), and Strategy::Naive makes
-/// each sequential round a full pass over the stratum.
+/// each in-place round a full pass over the stratum.
 class IncrementalSolver {
 public:
   explicit IncrementalSolver(const Program &P,
@@ -256,10 +254,6 @@ private:
   /// re-derive pass of each stratum scans them.
   std::vector<RowSet> UpdateDeleted;
 
-  /// Parallel round body of S's delta rounds (NumThreads > 0), created on
-  /// the first incremental update and re-bound whenever fullSolve()
-  /// replaces S.
-  std::unique_ptr<RoundExecutor> Exec;
   /// Lifetime counts of full-solve fallbacks taken by update(), by
   /// reason (the NegationFallbacks and DegradedRecoveries gauges; see
   /// negationFallbacks()), folded into every returned UpdateStats. They

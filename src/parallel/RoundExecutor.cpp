@@ -45,9 +45,9 @@ constexpr size_t SpawnSlotMask = (size_t(1) << SpawnWorkerShift) - 1;
 // Worker-local evaluation context
 //===----------------------------------------------------------------------===//
 
-/// Per-worker evaluation state: the parallel engine policy of the shared
-/// plan executor (fixpoint/Plan.h). It differs from the sequential
-/// Solver's in three ways: tables are read through const access paths
+/// Per-worker evaluation state: the parallel policy of the shared plan
+/// executor (fixpoint/Plan.h). It differs from the Solver's in-place
+/// policy in three ways: tables are read through const access paths
 /// only (the snapshot is immutable during an eval phase), derived heads
 /// are buffered instead of joined in place, and the abort check consults
 /// a shared atomic flag so one worker's timeout stops all of them.
@@ -157,7 +157,7 @@ struct RoundExecutor::WorkerCtx {
 
   WorkerCtx(RoundExecutor &Ex, unsigned Id) : Ex(Ex), Id(Id) {}
 
-  Solver &sol() { return *Ex.S; }
+  Solver &sol() { return Ex.S; }
 
   bool checkAbort() {
     if (Ex.AbortFlag.load(std::memory_order_relaxed))
@@ -330,28 +330,21 @@ uint32_t RoundExecutor::WorkerCtx::maybeSpill(
 //===----------------------------------------------------------------------===//
 
 RoundExecutor::RoundExecutor(Solver &Sol, unsigned NumWorkers)
-    : S(&Sol), NumWorkers(std::max(1u, NumWorkers)) {
+    : S(Sol), NumWorkers(NumWorkers),
+      Record(Sol.Opts.TrackSupport || Sol.Opts.TrackProvenance) {
+  assert(NumWorkers > 0 && "a round executor needs a worker");
   // From here on values are interned from worker threads; flip the
   // factory into lock-sharded mode (a one-way latch, so concurrent
   // solvers sharing this factory may race to set it).
   Sol.F.enableConcurrentInterning();
-  Sol.Par = this;
-  Record = Sol.Opts.TrackSupport || Sol.Opts.TrackProvenance;
   AllRows.resize(Sol.P.predicates().size());
-  Pool = std::make_unique<ThreadPool>(this->NumWorkers);
-  Workers.reserve(this->NumWorkers);
-  for (unsigned W = 0; W < this->NumWorkers; ++W)
+  Pool = std::make_unique<ThreadPool>(NumWorkers);
+  Workers.reserve(NumWorkers);
+  for (unsigned W = 0; W < NumWorkers; ++W)
     Workers.push_back(std::make_unique<WorkerCtx>(*this, W));
 }
 
 RoundExecutor::~RoundExecutor() = default;
-
-void RoundExecutor::bind(Solver &Sol) {
-  S = &Sol;
-  Sol.Par = this;
-  Record = Sol.Opts.TrackSupport || Sol.Opts.TrackProvenance;
-  Sol.prepareIndexes();
-}
 
 void RoundExecutor::addChunkedTasks(uint32_t RuleIdx, int32_t Driver,
                                     const std::vector<uint32_t> &Rows) {
@@ -370,7 +363,7 @@ void RoundExecutor::addChunkedTasks(uint32_t RuleIdx, int32_t Driver,
 
 void RoundExecutor::evalRound(const std::vector<uint32_t> &RuleIds,
                               bool Round0) {
-  const Program &P = S->P;
+  const Program &P = S.P;
   Tasks.clear();
   for (uint32_t RI : RuleIds) {
     const Rule &R = P.rules()[RI];
@@ -383,10 +376,10 @@ void RoundExecutor::evalRound(const std::vector<uint32_t> &RuleIds,
       }
       // Round 0 drives the leading positive atom over all current rows,
       // chunked. Its plan orders the rest of the body by cost, not left
-      // to right; ⊔-confluence still gives the model of the sequential
+      // to right; ⊔-confluence still gives the model of the in-place
       // Driver -1 pass.
       std::vector<uint32_t> &Rows = AllRows[A->Pred];
-      Rows.resize(S->Tables[A->Pred]->size());
+      Rows.resize(S.Tables[A->Pred]->size());
       std::iota(Rows.begin(), Rows.end(), 0u);
       addChunkedTasks(RI, 0, Rows);
       continue;
@@ -396,7 +389,7 @@ void RoundExecutor::evalRound(const std::vector<uint32_t> &RuleIds,
     for (size_t BI = 0; BI < R.Body.size(); ++BI) {
       const auto *A = std::get_if<BodyAtom>(&R.Body[BI]);
       if (A && !A->Negated)
-        addChunkedTasks(RI, static_cast<int32_t>(BI), S->Delta[A->Pred]);
+        addChunkedTasks(RI, static_cast<int32_t>(BI), S.Delta[A->Pred]);
     }
   }
   if (Tasks.empty())
@@ -407,7 +400,7 @@ void RoundExecutor::evalRound(const std::vector<uint32_t> &RuleIds,
   runEvalPhase();
   runMerge();
 
-  SolveStats &St = S->Stats;
+  SolveStats &St = S.Stats;
   St.ParallelTasks += Tasks.size();
   St.ParallelSteals += Pool->steals() - StealsBefore;
   for (const std::unique_ptr<WorkerCtx> &W : Workers) {
@@ -415,7 +408,7 @@ void RoundExecutor::evalRound(const std::vector<uint32_t> &RuleIds,
     W->Stats = SolveStats();
   }
   if (AbortFlag.load(std::memory_order_relaxed)) {
-    S->Aborted = true;
+    S.Aborted = true;
     St.St = SolveStats::Status::Timeout;
   }
 }
@@ -442,12 +435,11 @@ void RoundExecutor::runEvalPhase() {
 // The merge, after the barrier: joins every worker's buffered
 // derivations on this thread, in worker order, queues each changed row
 // for the next delta and hands its derivation to the Solver's one
-// recorder (Solver::recordDerivation) — the one the sequential engine
-// calls on its in-place joins, so support edges and explain() agree
-// across engines. Every table, support-index and provenance write stays
+// recorder (Solver::recordDerivation) — the one in-place rounds call on
+// their joins, so support edges and explain() agree at every thread
+// count. Every table, support-index and provenance write stays
 // outside the pool phases, so the merge is race-free by construction.
 void RoundExecutor::runMerge() {
-  Solver &Sol = *S;
   uint64_t Joined = 0;
   for (const std::unique_ptr<WorkerCtx> &W : Workers) {
     uint32_t PremBegin = 0, NegBegin = 0;
@@ -455,19 +447,19 @@ void RoundExecutor::runMerge() {
       // An aborted round's model is a sound under-approximation either
       // way; without this check a derivation-heavy round could overshoot
       // the deadline by the whole merge.
-      if ((++Joined & 0x3FF) == 0 && Sol.DL.expired()) {
+      if ((++Joined & 0x3FF) == 0 && S.DL.expired()) {
         AbortFlag.store(true, std::memory_order_relaxed);
         return;
       }
       PredId Pred = D.Pl->Head.Pred;
-      Table::JoinResult JR = Sol.Tables[Pred]->join(D.Key, D.Lat);
+      Table::JoinResult JR = S.Tables[Pred]->join(D.Key, D.Lat);
       if (!JR.Changed) {
-        ++Sol.Stats.MergeCollisions;
+        ++S.Stats.MergeCollisions;
       } else {
-        ++Sol.Stats.FactsDerived;
-        Sol.queueDelta(Pred, JR.RowId);
+        ++S.Stats.FactsDerived;
+        S.queueDelta(Pred, JR.RowId);
         if (Record)
-          Sol.recordDerivation(
+          S.recordDerivation(
               *D.Pl, {Pred, JR.RowId},
               {W->Premises.data() + PremBegin, D.PremEnd - PremBegin},
               {W->NegKeys.data() + NegBegin, D.NegEnd - NegBegin});

@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one parallel evaluation path: a RoundBody that runs each
-/// semi-naive round (§3.7) of a Solver on a work-stealing ThreadPool. The
-/// ParallelSolver attaches one to its Solver for whole solves; the
-/// IncrementalSolver attaches one to its inner Solver for the delta rounds
-/// of its updates. Soundness is the paper's confluence argument (§3.4):
+/// The one parallel evaluation path: runs each semi-naive round (§3.7) of
+/// a Solver on a work-stealing ThreadPool. A Solver with
+/// SolverOptions::NumThreads > 0 creates and owns one, and hands it every
+/// round of its round loop (Solver::runRounds): the rounds of its solves
+/// and, for the IncrementalSolver's inner Solver, those of its initial
+/// and recovery solves and of every update. Soundness is the paper's
+/// confluence argument (§3.4):
 /// ⊔ is commutative and associative, so rule instances may fire in any
 /// order — including simultaneously — without changing the least fixed
 /// point.
@@ -40,13 +42,13 @@
 ///   2. *Merge,* after the barrier, on the coordinator: every worker's
 ///      buffer is joined in worker order, changed rows are queued as the
 ///      next delta, and every changed join goes to
-///      Solver::recordDerivation — the recorder the sequential engine
-///      calls on its in-place joins, so support edges and explain()
-///      agree across engines. MergeCollisions counts the joins that left
+///      Solver::recordDerivation — the recorder in-place rounds call on
+///      their joins, so support edges and explain() agree at every
+///      thread count. MergeCollisions counts the joins that left
 ///      their cell unchanged.
 ///
 /// Derivations become visible only at the round barrier; by confluence
-/// the model equals the sequential solver's, and because values are
+/// the model equals the in-place rounds', and because values are
 /// hash-consed in one shared factory it is value-identical (same handles)
 /// for any worker count. Every worker checks one shared abort flag plus
 /// the Solver's deadline per row, so a timeout stops all of them.
@@ -63,24 +65,22 @@
 
 namespace flix {
 
-/// Parallel RoundBody over a pool of worker threads. External functions
-/// must be thread-safe; the FLIX interpreter and the bytecode VM both are.
-class RoundExecutor final : public RoundBody {
+/// The rounds of one Solver over a pool of worker threads. External
+/// functions must be thread-safe; the FLIX interpreter and the bytecode
+/// VM both are.
+class RoundExecutor {
 public:
-  /// Attaches to \p S; builds no index (its tables may still be empty).
+  /// Serves \p S, which owns it, on \p NumWorkers (> 0) threads; builds
+  /// no index (its tables are still empty).
   RoundExecutor(Solver &S, unsigned NumWorkers);
   RoundExecutor(const RoundExecutor &) = delete;
   RoundExecutor &operator=(const RoundExecutor &) = delete;
-  ~RoundExecutor() override;
+  ~RoundExecutor();
 
-  /// Re-attaches to \p S — the replacement of a solver the executor was
-  /// attached to — and has it pre-build the indexes its plans probe
-  /// (Solver::prepareIndexes).
-  void bind(Solver &S);
-
-  unsigned numWorkers() const { return NumWorkers; }
-
-  void evalRound(const std::vector<uint32_t> &RuleIds, bool Round0) override;
+  /// Evaluates \p RuleIds once — every rule over the whole database when
+  /// \p Round0, else driven by each positive body atom's Solver::Delta —
+  /// and joins the derivations into the tables, filling NextDelta.
+  void evalRound(const std::vector<uint32_t> &RuleIds, bool Round0);
 
 private:
   /// One unit of eval-phase work: evaluate rule RuleIdx with body element
@@ -100,11 +100,11 @@ private:
   void runEvalPhase();
   void runMerge();
 
-  Solver *S;
-  unsigned NumWorkers;
+  Solver &S;
+  const unsigned NumWorkers;
   /// Whether workers capture premises and the merge records changed
-  /// joins: the attached Solver tracks support or provenance.
-  bool Record = false;
+  /// joins: the Solver tracks support or provenance.
+  const bool Record;
 
   std::unique_ptr<ThreadPool> Pool;
   std::vector<std::unique_ptr<WorkerCtx>> Workers;

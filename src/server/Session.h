@@ -64,7 +64,7 @@ class Session {
 public:
   struct Options {
     /// Solver options for the inner IncrementalSolver (NumThreads > 0
-    /// parallelizes delta rounds inside one update; requests are still
+    /// runs its solves' and updates' rounds in parallel; requests are still
     /// serialized through the leader; TimeLimitSeconds is the per-batch
     /// solve budget, see the file comment).
     SolverOptions Solve;

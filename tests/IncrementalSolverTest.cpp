@@ -569,6 +569,47 @@ struct IcfgCase {
 /// (the parallel round executor).
 class IncrementalDeadlineTest : public IncrementalDifferentialTest {};
 
+/// Full solves at 0 threads (in place) and at 1 and 2 threads (the inner
+/// Solver's round executor).
+class IncrementalSolverTest : public IncrementalDifferentialTest {};
+
+TEST_P(IncrementalSolverTest, FullSolvesRunOnTheExecutor) {
+  // The initial solve and a degraded recovery both build a new inner
+  // Solver. With threads configured, every round of both runs on that
+  // Solver's round executor, one thread included; either way the model is
+  // the in-place scratch solve's.
+  TcCase C;
+  for (int I = 0; I < 20; ++I)
+    C.Edges.insert({I, I + 1});
+  Program P = C.build();
+  IncrementalSolver IS(P, opts());
+  auto expectTasks = [&](const UpdateStats &U) {
+    if (GetParam() > 0)
+      EXPECT_GT(U.ParallelTasks, 0u);
+    else
+      EXPECT_EQ(U.ParallelTasks, 0u);
+  };
+
+  UpdateStats U0 = IS.update();
+  ASSERT_TRUE(U0.ok()) << U0.Error;
+  EXPECT_FALSE(U0.FullResolve);
+  expectTasks(U0);
+  expectMatchesScratch(IS, [&] { return C.build(); });
+
+  // An already-expired deadline aborts this batch at its first row check.
+  IS.addFact(C.Edge, {C.F.integer(20), C.F.integer(0)});
+  C.Edges.insert({20, 0});
+  UpdateStats U1 = IS.update(Deadline::after(1e-9));
+  ASSERT_EQ(U1.St, SolveStats::Status::Timeout);
+
+  UpdateStats U2 = IS.update();
+  ASSERT_TRUE(U2.ok()) << U2.Error;
+  EXPECT_TRUE(U2.FullResolve);
+  EXPECT_EQ(U2.DegradedRecoveries, 1u);
+  expectTasks(U2);
+  expectMatchesScratch(IS, [&] { return C.build(); });
+}
+
 TEST_P(IncrementalDeadlineTest, DeadlineAbortRecoversConsistently) {
   // A deadline that expires mid-batch aborts Phase D per matched row,
   // leaving a sound under-approximation plus possibly-stale negation
@@ -1647,5 +1688,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, IncrementalDifferentialTest,
                          ::testing::Values(0u, 1u, 8u), threadsName);
 INSTANTIATE_TEST_SUITE_P(Threads, IncrementalDeadlineTest,
                          ::testing::Values(0u, 2u), threadsName);
+INSTANTIATE_TEST_SUITE_P(Threads, IncrementalSolverTest,
+                         ::testing::Values(0u, 1u, 2u), threadsName);
 
 } // namespace

@@ -1,32 +1,31 @@
-//===- tests/ParallelSolverTest.cpp - Parallel engine differential tests ---===//
+//===- tests/ParallelSolverTest.cpp - Round executor differential tests ---===//
 //
 // Part of flix-cpp, a C++ reproduction of "From Datalog to FLIX" (PLDI'16).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Differential tests for the work-stealing parallel engine: on every
-/// program we can generate, the parallel solver must compute a model
-/// value-identical to the sequential solver at any worker count. Both
-/// solvers share the program's hash-consing ValueFactory, so "identical"
-/// is exact handle equality, not just structural equality; only row
-/// insertion order may differ, so models are compared as sorted
+/// Differential tests for the work-stealing round executor: on every
+/// program we can generate, a Solver with NumThreads > 0 must compute a
+/// model value-identical to the in-place Solver (NumThreads = 0) at any
+/// worker count. Both share the program's hash-consing ValueFactory, so
+/// "identical" is exact handle equality, not just structural equality;
+/// only row insertion order may differ, so models are compared as sorted
 /// Interpretations.
 ///
 /// Covered: random core-fragment programs (seeded), the §3.7 compactness
 /// example, all four paper case studies (Strong Update incl. the
 /// interpreted-FLIX-source pipeline, IFDS, IDE, shortest paths), several
-/// parallel solvers running concurrently against one shared factory, the
+/// threaded solvers running concurrently against one shared factory, the
 /// timeout path, and provenance through the round executor's merge.
 ///
 //===----------------------------------------------------------------------===//
-
-#include "parallel/ParallelSolver.h"
 
 #include "analyses/Ide.h"
 #include "analyses/Ifds.h"
 #include "analyses/ShortestPaths.h"
 #include "analyses/StrongUpdate.h"
 #include "fixpoint/ModelTheory.h"
+#include "fixpoint/Solver.h"
 #include "workload/GraphWorkload.h"
 #include "workload/IcfgWorkload.h"
 #include "workload/PointerWorkload.h"
@@ -41,10 +40,8 @@ using namespace flix;
 
 namespace {
 
-/// Extracts a solver's model as a sorted Interpretation; works for both
-/// the sequential and the parallel solver (same query API).
-template <typename SolverT>
-Interpretation modelOf(const Program &P, const SolverT &S) {
+/// Extracts a solver's model as a sorted Interpretation.
+Interpretation modelOf(const Program &P, const Solver &S) {
   Interpretation I;
   for (PredId Pred = 0; Pred < P.predicates().size(); ++Pred)
     for (const std::vector<Value> &Tup : S.tuples(Pred)) {
@@ -77,7 +74,7 @@ TEST_P(ParallelSeedTest, MatchesSequentialAtAllThreadCounts) {
     PO.NumThreads = Threads;
     // Every (pred, mask) the workers probe must have been pre-built by
     // Solver::prepareIndexes (debug builds assert on a miss).
-    ParallelSolver Par(*B.Prog, PO);
+    Solver Par(*B.Prog, PO);
     SolveStats St = Par.solve();
     ASSERT_TRUE(St.ok()) << St.Error;
     EXPECT_EQ(St.IndexFallbacks, 0u) << "threads=" << Threads;
@@ -106,7 +103,7 @@ TEST_P(ParallelSeedTest, ReorderAndNoIndexDoNotChangeResults) {
       PO.NumThreads = 2;
       PO.CostBasedPlans = CostBased;
       PO.UseIndexes = UseIndexes;
-      ParallelSolver Par(*B.Prog, PO);
+      Solver Par(*B.Prog, PO);
       ASSERT_TRUE(Par.solve().ok());
       EXPECT_EQ(modelOf(*B.Prog, Par), Expected)
           << "cost-based=" << CostBased << " indexes=" << UseIndexes
@@ -143,7 +140,7 @@ TEST(ParallelSolverTest, SemiNaiveCompactnessExample) {
 
   SolverOptions Opts;
   Opts.NumThreads = 2;
-  ParallelSolver S(P, Opts);
+  Solver S(P, Opts);
   ASSERT_TRUE(S.solve().ok());
   EXPECT_EQ(S.latValue(A, std::initializer_list<Value>{}), L.top());
   EXPECT_EQ(S.latValue(R, std::initializer_list<Value>{}), L.top());
@@ -163,7 +160,7 @@ TEST(ParallelSolverTest, NaiveStrategyFallsBackToSemiNaive) {
   SolverOptions ParNaive;
   ParNaive.Strat = Strategy::Naive;
   ParNaive.NumThreads = 2;
-  ParallelSolver Par(*B.Prog, ParNaive);
+  Solver Par(*B.Prog, ParNaive);
   ASSERT_TRUE(Par.solve().ok());
   EXPECT_EQ(modelOf(*B.Prog, Par), modelOf(*B.Prog, Seq));
 }
@@ -205,7 +202,7 @@ TEST(ParallelSolverTest, ProvenanceExplainsEveryDerivedRow) {
     O.NumThreads = Threads;
     O.TrackProvenance = true;
     O.SpillThreshold = 4;
-    ParallelSolver S(P, O);
+    Solver S(P, O);
     SolveStats St = S.solve();
     ASSERT_TRUE(St.ok()) << St.Error;
     size_t Explained = 0;
@@ -269,7 +266,7 @@ TEST(ParallelSolverTest, TimeoutAborts) {
   SolverOptions Opts;
   Opts.NumThreads = 2;
   Opts.TimeLimitSeconds = 1e-6;
-  ParallelSolver S(P, Opts);
+  Solver S(P, Opts);
   SolveStats St = S.solve();
   EXPECT_EQ(St.St, SolveStats::Status::Timeout);
 }
@@ -311,7 +308,7 @@ TEST(ParallelSolverTest, SkewedWorkloadSpawnsSubtasksAndMatchesSequential) {
     SolverOptions PO;
     PO.NumThreads = Threads;
     PO.SpillThreshold = 16; // force splitting on the hub bucket
-    ParallelSolver Par(W.P, PO);
+    Solver Par(W.P, PO);
     SolveStats St = Par.solve();
     ASSERT_TRUE(St.ok()) << St.Error;
     // The hub bucket (Fanout rows, threshold 16) must have been split.
@@ -332,7 +329,7 @@ TEST(ParallelSolverTest, SpillThresholdSweepSameModel) {
     SolverOptions PO;
     PO.NumThreads = 2;
     PO.SpillThreshold = Thresh;
-    ParallelSolver Par(W.P, PO);
+    Solver Par(W.P, PO);
     SolveStats St = Par.solve();
     ASSERT_TRUE(St.ok()) << St.Error;
     if (Thresh == 0) {
@@ -375,7 +372,7 @@ TEST(ParallelSolverTest, SingleRowFanoutBombTimesOut) {
     Opts.NumThreads = Threads;
     Opts.TimeLimitSeconds = 0.05;
     Opts.SpillThreshold = 64; // also cover abort inside spawned sub-tasks
-    ParallelSolver Sol(P, Opts);
+    Solver Sol(P, Opts);
     SolveStats St = Sol.solve();
     EXPECT_EQ(St.St, SolveStats::Status::Timeout) << "threads=" << Threads;
     // Tolerance is generous (sanitizer builds are slow), but far below
@@ -395,7 +392,7 @@ TEST(ParallelSolverTest, KeyArity64RejectedWithDiagnostic) {
 
   SolverOptions PO;
   PO.NumThreads = 2;
-  ParallelSolver Par(P, PO);
+  Solver Par(P, PO);
   SolveStats St = Par.solve();
   EXPECT_EQ(St.St, SolveStats::Status::Error);
   EXPECT_NE(St.Error.find("Wide"), std::string::npos);
@@ -416,7 +413,7 @@ TEST(ParallelSolverTest, IndexesArePrebuiltBeforeRoundZero) {
   SolverOptions PO;
   PO.NumThreads = 4;
   PO.TimeLimitSeconds = 1e-9;
-  ParallelSolver Cut(W.P, PO);
+  Solver Cut(W.P, PO);
   EXPECT_EQ(Cut.solve().St, SolveStats::Status::Timeout);
   // Both rules' non-driver atoms probe partially bound patterns.
   EXPECT_GE(Cut.table(W.Edge).numIndexes(), 1u);
@@ -424,7 +421,7 @@ TEST(ParallelSolverTest, IndexesArePrebuiltBeforeRoundZero) {
 
   // Run to the fixpoint, those indexes serve every probe.
   PO.TimeLimitSeconds = 0;
-  ParallelSolver S(W.P, PO);
+  Solver S(W.P, PO);
   SolveStats St = S.solve();
   ASSERT_TRUE(St.ok()) << St.Error;
   EXPECT_EQ(St.IndexFallbacks, 0u);
@@ -438,7 +435,7 @@ TEST(ParallelSolverTest, StatsAreReported) {
 
   SolverOptions PO;
   PO.NumThreads = 2;
-  ParallelSolver S(*B.Prog, PO);
+  Solver S(*B.Prog, PO);
   SolveStats St = S.solve();
   ASSERT_TRUE(St.ok());
   EXPECT_GT(St.ParallelTasks, 0u);
@@ -449,7 +446,7 @@ TEST(ParallelSolverTest, StatsAreReported) {
 }
 
 TEST(ParallelSolverTest, ConcurrentSolversSharedFactory) {
-  // Several ParallelSolver instances over programs that share ONE
+  // Several Solver instances over programs that share ONE
   // factory, solved from concurrent host threads: exercises the
   // lock-sharded interning path from many pools at once.
   ValueFactory F;
@@ -486,7 +483,7 @@ TEST(ParallelSolverTest, ConcurrentSolversSharedFactory) {
     Hosts.emplace_back([&, PI] {
       SolverOptions Opts;
       Opts.NumThreads = 2;
-      ParallelSolver S(*Programs[PI], Opts);
+      Solver S(*Programs[PI], Opts);
       SolveOk[PI] = S.solve().ok();
       PathCounts[PI] = S.table(PathIds[PI]).size();
     });
@@ -501,7 +498,7 @@ TEST(ParallelSolverTest, ConcurrentSolversSharedFactory) {
   }
 }
 
-// ---- Paper case studies: parallel vs sequential ------------------------
+// ---- Paper case studies: threaded vs in place ---------------------------
 
 TEST(ParallelCaseStudyTest, StrongUpdateNative) {
   PointerProgram In = generatePointerProgram(2016, 1500);
@@ -531,7 +528,7 @@ TEST(ParallelCaseStudyTest, StrongUpdateInterpretedSource) {
 
 TEST(ParallelCaseStudyTest, StrongUpdateInterpretedSourceUnserialized) {
   // Regression: compiled-FLIX programs used to need a global lock around
-  // every external call to run on the parallel solver, because the
+  // every external call to run on the round executor, because the
   // interpreter kept per-call state in members. The
   // interpreter is now intrinsically thread-safe, so workers may call a
   // shared Interp concurrently with no lock. Memoization is disabled so

@@ -24,7 +24,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "fixpoint/Plan.h"
-#include "parallel/Dispatch.h"
+#include "fixpoint/Solver.h"
 #include "runtime/Lattices.h"
 
 #include <gtest/gtest.h>
@@ -578,18 +578,18 @@ struct SkewWorkload {
   using Model = std::vector<std::vector<std::vector<Value>>>;
   Model solve(const SolverOptions &O, SolveStats *OutStats = nullptr) {
     Program P = build();
-    return solveWith(P, O, [&](const auto &S, const SolveStats &St) {
-      EXPECT_TRUE(St.ok()) << St.Error;
-      if (OutStats)
-        *OutStats = St;
-      Model M;
-      for (PredId Pr : {Path, Hit}) {
-        std::vector<std::vector<Value>> Rows = S.tuples(Pr);
-        std::sort(Rows.begin(), Rows.end());
-        M.push_back(std::move(Rows));
-      }
-      return M;
-    });
+    Solver S(P, O);
+    SolveStats St = S.solve();
+    EXPECT_TRUE(St.ok()) << St.Error;
+    if (OutStats)
+      *OutStats = St;
+    Model M;
+    for (PredId Pr : {Path, Hit}) {
+      std::vector<std::vector<Value>> Rows = S.tuples(Pr);
+      std::sort(Rows.begin(), Rows.end());
+      M.push_back(std::move(Rows));
+    }
+    return M;
   }
 };
 
@@ -654,8 +654,8 @@ TEST(PlannerEquivalenceTest, CostPlannerReordersTheSkewedJoin) {
 //===----------------------------------------------------------------------===//
 
 TEST(PlannerStrictCoverageTest, FlippedBodyOrdersDontTripFallbacks) {
-  // Both written orders of the 3-atom join, solved by the parallel
-  // engine: every probe the cost-chosen plans perform must hit a
+  // Both written orders of the 3-atom join, solved on the round
+  // executor: every probe the cost-chosen plans perform must hit a
   // pre-built index. A fallback here means the wanted-index analysis
   // assumed an order the planner did not pick (debug builds assert
   // inside the workers).
@@ -686,7 +686,7 @@ TEST(PlannerStrictCoverageTest, FlippedBodyOrdersDontTripFallbacks) {
     SolverOptions O;
     O.NumThreads = 4;
     O.ReplanThreshold = 1.0; // re-check every round: worst case for drift
-    ParallelSolver S(P, O);
+    Solver S(P, O);
     SolveStats St = S.solve();
     ASSERT_TRUE(St.ok()) << St.Error;
     EXPECT_EQ(St.IndexFallbacks, 0u) << "flipped=" << Flipped;

@@ -6,7 +6,6 @@
 
 #include "fixpoint/Solver.h"
 
-#include "parallel/ParallelSolver.h"
 #include "runtime/Lattices.h"
 
 #include <gtest/gtest.h>
@@ -21,25 +20,18 @@ SolverOptions withProvenance() {
   return Opts;
 }
 
-/// Solves \p P with provenance on \p Threads workers (0: the sequential
-/// Solver) and returns the derivation of cell (\p Pred, \p Key).
+/// Solves \p P with provenance on \p Threads workers (0: in place) and
+/// returns the derivation of cell (\p Pred, \p Key).
 Derivation explainAt(const Program &P, unsigned Threads, PredId Pred,
                      std::span<const Value> Key) {
   SolverOptions Opts = withProvenance();
   Opts.NumThreads = Threads;
-  auto Explain = [&](auto &S) {
-    SolveStats St = S.solve();
-    EXPECT_TRUE(St.ok()) << St.Error;
-    const Derivation *D = S.explain(Pred, Key);
-    EXPECT_NE(D, nullptr);
-    return D ? *D : Derivation();
-  };
-  if (Threads == 0) {
-    Solver S(P, Opts);
-    return Explain(S);
-  }
-  ParallelSolver S(P, Opts);
-  return Explain(S);
+  Solver S(P, Opts);
+  SolveStats St = S.solve();
+  EXPECT_TRUE(St.ok()) << St.Error;
+  const Derivation *D = S.explain(Pred, Key);
+  EXPECT_NE(D, nullptr);
+  return D ? *D : Derivation();
 }
 
 TEST(ProvenanceTest, FactsExplainAsFacts) {
@@ -211,7 +203,7 @@ TEST(ProvenanceTest, PremiseValueIsTheCellValueNotTheRuleConstant) {
 }
 
 TEST(ProvenanceTest, PremisesFollowBodyOrder) {
-  // C's delta round is driven by the derived B, so the parallel engine
+  // C's delta round is driven by the derived B, so the round executor
   // matches B before A; the derivation still lists them as written.
   ValueFactory F;
   Program P(F);

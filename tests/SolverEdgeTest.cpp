@@ -6,7 +6,6 @@
 
 #include "fixpoint/Solver.h"
 
-#include "parallel/Dispatch.h"
 #include "runtime/Lattices.h"
 
 #include <gtest/gtest.h>
@@ -32,7 +31,7 @@ void buildChainClosure(ValueFactory &F, Program &P) {
     P.addFact(Edge, {F.integer(I), F.integer(I + 1)});
 }
 
-/// Every strategy and engine runs the Solver's one round loop, so
+/// Every strategy and thread count runs the Solver's one round loop, so
 /// MaxIterations bounds them all alike.
 constexpr std::array<std::pair<Strategy, unsigned>, 4> LimitConfigs = {{
     {Strategy::Naive, 0},
@@ -56,13 +55,12 @@ TEST(SolverEdgeTest, IterationLimitReported) {
     Opts.Strat = Strat;
     Opts.NumThreads = Threads;
     Opts.MaxIterations = 2;
-    solveWith(P, Opts, [&](const auto &S, const SolveStats &St) {
-      EXPECT_EQ(St.St, SolveStats::Status::IterationLimit);
-      // Partial results are still a sound under-approximation.
-      EXPECT_TRUE(S.contains(1, {F.integer(0), F.integer(1)}));
-      EXPECT_FALSE(S.contains(1, {F.integer(0), F.integer(50)}));
-      return 0;
-    });
+    Solver S(P, Opts);
+    SolveStats St = S.solve();
+    EXPECT_EQ(St.St, SolveStats::Status::IterationLimit);
+    // Partial results are still a sound under-approximation.
+    EXPECT_TRUE(S.contains(1, {F.integer(0), F.integer(1)}));
+    EXPECT_FALSE(S.contains(1, {F.integer(0), F.integer(50)}));
   }
 }
 
@@ -80,9 +78,7 @@ TEST(SolverEdgeTest, IterationLimitBoundary) {
       Opts.Strat = Strat;
       Opts.NumThreads = Threads;
       Opts.MaxIterations = Limit;
-      return solveWith(P, Opts, [](const auto &, const SolveStats &St) {
-        return St;
-      });
+      return Solver(P, Opts).solve();
     };
     SolveStats Free = run(0);
     ASSERT_TRUE(Free.ok());
@@ -323,9 +319,9 @@ TEST(SolverEdgeTest, AbsentKeyProbesAndNegationsInternNothing) {
   // probes Edge on (r, q) and negates Blocked(r, q), and no (r, q) pair
   // exists anywhere. The only keys the solve interns are the facts' and
   // the heads', which are interned up front, so the arena must not grow
-  // on either engine.
+  // in place or on the round executor.
   constexpr int N = 10000;
-  for (unsigned Threads : {0u, 2u}) {
+  for (unsigned Threads : {0u, 1u, 2u}) {
     ValueFactory F;
     Program P(F);
     PredId Query = P.relation("Query", 2);
@@ -360,11 +356,16 @@ TEST(SolverEdgeTest, AbsentKeyProbesAndNegationsInternNothing) {
     // reached by probe and negation steps.
     Opts.CostBasedPlans = false;
     size_t Before = F.memoryBytes();
-    solveWith(P, Opts, [&](const auto &S, const SolveStats &St) {
-      ASSERT_TRUE(St.ok()) << "threads " << Threads;
-      EXPECT_EQ(S.table(Hit).size(), 0u);
-      EXPECT_EQ(S.table(Open).size(), size_t(N));
-    });
+    Solver S(P, Opts);
+    SolveStats St = S.solve();
+    ASSERT_TRUE(St.ok()) << "threads " << Threads;
+    // Any thread count, 1 included, runs the rounds on the executor.
+    if (Threads > 0)
+      EXPECT_GT(St.ParallelTasks, 0u) << "threads " << Threads;
+    else
+      EXPECT_EQ(St.ParallelTasks, 0u);
+    EXPECT_EQ(S.table(Hit).size(), 0u);
+    EXPECT_EQ(S.table(Open).size(), size_t(N));
     EXPECT_EQ(F.memoryBytes(), Before) << "threads " << Threads;
   }
 }

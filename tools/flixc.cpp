@@ -56,7 +56,6 @@
 
 #include "incremental/IncrementalSolver.h"
 #include "lang/Compiler.h"
-#include "parallel/Dispatch.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -556,8 +555,8 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   if (Opts.NumThreads > 0 && Opts.Strat == Strategy::Naive)
-    std::fprintf(stderr, "warning: the parallel engine always evaluates "
-                         "semi-naively; --naive is ignored\n");
+    std::fprintf(stderr, "warning: rounds on --threads workers always "
+                         "evaluate semi-naively; --naive is ignored\n");
 
   std::ifstream File(InputPath);
   if (!File) {
@@ -597,33 +596,31 @@ int main(int Argc, char **Argv) {
     return runUpdateScript(C, F, Opts, UpdateScriptPath, PrintPreds,
                            ExplainPreds, Stats, Json);
 
-  return solveWith(C.program(), Opts, [&](const auto &S,
-                                          const SolveStats &St) -> int {
-    if (St.St == SolveStats::Status::Error) {
-      std::fprintf(stderr, "error: %s\n", St.Error.c_str());
-      return 1;
-    }
-    if (St.St == SolveStats::Status::Timeout)
-      std::fprintf(stderr, "warning: time limit reached; results are a "
-                           "sound under-approximation of the fixpoint\n");
-    if (C.interp().hasError()) {
-      std::fprintf(stderr, "runtime error: %s\n",
-                   C.interp().error().c_str());
-      return 1;
-    }
+  Solver S(C.program(), Opts);
+  SolveStats St = S.solve();
+  if (St.St == SolveStats::Status::Error) {
+    std::fprintf(stderr, "error: %s\n", St.Error.c_str());
+    return 1;
+  }
+  if (St.St == SolveStats::Status::Timeout)
+    std::fprintf(stderr, "warning: time limit reached; results are a "
+                         "sound under-approximation of the fixpoint\n");
+  if (C.interp().hasError()) {
+    std::fprintf(stderr, "runtime error: %s\n", C.interp().error().c_str());
+    return 1;
+  }
 
-    if (int Rc = printModel(C, S, PrintPreds, ExplainPreds, Json))
-      return Rc;
+  if (int Rc = printModel(C, S, PrintPreds, ExplainPreds, Json))
+    return Rc;
 
-    if (Stats)
-      std::printf("\nstats: %s\n", renderStats(St, StatsFormat::Text).c_str());
-    if (Json)
-      std::printf("{\"status\": \"%s\", \"threads\": %u, \"memo\": %s, "
-                  "\"vm\": %s, %s}\n",
-                  statusName(St.St), Opts.NumThreads,
-                  Opts.EnableMemo ? "true" : "false",
-                  Opts.UseVm ? "true" : "false",
-                  renderStats(St, StatsFormat::Json).c_str());
-    return 0;
-  });
+  if (Stats)
+    std::printf("\nstats: %s\n", renderStats(St, StatsFormat::Text).c_str());
+  if (Json)
+    std::printf("{\"status\": \"%s\", \"threads\": %u, \"memo\": %s, "
+                "\"vm\": %s, %s}\n",
+                statusName(St.St), Opts.NumThreads,
+                Opts.EnableMemo ? "true" : "false",
+                Opts.UseVm ? "true" : "false",
+                renderStats(St, StatsFormat::Json).c_str());
+  return 0;
 }
