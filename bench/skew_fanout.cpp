@@ -1,17 +1,18 @@
-//===- bench/skew_fanout.cpp - Intra-rule join-parallelism ablation --------===//
+//===- bench/skew_fanout.cpp - Hub skew across thread counts --------------===//
 //
 // Part of flix-cpp, a C++ reproduction of "From Datalog to FLIX" (PLDI'16).
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the intra-rule spill path (DESIGN.md §11) on a deliberately
-// skewed workload: transitive closure over a star graph whose hub node
-// owns almost every edge, so each delta round funnels through one hot
-// index bucket. Driver-row chunking alone cannot split that bucket — the
-// spill threshold can. The bench sweeps worker counts and spill
-// thresholds (0 disables spilling) and reports wall time plus the new
-// SolveStats counters; every run is checked against the sequential
-// solver's model size.
+// Measures the round executor (DESIGN.md §11) on a deliberately skewed
+// workload: transitive closure over a star graph whose hub node owns
+// almost every edge, so each delta round funnels through one hot index
+// bucket. The executor splits a round only by driver-row chunks, so the
+// task that probes the hub bucket runs on one worker while the others
+// steal the rest; the bench shows what that costs at each thread count.
+// It sweeps worker counts and reports wall time, speedup over the
+// sequential engine and steals; every run is checked against the
+// sequential solver's model size.
 //
 // A second section ablates the cost-based join planner (DESIGN.md §16):
 // transitive closure plus a deliberately misordered three-atom join
@@ -25,10 +26,9 @@
 // Options:
 //   --threads <csv>        worker counts to sweep (default 1,2,4,8; 0 runs
 //                          the sequential engine)
-//   --spill <csv>          spill thresholds to sweep (default 0,1024)
 //   --json <file>          write one machine-readable record per run
 //   --planner-json <file>  write the planner-ablation records (BENCH_planner)
-//   --planner-only         skip the spill sweep, run only the ablation
+//   --planner-only         skip the thread sweep, run only the ablation
 //
 // Environment overrides:
 //   FLIX_SKEW_FANOUT       hub out-degree             (default 5000)
@@ -158,7 +158,6 @@ int main(int Argc, char **Argv) {
   std::string JsonPath, PlannerJsonPath;
   bool PlannerOnly = false;
   std::vector<unsigned> Threads{1, 2, 4, 8};
-  std::vector<unsigned> Spills{0, 1024};
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--json" && I + 1 < Argc) {
@@ -173,17 +172,10 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --threads wants e.g. 1,2,8\n");
         return 1;
       }
-    } else if (Arg == "--spill" && I + 1 < Argc) {
-      Spills.clear();
-      if (!parseThreadList(Argv[++I], Spills)) {
-        std::fprintf(stderr, "error: --spill wants e.g. 0,256,1024\n");
-        return 1;
-      }
     } else {
       std::fprintf(stderr,
-                   "usage: skew_fanout [--threads <csv>] [--spill <csv>] "
-                   "[--json <file>] [--planner-json <file>] "
-                   "[--planner-only]\n");
+                   "usage: skew_fanout [--threads <csv>] [--json <file>] "
+                   "[--planner-json <file>] [--planner-only]\n");
       return 1;
     }
   }
@@ -309,58 +301,45 @@ int main(int Argc, char **Argv) {
   std::printf("sequential: %.3fs, %zu Path rows\n\n", SeqTime,
               ExpectedPaths);
 
-  std::printf("%8s %8s | %9s %8s %10s %8s %8s\n", "threads", "spill",
-              "time(s)", "speedup", "subtasks", "fanout", "steals");
-  std::printf("--------------------------------------------------------"
-              "-------------\n");
+  std::printf("%8s | %9s %8s %8s\n", "threads", "time(s)", "speedup",
+              "steals");
+  std::printf("-------------------------------------------\n");
 
   for (unsigned T : Threads) {
-    for (unsigned Spill : Spills) {
-      SolveStats St;
-      bool Ok = true;
-      double Time = median(Reps, [&] {
-        SkewProgram W(Fanout, Feeders);
-        SolverOptions Opts;
-        Opts.NumThreads = T;
-        Opts.SpillThreshold = Spill;
-        Solver S(W.P, Opts);
-        St = S.solve();
-        Ok = St.ok() && S.table(W.Path).size() == ExpectedPaths;
-        return St.Seconds;
-      });
-      if (!Ok) {
-        std::printf("WARNING: run disagrees with sequential baseline "
-                    "(threads=%u spill=%u)!\n", T, Spill);
-        AllOk = false;
-      }
-      std::printf("%8u %8u | %9.3f %7.2fx %10llu %8llu %8llu\n", T, Spill,
-                  Time, SeqTime / std::max(Time, 1e-9),
-                  static_cast<unsigned long long>(St.SpawnedSubtasks),
-                  static_cast<unsigned long long>(St.MaxFanout),
-                  static_cast<unsigned long long>(St.ParallelSteals));
-      std::fflush(stdout);
-      if (JsonP) {
-        Json.begin();
-        Json.str("bench", "skew_fanout")
-            .integer("fanout", Fanout)
-            .integer("feeders", Feeders)
-            .integer("threads", T)
-            .integer("spill_threshold", Spill)
-            .num("seconds", Time)
-            .num("speedup", SeqTime / std::max(Time, 1e-9))
-            .integer("spawned_subtasks",
-                     static_cast<long long>(St.SpawnedSubtasks))
-            .integer("max_fanout", static_cast<long long>(St.MaxFanout))
-            .integer("parallel_steals",
-                     static_cast<long long>(St.ParallelSteals))
-            .boolean("ok", Ok);
-        Json.end();
-      }
+    SolveStats St;
+    bool Ok = true;
+    double Time = median(Reps, [&] {
+      SkewProgram W(Fanout, Feeders);
+      SolverOptions Opts;
+      Opts.NumThreads = T;
+      Solver S(W.P, Opts);
+      St = S.solve();
+      Ok = St.ok() && S.table(W.Path).size() == ExpectedPaths;
+      return St.Seconds;
+    });
+    if (!Ok) {
+      std::printf("WARNING: run disagrees with sequential baseline "
+                  "(threads=%u)!\n", T);
+      AllOk = false;
+    }
+    std::printf("%8u | %9.3f %7.2fx %8llu\n", T, Time,
+                SeqTime / std::max(Time, 1e-9),
+                static_cast<unsigned long long>(St.ParallelSteals));
+    std::fflush(stdout);
+    if (JsonP) {
+      Json.begin();
+      Json.str("bench", "skew_fanout")
+          .integer("fanout", Fanout)
+          .integer("feeders", Feeders)
+          .integer("threads", T)
+          .num("seconds", Time)
+          .num("speedup", SeqTime / std::max(Time, 1e-9))
+          .integer("parallel_steals",
+                   static_cast<long long>(St.ParallelSteals))
+          .boolean("ok", Ok);
+      Json.end();
     }
   }
-  std::printf("\nspill=0 disables intra-rule splitting; nonzero thresholds "
-              "split the hub bucket\ninto stealable sub-tasks "
-              "(SolveStats::SpawnedSubtasks / MaxFanout).\n");
 
   if (JsonP && !Json.write(JsonPath)) {
     std::fprintf(stderr, "error: cannot write '%s'\n", JsonPath.c_str());

@@ -219,10 +219,6 @@ void runScaling(const std::vector<unsigned> &Threads, int TransferWork,
           .num("seconds", Rn.Time)
           .integer("speedup_base_threads", BaseT)
           .num("speedup", Base / std::max(Rn.Time, 1e-9))
-          .integer("spawned_subtasks",
-                   static_cast<long long>(Rn.R.Stats.SpawnedSubtasks))
-          .integer("max_fanout",
-                   static_cast<long long>(Rn.R.Stats.MaxFanout))
           .integer("parallel_steals",
                    static_cast<long long>(Rn.R.Stats.ParallelSteals))
           .boolean("ok", Rn.R.Ok && Rn.R.sameResult(Reference));

@@ -65,7 +65,7 @@ struct IfdsResult {
   size_t NumSummaries = 0;
   double Seconds = 0;
   /// Full engine counters of the declarative run (default-constructed for
-  /// the imperative solver) — benchmarks report SpawnedSubtasks etc.
+  /// the imperative solver) — benchmarks report ParallelSteals etc.
   SolveStats Stats;
 
   bool sameResult(const IfdsResult &O) const { return Result == O.Result; }

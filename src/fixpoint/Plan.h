@@ -24,10 +24,9 @@
 ///
 /// PlanExecutor runs a plan with an explicit cursor stack instead of
 /// recursion. It is templated over a small engine policy so the sequential
-/// Solver (in-place joins) and the parallel workers (buffered derivations,
-/// sub-task spilling) share one executor; both keep its premise stack
-/// when the solver records support or provenance. See the engine concept
-/// below.
+/// Solver (in-place joins) and the parallel workers (buffered derivations)
+/// share one executor; both keep its premise stack when the solver
+/// records support or provenance. See the engine concept below.
 ///
 /// ExternMemo caches pure external-function results keyed on hash-consed
 /// Value handles. Soundness: the paper requires transfer and filter
@@ -574,12 +573,6 @@ inline void deriveWithPlan(EngineT &E, ValueFactory &F, const RulePlan &Pl) {
 ///   // cursor reads only the prefix of the size it had at probe time.
 ///   const Table::Bucket *probeBucket(const Step &,
 ///                                    std::span<const Value> Proj);
-///   // Intra-rule spilling hook (parallel workers): may capture
-///   // [Begin, End) of Rows (nullptr = raw row-id range) as sub-tasks and
-///   // return the new Begin. Others return Begin unchanged.
-///   uint32_t maybeSpill(const RulePlan &, uint32_t StepIdx,
-///                       const std::vector<uint32_t> *Rows,
-///                       uint32_t Begin, uint32_t End);
 ///   void onRow(PredId, uint32_t RowId);   // positive-atom premise push
 ///   void popRow();                        //   ... and pop (recording)
 ///   void onDerived(const RulePlan &, Value KeyT, Value LatVal);
@@ -596,30 +589,9 @@ public:
       deriveWithPlan(E, E.factory(), Pl);
       return;
     }
-    prepare(Pl);
-    exec(Pl, /*Base=*/0, /*SeedEntering=*/true);
-  }
-
-  /// Resumes \p Pl at \p StepIdx over rows [\p Begin, \p End) of \p Rows
-  /// (nullptr = raw row ids) — the parallel sub-task continuation. The
-  /// caller restored env/bound to the captured prefix. Rows-vs-nullptr
-  /// selects the reduced-bind (index bucket) vs full-column (scan) tests,
-  /// matching what the spilling step was iterating.
-  void runFrom(const RulePlan &Pl, uint32_t StepIdx,
-               const std::vector<uint32_t> *Rows, uint32_t Begin,
-               uint32_t End) {
-    prepare(Pl);
-    Cursor &C = Cursors[StepIdx];
-    C = Cursor();
-    const Step &S = Pl.Steps[StepIdx];
-    Begin = E.maybeSpill(Pl, StepIdx, Rows, Begin, End);
-    C.RowList = Rows;
-    C.Idx = Begin;
-    C.End = End;
-    // A resumed index bucket needs only the reduced tests; raw row-id
-    // ranges (scans, probe fallbacks) and driver rows need the full ones.
-    C.UseFullCols = Rows == nullptr || S.Kind == StepKind::Driver;
-    exec(Pl, /*Base=*/StepIdx, /*SeedEntering=*/false);
+    if (Cursors.size() < Pl.Steps.size())
+      Cursors.resize(Pl.Steps.size());
+    exec(Pl);
   }
 
 private:
@@ -634,24 +606,19 @@ private:
     BindTrail Trail;
   };
 
-  void prepare(const RulePlan &Pl) {
-    if (Cursors.size() < Pl.Steps.size())
-      Cursors.resize(Pl.Steps.size());
-  }
-
-  /// The backtracking loop. Cursors[Base..Pos] hold the active prefix;
+  /// The backtracking loop. Cursors[0..Pos] hold the active prefix;
   /// entering a step initializes its cursor, advancing yields its next
   /// match (undoing the previous candidate's bindings first).
-  void exec(const RulePlan &Pl, size_t Base, bool SeedEntering) {
+  void exec(const RulePlan &Pl) {
     const size_t N = Pl.Steps.size();
-    size_t Pos = Base;
-    bool Entering = SeedEntering;
+    size_t Pos = 0;
+    bool Entering = true;
     for (;;) {
       Cursor &C = Cursors[Pos];
       if (Entering)
-        initCursor(Pl, Pl.Steps[Pos], C, static_cast<uint32_t>(Pos));
+        initCursor(Pl.Steps[Pos], C);
       if (!advance(Pl.Steps[Pos], C)) {
-        if (Pos == Base)
+        if (Pos == 0)
           return;
         --Pos;
         Entering = false;
@@ -667,8 +634,7 @@ private:
     }
   }
 
-  void initCursor(const RulePlan &Pl, const Step &S, Cursor &C,
-                  uint32_t StepIdx) {
+  void initCursor(const Step &S, Cursor &C) {
     C.HasPremise = false; // may be stale from an aborted deeper pass
     C.Trail.Saved.clear();
     C.RowList = nullptr;
@@ -703,25 +669,18 @@ private:
               S, std::span<const Value>(Proj.data(), Proj.size()))) {
         // End is captured now: rows an in-place join appends to the
         // bucket while this cursor is open belong to the next round.
-        uint32_t Begin = E.maybeSpill(
-            Pl, StepIdx, Bucket, 0, static_cast<uint32_t>(Bucket->size()));
         C.RowList = Bucket;
-        C.Idx = Begin;
         C.End = static_cast<uint32_t>(Bucket->size());
         return;
       }
       // No index for this mask: full scan with the full column tests.
       C.UseFullCols = true;
-      uint32_t End = static_cast<uint32_t>(E.table(S.Pred).size());
-      C.Idx = E.maybeSpill(Pl, StepIdx, nullptr, 0, End);
-      C.End = End;
+      C.End = static_cast<uint32_t>(E.table(S.Pred).size());
       return;
     }
     case StepKind::Scan: {
       C.UseFullCols = true;
-      uint32_t End = static_cast<uint32_t>(E.table(S.Pred).size());
-      C.Idx = E.maybeSpill(Pl, StepIdx, nullptr, 0, End);
-      C.End = End;
+      C.End = static_cast<uint32_t>(E.table(S.Pred).size());
       return;
     }
     case StepKind::Binder: {

@@ -17,8 +17,8 @@ using namespace flix;
 /// The Solver's in-place policy for the shared plan executor (rounds
 /// without a round executor, and the incremental engine's seed plans):
 /// joins with immediate delta updates, live buckets read up to their
-/// probe-time size (recursive derivations grow buckets mid-iteration), no
-/// spilling. When the solver records support or provenance it keeps the
+/// probe-time size (recursive derivations grow buckets mid-iteration).
+/// When the solver records support or provenance it keeps the
 /// executor's premise stack and hands each changed join to
 /// recordDerivation. See the engine concept in fixpoint/Plan.h.
 struct Solver::PlanEngine {
@@ -45,11 +45,6 @@ struct Solver::PlanEngine {
     // table and grow the bucket in place; buckets never move, and the
     // cursor stops at the size captured here.
     return &S.Tables[St.Pred]->probe(St.Mask, Proj);
-  }
-  uint32_t maybeSpill(const plan::RulePlan &, uint32_t,
-                      const std::vector<uint32_t> *, uint32_t Begin,
-                      uint32_t) {
-    return Begin;
   }
   void onRow(PredId Pred, uint32_t RowId) {
     if (Record)

@@ -88,14 +88,6 @@ struct SolverOptions {
   /// runs on that many workers. 0 evaluates every round in place on the
   /// calling thread. Same minimal model either way (§3.4).
   unsigned NumThreads = 0;
-  /// Intra-rule join parallelism (parallel rounds only): when one atom's
-  /// index bucket or full scan has more than this many remaining rows,
-  /// the worker splits the tail into sub-tasks pushed onto its
-  /// work-stealing deque (capturing the bound-env prefix), so a single
-  /// hot driver row no longer serializes a round. 0 disables splitting.
-  /// The default balances sub-task overhead (~1 env copy + deque push)
-  /// against steal granularity; see DESIGN.md S11.
-  uint32_t SpillThreshold = 1024;
   /// Memoize external-function calls on their hash-consed argument
   /// handles. Sound because the paper requires transfer/filter functions
   /// to be pure (§2.3); turn off to ablate, or if an extern violates the

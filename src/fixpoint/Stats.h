@@ -21,8 +21,8 @@
 ///
 /// Counters are work that only grows during a run. Gauges are samples of
 /// engine state: the footprint, plan totals, the memo cache's lifetime
-/// hits and misses, the lifetime escape-hatch counts and the largest
-/// sub-task fan-out, which is why the fold keeps the maximum.
+/// hits and misses and the lifetime escape-hatch counts, which is why
+/// the fold keeps the maximum.
 ///
 /// Rows are listed in the order the text report prints them.
 ///
@@ -94,9 +94,8 @@ namespace flix {
     Counter, "round-executor merge joins that left their cell unchanged")     \
   X(uint64_t, SpawnedSubtasks, "spawned_subtasks", "spawned subtasks",         \
     Counter,                                                                   \
-    "intra-rule sub-tasks split off by workers (SpillThreshold)")              \
-  X(uint64_t, MaxFanout, "max_fanout", "max fanout", Gauge,                    \
-    "most sub-tasks one split produced (hot-row fan-out)")                     \
+    "always 0: tasks never split mid-phase; kept because perfbench reports "   \
+    "it as parallel.spawned_subtasks")                                         \
   X(uint64_t, IndexFallbacks, "index_fallbacks", "index fallbacks", Counter,   \
     "read-only probes that found no pre-built index and scanned instead")
 

@@ -65,12 +65,12 @@ namespace flix {
 /// round executor (parallel/RoundExecutor.h) and runs every round on it:
 /// those of the initial full solve, of each degraded-recovery solve and
 /// of every update's delta rounds. Workers evaluate rule bodies
-/// read-only, spill hot scans into sub-tasks, and buffer each derivation
-/// that can change its cell with its premise rows; the executor's merge
-/// joins them — and records support / provenance — single-threaded after
-/// the round barrier, so the support index write path is race-free by
-/// construction. The retraction closure and the seed plans (re-derive and
-/// `not P` insertion deltas) run in place on the calling thread.
+/// read-only and buffer each derivation that can change its cell with
+/// its premise rows; the executor's merge joins them — and records
+/// support / provenance — single-threaded after the round barrier, so
+/// the support index write path is race-free by construction. The
+/// retraction closure and the seed plans (re-derive and `not P`
+/// insertion deltas) run in place on the calling thread.
 ///
 /// Every update runs, per stratum, the inner Solver's own round loop
 /// (Solver::runRounds) seeded with the rows the update changed, so

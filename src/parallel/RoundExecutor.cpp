@@ -29,18 +29,6 @@ struct RoundExecutor::Deriv {
   uint32_t PremEnd, NegEnd;
 };
 
-namespace {
-
-// Deque payload encoding. Payloads below SpawnPayloadBit index the
-// coordinator's preloaded Tasks vector; payloads with the bit set name a
-// sub-task spawned mid-phase: (spawning worker << SpawnWorkerShift) |
-// arena slot.
-constexpr size_t SpawnPayloadBit = size_t(1) << 63;
-constexpr unsigned SpawnWorkerShift = 40;
-constexpr size_t SpawnSlotMask = (size_t(1) << SpawnWorkerShift) - 1;
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Worker-local evaluation context
 //===----------------------------------------------------------------------===//
@@ -52,91 +40,13 @@ constexpr size_t SpawnSlotMask = (size_t(1) << SpawnWorkerShift) - 1;
 /// are buffered instead of joined in place, and the abort check consults
 /// a shared atomic flag so one worker's timeout stops all of them.
 struct RoundExecutor::WorkerCtx {
-  /// A captured continuation of one in-flight rule evaluation: re-run the
-  /// scan at plan step Pos over row range [Begin, End) — ids from *Rows
-  /// (an index bucket, immutable during the phase) or, when Rows is null,
-  /// raw table ids — under the bound-env and premise-stack prefix that
-  /// was live when the owning worker decided to split. The plan is not
-  /// stored: it is a pure function of (RuleIdx, Driver) within a phase,
-  /// so the executor re-fetches it exactly as runTask does.
-  struct SubTask {
-    uint32_t RuleIdx;
-    int32_t Driver;
-    uint32_t Pos;
-    const std::vector<uint32_t> *Rows;
-    uint32_t Begin, End;
-    std::vector<Value> Env;
-    std::vector<uint8_t> Bound;
-    SmallVector<CellRef, 8> Premises;
-  };
-
-  /// Per-worker storage for spawned sub-tasks, published to thieves one
-  /// atomic slot at a time. The owner fills a SubTask (reusing last
-  /// phase's objects, so Env capacity survives), then release-stores its
-  /// pointer into Slots[N] *before* pushing the payload onto the deque;
-  /// an executor acquire-loads the slot, spinning past the (theoretical)
-  /// window in which the deque handed over the payload but the slot store
-  /// is not yet visible — the Chase–Lev buffer only synchronizes the
-  /// payload value itself, not the pointee. Slots are reset by the
-  /// coordinator between phases (a happens-before edge via the pool's
-  /// phase mutex), so reuse across phases is race-free. alloc() returning
-  /// null (capacity exhausted) makes the caller fall back to inline
-  /// iteration — spilling is an optimization, never a correctness need.
-  struct SpawnArena {
-    static constexpr size_t Capacity = size_t(1) << 16;
-
-    std::unique_ptr<std::atomic<SubTask *>[]> Slots; ///< lazily allocated
-    std::vector<std::unique_ptr<SubTask>> Owned;     ///< owner-only
-    size_t Filled = 0; ///< owner-only: slots filled this phase
-
-    /// Owner: next sub-task object to fill, or nullptr when the arena is
-    /// full. Does not publish.
-    SubTask *alloc() {
-      if (Filled == Capacity)
-        return nullptr;
-      if (!Slots) {
-        Slots.reset(new std::atomic<SubTask *>[Capacity]);
-        for (size_t I = 0; I < Capacity; ++I)
-          Slots[I].store(nullptr, std::memory_order_relaxed);
-      }
-      if (Filled == Owned.size())
-        Owned.push_back(std::make_unique<SubTask>());
-      return Owned[Filled].get();
-    }
-
-    /// Owner: publishes the filled sub-task, returning its slot index.
-    size_t publish(SubTask *T) {
-      Slots[Filled].store(T, std::memory_order_release);
-      return Filled++;
-    }
-
-    /// Executor (any worker): the sub-task at \p Slot.
-    const SubTask &get(size_t Slot) const {
-      SubTask *T;
-      while (!(T = Slots[Slot].load(std::memory_order_acquire)))
-        std::this_thread::yield(); // publish store racing into view
-      return *T;
-    }
-
-    /// Coordinator, between phases: recycle. Only the filled prefix needs
-    /// nulling, so cost tracks actual spawn volume.
-    void reset() {
-      for (size_t I = 0; I < Filled; ++I)
-        Slots[I].store(nullptr, std::memory_order_relaxed);
-      Filled = 0;
-    }
-  };
-
   RoundExecutor &Ex;
-  unsigned Id;
 
   std::vector<Value> Env;
   std::vector<uint8_t> Bound;
   /// Premise rows of the open match frames (recording Solvers only).
   SmallVector<CellRef, 8> PremStack;
   const Task *Cur = nullptr;
-
-  SpawnArena Arena;
 
   /// This round's derivations, in derivation order, with the premise
   /// rows and negated keys of each (recording Solvers only; see Deriv).
@@ -155,7 +65,7 @@ struct RoundExecutor::WorkerCtx {
   /// solver's stats by the coordinator after the round barrier.
   SolveStats Stats;
 
-  WorkerCtx(RoundExecutor &Ex, unsigned Id) : Ex(Ex), Id(Id) {}
+  explicit WorkerCtx(RoundExecutor &Ex) : Ex(Ex) {}
 
   Solver &sol() { return Ex.S; }
 
@@ -171,7 +81,7 @@ struct RoundExecutor::WorkerCtx {
 
   //===--------------------------------------------------------------------===//
   // PlanExecutor engine policy (Plan.h): snapshot reads, buffered writes,
-  // sub-task spilling, premise capture for recording Solvers.
+  // premise capture for recording Solvers.
   //===--------------------------------------------------------------------===//
 
   std::vector<Value> &env() { return Env; }
@@ -186,10 +96,10 @@ struct RoundExecutor::WorkerCtx {
                                 Stats.VmCalls, Stats.InterpFallbacks);
   }
 
-  /// Buckets are immutable during an eval phase, so the returned pointer
-  /// is a stable spill target. A miss means Solver::prepareIndexes and the
-  /// plan compiler disagreed on a mask — counted, fatal in debug builds,
-  /// and answered with a full-scan fallback in release builds.
+  /// Buckets are immutable during an eval phase. A miss means
+  /// Solver::prepareIndexes and the plan compiler disagreed on a mask —
+  /// counted, fatal in debug builds, and answered with a full-scan
+  /// fallback in release builds.
   const Table::Bucket *probeBucket(const plan::Step &St,
                                    std::span<const Value> Proj) {
     if (const Table::Bucket *Bucket =
@@ -200,10 +110,6 @@ struct RoundExecutor::WorkerCtx {
                     "Solver::prepareIndexes");
     return nullptr;
   }
-
-  uint32_t maybeSpill(const plan::RulePlan &Pl, uint32_t StepIdx,
-                      const std::vector<uint32_t> *Rows, uint32_t Begin,
-                      uint32_t End);
 
   void onRow(PredId Pred, uint32_t RowId) {
     if (Ex.Record)
@@ -254,8 +160,7 @@ struct RoundExecutor::WorkerCtx {
     Buffered.clear();
   }
 
-  /// Driver rows of the running task (only reachable from runTask: spawned
-  /// continuations never re-enter a Driver step from the top).
+  /// Driver rows of the running task.
   const std::vector<uint32_t> *driverRows(uint32_t &Begin, uint32_t &End) {
     Begin = Cur->Begin;
     End = Cur->End;
@@ -271,59 +176,7 @@ struct RoundExecutor::WorkerCtx {
     Exec.run(Pl);
     Cur = nullptr;
   }
-
-  // Executes a spawned continuation: restore the captured prefix and
-  // resume the split scan at its plan step. Runs on whichever worker took
-  // or stole the payload. Cur stays null; plan resumption never re-enters
-  // the Driver step.
-  void runSpawned(const SubTask &T) {
-    Env = T.Env;
-    Bound = T.Bound;
-    PremStack = T.Premises;
-    Exec.runFrom(sol().Plans->plan(T.RuleIdx, T.Driver), T.Pos, T.Rows,
-                 T.Begin, T.End);
-  }
 };
-
-// Intra-rule spilling: splits the scan [Begin, End) at plan step
-// \p StepIdx into spawned sub-tasks of SpillThreshold rows each, keeping
-// the tail inline. Returns the start of the inline remainder (== Begin
-// when the range is below the threshold, spilling is disabled, or the
-// arena is full).
-uint32_t RoundExecutor::WorkerCtx::maybeSpill(
-    const plan::RulePlan &Pl, uint32_t StepIdx,
-    const std::vector<uint32_t> *Rows, uint32_t Begin, uint32_t End) {
-  uint32_t Thresh = sol().Opts.SpillThreshold;
-  if (Thresh == 0)
-    return Begin;
-  // No point fanning out work that will only observe the abort flag.
-  if (Ex.AbortFlag.load(std::memory_order_relaxed))
-    return Begin;
-  uint64_t Fanout = 0;
-  uint32_t B = Begin;
-  while (End - B > Thresh) {
-    SubTask *T = Arena.alloc();
-    if (!T)
-      break; // arena full; iterate the rest inline
-    T->RuleIdx = Pl.RuleIdx;
-    T->Driver = Pl.Driver;
-    T->Pos = StepIdx;
-    T->Rows = Rows;
-    T->Begin = B;
-    T->End = B + Thresh;
-    T->Env = Env;
-    T->Bound = Bound;
-    T->Premises = PremStack;
-    size_t Slot = Arena.publish(T);
-    Ex.Pool->spawn(Id,
-                   SpawnPayloadBit | (size_t(Id) << SpawnWorkerShift) | Slot);
-    ++Stats.SpawnedSubtasks;
-    ++Fanout;
-    B += Thresh;
-  }
-  Stats.MaxFanout = std::max(Stats.MaxFanout, Fanout);
-  return B;
-}
 
 //===----------------------------------------------------------------------===//
 // Coordinator
@@ -341,7 +194,7 @@ RoundExecutor::RoundExecutor(Solver &Sol, unsigned NumWorkers)
   Pool = std::make_unique<ThreadPool>(NumWorkers);
   Workers.reserve(NumWorkers);
   for (unsigned W = 0; W < NumWorkers; ++W)
-    Workers.push_back(std::make_unique<WorkerCtx>(*this, W));
+    Workers.push_back(std::make_unique<WorkerCtx>(*this));
 }
 
 RoundExecutor::~RoundExecutor() = default;
@@ -414,21 +267,12 @@ void RoundExecutor::evalRound(const std::vector<uint32_t> &RuleIds,
 }
 
 void RoundExecutor::runEvalPhase() {
-  // Recycle the spawn arenas and derivation buffers (coordinator-only;
-  // the pool's phase mutex publishes the reset to the workers).
-  for (const std::unique_ptr<WorkerCtx> &W : Workers) {
-    W->Arena.reset();
+  // Recycle the derivation buffers (coordinator-only; the pool's phase
+  // mutex publishes the reset to the workers).
+  for (const std::unique_ptr<WorkerCtx> &W : Workers)
     W->clearDerivs();
-  }
   Pool->run(Tasks.size(), [this](size_t Payload, unsigned W) {
-    if (Payload & SpawnPayloadBit) {
-      unsigned Owner = static_cast<unsigned>(
-          (Payload & ~SpawnPayloadBit) >> SpawnWorkerShift);
-      Workers[W]->runSpawned(
-          Workers[Owner]->Arena.get(Payload & SpawnSlotMask));
-    } else {
-      Workers[W]->runTask(Tasks[Payload]);
-    }
+    Workers[W]->runTask(Tasks[Payload]);
   });
 }
 

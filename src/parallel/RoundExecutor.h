@@ -25,20 +25,17 @@
 ///      derivations. They never build an index: the Solver pre-builds
 ///      every mask its plans probe on its own thread
 ///      (Solver::prepareIndexes) before round 0 and after any re-plan.
-///      When one atom's index bucket or scan exceeds
-///      SolverOptions::SpillThreshold rows, the worker captures its
-///      bound-env prefix (and premise-stack prefix) into a sub-task and
-///      spawns the tail onto its deque, so a single hot row's fan-out is
-///      itself stolen and split (SolveStats::SpawnedSubtasks / MaxFanout).
-///      Before buffering, a worker drops a derivation that cannot change
-///      its cell (§3.7 puts a cell in ΔP only when its value strictly
-///      increases): ⊥, a value the snapshot row already holds, or a
-///      repeat of a (pred, key, value) it buffered this round. So a round
-///      whose firings mostly repeat a few cells buffers about one
-///      derivation per cell, not one per firing. When the Solver tracks
-///      support or provenance, workers also copy the executor's premise
-///      stack at each buffered match and its negated keys
-///      (Solver::negatedKeys).
+///      The pool splits the task array among workers and balances it by
+///      stealing whole tasks; a task always runs to completion on the
+///      worker that claimed it. Before buffering, a worker drops a
+///      derivation that cannot change its cell (§3.7 puts a cell in ΔP
+///      only when its value strictly increases): ⊥, a value the snapshot
+///      row already holds, or a repeat of a (pred, key, value) it
+///      buffered this round. So a round whose firings mostly repeat a few
+///      cells buffers about one derivation per cell, not one per firing.
+///      When the Solver tracks support or provenance, workers also copy
+///      the executor's premise stack at each buffered match and its
+///      negated keys (Solver::negatedKeys).
 ///   2. *Merge,* after the barrier, on the coordinator: every worker's
 ///      buffer is joined in worker order, changed rows are queued as the
 ///      next delta, and every changed join goes to

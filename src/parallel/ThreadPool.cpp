@@ -10,89 +10,8 @@
 
 using namespace flix;
 
-// Owner side of the Chase–Lev protocol: pop one task payload from the
-// bottom of the deque. The seq_cst fence between the Bottom store and the
-// Top load resolves the race with thieves on the last element: either the
-// thief's CAS or the owner's reservation wins, never both.
-size_t ThreadPool::Deque::take() {
-  int64_t B = Bottom.load(std::memory_order_relaxed) - 1;
-  Buffer *A = Buf.load(std::memory_order_relaxed);
-  Bottom.store(B, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  int64_t T = Top.load(std::memory_order_relaxed);
-  if (T > B) {
-    // Deque was already empty; undo the reservation.
-    Bottom.store(B + 1, std::memory_order_relaxed);
-    return Empty;
-  }
-  size_t Task = A->get(B);
-  if (T == B) {
-    // Last element: race the thieves for it.
-    if (!Top.compare_exchange_strong(T, T + 1, std::memory_order_seq_cst,
-                                     std::memory_order_relaxed))
-      Task = Empty; // a thief got it
-    Bottom.store(B + 1, std::memory_order_relaxed);
-  }
-  return Task;
-}
-
-// Thief side: claim the task at the top with a CAS. The acquire load of
-// Bottom pairs with the owner's release store in push() (and, for
-// preloaded tasks, with the phase-start mutex), so the slot and any
-// spawned-task state written before the push are visible. The buffer
-// pointer is loaded after the emptiness check; a concurrent grow() keeps
-// the old buffer alive until the phase barrier, and slot Top is never
-// overwritten in it (the owner only writes at Bottom), so the read is
-// safe even if the CAS then loses.
-size_t ThreadPool::Deque::steal() {
-  int64_t T = Top.load(std::memory_order_acquire);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  int64_t B = Bottom.load(std::memory_order_acquire);
-  if (T >= B)
-    return Empty;
-  Buffer *A = Buf.load(std::memory_order_acquire);
-  size_t Task = A->get(T);
-  if (!Top.compare_exchange_strong(T, T + 1, std::memory_order_seq_cst,
-                                   std::memory_order_relaxed))
-    return Empty; // lost the race; caller retries elsewhere
-  return Task;
-}
-
-// Owner side: push a payload at the bottom, growing the circular buffer
-// if [Top, Bottom) already fills it. Only the owning worker (or the
-// coordinator between phases) calls this.
-void ThreadPool::Deque::push(size_t Payload) {
-  int64_t B = Bottom.load(std::memory_order_relaxed);
-  int64_t T = Top.load(std::memory_order_acquire);
-  Buffer *A = Buf.load(std::memory_order_relaxed);
-  if (B - T >= static_cast<int64_t>(A->Capacity))
-    A = grow(A, T, B);
-  A->put(B, Payload);
-  // Publishes the slot (and the spawned task state the caller wrote
-  // before push) to thieves that acquire-load Bottom.
-  Bottom.store(B + 1, std::memory_order_release);
-}
-
-ThreadPool::Deque::Buffer *ThreadPool::Deque::grow(Buffer *Old, int64_t T,
-                                                   int64_t B) {
-  auto NewBuf = std::make_unique<Buffer>(Old->Capacity * 2);
-  for (int64_t I = T; I < B; ++I)
-    NewBuf->put(I, Old->get(I));
-  Buffer *Raw = NewBuf.get();
-  // Old stays alive in Buffers until the coordinator trims between
-  // phases; a thief that loaded it pre-grow reads valid (identical)
-  // slots in [Top, Bottom) there.
-  Buffers.push_back(std::move(NewBuf));
-  Buf.store(Raw, std::memory_order_release);
-  return Raw;
-}
-
-ThreadPool::ThreadPool(unsigned NumWorkers) : Deques(NumWorkers) {
+ThreadPool::ThreadPool(unsigned NumWorkers) : Slices(NumWorkers) {
   assert(NumWorkers > 0 && "a pool needs at least one worker");
-  for (Deque &D : Deques) {
-    D.Buffers.push_back(std::make_unique<Deque::Buffer>(256));
-    D.Buf.store(D.Buffers.back().get(), std::memory_order_relaxed);
-  }
   Workers.reserve(NumWorkers);
   for (unsigned I = 0; I < NumWorkers; ++I)
     Workers.emplace_back([this, I] { workerMain(I); });
@@ -112,48 +31,31 @@ void ThreadPool::run(size_t NumTasks,
                      const std::function<void(size_t, unsigned)> &Fn) {
   if (NumTasks == 0)
     return;
-  // Preload each deque with a contiguous slice of [0, NumTasks). Slices
-  // keep adjacent tasks (often adjacent delta rows) on one worker, which
-  // preserves locality until stealing kicks in. No worker is running, so
-  // plain pushes are safe, and buffers retired by last phase's growth can
-  // be freed now (no thief can still hold one across the phase barrier).
+  // Cut [0, NumTasks) into one contiguous slice per worker. No worker is
+  // running, so plain stores are safe; the Generation bump under Mu
+  // publishes them.
   unsigned W = numWorkers();
   size_t Per = NumTasks / W, Extra = NumTasks % W;
   size_t Next = 0;
   for (unsigned I = 0; I < W; ++I) {
-    Deque &D = Deques[I];
-    if (D.Buffers.size() > 1)
-      D.Buffers.erase(D.Buffers.begin(), D.Buffers.end() - 1);
-    D.Top.store(0, std::memory_order_relaxed);
-    D.Bottom.store(0, std::memory_order_relaxed);
-    size_t Len = Per + (I < Extra ? 1 : 0);
-    for (size_t J = 0; J < Len; ++J)
-      D.push(Next++);
+    Slice &S = Slices[I];
+    S.Next.store(Next, std::memory_order_relaxed);
+    Next += Per + (I < Extra ? 1 : 0);
+    S.End = Next;
   }
   assert(Next == NumTasks);
-  Remaining.store(NumTasks, std::memory_order_relaxed);
 
   std::unique_lock<std::mutex> Lock(Mu);
   PhaseFn = &Fn;
   Active = W;
-  ++Generation; // publishes the deque/task state to workers (via Mu)
+  ++Generation;
   WakeWorkers.notify_all();
   PhaseDone.wait(Lock, [this] { return Active == 0; });
   PhaseFn = nullptr;
 }
 
-void ThreadPool::spawn(unsigned Me, size_t Payload) {
-  // The increment must precede the push: the spawner is inside a task
-  // whose own decrement has not happened yet, so Remaining cannot touch
-  // zero while the spawned payload is in flight, and no worker exits the
-  // phase before picking it up.
-  Remaining.fetch_add(1, std::memory_order_relaxed);
-  Deques[Me].push(Payload);
-}
-
 void ThreadPool::workerMain(unsigned Me) {
   uint64_t SeenGeneration = 0;
-  Deque &Mine = Deques[Me];
   unsigned W = numWorkers();
   for (;;) {
     const std::function<void(size_t, unsigned)> *Fn;
@@ -168,26 +70,19 @@ void ThreadPool::workerMain(unsigned Me) {
       Fn = PhaseFn;
     }
 
-    // Drain own deque, then cycle over victims until no tasks remain
-    // anywhere. Remaining is decremented after each task completes, so
-    // reaching zero implies all task effects are visible (release) to
-    // whoever observes it (acquire); spawned tasks bump Remaining before
-    // they become stealable, so the count never drops to zero early.
-    for (;;) {
-      size_t Task = Mine.take();
-      if (Task == Deque::Empty) {
-        for (unsigned Off = 1; Off < W && Task == Deque::Empty; ++Off)
-          Task = Deques[(Me + Off) % W].steal();
-        if (Task == Deque::Empty) {
-          if (Remaining.load(std::memory_order_acquire) == 0)
-            break;
-          std::this_thread::yield();
-          continue;
-        }
-        ++Mine.Steals;
+    // Own slice first, then each victim's in turn. Every task is claimed
+    // by exactly one fetch_add; once a cursor passes its End that slice
+    // stays exhausted for the phase.
+    for (unsigned Off = 0; Off < W; ++Off) {
+      Slice &S = Slices[(Me + Off) % W];
+      for (;;) {
+        size_t Task = S.Next.fetch_add(1, std::memory_order_relaxed);
+        if (Task >= S.End)
+          break;
+        if (Off != 0)
+          ++Slices[Me].Steals;
+        (*Fn)(Task, Me);
       }
-      (*Fn)(Task, Me);
-      Remaining.fetch_sub(1, std::memory_order_acq_rel);
     }
 
     {
@@ -201,7 +96,7 @@ void ThreadPool::workerMain(unsigned Me) {
 uint64_t ThreadPool::steals() const {
   // Quiescent-state read: called between phases by the coordinator.
   uint64_t N = 0;
-  for (const Deque &D : Deques)
-    N += D.Steals;
+  for (const Slice &S : Slices)
+    N += S.Steals;
   return N;
 }

@@ -5,25 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size pool of worker threads executing *phases* of tasks with
-/// Chase–Lev work-stealing deques. The coordinator preloads each worker's
-/// deque with a contiguous slice of the phase's task payloads and releases
-/// the workers; each worker pops from the bottom of its own deque (LIFO)
-/// and, when empty, steals from the top of a victim's deque (FIFO) with a
-/// CAS on the top cursor — the Chase–Lev protocol.
-///
-/// Tasks may spawn further tasks mid-phase through spawn(): the executing
-/// worker pushes the new payload onto the bottom of its own deque, where
-/// idle workers can steal it. This is what lets the fixpoint engine split
-/// a single hot join fan-out across workers (intra-rule parallelism)
-/// instead of serializing it on one worker. Because the owner can now push
-/// during a phase, the deque uses the full Chase–Lev circular-array
-/// discipline: a power-of-two ring of relaxed-atomic slots that is grown
-/// by publishing a copied, doubled buffer; retired buffers are kept alive
-/// until the next phase so a racing thief never reads freed memory. Top
-/// still never wraps within a phase (it is reset between phases), so there
-/// is no ABA hazard, and the owner's hot path never executes an atomic
-/// RMW except on the last element.
+/// A fixed-size pool of worker threads executing *phases* of tasks. A
+/// phase's tasks are the fixed payload array [0, NumTasks): the
+/// coordinator cuts it into one contiguous slice per worker and releases
+/// the workers. Each slice has one atomic claim cursor. A worker claims
+/// tasks from its own slice with fetch_add, then from its victims'
+/// slices in turn; a claim from another worker's slice is a steal.
+/// Slices keep adjacent tasks (often adjacent delta rows) on one worker
+/// until stealing kicks in. No task appears mid-phase, so a worker that
+/// finds every slice exhausted leaves the phase at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +24,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -43,9 +32,7 @@ namespace flix {
 
 /// A persistent pool of \p NumWorkers threads executing one phase of
 /// tasks at a time. Not itself thread-safe: one coordinator thread calls
-/// run(); the pool may be reused for any number of phases. spawn() is the
-/// one member that worker threads may call, and only from inside the
-/// phase function on their own worker index.
+/// run(); the pool may be reused for any number of phases.
 class ThreadPool {
 public:
   explicit ThreadPool(unsigned NumWorkers);
@@ -53,84 +40,46 @@ public:
   ThreadPool &operator=(const ThreadPool &) = delete;
   ~ThreadPool();
 
-  /// Reads Deques (fully built before any worker thread starts), not
+  /// Reads Slices (fully built before any worker thread starts), not
   /// Workers — workers call this while the constructor is still pushing
   /// into the Workers vector.
-  unsigned numWorkers() const { return static_cast<unsigned>(Deques.size()); }
+  unsigned numWorkers() const { return static_cast<unsigned>(Slices.size()); }
 
-  /// Executes Fn(Payload, WorkerIndex) for every payload in [0, NumTasks),
-  /// plus any payloads spawned mid-phase, distributed over the workers
-  /// with work stealing. Blocks the calling thread until every task
-  /// (including spawned ones) has finished; the happens-before edges run
-  /// through the phase start/finish latches, so non-atomic state written
-  /// by tasks is visible to the coordinator (and to all tasks of
-  /// subsequent phases) without further synchronization.
+  /// Executes Fn(Payload, WorkerIndex) once for every payload in
+  /// [0, NumTasks), distributed over the workers with work stealing.
+  /// Blocks the calling thread until every task has finished; the
+  /// happens-before edges run through the phase start/finish mutex, so
+  /// non-atomic state written by tasks is visible to the coordinator (and
+  /// to all tasks of subsequent phases) without further synchronization.
   void run(size_t NumTasks, const std::function<void(size_t, unsigned)> &Fn);
 
-  /// Enqueues a dynamically spawned task payload onto worker \p Me's own
-  /// deque. May only be called from inside the phase function, by the
-  /// worker currently executing as index \p Me; the payload is passed to
-  /// the same phase function when it runs (possibly on another worker).
-  void spawn(unsigned Me, size_t Payload);
-
-  /// Total tasks obtained by stealing (rather than from the thief's own
-  /// deque) since construction.
+  /// Total tasks claimed from another worker's slice since construction.
   uint64_t steals() const;
 
 private:
-  /// Chase–Lev deque over task payloads. The owner works [Top, Bottom)
-  /// from the bottom and may push at the bottom mid-phase; thieves CAS
-  /// Top upward. Slots are relaxed atomics inside a circular buffer that
-  /// the owner grows by publishing a doubled copy (Le et al., "Correct
-  /// and Efficient Work-Stealing for Weak Memory Models").
-  struct alignas(64) Deque {
-    struct Buffer {
-      explicit Buffer(size_t Cap)
-          : Capacity(Cap), Slots(new std::atomic<size_t>[Cap]) {}
-      size_t get(int64_t I) const {
-        return Slots[static_cast<size_t>(I) & (Capacity - 1)].load(
-            std::memory_order_relaxed);
-      }
-      void put(int64_t I, size_t V) {
-        Slots[static_cast<size_t>(I) & (Capacity - 1)].store(
-            V, std::memory_order_relaxed);
-      }
-      const size_t Capacity; ///< power of two
-      std::unique_ptr<std::atomic<size_t>[]> Slots;
-    };
-
-    std::atomic<int64_t> Top{0};
-    std::atomic<int64_t> Bottom{0};
-    /// Current buffer, loaded by thieves; Buffers owns it plus any
-    /// buffers retired by mid-phase growth (freed between phases, when
-    /// no thief can hold a stale pointer).
-    std::atomic<Buffer *> Buf{nullptr};
-    std::vector<std::unique_ptr<Buffer>> Buffers;
-    uint64_t Steals = 0; ///< owner-private steal counter
-
-    static constexpr size_t Empty = SIZE_MAX;
-    size_t take();
-    size_t steal();
-    void push(size_t Payload);
-    Buffer *grow(Buffer *Old, int64_t T, int64_t B);
+  /// One worker's share [Next, End) of the running phase. Next is claimed
+  /// by fetch_add from any worker and may overshoot End; End is written
+  /// by the coordinator between phases only.
+  struct alignas(64) Slice {
+    std::atomic<size_t> Next{0};
+    size_t End = 0;
+    uint64_t Steals = 0; ///< tasks this slice's worker stole (owner-only)
   };
 
   void workerMain(unsigned Me);
 
-  std::vector<Deque> Deques;
+  std::vector<Slice> Slices;
   std::vector<std::thread> Workers;
 
   // Phase control. Generation is bumped (under Mu) to release workers;
-  // Remaining counts unexecuted tasks (including spawned ones); Active
-  // counts workers still inside the phase. The coordinator waits for
-  // Active == 0.
+  // Active counts workers still inside the phase. The coordinator waits
+  // for Active == 0.
   std::mutex Mu;
   std::condition_variable WakeWorkers;
   std::condition_variable PhaseDone;
   uint64_t Generation = 0;
   bool ShuttingDown = false;
   const std::function<void(size_t, unsigned)> *PhaseFn = nullptr;
-  std::atomic<size_t> Remaining{0};
   unsigned Active = 0;
 };
 

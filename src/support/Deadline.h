@@ -8,13 +8,13 @@
 /// A small wall-clock deadline shared by the sequential and parallel
 /// fixpoint solvers. Both solvers check expiry once per *matched row*
 /// inside every scan and probe loop — driver iteration, index-bucket
-/// walks, full scans, and the parallel solver's spawned sub-task loops —
-/// so even a single driver row with a huge join fan-out stops within one
-/// row's worth of work of the limit (previously checks ran only once per
-/// driver row, which let one hot row's fan-out overshoot badly). The
-/// parallel merge phases check on a 1024-derivation stride, bounding the
-/// post-eval overshoot too. steady_clock::now() is a vDSO call on the
-/// platforms we target, so a per-row check is affordable.
+/// walks and full scans — so even a single driver row with a huge join
+/// fan-out stops within one row's worth of work of the limit (previously
+/// checks ran only once per driver row, which let one hot row's fan-out
+/// overshoot badly). The parallel merge phases check on a
+/// 1024-derivation stride, bounding the post-eval overshoot too.
+/// steady_clock::now() is a vDSO call on the platforms we target, so a
+/// per-row check is affordable.
 ///
 //===----------------------------------------------------------------------===//
 

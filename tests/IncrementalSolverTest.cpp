@@ -921,14 +921,12 @@ TEST_P(IncrementalDifferentialTest, MaintainedMemoryBytesMatchRecount) {
   }
 }
 
-TEST_P(IncrementalDifferentialTest, SpilledRoundsRecordPremisePrefixes) {
-  // SpillThreshold 1 splits every scan of more than one row into
-  // sub-tasks (at >= 1 thread), so delta rounds derive through spilled
-  // continuations. Each batch adds a Cfg edge out of the node most facts
-  // reach — its Reach bucket spills under the Cfg driver — and the next
+TEST_P(IncrementalDifferentialTest, HubChurnRecordsPremiseRows) {
+  // Each batch adds a Cfg edge out of the node most facts reach — its
+  // Reach bucket is the hottest probe under the Cfg driver — and the next
   // batch retracts it. That retraction over-deletes the derived cells
-  // only if the spilled derivations recorded the Cfg row of their
-  // premise-stack prefix; a dropped prefix leaves stale cells behind.
+  // only if the hub derivations recorded the Cfg row among their
+  // premises; a dropped premise leaves stale cells behind.
   IcfgProgram I = generateIcfg(99, 3, 10, 8, 2);
   IcfgCase C;
   for (auto [A, B] : I.CfgEdges)
@@ -941,14 +939,11 @@ TEST_P(IncrementalDifferentialTest, SpilledRoundsRecordPremisePrefixes) {
   }
 
   Program P = C.build();
-  SolverOptions O = opts();
-  O.SpillThreshold = 1;
-  IncrementalSolver IS(P, O);
+  IncrementalSolver IS(P, opts());
   ASSERT_TRUE(IS.update().ok());
   expectMatchesScratch(IS, [&] { return C.build(); });
 
   std::mt19937_64 Rng(29);
-  uint64_t Spawned = 0;
   for (int Round = 0; Round < 4; ++Round) {
     std::vector<int> Reaching(I.NumNodes, 0);
     for (const std::vector<Value> &Row : IS.tuples(C.Reach))
@@ -969,7 +964,6 @@ TEST_P(IncrementalDifferentialTest, SpilledRoundsRecordPremisePrefixes) {
     UpdateStats U = IS.update();
     ASSERT_TRUE(U.ok());
     EXPECT_FALSE(U.FullResolve);
-    Spawned += U.SpawnedSubtasks;
     expectMatchesScratch(IS, [&] { return C.build(); });
 
     IS.retractFact(C.Cfg, {C.F.integer(E.first), C.F.integer(E.second)});
@@ -984,37 +978,7 @@ TEST_P(IncrementalDifferentialTest, SpilledRoundsRecordPremisePrefixes) {
     U = IS.update();
     ASSERT_TRUE(U.ok());
     EXPECT_FALSE(U.FullResolve);
-    Spawned += U.SpawnedSubtasks;
     expectMatchesScratch(IS, [&] { return C.build(); });
-  }
-  if (GetParam() == 8)
-    EXPECT_GT(Spawned, 0u);
-}
-
-TEST_P(IncrementalDifferentialTest, SpillingUpdateReportsMaxFanout) {
-  // Node 1 is a hub with 64 out-edges. Making it cheaper to reach drives
-  // one delta row of Dist through the hub's 64-row Edge bucket, which
-  // SpillThreshold 4 splits into 15 sub-tasks in one go. The update's
-  // stats must carry that fan-out along with the sub-tasks it counts.
-  SsspCase C;
-  C.Edges.insert({0, 1, 10});
-  for (int N = 100; N < 164; ++N)
-    C.Edges.insert({1, N, 1});
-  Program P = C.build();
-  SolverOptions O = opts();
-  O.SpillThreshold = 4;
-  IncrementalSolver IS(P, O);
-  ASSERT_TRUE(IS.update().ok());
-
-  IS.addFact(C.Edge, {C.F.integer(0), C.F.integer(1), C.F.integer(1)});
-  UpdateStats U = IS.update();
-  ASSERT_TRUE(U.ok());
-  EXPECT_EQ(C.dist(IS, 150), 2);
-  if (GetParam() > 0) {
-    EXPECT_GT(U.SpawnedSubtasks, 0u);
-  }
-  if (U.SpawnedSubtasks > 0) {
-    EXPECT_GE(U.MaxFanout, 2u);
   }
 }
 

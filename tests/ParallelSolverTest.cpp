@@ -169,8 +169,7 @@ TEST(ParallelSolverTest, ProvenanceExplainsEveryDerivedRow) {
   // With TrackProvenance the executor's merge writes one Derivation per
   // changed cell. At any worker count every derived row must name a rule
   // with its head predicate, and every premise must be in the model at a
-  // value ⊑ the premise cell's current value. The low spill threshold
-  // routes premise prefixes through spilled sub-tasks too.
+  // value ⊑ the premise cell's current value.
   WeightedGraph G = generateGraph(11, 60, 3.0, 9);
   ValueFactory F;
   MinCostLattice L(F);
@@ -201,7 +200,6 @@ TEST(ParallelSolverTest, ProvenanceExplainsEveryDerivedRow) {
     SolverOptions O;
     O.NumThreads = Threads;
     O.TrackProvenance = true;
-    O.SpillThreshold = 4;
     Solver S(P, O);
     SolveStats St = S.solve();
     ASSERT_TRUE(St.ok()) << St.Error;
@@ -273,8 +271,8 @@ TEST(ParallelSolverTest, TimeoutAborts) {
 
 /// Transitive closure over a star graph: hub node 0 has \p Fanout
 /// outgoing edges plus a few feeder nodes pointing at it, so delta rounds
-/// funnel through one hot Edge bucket — the skew the intra-rule spill
-/// path exists to break up.
+/// funnel through one hot Edge bucket that one task probes while the
+/// other workers steal the remaining chunks.
 struct SkewedWorkload {
   ValueFactory F;
   Program P{F};
@@ -296,7 +294,7 @@ struct SkewedWorkload {
   }
 };
 
-TEST(ParallelSolverTest, SkewedWorkloadSpawnsSubtasksAndMatchesSequential) {
+TEST(ParallelSolverTest, SkewedWorkloadMatchesSequential) {
   constexpr int Fanout = 400;
   SkewedWorkload W(Fanout);
 
@@ -307,35 +305,11 @@ TEST(ParallelSolverTest, SkewedWorkloadSpawnsSubtasksAndMatchesSequential) {
   for (unsigned Threads : {1u, 2u, 8u}) {
     SolverOptions PO;
     PO.NumThreads = Threads;
-    PO.SpillThreshold = 16; // force splitting on the hub bucket
     Solver Par(W.P, PO);
     SolveStats St = Par.solve();
     ASSERT_TRUE(St.ok()) << St.Error;
-    // The hub bucket (Fanout rows, threshold 16) must have been split.
-    EXPECT_GT(St.SpawnedSubtasks, 0u) << "threads=" << Threads;
-    EXPECT_GE(St.MaxFanout, 2u) << "threads=" << Threads;
     EXPECT_EQ(St.IndexFallbacks, 0u) << "threads=" << Threads;
     EXPECT_EQ(modelOf(W.P, Par), Expected) << "threads=" << Threads;
-  }
-}
-
-TEST(ParallelSolverTest, SpillThresholdSweepSameModel) {
-  SkewedWorkload W(200);
-  Solver Seq(W.P);
-  ASSERT_TRUE(Seq.solve().ok());
-  Interpretation Expected = modelOf(W.P, Seq);
-
-  for (uint32_t Thresh : {0u, 4u, 64u, 1024u}) {
-    SolverOptions PO;
-    PO.NumThreads = 2;
-    PO.SpillThreshold = Thresh;
-    Solver Par(W.P, PO);
-    SolveStats St = Par.solve();
-    ASSERT_TRUE(St.ok()) << St.Error;
-    if (Thresh == 0) {
-      EXPECT_EQ(St.SpawnedSubtasks, 0u) << "spilling disabled";
-    }
-    EXPECT_EQ(modelOf(W.P, Par), Expected) << "threshold=" << Thresh;
   }
 }
 
@@ -371,7 +345,6 @@ TEST(ParallelSolverTest, SingleRowFanoutBombTimesOut) {
     SolverOptions Opts;
     Opts.NumThreads = Threads;
     Opts.TimeLimitSeconds = 0.05;
-    Opts.SpillThreshold = 64; // also cover abort inside spawned sub-tasks
     Solver Sol(P, Opts);
     SolveStats St = Sol.solve();
     EXPECT_EQ(St.St, SolveStats::Status::Timeout) << "threads=" << Threads;

@@ -94,7 +94,7 @@ TEST(StatsRegistry, SinceDiffsCountersAndSamplesGauges) {
   EXPECT_EQ(D.St, SolveStats::Status::Timeout);
   EXPECT_EQ(D.RuleFirings, Now.RuleFirings - Before.RuleFirings);
   EXPECT_EQ(D.MemoHits, Now.MemoHits);   // gauge: cumulative
-  EXPECT_EQ(D.MaxFanout, Now.MaxFanout); // gauge
+  EXPECT_EQ(D.PlanSteps, Now.PlanSteps); // gauge
 }
 
 TEST(StatsRegistry, AccumulateSumsCountersAndMaxFoldsFanout) {
@@ -112,18 +112,18 @@ TEST(StatsRegistry, AccumulateSumsCountersAndMaxFoldsFanout) {
         << "row " << I;
   EXPECT_EQ(Sum.CellsDeleted, A.CellsDeleted + B.CellsDeleted);
 
-  // The largest split wins regardless of fold order.
+  // The largest gauge sample wins regardless of fold order.
   SolveStats Round, Worker;
-  Round.MaxFanout = 7;
-  Worker.MaxFanout = 3;
-  Worker.SpawnedSubtasks = 4;
+  Round.PlanSteps = 7;
+  Worker.PlanSteps = 3;
+  Worker.ParallelTasks = 4;
   Round.accumulate(Worker);
-  EXPECT_EQ(Round.MaxFanout, 7u);
-  EXPECT_EQ(Round.SpawnedSubtasks, 4u);
-  Worker.MaxFanout = 9;
+  EXPECT_EQ(Round.PlanSteps, 7u);
+  EXPECT_EQ(Round.ParallelTasks, 4u);
+  Worker.PlanSteps = 9;
   Round.accumulate(Worker);
-  EXPECT_EQ(Round.MaxFanout, 9u);
-  EXPECT_EQ(Round.SpawnedSubtasks, 8u);
+  EXPECT_EQ(Round.PlanSteps, 9u);
+  EXPECT_EQ(Round.ParallelTasks, 8u);
 }
 
 } // namespace

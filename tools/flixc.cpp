@@ -17,9 +17,6 @@
 //                      driver atom first) instead of the cost-based order
 //   --threads <n>      solve with the parallel engine on <n> worker
 //                      threads (0 = sequential solver, the default)
-//   --spill-threshold <n>  split index buckets / scans longer than <n>
-//                      rows into stealable sub-tasks (parallel engine;
-//                      0 disables intra-rule splitting)
 //   --time-limit <s>   abort after <s> seconds
 //   --facts <dir>      load input facts from <dir>/<Pred>.facts files
 //                      (tab-separated, one tuple per line)
@@ -82,8 +79,6 @@ static void printUsage() {
       "(0 disables between-round re-planning; default 4)\n"
       "  --threads <n>      parallel engine with <n> workers (0 = "
       "sequential)\n"
-      "  --spill-threshold <n>  intra-rule split threshold (parallel "
-      "engine; 0 = off)\n"
       "  --time-limit <s>   abort after <s> seconds\n"
       "  --facts <dir>      load input facts from <dir>/<Pred>.facts\n"
       "  --update-script <file>  replay incremental add/retract/update "
@@ -484,24 +479,8 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --threads needs a value\n");
         return 1;
       }
-      long N = std::atol(Argv[I]);
-      if (N < 0) {
-        std::fprintf(stderr, "error: --threads needs a value >= 0\n");
-        return 1;
-      }
-      Opts.NumThreads = static_cast<unsigned>(N);
-    } else if (Arg == "--spill-threshold") {
-      if (++I >= Argc) {
-        std::fprintf(stderr, "error: --spill-threshold needs a value\n");
-        return 1;
-      }
-      long N = std::atol(Argv[I]);
-      if (N < 0) {
-        std::fprintf(stderr,
-                     "error: --spill-threshold needs a value >= 0\n");
-        return 1;
-      }
-      Opts.SpillThreshold = static_cast<uint32_t>(N);
+      Opts.NumThreads =
+          static_cast<unsigned>(parseIntFlag("--threads", Argv[I], 0, 1024));
     } else if (Arg == "--update-script") {
       if (++I >= Argc) {
         std::fprintf(stderr, "error: --update-script needs a file\n");
@@ -513,7 +492,7 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --time-limit needs a value\n");
         return 1;
       }
-      Opts.TimeLimitSeconds = std::atof(Argv[I]);
+      Opts.TimeLimitSeconds = parseFloatFlag("--time-limit", Argv[I], 0.0);
     } else if (Arg == "--facts") {
       if (++I >= Argc) {
         std::fprintf(stderr, "error: --facts needs a directory\n");
