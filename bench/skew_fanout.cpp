@@ -228,14 +228,15 @@ int main(int Argc, char **Argv) {
         std::printf("planner %-7s %-8s: %8.3fs, %9llu firings, "
                     "%10.1f ns/firing, speedup_vs_greedy=%.2fx, "
                     "replan_events=%llu, cost_based_orders=%llu, "
-                    "row_drift=%llu\n",
+                    "row_drift=%llu, plan_checks=%llu\n",
                     Workload, M.Name, Time,
                     static_cast<unsigned long long>(St.RuleFirings),
                     NsPerFiring, Speedup,
                     static_cast<unsigned long long>(St.ReplanEvents),
                     static_cast<unsigned long long>(St.CostBasedPlans),
                     static_cast<unsigned long long>(
-                        St.EstimatedVsActualRows));
+                        St.EstimatedVsActualRows),
+                    static_cast<unsigned long long>(St.PlanChecks));
         std::fflush(stdout);
         if (!PlannerJsonPath.empty()) {
           PJson.begin();
@@ -251,6 +252,7 @@ int main(int Argc, char **Argv) {
                        static_cast<long long>(St.RuleFirings))
               .num("ns_per_firing", NsPerFiring)
               .num("speedup_vs_greedy", Speedup)
+              .integer("plan_checks", static_cast<long long>(St.PlanChecks))
               .integer("replan_events",
                        static_cast<long long>(St.ReplanEvents))
               .integer("cost_based_plans",

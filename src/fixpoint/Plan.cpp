@@ -57,10 +57,10 @@ bool sameOrder(std::span<const uint32_t> A, std::span<const uint32_t> B) {
 /// original body order is always a valid placement witness (validation
 /// checked groundness along it), so a chooser that always considers the
 /// earliest unplaced element can never wedge.
-bool placeableElem(const BodyElem &E, const std::vector<bool> &BoundVar) {
+bool placeableElem(const BodyElem &E, const VarSet &BoundVar) {
   auto ArgsBound = [&](const auto &Terms) {
     for (const Term &T : Terms)
-      if (T.isVar() && !BoundVar[T.Variable])
+      if (T.isVar() && !BoundVar.contains(T.Variable))
         return false;
     return true;
   };
@@ -75,12 +75,12 @@ bool placeableElem(const BodyElem &E, const std::vector<bool> &BoundVar) {
 }
 
 /// Marks the variables \p E binds.
-void bindElem(const BodyElem &E, std::vector<bool> &BoundVar) {
+void bindElem(const BodyElem &E, VarSet &BoundVar) {
   if (std::get_if<BodyFilter>(&E))
     return;
   if (const auto *B = std::get_if<BodyBinder>(&E)) {
     for (VarId V : B->Pattern)
-      BoundVar[V] = true;
+      BoundVar.insert(V);
     return;
   }
   const auto &A = std::get<BodyAtom>(E);
@@ -88,15 +88,15 @@ void bindElem(const BodyElem &E, std::vector<bool> &BoundVar) {
     return;
   for (const Term &T : A.Terms)
     if (T.isVar())
-      BoundVar[T.Variable] = true;
+      BoundVar.insert(T.Variable);
 }
 
 /// Cost/fanout of one body element under \p BoundVar. Driver openings are
 /// handled by the caller (their fanout — the delta size — scales every
 /// candidate order of the same (rule, driver) equally, so it cancels).
 AccessEstimate elemEstimate(const Program &P, const BodyElem &E,
-                            const std::vector<bool> &BoundVar,
-                            const StatsVec &Stats, bool UseIndexes) {
+                            const VarSet &BoundVar, const StatsVec &Stats,
+                            bool UseIndexes) {
   if (std::get_if<BodyFilter>(&E))
     return {0.5, 1.0}; // one extern call; only ever prunes
   if (std::get_if<BodyBinder>(&E))
@@ -108,7 +108,7 @@ AccessEstimate elemEstimate(const Program &P, const BodyElem &E,
   uint64_t Mask = 0;
   for (unsigned I = 0; I < KA; ++I) {
     const Term &Tm = A.Terms[I];
-    if (!Tm.isVar() || BoundVar[Tm.Variable])
+    if (!Tm.isVar() || BoundVar.contains(Tm.Variable))
       Mask |= uint64_t(1) << I;
   }
   uint64_t Full = KA == 0 ? 0 : (uint64_t(1) << KA) - 1;
@@ -122,9 +122,8 @@ AccessEstimate elemEstimate(const Program &P, const BodyElem &E,
 AccessEstimate orderEstimate(const Program &P, const Rule &R, int Driver,
                              std::span<const uint32_t> BodyOrder,
                              const StatsVec &Stats, bool UseIndexes,
-                             const std::vector<bool> &PreBound) {
-  std::vector<bool> BoundVar = PreBound;
-  BoundVar.resize(R.NumVars, false);
+                             const VarSet &PreBound) {
+  VarSet BoundVar = PreBound;
   double Cost = 0, Mult = 1;
   for (size_t Pos = 0; Pos < BodyOrder.size(); ++Pos) {
     const BodyElem &E = R.Body[BodyOrder[Pos]];
@@ -188,33 +187,39 @@ AccessEstimate flix::plan::estimateAccess(const PredStats &St, uint64_t Mask,
 double flix::plan::orderCost(const Program &P, const Rule &R, int Driver,
                              std::span<const uint32_t> BodyOrder,
                              const StatsVec &Stats, bool UseIndexes,
-                             const std::vector<bool> &PreBound) {
+                             const VarSet &PreBound) {
   return orderEstimate(P, R, Driver, BodyOrder, Stats, UseIndexes, PreBound)
       .Cost;
 }
 
 SmallVector<uint32_t, 8> flix::plan::chooseOrder(
     const Program &P, const Rule &R, int Driver, const StatsVec &Stats,
-    bool UseIndexes, const std::vector<bool> &PreBound) {
+    bool UseIndexes, const VarSet &PreBound) {
   SmallVector<uint32_t, 8> Free;
   for (uint32_t I = 0; I < R.Body.size(); ++I)
     if (static_cast<int>(I) != Driver)
       Free.push_back(I);
 
-  std::vector<bool> BoundVar = PreBound;
-  BoundVar.resize(R.NumVars, false);
+  // Bound-variable sets, one per search depth (the greedy walk needs only
+  // depth 0), each sized for the rule here, so no search node allocates.
+  constexpr size_t MaxExactFree = 6;
+  const bool Exact = Free.size() <= MaxExactFree;
+  SmallVector<VarSet, MaxExactFree + 1> Sets(Exact ? Free.size() + 1 : 1,
+                                             VarSet(R.NumVars));
+  Sets[0] = PreBound;
 
   SmallVector<uint32_t, 8> Order;
   if (Driver >= 0) {
     Order.push_back(static_cast<uint32_t>(Driver));
-    bindElem(R.Body[Driver], BoundVar);
+    bindElem(R.Body[Driver], Sets[0]);
   }
 
-  if (Free.size() > 6) {
+  if (!Exact) {
     // Large body: greedy min-fanout (smallest intermediate result first),
     // cost then body index as tie-breaks. Strict < keeps the lowest body
     // index on equal statistics, so the choice is deterministic.
-    std::vector<bool> Used(Free.size(), false);
+    VarSet &BoundVar = Sets[0];
+    SmallVector<uint8_t, 16> Used(Free.size(), 0);
     for (size_t Left = Free.size(); Left > 0; --Left) {
       size_t BestI = SIZE_MAX;
       AccessEstimate BestA{0, 0};
@@ -233,7 +238,7 @@ SmallVector<uint32_t, 8> flix::plan::chooseOrder(
       }
       assert(BestI != SIZE_MAX && "no placeable element; validation missed "
                                   "an unbound filter/binder/negation");
-      Used[BestI] = true;
+      Used[BestI] = 1;
       Order.push_back(Free[BestI]);
       bindElem(R.Body[Free[BestI]], BoundVar);
     }
@@ -243,37 +248,40 @@ SmallVector<uint32_t, 8> flix::plan::chooseOrder(
   // Small body: branch-and-bound over every valid interleaving. DFS visits
   // candidates in ascending body index and only strict improvements
   // replace the incumbent, so among cost-ties the lexicographically
-  // smallest order wins — deterministic for equal statistics.
+  // smallest order wins — deterministic for equal statistics. A node at
+  // depth D reads Sets[D] and writes its child's set into Sets[D + 1].
   SmallVector<uint32_t, 8> Best;
   double BestCost = std::numeric_limits<double>::infinity();
   SmallVector<uint32_t, 8> Cur = Order;
-  std::vector<bool> Used(Free.size(), false);
+  uint32_t Used = 0; // bit I: Free[I] is placed
   auto Rec = [&](auto &&Self, double Cost, double Mult,
-                 std::vector<bool> &BV, size_t Placed) -> void {
+                 size_t Depth) -> void {
     if (Cost >= BestCost)
       return; // cost only grows along a prefix
-    if (Placed == Free.size()) {
+    if (Depth == Free.size()) {
       BestCost = Cost;
       Best = Cur;
       return;
     }
+    const VarSet &BV = Sets[Depth];
+    VarSet &Next = Sets[Depth + 1];
     for (size_t I = 0; I < Free.size(); ++I) {
-      if (Used[I])
+      if (Used >> I & 1)
         continue;
       const BodyElem &E = R.Body[Free[I]];
       if (!placeableElem(E, BV))
         continue;
       AccessEstimate A = elemEstimate(P, E, BV, Stats, UseIndexes);
-      std::vector<bool> BV2 = BV;
-      bindElem(E, BV2);
-      Used[I] = true;
+      Next = BV;
+      bindElem(E, Next);
+      Used |= uint32_t(1) << I;
       Cur.push_back(Free[I]);
-      Self(Self, Cost + Mult * A.Cost, Mult * A.Fanout, BV2, Placed + 1);
+      Self(Self, Cost + Mult * A.Cost, Mult * A.Fanout, Depth + 1);
       Cur.pop_back();
-      Used[I] = false;
+      Used &= ~(uint32_t(1) << I);
     }
   };
-  Rec(Rec, 0.0, 1.0, BoundVar, 0);
+  Rec(Rec, 0.0, 1.0, 0);
   assert(Best.size() == R.Body.size() && "no valid order found");
   return Best;
 }
@@ -315,15 +323,12 @@ SmallVector<Term, 4> seedTerms(const Program &P, const Rule &R,
 }
 
 /// The variables a slot binds before its body order starts (the cost
-/// model's pre-bound set): the seed's fronted variables. Empty, not
-/// all-false, when there are none — the cost model sizes it.
-std::vector<bool> seedVars(const Program &P, const Rule &R, int Driver) {
-  std::vector<bool> Vars;
+/// model's pre-bound set): the seed's fronted variables.
+VarSet seedVars(const Program &P, const Rule &R, int Driver) {
+  VarSet Vars(R.NumVars);
   for (const Term &T : seedTerms(P, R, Driver))
-    if (T.isVar()) {
-      Vars.resize(R.NumVars, false);
-      Vars[T.Variable] = true;
-    }
+    if (T.isVar())
+      Vars.insert(T.Variable);
   return Vars;
 }
 
@@ -335,7 +340,7 @@ int pinnedElem(int Driver) { return Driver == HeadSlot ? -1 : Driver; }
 /// sequential boundness: a constant is checked, a variable bound in
 /// \p Bound is checked, a fresh one binds and is marked bound, so its
 /// later occurrences check.
-void appendColTests(std::span<const Term> Terms, std::vector<bool> &Bound,
+void appendColTests(std::span<const Term> Terms, VarSet &Bound,
                     SmallVector<ColTest, 4> &Out) {
   for (size_t I = 0; I < Terms.size(); ++I) {
     const Term &Tm = Terms[I];
@@ -344,13 +349,13 @@ void appendColTests(std::span<const Term> Terms, std::vector<bool> &Bound,
     if (!Tm.isVar()) {
       Ct.Op = ColOp::CheckConst;
       Ct.Const = Tm.Constant;
-    } else if (Bound[Tm.Variable]) {
+    } else if (Bound.contains(Tm.Variable)) {
       Ct.Op = ColOp::CheckVar;
       Ct.Var = Tm.Variable;
     } else {
       Ct.Op = ColOp::Bind;
       Ct.Var = Tm.Variable;
-      Bound[Tm.Variable] = true;
+      Bound.insert(Tm.Variable);
     }
     Out.push_back(Ct);
   }
@@ -380,7 +385,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
   Pl.NumVars = R.NumVars;
   Pl.Valid = true;
 
-  std::vector<bool> BoundVar(R.NumVars, false);
+  VarSet BoundVar(R.NumVars);
 
   assert(OrderIdx.size() == R.Body.size() && "order must cover the body");
   assert((!(Driver >= 0) || OrderIdx[0] == static_cast<uint32_t>(Driver)) &&
@@ -432,11 +437,11 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
         ColTest Ct;
         Ct.Col = static_cast<uint8_t>(I);
         Ct.Var = V;
-        if (BoundVar[V]) {
+        if (BoundVar.contains(V)) {
           Ct.Op = ColOp::CheckVar;
         } else {
           Ct.Op = ColOp::Bind;
-          BoundVar[V] = true; // later duplicate slots become checks
+          BoundVar.insert(V); // later duplicate slots become checks
         }
         S.Pattern.push_back(Ct);
       }
@@ -475,7 +480,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
     // occurrence of a variable binds, later occurrences (in this atom)
     // check.
     {
-      std::vector<bool> InAtom = BoundVar;
+      VarSet InAtom = BoundVar;
       appendColTests({A.Terms.data(), KA}, InAtom, S.Cols);
       if (!D.isRelational()) {
         // The lattice column sees the key columns' binds.
@@ -483,7 +488,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
         if (!Lt.isVar()) {
           S.LOp = LatOp::CheckConstLeq;
           S.LatConst = Lt.Constant;
-        } else if (InAtom[Lt.Variable]) {
+        } else if (InAtom.contains(Lt.Variable)) {
           S.LOp = LatOp::GlbRebind;
           S.LatVar = Lt.Variable;
         } else {
@@ -501,7 +506,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
       uint64_t Mask = 0;
       for (unsigned I = 0; I < KA; ++I) {
         const Term &Tm = A.Terms[I];
-        if (!Tm.isVar() || BoundVar[Tm.Variable]) {
+        if (!Tm.isVar() || BoundVar.contains(Tm.Variable)) {
           Mask |= uint64_t(1) << I;
           S.ProjOps.push_back(operandOf(Tm));
         }
@@ -530,7 +535,7 @@ RulePlan compilePlan(const Program &P, const Rule &R, uint32_t RuleIdx,
     // column) are bound.
     for (const Term &Tm : A.Terms)
       if (Tm.isVar())
-        BoundVar[Tm.Variable] = true;
+        BoundVar.insert(Tm.Variable);
   }
 
   const HeadAtom &H = R.Head;
@@ -559,13 +564,33 @@ bool canRun(const RunnablePlans &Only, const Rule &R, int Driver) {
   return Pred < Only.Delta.size() && !Only.Delta[Pred].empty();
 }
 
+/// The predicates slot \p Driver's cost depends on, deduplicated: those
+/// of the positive body atoms other than a positive driver atom.
+SmallVector<PredId, 4> costReads(const Rule &R, int Driver) {
+  SmallVector<PredId, 4> Reads;
+  for (size_t I = 0; I < R.Body.size(); ++I) {
+    const auto *A = std::get_if<BodyAtom>(&R.Body[I]);
+    if (!A || A->Negated || static_cast<int>(I) == Driver)
+      continue;
+    if (std::find(Reads.begin(), Reads.end(), A->Pred) == Reads.end())
+      Reads.push_back(A->Pred);
+  }
+  return Reads;
+}
+
+/// \p Pred's live-row count in \p LiveRows, floored at 1 like the cost
+/// model's own estimates.
+double flooredRows(std::span<const double> LiveRows, PredId Pred) {
+  return std::max(1.0, Pred < LiveRows.size() ? LiveRows[Pred] : 0.0);
+}
+
 /// One plan's replan decision: recompiles \p Pl (of rule \p R, keeping
 /// its driver) with the chosen order when its current cost exceeds
 /// Threshold × the best candidate's.
 bool replanOne(const Program &P, bool UseIndexes, RulePlan &Pl,
                const Rule &R, const StatsVec &Stats, double Threshold) {
   int Pinned = pinnedElem(Pl.Driver);
-  std::vector<bool> PreBound = seedVars(P, R, Pl.Driver);
+  VarSet PreBound = seedVars(P, R, Pl.Driver);
   SmallVector<uint32_t, 8> Best =
       chooseOrder(P, R, Pinned, Stats, UseIndexes, PreBound);
   std::span<const uint32_t> BestView(Best.data(), Best.size());
@@ -596,23 +621,23 @@ StatsCollector::StatsCollector(const Program &P,
     PerPred[R.Head.Pred].Static = false;
   for (const Rule &R : Rules) {
     // Variables a seed plan of R may front (its pre-bound set).
-    std::vector<bool> SeedBound(R.NumVars, false);
+    VarSet SeedBound(R.NumVars);
     if (Seeds)
       for (int Driver = HeadSlot; Driver < static_cast<int>(R.Body.size());
            ++Driver)
         for (const Term &T : seedTerms(P, R, Driver))
           if (T.isVar())
-            SeedBound[T.Variable] = true;
+            SeedBound.insert(T.Variable);
     for (size_t AI = 0; AI < R.Body.size(); ++AI) {
       const auto *A = std::get_if<BodyAtom>(&R.Body[AI]);
       if (!A || A->Negated || !PerPred[A->Pred].Static)
         continue;
-      std::vector<bool> Bindable = SeedBound;
+      VarSet Bindable = SeedBound;
       for (size_t EI = 0; EI < R.Body.size(); ++EI)
         if (EI != AI)
           bindElem(R.Body[EI], Bindable);
       for (unsigned C = 0, KA = P.predicate(A->Pred).keyArity(); C < KA; ++C)
-        if (!A->Terms[C].isVar() || Bindable[A->Terms[C].Variable])
+        if (!A->Terms[C].isVar() || Bindable.contains(A->Terms[C].Variable))
           PerPred[A->Pred].Cols |= uint64_t(1) << C;
     }
   }
@@ -658,8 +683,11 @@ PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Rules,
       if (!Seeds && isSeedSlot(R, Driver))
         continue;
       SmallVector<uint32_t, 8> Def = defaultOrder(R, Driver);
-      PerRule[RI][static_cast<size_t>(Driver - HeadSlot)] = compilePlan(
-          P, R, RI, Driver, UseIndexes, {Def.data(), Def.size()});
+      Slot &S = PerRule[RI][static_cast<size_t>(Driver - HeadSlot)];
+      S.Plan = compilePlan(P, R, RI, Driver, UseIndexes,
+                           {Def.data(), Def.size()});
+      S.Reads = costReads(R, Driver);
+      S.RowsAtCheck.resize(S.Reads.size());
     }
   }
   recountDerived();
@@ -668,39 +696,83 @@ PlanLibrary::PlanLibrary(const Program &P, const std::vector<Rule> &Rules,
 PlanLibrary::ReplanResult
 PlanLibrary::replanFromStats(const StatsVec &Stats, double Threshold,
                              const RunnablePlans *Only) {
-  ReplanResult Res;
+  std::vector<double> LiveRows;
+  LiveRows.reserve(Stats.size());
+  for (const PredStats &St : Stats)
+    LiveRows.push_back(St.LiveRows);
+  return replan(LiveRows, Threshold, Only,
+                [&]() -> const StatsVec & { return Stats; });
+}
+
+uint64_t PlanLibrary::trackRows(std::span<const double> LiveRows) {
   // Drift between this snapshot and the previous one: how far the shapes
   // the current plans were estimated against have moved
   // (SolveStats::EstimatedVsActualRows).
   double Div = 0;
-  for (size_t I = 0; I < Stats.size(); ++I) {
-    double Prev = I < LastStats.size() ? LastStats[I].LiveRows : 0.0;
-    Div += std::fabs(Stats[I].LiveRows - Prev);
+  for (size_t I = 0; I < LiveRows.size(); ++I) {
+    double Prev = I < LastRows.size() ? LastRows[I] : 0.0;
+    Div += std::fabs(LiveRows[I] - Prev);
   }
-  Res.RowsDivergence = static_cast<uint64_t>(Div);
-  LastStats = Stats;
+  LastRows.assign(LiveRows.begin(), LiveRows.end());
+  return static_cast<uint64_t>(Div);
+}
 
-  for (uint32_t RI = 0; RI < Rules->size(); ++RI) {
+bool PlanLibrary::due(const Rule &R, const Slot &S,
+                      std::span<const double> LiveRows,
+                      const RunnablePlans *Only) const {
+  if (!S.Plan.Valid)
+    return false;
+  if (!Only)
+    return true; // the initial choose checks every plan
+  if (!canRun(*Only, R, S.Plan.Driver))
+    return false;
+  if (!S.Checked)
+    return true;
+  for (size_t I = 0; I < S.Reads.size(); ++I) {
+    double Now = flooredRows(LiveRows, S.Reads[I]);
+    double Then = S.RowsAtCheck[I];
+    if (Now >= StatsCollector::RecountFactor * Then ||
+        Now * StatsCollector::RecountFactor <= Then)
+      return true;
+  }
+  return false;
+}
+
+bool PlanLibrary::anyDue(std::span<const double> LiveRows,
+                         const RunnablePlans *Only) const {
+  for (uint32_t RI = 0; RI < PerRule.size(); ++RI)
+    for (const Slot &S : PerRule[RI])
+      if (due((*Rules)[RI], S, LiveRows, Only))
+        return true;
+  return false;
+}
+
+void PlanLibrary::recost(const StatsVec &Stats,
+                         std::span<const double> LiveRows, double Threshold,
+                         const RunnablePlans *Only, ReplanResult &Res) {
+  for (uint32_t RI = 0; RI < PerRule.size(); ++RI) {
     const Rule &R = (*Rules)[RI];
-    for (RulePlan &Pl : PerRule[RI]) {
-      if (!Pl.Valid)
+    for (Slot &S : PerRule[RI]) {
+      if (!due(R, S, LiveRows, Only))
         continue;
-      if (Only && !canRun(*Only, R, Pl.Driver))
-        continue;
+      ++Res.Checked;
       Res.Replanned +=
-          replanOne(*Prog, UseIndexes, Pl, R, Stats, Threshold);
+          replanOne(*Prog, UseIndexes, S.Plan, R, Stats, Threshold);
+      S.Checked = true;
+      for (size_t I = 0; I < S.Reads.size(); ++I)
+        S.RowsAtCheck[I] = flooredRows(LiveRows, S.Reads[I]);
     }
   }
   if (Res.Replanned)
     recountDerived();
-  return Res;
 }
 
 void PlanLibrary::recountDerived() {
   TotalSteps = 0;
   CostBased = 0;
   for (uint32_t RI = 0; RI < PerRule.size(); ++RI) {
-    for (const RulePlan &Pl : PerRule[RI]) {
+    for (const Slot &S : PerRule[RI]) {
+      const RulePlan &Pl = S.Plan;
       if (!Pl.Valid)
         continue;
       TotalSteps += Pl.Steps.size();
@@ -714,7 +786,8 @@ void PlanLibrary::recountDerived() {
 void PlanLibrary::wantedIndexes(
     std::vector<std::vector<uint64_t>> &MasksByPred) const {
   for (uint32_t RI = 0; RI < PerRule.size(); ++RI)
-    for (const RulePlan &Pl : PerRule[RI]) {
+    for (const Slot &Sl : PerRule[RI]) {
+      const RulePlan &Pl = Sl.Plan;
       if (!Pl.Valid || isSeedSlot((*Rules)[RI], Pl.Driver))
         continue;
       for (const Step &S : Pl.Steps)

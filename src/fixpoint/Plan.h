@@ -226,6 +226,36 @@ struct PredStats {
 };
 using StatsVec = std::vector<PredStats>;
 
+/// A set of a rule's variables as an array of 64-bit words: the cost
+/// model's and the compiler's bound-variable set. One inline word holds a
+/// rule of up to 64 variables, so such a set is copied without
+/// allocating; a wider rule (Program puts no limit on the count) spills
+/// its words to the heap, and a set constructed for the rule's variable
+/// count never reallocates, also when assigned another set of the rule.
+class VarSet {
+public:
+  VarSet() = default;
+  explicit VarSet(size_t NumVars) : Words((NumVars + 63) / 64, 0) {}
+  /// From per-variable flags (true: in the set).
+  VarSet(const std::vector<bool> &Flags) : VarSet(Flags.size()) {
+    for (size_t V = 0; V < Flags.size(); ++V)
+      if (Flags[V])
+        insert(static_cast<VarId>(V));
+  }
+
+  bool contains(VarId V) const {
+    return V / 64 < Words.size() && (Words[V / 64] >> (V % 64) & 1);
+  }
+  void insert(VarId V) {
+    if (V / 64 >= Words.size())
+      Words.resize(V / 64 + 1, 0);
+    Words[V / 64] |= uint64_t(1) << (V % 64);
+  }
+
+private:
+  SmallVector<uint64_t, 1> Words;
+};
+
 /// Takes the statistics snapshots of one solver's tables. Live-row counts
 /// and index statistics are read fresh every time (the tables maintain
 /// them). The column samples of static predicates are kept between
@@ -293,22 +323,26 @@ AccessEstimate estimateAccess(const PredStats &St, uint64_t Mask,
 /// variables bound before the body starts (a seed's fronted terms).
 double orderCost(const Program &P, const Rule &R, int Driver,
                  std::span<const uint32_t> BodyOrder, const StatsVec &Stats,
-                 bool UseIndexes, const std::vector<bool> &PreBound);
+                 bool UseIndexes, const VarSet &PreBound);
 
 /// Chooses a minimal-cost valid evaluation order for (\p R, \p Driver):
-/// branch-and-bound over all valid interleavings for small bodies,
-/// greedy min-fanout otherwise. The driver element is always first;
-/// filters/binders/negations are only placed once their arguments are
-/// bound. Deterministic: ties break toward the lowest body index, so
-/// equal statistics always reproduce the same order.
+/// branch-and-bound over all valid interleavings for bodies of at most six
+/// free elements, greedy min-fanout otherwise. The driver element is
+/// always first; filters/binders/negations are only placed once their
+/// arguments are bound. Deterministic: ties break toward the lowest body
+/// index, so equal statistics always reproduce the same order. The search
+/// sizes its bound-variable sets once per call (one per depth) and
+/// allocates nothing per search node.
 SmallVector<uint32_t, 8> chooseOrder(const Program &P, const Rule &R,
                                      int Driver, const StatsVec &Stats,
                                      bool UseIndexes,
-                                     const std::vector<bool> &PreBound);
+                                     const VarSet &PreBound);
 
 /// The plans that can run next, to which a PlanLibrary::replanFromStats
-/// check may limit itself: a plan that cannot run keeps its order until
-/// it can, and the indexes a new order would probe stay unbuilt.
+/// check may limit itself (an adaptive check): a plan that cannot run
+/// keeps its order until it can, and the indexes a new order would probe
+/// stay unbuilt. Of those plans an adaptive check re-costs only the ones
+/// whose inputs drifted (see PlanLibrary).
 struct RunnablePlans {
   bool Plain = false; ///< Driver -1 plans: a round 0 or naive pass is ahead
   bool Seeds = false; ///< seed plans: an incremental update's start
@@ -341,6 +375,13 @@ struct RunnablePlans {
 /// lattice column, binder patterns bind, filters bind nothing) is exact
 /// along a fixed order, so the probe masks of the compiled steps are
 /// exactly the masks wantedIndexes() reports.
+///
+/// Re-costing is gated on drift. Each plan remembers the live-row counts,
+/// floored at 1, of the positive body predicates its cost depends on (all
+/// but a positive driver atom, whose delta size cancels) as of its last
+/// check. An adaptive check re-costs a plan only if it was never checked
+/// or one of those counts has since moved by StatsCollector::RecountFactor
+/// either way; every other plan keeps its order without a search.
 class PlanLibrary {
 public:
   PlanLibrary(const Program &P, const std::vector<Rule> &Rules,
@@ -348,7 +389,7 @@ public:
 
   const RulePlan &plan(uint32_t RuleIdx, int Driver) const {
     const RulePlan &Pl =
-        PerRule[RuleIdx][static_cast<size_t>(Driver - HeadSlot)];
+        PerRule[RuleIdx][static_cast<size_t>(Driver - HeadSlot)].Plan;
     assert(Pl.Valid && "no plan for this driver position");
     return Pl;
   }
@@ -356,24 +397,40 @@ public:
   /// Total compiled steps over all valid plans (SolveStats::PlanSteps).
   uint64_t totalSteps() const { return TotalSteps; }
 
-  /// Outcome of one replanFromStats call: (rule, driver) pairs whose plans
-  /// were recompiled, and the total live-row drift between this statistics
-  /// snapshot and the previous one (SolveStats::EstimatedVsActualRows).
+  /// Outcome of one check: plans re-costed with chooseOrder
+  /// (SolveStats::PlanChecks), (rule, driver) pairs whose plans were
+  /// recompiled, and the total live-row drift since the previous check
+  /// (SolveStats::EstimatedVsActualRows).
   struct ReplanResult {
+    unsigned Checked = 0;
     unsigned Replanned = 0;
     uint64_t RowsDivergence = 0;
   };
 
   /// Re-evaluates plans against \p Stats — every plan, or with \p Only
-  /// just the plans it names: a plan is recompiled with the cost model's
-  /// chosen order when its current order's estimated cost exceeds
-  /// \p Threshold × the best candidate's (so Threshold 1.0 adopts any
-  /// strict improvement — the initial cost-based choose — and larger
-  /// thresholds add hysteresis for the adaptive checks). Single-threaded
-  /// callers only: plans are replaced in place at round boundaries, never
-  /// during an eval phase.
+  /// just the plans it names whose inputs drifted: a plan is recompiled
+  /// with the cost model's chosen order when its current order's
+  /// estimated cost exceeds \p Threshold × the best candidate's (so
+  /// Threshold 1.0 adopts any strict improvement — the initial cost-based
+  /// choose — and larger thresholds add hysteresis for the adaptive
+  /// checks). Single-threaded callers only: plans are replaced in place
+  /// at round boundaries, never during an eval phase.
   ReplanResult replanFromStats(const StatsVec &Stats, double Threshold,
                                const RunnablePlans *Only = nullptr);
+
+  /// replanFromStats for a caller that holds only the live-row counts
+  /// \p LiveRows (indexed by PredId): \p Gather is called, at most once,
+  /// for the full statistics snapshot (returning a `const StatsVec &`)
+  /// only when some plan is due for a check.
+  template <typename GatherFn>
+  ReplanResult replan(std::span<const double> LiveRows, double Threshold,
+                      const RunnablePlans *Only, GatherFn &&Gather) {
+    ReplanResult Res;
+    Res.RowsDivergence = trackRows(LiveRows);
+    if (anyDue(LiveRows, Only))
+      recost(Gather(), LiveRows, Threshold, Only, Res);
+    return Res;
+  }
 
   /// (rule, driver) pairs whose current order differs from the frozen
   /// driver-first order (SolveStats::CostBasedPlans).
@@ -391,17 +448,37 @@ public:
   void wantedIndexes(std::vector<std::vector<uint64_t>> &MasksByPred) const;
 
 private:
+  /// One driver slot: its plan and the drift gate's memory of it.
+  struct Slot {
+    RulePlan Plan;
+    /// Predicates the plan's cost depends on, deduplicated, and their
+    /// live-row counts (floored at 1) at its last check.
+    SmallVector<PredId, 4> Reads;
+    SmallVector<double, 4> RowsAtCheck;
+    bool Checked = false;
+  };
+
+  /// Sums |LiveRows - the previous call's| over predicates, then keeps
+  /// \p LiveRows as the next baseline.
+  uint64_t trackRows(std::span<const double> LiveRows);
+  bool due(const Rule &R, const Slot &S, std::span<const double> LiveRows,
+           const RunnablePlans *Only) const;
+  bool anyDue(std::span<const double> LiveRows,
+              const RunnablePlans *Only) const;
+  void recost(const StatsVec &Stats, std::span<const double> LiveRows,
+              double Threshold, const RunnablePlans *Only,
+              ReplanResult &Res);
   void recountDerived();
 
   const Program *Prog = nullptr;
   const std::vector<Rule> *Rules = nullptr;
   bool UseIndexes = true;
-  /// Per rule, per driver slot (Driver - HeadSlot); invalid where no plan
-  /// exists for that slot.
-  std::vector<std::vector<RulePlan>> PerRule;
-  /// Statistics snapshot of the last replanFromStats call (divergence
+  /// Per rule, per driver slot (Driver - HeadSlot); the plan is invalid
+  /// where no plan exists for that slot.
+  std::vector<std::vector<Slot>> PerRule;
+  /// Per-predicate live-row counts of the last check (divergence
   /// baseline).
-  StatsVec LastStats;
+  std::vector<double> LastRows;
   uint64_t TotalSteps = 0;
   unsigned CostBased = 0;
 };

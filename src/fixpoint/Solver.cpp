@@ -358,11 +358,19 @@ void Solver::replanPlans(double Threshold, bool CountEvents,
                          const plan::RunnablePlans *Only) {
   if (!Opts.CostBasedPlans)
     return;
+  // Live-row counts decide which plans are due; the full snapshot (index
+  // statistics, static column samples) is taken only if one is.
+  std::vector<double> LiveRows(Tables.size());
+  for (size_t I = 0; I < Tables.size(); ++I)
+    LiveRows[I] = static_cast<double>(Tables[I]->liveSize());
   plan::StatsVec St;
-  PlanStats->gather({Tables.data(), Tables.size()}, St);
   plan::PlanLibrary::ReplanResult R =
-      Plans->replanFromStats(St, Threshold, Only);
+      Plans->replan(LiveRows, Threshold, Only, [&]() -> const plan::StatsVec & {
+        PlanStats->gather({Tables.data(), Tables.size()}, St);
+        return St;
+      });
   if (CountEvents) {
+    Stats.PlanChecks += R.Checked;
     Stats.ReplanEvents += R.Replanned;
     Stats.EstimatedVsActualRows += R.RowsDivergence;
   }
@@ -402,7 +410,8 @@ void Solver::runRounds(const std::vector<uint32_t> &RuleIds,
     // no evaluation is in flight, so swapping plans is safe. Only the
     // plans that can run from here are checked: those driven by an atom
     // with delta rows this round, and the Driver -1 plans while a round 0
-    // or a naive in-place pass is ahead. In-place rounds probe via
+    // or a naive in-place pass is ahead; of those, only the ones whose
+    // inputs drifted run the order search. In-place rounds probe via
     // Table::probe (lazy index build); the round executor gets any newly
     // wanted mask pre-built by replanPlans.
     plan::RunnablePlans Next;

@@ -106,11 +106,15 @@ struct SolverOptions {
   /// frozen written-order ablation (flixc --no-cost-plans).
   bool CostBasedPlans = true;
   /// Adaptive re-planning (CostBasedPlans only): between semi-naive
-  /// rounds, re-plan any (rule, driver) whose current order's estimated
-  /// cost exceeds this factor × the best candidate's under fresh table
-  /// statistics. <= 0 disables the between-round checks (initial
-  /// cost-based choice only). The default keeps enough hysteresis that
-  /// uniform workloads never flip plans mid-solve.
+  /// rounds and at an incremental update's start, re-plan any runnable
+  /// (rule, driver) whose current order's estimated cost exceeds this
+  /// factor × the best candidate's under fresh table statistics. A plan
+  /// is re-costed only when a predicate it reads has moved its live-row
+  /// count 2× (plan::StatsCollector::RecountFactor) since the plan's last
+  /// check, so steady rounds and updates run no order search. <= 0
+  /// disables these checks (initial cost-based choice only). The default
+  /// keeps enough hysteresis that uniform workloads never flip plans
+  /// mid-solve.
   double ReplanThreshold = 4.0;
 };
 
@@ -319,13 +323,15 @@ private:
   /// read off the Program. Called when solve() returns and by the
   /// incremental engine after every update.
   void sampleStats();
-  /// Cost-based (re)planning: snapshots table statistics (PlanStats) and
-  /// re-plans via PlanLibrary::replanFromStats. \p Threshold 1.0 adopts
-  /// any strict improvement (the initial post-loadFacts choice); larger
+  /// Cost-based (re)planning via PlanLibrary::replan: reads every table's
+  /// live-row count, and snapshots the full statistics (PlanStats) only
+  /// when some plan is due for a check. \p Threshold 1.0 adopts any
+  /// strict improvement (the initial post-loadFacts choice); larger
   /// values are the adaptive hysteresis. \p CountEvents selects whether
-  /// replans land in SolveStats::ReplanEvents (adaptive checks only).
-  /// Every plan is checked, or with \p Only just the plans that can run
-  /// next. No-op unless CostBasedPlans is set.
+  /// checks and replans land in SolveStats::PlanChecks and ReplanEvents
+  /// (adaptive checks only). Every plan is checked, or with \p Only just
+  /// the plans that can run next and whose inputs drifted. No-op unless
+  /// CostBasedPlans is set.
   /// Called only at single-threaded points (solve start, round
   /// boundaries, the start of an incremental update). A changed plan may
   /// probe new masks, so with a round executor they are pre-built

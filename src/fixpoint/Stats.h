@@ -62,6 +62,10 @@ namespace flix {
   X(uint64_t, CostBasedPlans, "cost_based_plans", "cost-based orders", Gauge,  \
     "(rule, driver) pairs whose current order differs from the frozen "        \
     "driver-first order")                                                      \
+  X(uint64_t, PlanChecks, "plan_checks", "plan checks", Counter,               \
+    "plans the adaptive checks re-costed with the order search: runnable "     \
+    "plans never checked, or a predicate they read moved 2x since their "      \
+    "last check (the initial cost-based choice not counted)")                  \
   X(uint64_t, ReplanEvents, "replan_events", "replan events", Counter,         \
     "(rule, driver) pairs re-planned by the adaptive between-round checks "    \
     "(the initial cost-based choice not counted)")                             \

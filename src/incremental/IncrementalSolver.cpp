@@ -286,7 +286,8 @@ void IncrementalSolver::incrementalUpdate(UpdateStats &U, Deadline DL) {
   //--- Phase D: re-derive + delta rounds, stratum by stratum ------------
   // Adaptive re-plan of the seed plans against the batch-mutated tables
   // before they run: an update stream can drift table shapes far from
-  // what the initial solve planned for. The delta-driven plans are
+  // what the initial solve planned for (a seed plan is re-costed only
+  // once a predicate it reads has drifted). The delta-driven plans are
   // checked at the round boundaries of runRounds, once their driver has
   // delta rows. No evaluation is in flight; replanPlans pre-builds any
   // mask a changed plan now probes.

@@ -8,10 +8,12 @@
 ///
 ///   * cost-model unit tests on hand-built statistics — access-path
 ///     selectivity math, skewed indexes (Σ bucket²), static column
-///     samples, order dominance, deterministic tie-breaking;
+///     samples, order dominance, deterministic tie-breaking, and
+///     chooseOrder against exhaustive enumeration on random rules, plus
+///     rules of more than 64 variables;
 ///   * PlanLibrary re-planning — initial cost-based choose, idempotence,
-///     adaptive hysteresis, checks limited to the plans that can run,
-///     wantedIndexes order-independence;
+///     adaptive hysteresis, checks limited to the plans that can run and
+///     to plans whose inputs drifted, wantedIndexes order-independence;
 ///   * a randomized plan-equivalence harness on skewed / fan-out
 ///     workloads: {greedy, cost-based, adaptive} × {0, 1, 8} threads must
 ///     all produce the model of the frozen-order sequential baseline
@@ -26,11 +28,14 @@
 #include "fixpoint/Plan.h"
 #include "fixpoint/Solver.h"
 #include "runtime/Lattices.h"
+#include "workload/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <random>
 #include <string>
 #include <vector>
@@ -380,6 +385,235 @@ TEST(PlannerCostModelTest, TieBreakingIsDeterministic) {
     EXPECT_EQ(chooseOrder(P, R, -1, St, true, PreBound), First);
 }
 
+/// Whether \p Order (body indices, a pinned driver first when \p Driver
+/// >= 0) is one the compiler can compile: every filter, binder and
+/// negated atom placed after its arguments are bound.
+bool validOrder(const Rule &R, int Driver, std::span<const uint32_t> Order,
+                const std::vector<bool> &PreBound) {
+  std::vector<bool> Bound = PreBound;
+  Bound.resize(R.NumVars, false);
+  auto AllBound = [&](const auto &Terms) {
+    for (const Term &T : Terms)
+      if (T.isVar() && !Bound[T.Variable])
+        return false;
+    return true;
+  };
+  for (size_t Pos = 0; Pos < Order.size(); ++Pos) {
+    const BodyElem &E = R.Body[Order[Pos]];
+    bool Pinned = Pos == 0 && Driver >= 0;
+    if (const auto *Fl = std::get_if<BodyFilter>(&E)) {
+      if (!Pinned && !AllBound(Fl->Args))
+        return false;
+    } else if (const auto *B = std::get_if<BodyBinder>(&E)) {
+      if (!Pinned && !AllBound(B->Args))
+        return false;
+      for (VarId V : B->Pattern)
+        Bound[V] = true;
+    } else {
+      const auto &A = std::get<BodyAtom>(E);
+      if (A.Negated) {
+        if (!Pinned && !AllBound(A.Terms))
+          return false;
+        continue;
+      }
+      for (const Term &T : A.Terms)
+        if (T.isVar())
+          Bound[T.Variable] = true;
+    }
+  }
+  return true;
+}
+
+/// chooseOrder against exhaustive enumeration: its order must be valid,
+/// of minimal orderCost over every valid permutation of the free
+/// elements, and the lexicographically smallest of the minimal ones.
+void expectExactChoice(const Program &P, const Rule &R, int Driver,
+                       const StatsVec &St, bool UseIndexes,
+                       const std::vector<bool> &PreBound) {
+  std::vector<uint32_t> Free;
+  for (uint32_t I = 0; I < R.Body.size(); ++I)
+    if (int(I) != Driver)
+      Free.push_back(I);
+  ASSERT_LE(Free.size(), 6u) << "enumeration is for the exact path only";
+  double MinCost = std::numeric_limits<double>::infinity();
+  std::vector<uint32_t> Argmin;
+  do { // ascending permutations: lexicographic order
+    std::vector<uint32_t> Order;
+    if (Driver >= 0)
+      Order.push_back(uint32_t(Driver));
+    Order.insert(Order.end(), Free.begin(), Free.end());
+    if (!validOrder(R, Driver, Order, PreBound))
+      continue;
+    double Cost = orderCost(P, R, Driver, Order, St, UseIndexes, PreBound);
+    if (Cost < MinCost) {
+      MinCost = Cost;
+      Argmin = Order;
+    }
+  } while (std::next_permutation(Free.begin(), Free.end()));
+  ASSERT_FALSE(Argmin.empty()) << "no valid order";
+
+  SmallVector<uint32_t, 8> Got =
+      chooseOrder(P, R, Driver, St, UseIndexes, PreBound);
+  std::vector<uint32_t> GotV(Got.begin(), Got.end());
+  EXPECT_EQ(GotV, Argmin) << "driver " << Driver;
+  EXPECT_EQ(orderCost(P, R, Driver, GotV, St, UseIndexes, PreBound),
+            MinCost);
+}
+
+/// Random statistics for every predicate of \p P: row counts from a
+/// small set (so cost ties are common), indexes on random partial masks
+/// with random bucket shapes, and column samples on some predicates.
+StatsVec randomStats(const Program &P, std::mt19937_64 &Rng) {
+  static const double Rows[] = {0, 1, 2, 8, 64, 1000, 50000};
+  StatsVec St(P.predicates().size());
+  for (PredId Pr = 0; Pr < St.size(); ++Pr) {
+    PredStats &S = St[Pr];
+    S.LiveRows = Rows[Rng() % std::size(Rows)];
+    unsigned KA = P.predicate(Pr).keyArity();
+    uint64_t Full = KA == 0 ? 0 : (uint64_t(1) << KA) - 1;
+    if (Full > 1 && Rng() % 2)
+      for (unsigned K = 0, N = 1 + unsigned(Rng() % 2); K < N; ++K) {
+        uint64_t Mask = 1 + Rng() % (Full - 1); // partial, nonzero
+        size_t Buckets = 1 + Rng() % (size_t(S.LiveRows) + 1);
+        S.Indexes.push_back({Mask, Buckets, /*MaxBucket=*/1,
+                             /*SumSq=*/Rng() % 2 ? Rng() % 100000 : 0});
+      }
+    if (Rng() % 3 == 0)
+      for (unsigned C = 0; C < KA; ++C)
+        S.ColCollision.push_back(double(1 + Rng() % 8) / 8);
+  }
+  return St;
+}
+
+TEST(PlannerCostModelTest, ChooseOrderIsExactOnRandomRules) {
+  std::mt19937_64 Rng(2016);
+  auto RandomPreBound = [&](const Rule &R) {
+    std::vector<bool> PB(R.NumVars, false);
+    for (uint32_t V = 0; V < R.NumVars; ++V)
+      PB[V] = Rng() % 5 == 0;
+    return PB;
+  };
+  auto Drivers = [](const Rule &R) {
+    std::vector<int> Out = {-1};
+    for (size_t I = 0; I < R.Body.size(); ++I)
+      if (const auto *A = std::get_if<BodyAtom>(&R.Body[I]))
+        if (!A->Negated)
+          Out.push_back(int(I));
+    return Out;
+  };
+
+  // Random positive-atom rules (every permutation is valid).
+  unsigned Rules = 0;
+  for (uint64_t Seed = 0; Seed < 30; ++Seed) {
+    RandomProgramOptions Opts;
+    Opts.NumRelations = 3;
+    Opts.NumLatPredicates = 2;
+    Opts.NumRules = 5;
+    Opts.NumConstants = 3;
+    Opts.MaxBodyAtoms = 6;
+    RandomProgramBundle B = generateRandomProgram(Seed, Opts);
+    for (const Rule &R : B.Prog->rules()) {
+      ++Rules;
+      for (int Driver : Drivers(R)) {
+        StatsVec St = randomStats(*B.Prog, Rng);
+        bool UseIndexes = Rng() % 4 != 0;
+        SCOPED_TRACE("seed " + std::to_string(Seed));
+        expectExactChoice(*B.Prog, R, Driver, St, UseIndexes,
+                          RandomPreBound(R));
+      }
+    }
+  }
+  EXPECT_GT(Rules, 100u);
+
+  // Figure 5's SummaryEdge rule: a binder that only some orders can place.
+  SummaryEdgeCase C;
+  const Rule &R = C.P.rules()[0];
+  for (int Trial = 0; Trial < 40; ++Trial)
+    for (int Driver : {-1, int(SummaryEdgeCase::PathEdgeIdx)})
+      expectExactChoice(C.P, R, Driver, randomStats(C.P, Rng), true,
+                        std::vector<bool>(R.NumVars, false));
+}
+
+/// Out(x0, xL) :- W(x0..x_{a-1}), W(x_{a-1}..x_{2a-2}), ..., keep(x0, xL):
+/// \p Atoms atoms of key arity \p Arity, each sharing its boundary
+/// variable with the next, so (Arity - 1) · Atoms + 1 variables, and a
+/// filter over the first and last one (xL) that only an order placing
+/// both the first and the last atom before it can run.
+struct WideChainCase {
+  ValueFactory F;
+  Program P{F};
+  PredId W, Out;
+
+  WideChainCase(unsigned Atoms, unsigned Arity) {
+    W = P.relation("W", Arity);
+    Out = P.relation("Out", 2);
+    auto Var = [](unsigned I) { return "x" + std::to_string(I); };
+    unsigned Last = (Arity - 1) * Atoms;
+    FnId Keep = P.function(
+        "keep", 2, FnRole::Filter,
+        [this](std::span<const Value>) { return F.boolean(true); });
+    RuleBuilder RB;
+    RB.head(Out, {Var(0), Var(Last)});
+    for (unsigned A = 0; A < Atoms; ++A) {
+      std::vector<RuleBuilder::Spec> Terms;
+      for (unsigned C = 0; C < Arity; ++C)
+        Terms.push_back(Var((Arity - 1) * A + C));
+      RB.atom(W, std::move(Terms));
+    }
+    RB.filter(Keep, {Var(0), Var(Last)});
+    RB.addTo(P);
+  }
+};
+
+TEST(PlannerCostModelTest, WideRulesPlanPastSixtyFourVariables) {
+  std::mt19937_64 Rng(64);
+  // Eight atoms and a filter: 73 variables, 9 body elements, so the
+  // greedy path. Its order must be a valid permutation of the body.
+  WideChainCase Wide(8, 10);
+  const Rule &R = Wide.P.rules()[0];
+  ASSERT_GT(R.NumVars, 64u);
+  ASSERT_GE(R.Body.size(), 7u);
+  for (int Driver : {-1, 0, 3, 7}) {
+    std::vector<bool> PreBound(R.NumVars, false);
+    PreBound[70] = Rng() % 2; // a variable in the second word
+    StatsVec St = randomStats(Wide.P, Rng);
+    SmallVector<uint32_t, 8> Got =
+        chooseOrder(Wide.P, R, Driver, St, true, PreBound);
+    std::vector<uint32_t> Sorted(Got.begin(), Got.end());
+    std::sort(Sorted.begin(), Sorted.end());
+    std::vector<uint32_t> Body(R.Body.size());
+    std::iota(Body.begin(), Body.end(), 0u);
+    EXPECT_EQ(Sorted, Body) << "driver " << Driver;
+    if (Driver >= 0) {
+      EXPECT_EQ(Got[0], uint32_t(Driver));
+    }
+    EXPECT_TRUE(validOrder(R, Driver, {Got.data(), Got.size()}, PreBound))
+        << "driver " << Driver;
+  }
+  // The plans compile along the chosen orders as well.
+  std::vector<Rule> Rules = Wide.P.rules();
+  PlanLibrary L(Wide.P, Rules, true);
+  StatsVec St(Wide.P.predicates().size());
+  St[Wide.W].LiveRows = 1000;
+  L.replanFromStats(St, 1.0);
+  const RulePlan &Pl = L.plan(0, -1);
+  EXPECT_EQ(Pl.BodyOrder.size(), R.Body.size());
+  EXPECT_EQ(Pl.NumVars, R.NumVars);
+
+  // Four atoms of arity 20 and the filter: 77 variables in 5 body
+  // elements, so the exact search over two-word variable sets.
+  WideChainCase Exact(4, 20);
+  const Rule &RE = Exact.P.rules()[0];
+  ASSERT_GT(RE.NumVars, 64u);
+  for (int Trial = 0; Trial < 20; ++Trial)
+    for (int Driver : {-1, 0, 2}) {
+      std::vector<bool> PreBound(RE.NumVars, false);
+      PreBound[RE.NumVars - 1] = Rng() % 2;
+      expectExactChoice(Exact.P, RE, Driver, randomStats(Exact.P, Rng), true,
+                        PreBound);
+    }
+}
+
 //===----------------------------------------------------------------------===//
 // PlanLibrary re-planning
 //===----------------------------------------------------------------------===//
@@ -466,6 +700,72 @@ TEST(PlannerReplanTest, RunnableChecksSkipPlansThatCannotRun) {
   // The initial choose checks every plan: the Big-driven one is left.
   EXPECT_EQ(L.replanFromStats(St, 1.0).Replanned, 1u);
   EXPECT_NE(order(L.plan(0, 1)), order(Written.plan(0, 1)));
+}
+
+TEST(PlannerReplanTest, DriftGateRecostsOnlyPastTheRecountFactor) {
+  // Out(x, y, z) :- D(x), A(x, y), B(x, z), driven by ΔD: x is bound, so
+  // A and B are both probes on x, and the smaller one goes first.
+  ValueFactory F;
+  Program P(F);
+  PredId D = P.relation("D", 1);
+  PredId A = P.relation("A", 2);
+  PredId B = P.relation("B", 2);
+  PredId Out = P.relation("Out", 3);
+  RuleBuilder()
+      .head(Out, {"x", "y", "z"})
+      .atom(D, {"x"})
+      .atom(A, {"x", "y"})
+      .atom(B, {"x", "z"})
+      .addTo(P);
+  std::vector<Rule> Rules = P.rules();
+  auto stats = [&](double ARows, double BRows) {
+    StatsVec St(P.predicates().size());
+    St[D].LiveRows = 16;
+    St[A].LiveRows = ARows;
+    St[A].Indexes.push_back({0b01, /*Buckets=*/10, /*MaxBucket=*/1});
+    St[B].LiveRows = BRows;
+    St[B].Indexes.push_back({0b01, /*Buckets=*/10, /*MaxBucket=*/1});
+    return St;
+  };
+  auto order = [&](const PlanLibrary &L) {
+    const auto &O = L.plan(0, 0).BodyOrder;
+    return std::vector<uint32_t>(O.begin(), O.end());
+  };
+  const std::vector<uint32_t> AFirst = {0, 1, 2}, BFirst = {0, 2, 1};
+
+  PlanLibrary L(P, Rules, true);
+  L.replanFromStats(stats(100, 120), 1.0); // the initial choose
+  ASSERT_EQ(order(L), AFirst);
+
+  std::vector<std::vector<uint32_t>> Delta(P.predicates().size());
+  Delta[D] = {0};
+  RunnablePlans Round;
+  Round.Delta = Delta;
+
+  // A grows 1.5×: a search would now open with B (any strict gain flips
+  // at threshold 1.0), but A has not moved by RecountFactor, so nothing
+  // is re-costed and the order stays.
+  StatsVec Mild = stats(150, 120);
+  std::vector<bool> None(Rules[0].NumVars, false);
+  SmallVector<uint32_t, 8> Searched = chooseOrder(P, Rules[0], 0, Mild, true,
+                                                  None);
+  ASSERT_EQ(std::vector<uint32_t>(Searched.begin(), Searched.end()), BFirst);
+  PlanLibrary::ReplanResult R = L.replanFromStats(Mild, 1.0, &Round);
+  EXPECT_EQ(R.Checked, 0u);
+  EXPECT_EQ(R.Replanned, 0u);
+  EXPECT_EQ(R.RowsDivergence, 50u) << "drift is still measured";
+  EXPECT_EQ(order(L), AFirst);
+
+  // A at 3× its count at the last check: the plan is re-costed and flips.
+  R = L.replanFromStats(stats(300, 120), 1.0, &Round);
+  EXPECT_EQ(R.Checked, 1u);
+  EXPECT_EQ(R.Replanned, 1u);
+  EXPECT_EQ(order(L), BFirst);
+
+  // That check moved the watermark to 300: 1.5× more is quiet again, a
+  // shrink past the factor is not.
+  EXPECT_EQ(L.replanFromStats(stats(450, 120), 1.0, &Round).Checked, 0u);
+  EXPECT_EQ(L.replanFromStats(stats(140, 120), 1.0, &Round).Checked, 1u);
 }
 
 TEST(PlannerReplanTest, WantedIndexesIsOrderIndependent) {
